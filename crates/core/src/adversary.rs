@@ -380,7 +380,10 @@ impl BlocklistDefender {
     /// [`BlocklistDefender::apply`], emitting one
     /// [`BlocklistTrigger`](partialtor_obs::TraceEvent::BlocklistTrigger)
     /// trace event per target the defender filters (at the hour the
-    /// filtering takes effect).
+    /// filtering takes effect), each followed by the
+    /// [`DefenseAction`](partialtor_obs::TraceEvent::DefenseAction) that
+    /// announces it as the [`DefensePlan`](crate::defense::DefensePlan)
+    /// blocklist lever.
     pub fn apply_traced(&self, plan: &AttackPlan, tracer: &partialtor_obs::Tracer) -> AttackPlan {
         if self.trigger_hours == 0 {
             // A zero trigger filters everything from hour 0.
@@ -423,6 +426,11 @@ impl BlocklistDefender {
         }
         for (target, &from) in &blocked_from {
             tracer.emit(partialtor_obs::TraceEvent::BlocklistTrigger {
+                hour: from,
+                target: target.to_string(),
+            });
+            tracer.emit(partialtor_obs::TraceEvent::DefenseAction {
+                action: "blocklist",
                 hour: from,
                 target: target.to_string(),
             });

@@ -20,6 +20,7 @@
 //!                  [--seed N] [--greedy N] [--brownout REGION] [--json]
 //! dirsim cost      [--targets K] [--flood MBPS] [--minutes M]
 //! dirsim monitor   [--relays N] [--seed N]
+//! dirsim fig       <name> [--step N] [--hours H]
 //! ```
 //!
 //! Every subcommand accepts `--json` (machine-readable output on
@@ -35,12 +36,17 @@
 //! Every subcommand also accepts `--threads N` (pins the sweep worker
 //! count, overriding `PARTIALTOR_SWEEP_THREADS`) and `--help`/`-h`.
 //! Unknown flags and malformed values are rejected with an error and
-//! the subcommand's usage — never silently defaulted.
+//! the subcommand's usage — never silently defaulted. When stdout
+//! closes early (`dirsim … | head`) the process ends quietly.
 
 use partialtor::adversary::{AttackPlan, AttackWindow, Target};
 use partialtor::attack::AttackCostModel;
 use partialtor::calibration::ATTACK_FLOOD_MBPS;
-use partialtor::experiments::{adversary, attribute, clients, frontier, placement};
+use partialtor::experiments::{
+    ablations, adversary, attribute, availability, clients, cost, diff_savings, fig10_latency,
+    fig11_recovery, fig1_attack_log, fig6_relays, fig7_bandwidth, frontier, placement,
+    table1_complexity, table2_rounds,
+};
 use partialtor::json::Json;
 use partialtor::monitor;
 use partialtor::protocols::ProtocolKind;
@@ -50,6 +56,30 @@ use partialtor_obs::trace::DEFAULT_TRACE_CAPACITY;
 use partialtor_obs::{profile_report, set_profiling, Tracer};
 use partialtor_simnet::{SimDuration, SimTime};
 use std::collections::BTreeMap;
+
+/// Writes to stdout. When the reader has gone away (`dirsim … | head`)
+/// the process ends quietly, where `print!` would panic.
+fn emit(text: std::fmt::Arguments) {
+    use std::io::{ErrorKind, Write};
+    match std::io::stdout().write_fmt(text) {
+        Ok(()) => {}
+        Err(error) if error.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(error) => {
+            eprintln!("dirsim: writing to stdout: {error}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 /// One flag a subcommand accepts.
 struct FlagSpec {
@@ -101,6 +131,10 @@ const GLOBAL_FLAGS: &[FlagSpec] = &[
     ),
 ];
 
+/// Spec name of a subcommand's one positional argument (`dirsim fig
+/// <name>`); the token itself is stored as its value.
+const POSITIONAL: &str = "<name>";
+
 /// Parsed arguments of one subcommand: flag name → raw value ("" for
 /// boolean flags).
 struct Args {
@@ -108,7 +142,12 @@ struct Args {
 }
 
 fn usage_for(sub: &'static str, about: &str, spec: &[FlagSpec]) -> String {
-    let mut out = format!("usage: dirsim {sub} [options]\n  {about}\n  options:\n");
+    let positional = if spec.iter().any(|f| f.name == POSITIONAL) {
+        " <name>"
+    } else {
+        ""
+    };
+    let mut out = format!("usage: dirsim {sub}{positional} [options]\n  {about}\n  options:\n");
     for flag in spec.iter().chain(GLOBAL_FLAGS) {
         let left = match flag.metavar {
             Some(metavar) => format!("{} {}", flag.name, metavar),
@@ -133,17 +172,19 @@ fn parse_args(
     let mut tokens = raw.iter();
     while let Some(token) = tokens.next() {
         if token == "-h" || token == "--help" {
-            println!("{}", usage_for(sub, about, spec));
+            outln!("{}", usage_for(sub, about, spec));
             std::process::exit(0);
         }
+        let positional = !token.starts_with('-') && !values.contains_key(POSITIONAL);
         let Some(flag) = spec
             .iter()
             .chain(GLOBAL_FLAGS)
-            .find(|f| f.name == token.as_str())
+            .find(|f| f.name == token.as_str() || (positional && f.name == POSITIONAL))
         else {
             return Err(format!("unknown argument {token:?}"));
         };
         let value = match flag.metavar {
+            None if flag.name == POSITIONAL => token.clone(),
             None => String::new(),
             Some(metavar) => match tokens.next() {
                 Some(v) if !v.starts_with("--") => v.clone(),
@@ -178,6 +219,13 @@ impl Args {
         }
     }
 
+    /// A dollars-per-month budget ([`parse_usd`]).
+    fn usd(&self, name: &str, default: f64) -> Result<f64, String> {
+        self.values
+            .get(name)
+            .map_or(Ok(default), |raw| parse_usd(name, raw))
+    }
+
     fn protocol(&self) -> Result<ProtocolKind, String> {
         match self.values.get("--protocol").map(String::as_str) {
             None | Some("icps") | Some("ours") => Ok(ProtocolKind::Icps),
@@ -194,6 +242,17 @@ impl Args {
             set_sweep_threads(Some(self.u64("--threads", 0)? as usize));
         }
         Ok(())
+    }
+}
+
+/// Parses one dollars-per-month amount of flag `name`: finite and
+/// non-negative, so no budget comparison downstream can meet a NaN.
+fn parse_usd(name: &str, raw: &str) -> Result<f64, String> {
+    match raw.trim().parse::<f64>() {
+        Ok(usd) if usd.is_finite() && usd >= 0.0 => Ok(usd),
+        _ => Err(format!(
+            "{name} expects finite, non-negative dollars, got {raw:?}"
+        )),
     }
 }
 
@@ -333,23 +392,23 @@ fn base_scenario(args: &Args) -> Result<Scenario, String> {
 }
 
 fn print_report(report: &RunReport) {
-    println!("protocol      : {}", report.protocol);
-    println!("success       : {}", report.success);
+    outln!("protocol      : {}", report.protocol);
+    outln!("success       : {}", report.success);
     match report.network_time_secs {
-        Some(t) => println!("latency       : {t:.2} s"),
-        None => println!("latency       : (failed)"),
+        Some(t) => outln!("latency       : {t:.2} s"),
+        None => outln!("latency       : (failed)"),
     }
     if let (Some(first), Some(last)) = (report.first_valid_secs, report.last_valid_secs) {
-        println!("valid between : {first:.2} s and {last:.2} s");
+        outln!("valid between : {first:.2} s and {last:.2} s");
     }
-    println!(
+    outln!(
         "traffic       : {} messages, {:.2} MB",
         report.total_tx_msgs,
         report.total_tx_bytes as f64 / 1e6
     );
-    println!("per authority :");
+    outln!("per authority :");
     for authority in &report.authorities {
-        println!(
+        outln!(
             "  auth{} success={} digest={}",
             authority.index,
             authority.success,
@@ -374,7 +433,7 @@ fn cmd_run(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
     let report = sweep_one(args.protocol()?, base_scenario(args)?);
     telemetry.metrics = run_report_json(&report);
     if args.present("--json") {
-        println!("{}", telemetry.metrics.render());
+        outln!("{}", telemetry.metrics.render());
     } else {
         print_report(&report);
     }
@@ -416,17 +475,17 @@ fn cmd_attack(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
         ("alerts", alerts_json(&alerts)),
     ]);
     if args.present("--json") {
-        println!("{}", telemetry.metrics.render());
+        outln!("{}", telemetry.metrics.render());
         return Ok(());
     }
     print_report(&report);
-    println!("attack cost   : ${cost:.4} for this window set");
-    println!("\nmonitor alerts:");
+    outln!("attack cost   : ${cost:.4} for this window set");
+    outln!("\nmonitor alerts:");
     if alerts.is_empty() {
-        println!("  (none)");
+        outln!("  (none)");
     }
     for alert in alerts {
-        println!("  {alert}");
+        outln!("  {alert}");
     }
     Ok(())
 }
@@ -468,10 +527,10 @@ fn cmd_sweep(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
         ),
     ]);
     if args.present("--json") {
-        println!("{}", telemetry.metrics.render());
+        outln!("{}", telemetry.metrics.render());
         return Ok(());
     }
-    println!("{:>10} {:>12}", "Mbit/s", "latency (s)");
+    outln!("{:>10} {:>12}", "Mbit/s", "latency (s)");
     for (mbps, report) in bandwidths.into_iter().zip(reports) {
         let cell = report
             .success
@@ -479,7 +538,7 @@ fn cmd_sweep(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
             .flatten()
             .map(|t| format!("{t:.1}"))
             .unwrap_or_else(|| "FAIL".into());
-        println!("{mbps:>10} {cell:>12}");
+        outln!("{mbps:>10} {cell:>12}");
     }
     Ok(())
 }
@@ -507,11 +566,11 @@ fn cmd_cost(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
         ("cost_per_month_usd", Json::from(model.cost_per_month())),
     ]);
     if args.present("--json") {
-        println!("{}", telemetry.metrics.render());
+        outln!("{}", telemetry.metrics.render());
         return Ok(());
     }
-    println!("cost per breached run : ${:.4}", model.cost_per_run());
-    println!("cost per month        : ${:.2}", model.cost_per_month());
+    outln!("cost per breached run : ${:.4}", model.cost_per_run());
+    outln!("cost per month        : ${:.2}", model.cost_per_month());
     Ok(())
 }
 
@@ -547,18 +606,18 @@ fn cmd_monitor(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
         })),
     )]);
     if args.present("--json") {
-        println!("{}", telemetry.metrics.render());
+        outln!("{}", telemetry.metrics.render());
         return Ok(());
     }
     for (protocol, report, alerts) in rows {
-        println!(
+        outln!(
             "{:<12} success={} alerts={}",
             protocol.to_string(),
             report.success,
             alerts.len()
         );
         for alert in alerts {
-            println!("  {alert}");
+            outln!("  {alert}");
         }
     }
     Ok(())
@@ -651,9 +710,9 @@ fn cmd_clients(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
         eprintln!("fetch mixes written to {path}");
     }
     if args.present("--json") {
-        println!("{}", clients::to_json(&results).render());
+        outln!("{}", clients::to_json(&results).render());
     } else {
-        print!("{}", clients::render(&results));
+        out!("{}", clients::render(&results));
     }
     Ok(())
 }
@@ -684,9 +743,9 @@ fn cmd_attribute(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
     let result = attribute::run_experiment_traced(&params, &telemetry.tracer);
     telemetry.metrics = attribute::to_json(&result);
     if args.present("--json") {
-        println!("{}", telemetry.metrics.render());
+        outln!("{}", telemetry.metrics.render());
     } else {
-        print!("{}", attribute::render(&result));
+        out!("{}", attribute::render(&result));
     }
     Ok(())
 }
@@ -710,7 +769,7 @@ const ADVERSARY_SPEC: &[FlagSpec] = &[
 fn cmd_adversary(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
     let defaults = adversary::AdversaryParams::default();
     let params = adversary::AdversaryParams {
-        budget_usd_month: args.f64("--budget", defaults.budget_usd_month)?,
+        budget_usd_month: args.usd("--budget", defaults.budget_usd_month)?,
         hours: args.u64("--hours", defaults.hours)?,
         beam: args.u64("--beam", defaults.beam as u64)? as usize,
         clients: args.u64("--clients", defaults.clients)?,
@@ -725,9 +784,9 @@ fn cmd_adversary(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
     let result = adversary::run_experiment_traced(&params, &telemetry.tracer);
     telemetry.metrics = adversary::to_json(&result);
     if args.present("--json") {
-        println!("{}", telemetry.metrics.render());
+        outln!("{}", telemetry.metrics.render());
     } else {
-        print!("{}", adversary::render(&result));
+        out!("{}", adversary::render(&result));
     }
     Ok(())
 }
@@ -767,17 +826,19 @@ fn cmd_frontier(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
         None => defaults.defense_budgets.clone(),
         Some(raw) => raw
             .split(',')
-            .map(|s| {
-                s.trim().parse::<f64>().map_err(|_| {
-                    format!("--defense-budget-grid expects comma-separated dollars, got {raw:?}")
-                })
-            })
+            .map(|usd| parse_usd("--defense-budget-grid", usd))
             .collect::<Result<Vec<f64>, String>>()?,
     };
+    let target_downtime = args.f64("--target", defaults.target_downtime)?;
+    if !(0.0..=1.0).contains(&target_downtime) {
+        return Err(format!(
+            "--target expects a fraction in [0, 1], got {target_downtime}"
+        ));
+    }
     let params = frontier::FrontierParams {
         defense_budgets,
-        attack_budget_usd_month: args.f64("--attack-budget", defaults.attack_budget_usd_month)?,
-        target_downtime: args.f64("--target", defaults.target_downtime)?,
+        attack_budget_usd_month: args.usd("--attack-budget", defaults.attack_budget_usd_month)?,
+        target_downtime,
         hours: args.u64("--hours", defaults.hours)?,
         beam: args.u64("--beam", defaults.beam as u64)? as usize,
         clients: args.u64("--clients", defaults.clients)?,
@@ -789,9 +850,9 @@ fn cmd_frontier(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
     let result = frontier::run_experiment_traced(&params, &telemetry.tracer);
     telemetry.metrics = frontier::to_json(&result);
     if args.present("--json") {
-        println!("{}", telemetry.metrics.render());
+        outln!("{}", telemetry.metrics.render());
     } else {
-        print!("{}", frontier::render(&result));
+        out!("{}", frontier::render(&result));
     }
     Ok(())
 }
@@ -840,15 +901,84 @@ fn cmd_placement(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
     let result = placement::run_experiment(&params);
     telemetry.metrics = placement::to_json(&result);
     if args.present("--json") {
-        println!("{}", telemetry.metrics.render());
+        outln!("{}", telemetry.metrics.render());
     } else {
-        print!("{}", placement::render(&result));
+        out!("{}", placement::render(&result));
     }
     Ok(())
 }
 
+/// The seed shared by the reported figure/table runs.
+const REPORT_SEED: u64 = 42;
+
+const FIG_SPEC: &[FlagSpec] = &[
+    bool_flag(
+        POSITIONAL,
+        "fig1 | fig6 | fig7 | fig10 | fig11 | table1 | table2 | cost | ablations | \
+         availability | diff-savings",
+    ),
+    value_flag(
+        "--step",
+        "N",
+        "relay-count step of the fig10 / fig11 sweeps (default 1000, the paper's)",
+    ),
+    value_flag(
+        "--hours",
+        "H",
+        "attacked hours of the availability timeline (default 6)",
+    ),
+];
+
+/// Regenerates one figure or table of the paper as text.
+fn cmd_fig(args: &Args, _telemetry: &mut Telemetry) -> Result<(), String> {
+    let name = args.values.get(POSITIONAL).map_or("", String::as_str);
+    for (flag, users) in [
+        ("--step", &["fig10", "fig11"][..]),
+        ("--hours", &["availability"][..]),
+    ] {
+        if args.present(flag) && !users.contains(&name) {
+            return Err(format!("{flag} applies only to {}", users.join(", ")));
+        }
+    }
+    let seed = REPORT_SEED;
+    let text = match name {
+        "fig1" => fig1_attack_log::render(&fig1_attack_log::run_experiment(seed)),
+        "fig6" => fig6_relays::render(&fig6_relays::run_experiment()),
+        "fig7" => fig7_bandwidth::render(&fig7_bandwidth::run_experiment(seed)),
+        "fig10" => {
+            let step = args.u64("--step", 1_000)?;
+            fig10_latency::render(&fig10_latency::run_experiment(seed, step))
+        }
+        "fig11" => {
+            let step = args.u64("--step", 1_000)?;
+            fig11_recovery::render(&fig11_recovery::run_experiment(seed, step))
+        }
+        "table1" => table1_complexity::render(&table1_complexity::run_experiment(seed)),
+        "table2" => table2_rounds::render(&table2_rounds::run_experiment(seed)),
+        "cost" => cost::render(&cost::run_experiment()),
+        // Three design-choice ablations (timeout scaling, pulsed attacks,
+        // fetch policy), each printed as soon as its sweep is done.
+        "ablations" => {
+            let timeout = ablations::timeout_scaling(seed);
+            out!("{}\n", ablations::render_timeout(&timeout));
+            let pulse = ablations::pulse_sweep(seed);
+            out!("{}\n", ablations::render_pulse(&pulse));
+            ablations::render_fetch(&ablations::fetch_policy_comparison(seed))
+        }
+        "availability" => {
+            let hours = args.u64("--hours", 6)?;
+            availability::render(&availability::run_experiment(hours, seed))
+        }
+        "diff-savings" => diff_savings::render(&diff_savings::run_experiment(seed)),
+        "" => return Err("expects the figure or table to regenerate".into()),
+        other => return Err(format!("unknown figure {other:?}")),
+    };
+    out!("{text}");
+    Ok(())
+}
+
 const USAGE: &str =
-    "usage: dirsim <run|attack|sweep|clients|attribute|adversary|frontier|placement|cost|monitor> [options]
+    "usage: dirsim <run|attack|sweep|clients|attribute|adversary|frontier|placement|cost|monitor|fig> [options]
   run       one protocol run
   attack    one run under a bandwidth-DDoS window set
   sweep     latency across a bandwidth grid
@@ -859,6 +989,7 @@ const USAGE: &str =
   placement geographic cache-placement sweep + greedy placement search
   cost      the §4.3 DDoS-for-hire price arithmetic
   monitor   run all three protocols through the bandwidth monitor
+  fig       regenerate one figure or table of the paper (fig <name>)
 run `dirsim <subcommand> --help` for the subcommand's options;
 every subcommand also accepts --threads N (1 = serial sweeps),
 --trace FILE (JSONL event trace with span/cause ids),
@@ -924,6 +1055,12 @@ const SUBCOMMANDS: &[(&str, &str, &[FlagSpec], Handler)] = &[
         MONITOR_SPEC,
         cmd_monitor,
     ),
+    (
+        "fig",
+        "regenerate one figure or table of the paper (seed 42)",
+        FIG_SPEC,
+        cmd_fig,
+    ),
 ];
 
 fn main() {
@@ -933,7 +1070,7 @@ fn main() {
         std::process::exit(2);
     };
     if first == "-h" || first == "--help" {
-        println!("{USAGE}");
+        outln!("{USAGE}");
         return;
     }
     let Some((sub, about, spec, handler)) =

@@ -297,26 +297,12 @@ impl DefensePlan {
         let mut effective = plan.clone();
         if let Some(trigger) = self.blocklist_trigger_hours {
             // Delegate to the absorbed defender so the PR 4 semantics
-            // (and its pinned tests) stay authoritative, re-announcing
-            // each of its triggers as a defense action.
-            let relay = Tracer::enabled(1 << 10);
+            // (and its pinned tests) stay authoritative; it announces
+            // each trigger as a defense action itself.
             effective = BlocklistDefender {
                 trigger_hours: trigger,
             }
-            .apply_traced(&effective, &relay);
-            for event in relay.drain() {
-                if let TraceEvent::BlocklistTrigger { hour, target } = event {
-                    tracer.emit(TraceEvent::BlocklistTrigger {
-                        hour,
-                        target: target.clone(),
-                    });
-                    tracer.emit(TraceEvent::DefenseAction {
-                        action: "blocklist",
-                        hour,
-                        target,
-                    });
-                }
-            }
+            .apply_traced(&effective, tracer);
         }
         if let Some(trigger) = self.detector_trigger_hours {
             effective = detector_filter(&effective, trigger, tracer);

@@ -24,17 +24,23 @@
 //! paper's five-of-nine campaign is seeded into the initial beam
 //! whenever the budget affords it, so the search result is always at
 //! least as good as the fixed baseline at equal cost.
+//!
+//! There is one search engine, `SearchEnv`: memo fill, shape scoring
+//! and beam loop live here and nowhere else. This experiment runs it
+//! against `DefensePlan::empty()` (or the `--defender` blocklist); the
+//! [`frontier`](super::frontier) experiment runs the same functions
+//! once per playbook defense.
 
 use crate::adversary::{AttackPlan, AttackWindow, Target};
 use crate::calibration::{ATTACK_FLOOD_MBPS, CACHE_FLOOD_MBPS, N_AUTHORITIES};
 use crate::defense::DefensePlan;
 use crate::protocols::ProtocolKind;
-use crate::runner::{par_map, sweep, RunReport, SweepJob};
-use partialtor_dirdist::{simulate, DistConfig};
+use crate::runner::{par_map, sweep, SweepJob};
+use partialtor_dirdist::{simulate, AttributionRollup, DistConfig};
 use partialtor_obs::{span, Tracer};
 use partialtor_simnet::{SimDuration, SimTime};
 use serde::Serialize;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Search parameters (the `dirsim adversary` surface).
 #[derive(Clone, Debug)]
@@ -130,11 +136,7 @@ impl CampaignShape {
     /// The paper's fixed baseline as a shape.
     pub(crate) const FIVE_OF_NINE: CampaignShape = CampaignShape {
         authorities: 5,
-        auth_window_secs: 300,
-        flood_mbps: DEFAULT_FLOOD_MBPS,
-        caches: 0,
-        cache_window_secs: 900,
-        rotate: false,
+        ..CampaignShape::EMPTY
     };
 
     /// The rotating variant of the paper's baseline.
@@ -190,6 +192,20 @@ impl CampaignShape {
     /// bills for).
     pub(crate) fn cost_usd_month(&self) -> f64 {
         AttackPlan::new(self.windows_for_hour(0)).cost_per_month()
+    }
+
+    /// Last tie-break of both rank functions. Not the derived `Ord`
+    /// (field declaration order): the beam's visiting order, and with it
+    /// every pinned search result, follows this tuple order.
+    fn tie_break(&self) -> (usize, usize, u64, u64, u64, bool) {
+        (
+            self.authorities,
+            self.caches,
+            self.auth_window_secs,
+            self.flood_mbps,
+            self.cache_window_secs,
+            self.rotate,
+        )
     }
 
     /// Human-readable shape summary.
@@ -290,6 +306,8 @@ pub struct PlanScore {
     pub produced_hours: u64,
     /// Fraction of client-time lost over the horizon — the score.
     pub client_weighted_downtime: f64,
+    /// The searched shape the fields above report.
+    pub(crate) shape: CampaignShape,
 }
 
 /// Result of one strategy search.
@@ -316,13 +334,13 @@ pub struct AdversaryResult {
 
 /// Canonical key of one run-local plan slice: the normalized windows'
 /// fields, verbatim (flood as raw bits so the key stays `Ord`/`Eq`).
-pub(crate) type SliceKey = Vec<(Target, u64, u64, u64)>;
+type SliceKey = Vec<(Target, u64, u64, u64)>;
 
 /// Memoized per-hour protocol outcomes: one entry per distinct
 /// `(seed, run-local authority window set)`.
 pub(crate) type OutcomeMemo = BTreeMap<(u64, SliceKey), Option<f64>>;
 
-pub(crate) fn slice_key(slice: &AttackPlan) -> SliceKey {
+fn slice_key(slice: &AttackPlan) -> SliceKey {
     slice
         .windows()
         .iter()
@@ -342,7 +360,7 @@ pub(crate) fn slice_key(slice: &AttackPlan) -> SliceKey {
 /// the zero-gradient plateau — every sub-majority authority campaign
 /// scores identically, so a cheapest-first frontier would never reach
 /// the fifth authority on its own.
-pub(crate) fn frontier_rank(a: &PlanScore, b: &PlanScore) -> std::cmp::Ordering {
+fn frontier_rank(a: &PlanScore, b: &PlanScore) -> std::cmp::Ordering {
     b.client_weighted_downtime
         .partial_cmp(&a.client_weighted_downtime)
         .expect("finite downtime")
@@ -351,30 +369,13 @@ pub(crate) fn frontier_rank(a: &PlanScore, b: &PlanScore) -> std::cmp::Ordering 
             (b.auth_window_secs + b.cache_window_secs)
                 .cmp(&(a.auth_window_secs + a.cache_window_secs)),
         )
-        .then(
-            (
-                a.authorities,
-                a.caches,
-                a.auth_window_secs,
-                a.flood_mbps,
-                a.cache_window_secs,
-                a.rotate,
-            )
-                .cmp(&(
-                    b.authorities,
-                    b.caches,
-                    b.auth_window_secs,
-                    b.flood_mbps,
-                    b.cache_window_secs,
-                    b.rotate,
-                )),
-        )
+        .then(a.shape.tie_break().cmp(&b.shape.tie_break()))
 }
 
 /// Ranks scores for *reporting*: more downtime first, then cheaper,
 /// then smaller shape — the best plan is the cheapest equally effective
 /// one.
-pub(crate) fn rank(a: &PlanScore, b: &PlanScore) -> std::cmp::Ordering {
+fn rank(a: &PlanScore, b: &PlanScore) -> std::cmp::Ordering {
     b.client_weighted_downtime
         .partial_cmp(&a.client_weighted_downtime)
         .expect("finite downtime")
@@ -383,122 +384,206 @@ pub(crate) fn rank(a: &PlanScore, b: &PlanScore) -> std::cmp::Ordering {
                 .partial_cmp(&b.cost_usd_month)
                 .expect("finite cost"),
         )
-        .then(
-            (
-                a.authorities,
-                a.caches,
-                a.auth_window_secs,
-                a.flood_mbps,
-                a.cache_window_secs,
-                a.rotate,
-            )
-                .cmp(&(
-                    b.authorities,
-                    b.caches,
-                    b.auth_window_secs,
-                    b.flood_mbps,
-                    b.cache_window_secs,
-                    b.rotate,
-                )),
-        )
+        .then(a.shape.tie_break().cmp(&b.shape.tie_break()))
 }
 
-/// The plan a shape's victims actually experience: the raw campaign,
-/// filtered through the configured defender — since PR 9 a thin wrapper
-/// over the [`DefensePlan`] blocklist lever, which absorbed the legacy
-/// [`BlocklistDefender`](crate::adversary::BlocklistDefender)
-/// bit-for-bit.
-fn effective_plan(params: &AdversaryParams, shape: &CampaignShape) -> AttackPlan {
-    let plan = shape.plan(params.hours);
-    match params.defender_trigger_hours {
-        Some(trigger_hours) => {
-            DefensePlan::blocklist(trigger_hours).effective_attack(&plan, &Tracer::disabled())
-        }
-        None => plan,
-    }
+/// A shape readied for scoring: the campaign its victims actually
+/// experience once the defense has reacted, and the memo key of each
+/// hourly protocol run — derived once per generation.
+struct Candidate {
+    shape: CampaignShape,
+    plan: AttackPlan,
+    keys: Vec<(u64, SliceKey)>,
 }
 
-/// Runs all protocol simulations the given shapes still need (one sweep
-/// batch), extending the memo.
-fn fill_memo(params: &AdversaryParams, shapes: &[CampaignShape], memo: &mut OutcomeMemo) {
-    let mut queued: std::collections::BTreeSet<(u64, SliceKey)> = std::collections::BTreeSet::new();
-    let mut keys: Vec<(u64, SliceKey)> = Vec::new();
-    let mut jobs: Vec<SweepJob> = Vec::new();
-    for shape in shapes {
-        let plan = effective_plan(params, shape);
-        for hour in 1..=params.hours {
-            let scenario =
-                super::sustained::hourly_scenario(&plan, hour, params.seed, params.relays);
-            let key = (scenario.seed, slice_key(&scenario.attack));
-            if memo.contains_key(&key) || !queued.insert(key.clone()) {
-                continue;
-            }
-            keys.push(key);
-            jobs.push(SweepJob::new(ProtocolKind::Current, scenario));
+/// Everything one attacker search is scored against. `dirsim adversary`
+/// builds one (undefended, or behind its `--defender` blocklist);
+/// `dirsim frontier` builds one per playbook defense and shares the memo
+/// across them.
+pub(crate) struct SearchEnv {
+    /// Hourly runs in the scored horizon.
+    hours: u64,
+    /// Beam width of the shape search.
+    beam: usize,
+    /// The attacker's budget, dollars per 30-day month.
+    budget_usd_month: f64,
+    /// Caches cache windows draw targets from: the undefended tier.
+    cache_pool: usize,
+    /// The defense every campaign is filtered through.
+    pub(crate) defense: DefensePlan,
+    /// `defense` lowered onto the base tier (seed, fleet, relays, caches,
+    /// consensus lifetimes, detector). With `attribution` on, every
+    /// score comes with its blame rollup.
+    lowered: DistConfig,
+}
+
+impl SearchEnv {
+    /// The search environment of `defense` deployed on the tier `base`.
+    pub(crate) fn new(
+        hours: u64,
+        beam: usize,
+        budget_usd_month: f64,
+        base: &DistConfig,
+        defense: DefensePlan,
+    ) -> Self {
+        SearchEnv {
+            hours,
+            beam,
+            budget_usd_month,
+            cache_pool: base.n_caches,
+            lowered: defense.lower(base),
+            defense,
         }
     }
-    let reports: Vec<RunReport> = sweep(&jobs);
-    for (key, report) in keys.into_iter().zip(&reports) {
-        memo.insert(
-            key,
-            report
-                .success
-                .then(|| report.last_valid_secs.unwrap_or(0.0)),
+
+    /// Derives every shape's effective plan and hourly memo keys, and
+    /// runs — as one sweep batch — the protocol simulations the memo
+    /// does not hold yet.
+    fn fill_memo(&self, shapes: &[CampaignShape], memo: &mut OutcomeMemo) -> Vec<Candidate> {
+        let mut queued: BTreeSet<(u64, SliceKey)> = BTreeSet::new();
+        let mut job_keys: Vec<(u64, SliceKey)> = Vec::new();
+        let mut jobs: Vec<SweepJob> = Vec::new();
+        let candidates = shapes
+            .iter()
+            .map(|&shape| {
+                let plan = self
+                    .defense
+                    .effective_attack(&shape.plan(self.hours), &Tracer::disabled());
+                let keys = (1..=self.hours)
+                    .map(|hour| {
+                        let scenario = super::sustained::hourly_scenario(
+                            &plan,
+                            hour,
+                            self.lowered.seed,
+                            self.lowered.relays,
+                        );
+                        let key = (scenario.seed, slice_key(&scenario.attack));
+                        if !memo.contains_key(&key) && queued.insert(key.clone()) {
+                            job_keys.push(key.clone());
+                            jobs.push(SweepJob::new(ProtocolKind::Current, scenario));
+                        }
+                        key
+                    })
+                    .collect();
+                Candidate { shape, plan, keys }
+            })
+            .collect();
+        let outcomes = super::sustained::hourly_outcomes(&sweep(&jobs));
+        memo.extend(job_keys.into_iter().zip(outcomes));
+        candidates
+    }
+
+    /// Scores one candidate against the memoized protocol outcomes (pure
+    /// lookup + distribution simulation; no protocol runs). The timeline
+    /// honours the lowered config's consensus lifetimes, so an
+    /// `ExtendLifetime` lever changes what the fleet experiences, not
+    /// just a config field.
+    fn score_shape(
+        &self,
+        candidate: &Candidate,
+        memo: &OutcomeMemo,
+    ) -> (PlanScore, Option<AttributionRollup>) {
+        let outcomes: Vec<Option<f64>> = candidate
+            .keys
+            .iter()
+            .map(|key| *memo.get(key).expect("memo filled for every scored shape"))
+            .collect();
+        let (timeline, windows) = super::sustained::dist_view_with_lifetimes(
+            &candidate.plan,
+            &outcomes,
+            self.lowered.fresh_secs,
+            self.lowered.valid_secs,
         );
+        let dist = simulate(
+            &DistConfig {
+                link_windows: windows,
+                ..self.lowered.clone()
+            },
+            &timeline,
+        );
+        let shape = candidate.shape;
+        let score = PlanScore {
+            label: shape.label(),
+            authorities: shape.authorities,
+            caches: shape.caches,
+            auth_window_secs: shape.auth_window_secs,
+            flood_mbps: shape.flood_mbps,
+            cache_window_secs: shape.cache_window_secs,
+            rotate: shape.rotate,
+            windows: candidate.plan.windows().len(),
+            cost_usd_month: shape.cost_usd_month(),
+            produced_hours: outcomes.iter().flatten().count() as u64,
+            client_weighted_downtime: dist.fleet.client_weighted_downtime,
+            shape,
+        };
+        (score, dist.attribution)
     }
-}
 
-/// Scores one shape against the memoized protocol outcomes (pure
-/// lookup + distribution simulation; no protocol runs).
-fn score_shape(params: &AdversaryParams, shape: &CampaignShape, memo: &OutcomeMemo) -> PlanScore {
-    let plan = effective_plan(params, shape);
-    let outcomes: Vec<Option<f64>> = (1..=params.hours)
-        .map(|hour| {
-            let scenario =
-                super::sustained::hourly_scenario(&plan, hour, params.seed, params.relays);
-            *memo
-                .get(&(scenario.seed, slice_key(&scenario.attack)))
-                .expect("memo filled for every scored shape")
-        })
-        .collect();
-    let (timeline, windows) = super::sustained::dist_view(&plan, &outcomes);
-    let dist = simulate(
-        &DistConfig {
-            seed: params.seed,
-            clients: params.clients,
-            relays: params.relays,
-            n_caches: params.caches,
-            link_windows: windows,
-            ..DistConfig::default()
-        },
-        &timeline,
-    );
-    PlanScore {
-        label: shape.label(),
-        authorities: shape.authorities,
-        caches: shape.caches,
-        auth_window_secs: shape.auth_window_secs,
-        flood_mbps: shape.flood_mbps,
-        cache_window_secs: shape.cache_window_secs,
-        rotate: shape.rotate,
-        windows: plan.windows().len(),
-        cost_usd_month: shape.cost_usd_month(),
-        produced_hours: outcomes.iter().flatten().count() as u64,
-        client_weighted_downtime: dist.fleet.client_weighted_downtime,
+    /// Scores a generation of shapes: one protocol sweep for the whole
+    /// batch, then the distribution simulations in parallel. Each score
+    /// carries its attribution rollup when the tier was built with
+    /// `attribution` on.
+    pub(crate) fn score_generation(
+        &self,
+        shapes: &[CampaignShape],
+        memo: &mut OutcomeMemo,
+    ) -> Vec<(PlanScore, Option<AttributionRollup>)> {
+        let _span = span("adversary.score_generation");
+        let candidates = self.fill_memo(shapes, memo);
+        let frozen: &OutcomeMemo = memo;
+        par_map(&candidates, |candidate| self.score_shape(candidate, frozen))
     }
-}
 
-/// Scores a generation of shapes: one protocol sweep for the whole
-/// batch, then the distribution simulations in parallel.
-fn score_generation(
-    params: &AdversaryParams,
-    shapes: &[CampaignShape],
-    memo: &mut OutcomeMemo,
-) -> Vec<PlanScore> {
-    let _span = span("adversary.score_generation");
-    fill_memo(params, shapes, memo);
-    let frozen: &OutcomeMemo = memo;
-    par_map(shapes, |shape| score_shape(params, shape, frozen))
+    /// The beam search: every campaign it evaluated, in reporting
+    /// [`rank`] order. The first entry is the best plan within budget —
+    /// everything evaluated passed the budget filter, and the do-nothing
+    /// seed is free.
+    pub(crate) fn search(&self, memo: &mut OutcomeMemo) -> Vec<PlanScore> {
+        let affordable =
+            |shape: &CampaignShape| shape.cost_usd_month() <= self.budget_usd_month + 1e-9;
+        let mut evaluated: BTreeMap<CampaignShape, PlanScore> = BTreeMap::new();
+
+        // Seed the beam with the do-nothing shape and — whenever
+        // affordable — the paper's baseline (plus its rotating twin,
+        // which costs the same), so the search never reports worse than
+        // the fixed five-of-nine campaign at equal cost and always knows
+        // whether rotation pays under the configured defense.
+        let mut generation = vec![CampaignShape::EMPTY];
+        if affordable(&CampaignShape::FIVE_OF_NINE) {
+            generation.push(CampaignShape::FIVE_OF_NINE);
+            generation.push(CampaignShape::FIVE_OF_NINE_ROTATING);
+        }
+
+        // Each round scores the generation (never-seen shapes only) and
+        // expands the beam by one move per shape; the budget and the
+        // shape-space bounds make this terminate long before the cap.
+        for _ in 0..32 {
+            for (score, _) in self.score_generation(&generation, memo) {
+                evaluated.insert(score.shape, score);
+            }
+
+            // Beam: the best `beam` shapes seen so far spawn the next
+            // generation.
+            let mut ranked: Vec<&PlanScore> = evaluated.values().collect();
+            ranked.sort_by(|a, b| frontier_rank(a, b));
+            generation = ranked
+                .iter()
+                .take(self.beam.max(1))
+                .flat_map(|score| score.shape.expansions(self.cache_pool))
+                .filter(&affordable)
+                .filter(|shape| !evaluated.contains_key(shape))
+                .collect();
+            if generation.is_empty() {
+                break;
+            }
+            generation.sort();
+            generation.dedup();
+        }
+
+        let mut ranked: Vec<PlanScore> = evaluated.into_values().collect();
+        ranked.sort_by(rank);
+        ranked
+    }
 }
 
 /// Runs the beam search.
@@ -510,85 +595,49 @@ pub fn run_experiment(params: &AdversaryParams) -> AdversaryResult {
 /// campaign's defender response (which targets got blocklist-filtered,
 /// and when) is replayed into the trace.
 pub fn run_experiment_traced(params: &AdversaryParams, tracer: &Tracer) -> AdversaryResult {
-    let affordable =
-        |shape: &CampaignShape| shape.cost_usd_month() <= params.budget_usd_month + 1e-9;
-
+    // Since PR 9 the stable-victim defender is the `DefensePlan`
+    // blocklist lever, so this search *is* the frontier's best response
+    // at one fixed defense.
+    let env = SearchEnv::new(
+        params.hours,
+        params.beam,
+        params.budget_usd_month,
+        &DistConfig {
+            seed: params.seed,
+            clients: params.clients,
+            relays: params.relays,
+            n_caches: params.caches,
+            ..DistConfig::default()
+        },
+        params
+            .defender_trigger_hours
+            .map_or_else(DefensePlan::empty, DefensePlan::blocklist),
+    );
     let mut memo = OutcomeMemo::new();
-    let mut evaluated: BTreeMap<CampaignShape, PlanScore> = BTreeMap::new();
-
-    // Seed the beam with the do-nothing shape and — whenever affordable
-    // — the paper's baseline (plus its rotating twin, which costs the
-    // same), so the search never reports worse than the fixed
-    // five-of-nine campaign at equal cost and always knows whether
-    // rotation pays under the configured defender.
-    let mut generation = vec![CampaignShape::EMPTY];
-    if affordable(&CampaignShape::FIVE_OF_NINE) {
-        generation.push(CampaignShape::FIVE_OF_NINE);
-        generation.push(CampaignShape::FIVE_OF_NINE_ROTATING);
-    }
-
-    // Each round expands the beam by one move per shape; the budget and
-    // the shape-space bounds make this terminate long before the cap.
-    for _ in 0..32 {
-        let fresh: Vec<CampaignShape> = generation
-            .iter()
-            .filter(|s| !evaluated.contains_key(s))
-            .copied()
-            .collect();
-        if !fresh.is_empty() {
-            for (shape, score) in fresh
-                .iter()
-                .zip(score_generation(params, &fresh, &mut memo))
-            {
-                evaluated.insert(*shape, score);
-            }
-        }
-
-        // Beam: the best `beam` shapes seen so far spawn the next
-        // generation.
-        let mut ranked: Vec<(&CampaignShape, &PlanScore)> = evaluated.iter().collect();
-        ranked.sort_by(|a, b| frontier_rank(a.1, b.1));
-        let next: Vec<CampaignShape> = ranked
-            .iter()
-            .take(params.beam.max(1))
-            .flat_map(|(shape, _)| shape.expansions(params.caches))
-            .filter(&affordable)
-            .filter(|s| !evaluated.contains_key(s))
-            .collect();
-        if next.is_empty() {
-            break;
-        }
-        generation = next;
-        generation.sort();
-        generation.dedup();
-    }
+    let evaluated = env.search(&mut memo);
+    let best = evaluated
+        .first()
+        .expect("the do-nothing seed is always evaluated")
+        .clone();
 
     // The baseline is always reported, budget or not — it is the
     // comparison the acceptance criterion (and the paper) cares about.
-    let baseline = match evaluated.get(&CampaignShape::FIVE_OF_NINE) {
+    let baseline = match evaluated
+        .iter()
+        .find(|score| score.shape == CampaignShape::FIVE_OF_NINE)
+    {
         Some(score) => score.clone(),
         None => {
-            let scores = score_generation(params, &[CampaignShape::FIVE_OF_NINE], &mut memo);
-            scores.into_iter().next().expect("one shape, one score")
+            let mut scores = env.score_generation(&[CampaignShape::FIVE_OF_NINE], &mut memo);
+            scores.pop().expect("one shape, one score").0
         }
     };
-
-    let mut pairs: Vec<(CampaignShape, PlanScore)> = evaluated.into_iter().collect();
-    pairs.sort_by(|a, b| rank(&a.1, &b.1));
-    let (best_shape, best) = pairs
-        .iter()
-        .find(|(_, s)| s.cost_usd_month <= params.budget_usd_month + 1e-9)
-        .expect("the empty shape is always affordable")
-        .clone();
 
     // Replay the winning campaign through the defender with the trace
     // sink attached, so the trace records which of its targets got
     // filtered and when.
-    if let Some(trigger_hours) = params.defender_trigger_hours {
-        DefensePlan::blocklist(trigger_hours)
-            .effective_attack(&best_shape.plan(params.hours), tracer);
-    }
-    let scores: Vec<PlanScore> = pairs.into_iter().map(|(_, score)| score).collect();
+    env.defense
+        .effective_attack(&best.shape.plan(params.hours), tracer);
 
     AdversaryResult {
         budget_usd_month: params.budget_usd_month,
@@ -597,7 +646,7 @@ pub fn run_experiment_traced(params: &AdversaryParams, tracer: &Tracer) -> Adver
         defender_trigger_hours: params.defender_trigger_hours,
         best,
         baseline,
-        evaluated: scores,
+        evaluated,
     }
 }
 
@@ -723,6 +772,14 @@ pub fn render(result: &AdversaryResult) -> String {
 mod tests {
     use super::*;
 
+    /// SHA-256 of the `--json` rendering. The digests pinned below were
+    /// recorded before the adversary and frontier searches were merged
+    /// into [`SearchEnv`]: the whole report, every evaluated campaign
+    /// included, is bit-identical to the two-search code.
+    fn json_digest(result: &AdversaryResult) -> String {
+        partialtor_crypto::sha256::digest(to_json(result).render().as_bytes()).to_hex()
+    }
+
     #[test]
     fn shape_pricing_matches_the_typed_plan_arithmetic() {
         // The baseline shape is exactly the paper's campaign.
@@ -821,6 +878,10 @@ mod tests {
             defender_trigger_hours: None,
         };
         let result = run_experiment(&params);
+        assert_eq!(
+            json_digest(&result),
+            "ca4d241c0211eebd049f6230d31518fa9de8b2eb3b8628897276350231de6077"
+        );
         assert!(
             result.best.client_weighted_downtime >= result.baseline.client_weighted_downtime,
             "best {:?} must dominate baseline {:?}",
@@ -886,6 +947,10 @@ mod tests {
             defender_trigger_hours: None,
         };
         let result = run_experiment(&params);
+        assert_eq!(
+            json_digest(&result),
+            "5cf648cc7f030808eb6b9d989facbc16894478460c79db08e5fdcdb15610da77"
+        );
         assert_eq!(result.best.label, "5 auth × 300 s");
         assert_eq!(result.best.flood_mbps, 240);
         assert!((result.best.cost_usd_month - 53.28).abs() < 1e-6);
@@ -934,6 +999,10 @@ mod tests {
             defender_trigger_hours: Some(6),
         };
         let result = run_experiment(&params);
+        assert_eq!(
+            json_digest(&result),
+            "578d2470ca02573677de1cd447f8cbdb5b38ce5044156209423dac1a95c38f0e"
+        );
         let rotating = result
             .evaluated
             .iter()

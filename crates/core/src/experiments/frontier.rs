@@ -14,11 +14,13 @@
 //!
 //! Two structural guarantees keep the table honest:
 //!
-//! * **Shared memoization** — every protocol simulation is keyed by
-//!   `(seed, run-local window slice)` exactly as in the adversary
-//!   search, and the memo is shared across all defenses and budgets, so
-//!   two defenses that filter a campaign down to the same slices pay
-//!   for the protocol runs once.
+//! * **One search, shared memoization** — the attacker's answer is the
+//!   adversary experiment's own engine
+//!   (`adversary::SearchEnv`: memo fill, scoring, beam loop), run once
+//!   per defense. Every protocol simulation is keyed by `(seed, run-local
+//!   window slice)` and the memo is shared across all defenses and
+//!   budgets, so two defenses that filter a campaign down to the same
+//!   slices pay for the protocol runs once.
 //! * **Structural monotonicity** — each budget's candidate set always
 //!   includes the previous budget's winning defense, and a defense's
 //!   best response is deterministic and budget-independent, so the
@@ -31,15 +33,13 @@
 //! affordable campaign reaches it, the row reports `None` — the defense
 //! has priced denial out of the attacker's budget entirely.
 
-use crate::defense::{DefenseCostModel, DefensePlan};
-use crate::protocols::ProtocolKind;
-use crate::runner::{par_map, sweep, RunReport, SweepJob};
-use partialtor_dirdist::{simulate, AttributionRollup, CachePlacement, DistConfig};
+use crate::defense::DefensePlan;
+use partialtor_dirdist::{AttributionRollup, CachePlacement, DistConfig};
 use partialtor_obs::{span, Tracer};
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use super::adversary::{frontier_rank, rank, slice_key, CampaignShape, OutcomeMemo, PlanScore};
+use super::adversary::{CampaignShape, OutcomeMemo, PlanScore, SearchEnv};
 
 /// Search parameters (the `dirsim frontier` surface).
 #[derive(Clone, Debug)]
@@ -131,21 +131,21 @@ pub struct FrontierResult {
     pub rows: Vec<FrontierRow>,
 }
 
-/// The attacker's answer to one defense: the best campaign found and
-/// the cheapest one reaching the target.
+/// The attacker's answer to one defense.
 #[derive(Clone, Debug)]
 struct BestResponse {
-    /// Highest-downtime affordable campaign (reporting rank).
-    best: PlanScore,
-    /// Cheapest evaluated campaign whose downtime meets the target.
-    cheapest_at_target: Option<PlanScore>,
+    /// The cheapest evaluated campaign whose downtime meets the target,
+    /// or — when none does — the highest-downtime one (reporting rank).
+    reported: PlanScore,
+    /// Whether `reported` reaches the target.
+    denies: bool,
 }
 
 /// The defender's typed playbook: every composition of levers the
-/// frontier considers, cheapest first. Costs under
-/// [`DefenseCostModel::default`] span $0 (do nothing) to ~$225 (every
-/// lever at once), so the grid has meaningful candidates at every
-/// budget the CLI exposes.
+/// frontier considers, cheapest first. Costs under the default
+/// [`DefenseCostModel`](crate::defense::DefenseCostModel) span $0 (do
+/// nothing) to ~$225 (every lever at once), so the grid has meaningful
+/// candidates at every budget the CLI exposes.
 fn playbook() -> Vec<DefensePlan> {
     let hour = 3_600;
     let mut plans = vec![
@@ -167,13 +167,17 @@ fn playbook() -> Vec<DefensePlan> {
             .union(&DefensePlan::detector(2)),
         DefensePlan::blocklist(1),
     ];
-    plans.sort_by(|a, b| {
-        a.cost_per_month()
-            .partial_cmp(&b.cost_per_month())
-            .expect("finite defense costs")
-            .then_with(|| a.label().cmp(&b.label()))
-    });
+    plans.sort_by(cheaper_first);
     plans
+}
+
+/// Orders defenses cheapest first (default cost model), then by label —
+/// the playbook order, and the tie-break of both defender rankings.
+fn cheaper_first(a: &DefensePlan, b: &DefensePlan) -> std::cmp::Ordering {
+    a.cost_per_month()
+        .partial_cmp(&b.cost_per_month())
+        .expect("finite defense costs")
+        .then_with(|| a.label().cmp(&b.label()))
 }
 
 /// The undefended scoring environment every defense lowers onto.
@@ -187,102 +191,15 @@ fn base_config(params: &FrontierParams) -> DistConfig {
     }
 }
 
-/// Runs all protocol simulations the given shapes still need under
-/// `defense`, extending the shared memo. Mirrors the adversary search's
-/// sweep batching; only the campaign filter differs.
-fn fill_memo(
-    params: &FrontierParams,
-    defense: &DefensePlan,
-    shapes: &[CampaignShape],
-    memo: &mut OutcomeMemo,
-) {
-    let mut queued = BTreeSet::new();
-    let mut keys = Vec::new();
-    let mut jobs: Vec<SweepJob> = Vec::new();
-    for shape in shapes {
-        let plan = defense.effective_attack(&shape.plan(params.hours), &Tracer::disabled());
-        for hour in 1..=params.hours {
-            let scenario =
-                super::sustained::hourly_scenario(&plan, hour, params.seed, params.relays);
-            let key = (scenario.seed, slice_key(&scenario.attack));
-            if memo.contains_key(&key) || !queued.insert(key.clone()) {
-                continue;
-            }
-            keys.push(key);
-            jobs.push(SweepJob::new(ProtocolKind::Current, scenario));
-        }
-    }
-    let reports: Vec<RunReport> = sweep(&jobs);
-    for (key, report) in keys.into_iter().zip(&reports) {
-        memo.insert(
-            key,
-            report
-                .success
-                .then(|| report.last_valid_secs.unwrap_or(0.0)),
-        );
-    }
-}
-
-/// Scores one campaign shape against one lowered defense (pure memo
-/// lookup + distribution simulation). The timeline honours the lowered
-/// config's consensus lifetimes, so an `ExtendLifetime` lever changes
-/// what the fleet experiences, not just a config field.
-fn score_shape(
-    params: &FrontierParams,
-    defense: &DefensePlan,
-    lowered: &DistConfig,
-    shape: &CampaignShape,
-    memo: &OutcomeMemo,
-) -> PlanScore {
-    score_with_report(params, defense, lowered, shape, memo).0
-}
-
-/// [`score_shape`] plus the distribution run's attribution rollup (the
-/// `Some` path when `lowered.attribution` is on).
-fn score_with_report(
-    params: &FrontierParams,
-    defense: &DefensePlan,
-    lowered: &DistConfig,
-    shape: &CampaignShape,
-    memo: &OutcomeMemo,
-) -> (PlanScore, Option<AttributionRollup>) {
-    let plan = defense.effective_attack(&shape.plan(params.hours), &Tracer::disabled());
-    let outcomes: Vec<Option<f64>> = (1..=params.hours)
-        .map(|hour| {
-            let scenario =
-                super::sustained::hourly_scenario(&plan, hour, params.seed, params.relays);
-            *memo
-                .get(&(scenario.seed, slice_key(&scenario.attack)))
-                .expect("memo filled for every scored shape")
-        })
-        .collect();
-    let (timeline, windows) = super::sustained::dist_view_with_lifetimes(
-        &plan,
-        &outcomes,
-        lowered.fresh_secs,
-        lowered.valid_secs,
-    );
-    let dist = simulate(
-        &DistConfig {
-            link_windows: windows,
-            ..lowered.clone()
-        },
-        &timeline,
-    );
-    let score = PlanScore {
-        label: shape.label(),
-        authorities: shape.authorities,
-        caches: shape.caches,
-        auth_window_secs: shape.auth_window_secs,
-        flood_mbps: shape.flood_mbps,
-        cache_window_secs: shape.cache_window_secs,
-        rotate: shape.rotate,
-        windows: plan.windows().len(),
-        cost_usd_month: shape.cost_usd_month(),
-        produced_hours: outcomes.iter().flatten().count() as u64,
-        client_weighted_downtime: dist.fleet.client_weighted_downtime,
-    };
-    (score, dist.attribution)
+/// The attacker's search environment under `defense` deployed on `base`.
+fn search_env(params: &FrontierParams, defense: &DefensePlan, base: &DistConfig) -> SearchEnv {
+    SearchEnv::new(
+        params.hours,
+        params.beam,
+        params.attack_budget_usd_month,
+        base,
+        defense.clone(),
+    )
 }
 
 /// Replays one row's reported campaign under its winning defense with
@@ -298,104 +215,42 @@ fn attribute_reported(
     reported: &PlanScore,
     memo: &mut OutcomeMemo,
 ) -> AttributionRollup {
-    let shape = CampaignShape {
-        authorities: reported.authorities,
-        auth_window_secs: reported.auth_window_secs,
-        flood_mbps: reported.flood_mbps,
-        caches: reported.caches,
-        cache_window_secs: reported.cache_window_secs,
-        rotate: reported.rotate,
-    };
-    // The search already memoized this shape's outcomes; re-filling is a
-    // cheap no-op that keeps this function total.
-    fill_memo(params, defense, &[shape], memo);
-    let lowered = DistConfig {
+    let base = DistConfig {
         attribution: true,
-        ..defense.lower(&base_config(params))
+        ..base_config(params)
     };
-    let score = score_with_report(params, defense, &lowered, &shape, memo);
-    score
-        .1
-        .expect("attribution was enabled on the lowered config")
+    search_env(params, defense, &base)
+        .score_generation(&[reported.shape], memo)
+        .pop()
+        .and_then(|(_, rollup)| rollup)
+        .expect("attribution was enabled on the base config")
 }
 
-/// The attacker's full beam search against one defense — the same shape
-/// space, seeding and ranking as the adversary experiment, scored
-/// against the defended environment.
+/// The attacker's full beam search against one defense — the adversary
+/// experiment's search, scored against the defended environment.
 fn best_response(
     params: &FrontierParams,
     defense: &DefensePlan,
     memo: &mut OutcomeMemo,
 ) -> BestResponse {
     let _span = span("frontier.best_response");
-    let affordable =
-        |shape: &CampaignShape| shape.cost_usd_month() <= params.attack_budget_usd_month + 1e-9;
-    let lowered = defense.lower(&base_config(params));
-
-    let mut evaluated: BTreeMap<CampaignShape, PlanScore> = BTreeMap::new();
-    let mut generation = vec![CampaignShape::EMPTY];
-    if affordable(&CampaignShape::FIVE_OF_NINE) {
-        generation.push(CampaignShape::FIVE_OF_NINE);
-        generation.push(CampaignShape::FIVE_OF_NINE_ROTATING);
-    }
-
-    for _ in 0..32 {
-        let fresh: Vec<CampaignShape> = generation
-            .iter()
-            .filter(|s| !evaluated.contains_key(s))
-            .copied()
-            .collect();
-        if !fresh.is_empty() {
-            fill_memo(params, defense, &fresh, memo);
-            let frozen: &OutcomeMemo = memo;
-            let scores = par_map(&fresh, |shape| {
-                score_shape(params, defense, &lowered, shape, frozen)
-            });
-            for (shape, score) in fresh.iter().zip(scores) {
-                evaluated.insert(*shape, score);
-            }
-        }
-
-        let mut ranked: Vec<(&CampaignShape, &PlanScore)> = evaluated.iter().collect();
-        ranked.sort_by(|a, b| frontier_rank(a.1, b.1));
-        let next: Vec<CampaignShape> = ranked
-            .iter()
-            .take(params.beam.max(1))
-            .flat_map(|(shape, _)| shape.expansions(params.caches))
-            .filter(&affordable)
-            .filter(|s| !evaluated.contains_key(s))
-            .collect();
-        if next.is_empty() {
-            break;
-        }
-        generation = next;
-        generation.sort();
-        generation.dedup();
-    }
-
-    let mut pairs: Vec<PlanScore> = evaluated.into_values().collect();
-    pairs.sort_by(rank);
-    let best = pairs
+    let ranked = search_env(params, defense, &base_config(params)).search(memo);
+    // `ranked` is in reporting-rank order and `min_by` keeps the first of
+    // equals, so equal-cost ties resolve by rank.
+    let cheapest_at_target = ranked
         .iter()
-        .find(|s| s.cost_usd_month <= params.attack_budget_usd_month + 1e-9)
-        .expect("the empty shape is always affordable")
-        .clone();
-    let cheapest_at_target = pairs
-        .iter()
-        .filter(|s| {
-            s.cost_usd_month <= params.attack_budget_usd_month + 1e-9
-                && s.client_weighted_downtime + 1e-9 >= params.target_downtime
-        })
+        .filter(|s| s.client_weighted_downtime + 1e-9 >= params.target_downtime)
         .min_by(|a, b| {
             a.cost_usd_month
                 .partial_cmp(&b.cost_usd_month)
                 .expect("finite cost")
-                .then_with(|| rank(a, b))
-        })
-        .cloned();
+        });
     BestResponse {
-        best,
-        cheapest_at_target,
+        denies: cheapest_at_target.is_some(),
+        reported: cheapest_at_target
+            .or(ranked.first())
+            .expect("the do-nothing seed is always evaluated")
+            .clone(),
     }
 }
 
@@ -408,24 +263,21 @@ fn probe_downtime(params: &FrontierParams, defense: &DefensePlan, memo: &mut Out
         CampaignShape::FIVE_OF_NINE,
         CampaignShape::FIVE_OF_NINE_ROTATING,
     ];
-    let lowered = defense.lower(&base_config(params));
-    fill_memo(params, defense, &probes, memo);
-    let frozen: &OutcomeMemo = memo;
-    par_map(&probes, |shape| {
-        score_shape(params, defense, &lowered, shape, frozen)
-    })
-    .into_iter()
-    .map(|s| s.client_weighted_downtime)
-    .fold(0.0, f64::max)
+    search_env(params, defense, &base_config(params))
+        .score_generation(&probes, memo)
+        .into_iter()
+        .map(|(score, _)| score.client_weighted_downtime)
+        .fold(0.0, f64::max)
 }
 
 /// The attacker cost a best response represents for ranking defenses:
 /// an unreachable target is infinitely expensive.
 fn denial_cost(response: &BestResponse) -> f64 {
-    response
-        .cheapest_at_target
-        .as_ref()
-        .map_or(f64::INFINITY, |s| s.cost_usd_month)
+    if response.denies {
+        response.reported.cost_usd_month
+    } else {
+        f64::INFINITY
+    }
 }
 
 /// Runs the frontier sweep.
@@ -443,7 +295,6 @@ pub fn run_experiment_traced(params: &FrontierParams, tracer: &Tracer) -> Fronti
     budgets.sort_by(|a, b| a.partial_cmp(b).expect("finite defense budgets"));
     budgets.dedup();
 
-    let model = DefenseCostModel::default();
     let candidates = playbook();
 
     let mut memo = OutcomeMemo::new();
@@ -455,32 +306,23 @@ pub fn run_experiment_traced(params: &FrontierParams, tracer: &Tracer) -> Fronti
     let mut rows = Vec::new();
     let mut previous_winner: Option<DefensePlan> = None;
     for budget in budgets {
-        let affordable: Vec<&DefensePlan> = candidates
-            .iter()
-            .filter(|d| d.cost_with(&model) <= budget + 1e-9)
-            .collect();
-
         // Short-list: the `beam` affordable defenses conceding the
         // least probe downtime, plus the previous budget's winner (the
         // monotonicity anchor — its response is already cached).
-        let mut triaged: Vec<(&DefensePlan, f64)> = affordable
+        let mut triaged: Vec<(&DefensePlan, f64)> = candidates
             .iter()
+            .filter(|d| d.cost_per_month() <= budget + 1e-9)
             .map(|d| {
                 let probe = *probes
                     .entry(d.label())
                     .or_insert_with(|| probe_downtime(params, d, &mut memo));
-                (*d, probe)
+                (d, probe)
             })
             .collect();
         triaged.sort_by(|a, b| {
             a.1.partial_cmp(&b.1)
                 .expect("finite downtime")
-                .then_with(|| {
-                    a.0.cost_with(&model)
-                        .partial_cmp(&b.0.cost_with(&model))
-                        .expect("finite cost")
-                })
-                .then_with(|| a.0.label().cmp(&b.0.label()))
+                .then_with(|| cheaper_first(a.0, b.0))
         });
         let mut shortlist: Vec<DefensePlan> = triaged
             .into_iter()
@@ -498,44 +340,29 @@ pub fn run_experiment_traced(params: &FrontierParams, tracer: &Tracer) -> Fronti
         // the cheaper defense.
         let mut scored: Vec<(DefensePlan, BestResponse)> = Vec::new();
         for defense in shortlist {
-            let response = match responses.get(&defense.label()) {
-                Some(cached) => cached.clone(),
-                None => {
-                    let fresh = best_response(params, &defense, &mut memo);
-                    responses.insert(defense.label(), fresh.clone());
-                    fresh
-                }
-            };
+            let response = responses
+                .entry(defense.label())
+                .or_insert_with(|| best_response(params, &defense, &mut memo))
+                .clone();
             scored.push((defense, response));
         }
         scored.sort_by(|a, b| {
             denial_cost(&b.1)
                 .partial_cmp(&denial_cost(&a.1))
                 .expect("denial costs are ordered")
-                .then_with(|| {
-                    a.0.cost_with(&model)
-                        .partial_cmp(&b.0.cost_with(&model))
-                        .expect("finite cost")
-                })
-                .then_with(|| a.0.label().cmp(&b.0.label()))
+                .then_with(|| cheaper_first(&a.0, &b.0))
         });
         let (winner, response) = scored.into_iter().next().expect("empty plan is affordable");
 
-        let reported = response
-            .cheapest_at_target
-            .clone()
-            .unwrap_or_else(|| response.best.clone());
+        let reported = &response.reported;
         let attribution = params
             .attribution
-            .then(|| attribute_reported(params, &winner, &reported, &mut memo));
+            .then(|| attribute_reported(params, &winner, reported, &mut memo));
         rows.push(FrontierRow {
             defense_budget_usd_month: budget,
             defense_label: winner.label(),
-            defense_cost_usd_month: winner.cost_with(&model),
-            attacker_cost_usd_month: response
-                .cheapest_at_target
-                .as_ref()
-                .map(|s| s.cost_usd_month),
+            defense_cost_usd_month: winner.cost_per_month(),
+            attacker_cost_usd_month: response.denies.then_some(reported.cost_usd_month),
             attack_label: reported.label.clone(),
             attack_downtime: reported.client_weighted_downtime,
             attribution,
@@ -546,15 +373,7 @@ pub fn run_experiment_traced(params: &FrontierParams, tracer: &Tracer) -> Fronti
         // campaign.
         if tracer.is_enabled() {
             winner.lower_traced(&base_config(params), tracer);
-            let shape = CampaignShape {
-                authorities: reported.authorities,
-                auth_window_secs: reported.auth_window_secs,
-                flood_mbps: reported.flood_mbps,
-                caches: reported.caches,
-                cache_window_secs: reported.cache_window_secs,
-                rotate: reported.rotate,
-            };
-            winner.effective_attack(&shape.plan(params.hours), tracer);
+            winner.effective_attack(&reported.shape.plan(params.hours), tracer);
         }
 
         previous_winner = Some(winner);
@@ -741,6 +560,12 @@ mod tests {
     #[test]
     fn a_funded_defender_raises_the_cost_of_denial_monotonically() {
         let result = run_experiment(&small_params(vec![0.0, 60.0]));
+        // Golden pin, recorded before the frontier's own search copy was
+        // deleted in favour of the adversary engine.
+        assert_eq!(
+            partialtor_crypto::sha256::digest(to_json(&result).render().as_bytes()).to_hex(),
+            "49551f379253e68c3318a15ab82a0a1ef82ea85293586a61316e3cab804af022"
+        );
         assert_eq!(result.rows.len(), 2);
         let free = &result.rows[0];
         let funded = &result.rows[1];
@@ -824,6 +649,57 @@ mod tests {
         assert_eq!(
             dominant, "quorum_lost",
             "the undefended five-of-nine denial works by killing the quorum"
+        );
+    }
+
+    /// The identity the shared search rests on: `dirsim adversary` is the
+    /// frontier's best response at the $0 defense. With equal horizon,
+    /// fleet, seed, budget and beam, the frontier's undefended row reports
+    /// exactly the cheapest campaign the adversary search evaluated that
+    /// meets the target — label, cost and downtime bits.
+    #[test]
+    fn the_undefended_row_is_the_adversary_search() {
+        use super::super::adversary::{self, AdversaryParams};
+        let (budget, beam, target) = (55.0, 1, 0.5);
+        let frontier = run_experiment(&FrontierParams {
+            defense_budgets: vec![0.0],
+            attack_budget_usd_month: budget,
+            target_downtime: target,
+            hours: 6,
+            beam,
+            clients: 8_000,
+            caches: 6,
+            relays: 2_000,
+            seed: 1,
+            attribution: false,
+        });
+        let search = adversary::run_experiment(&AdversaryParams {
+            budget_usd_month: budget,
+            hours: 6,
+            beam,
+            clients: 8_000,
+            caches: 6,
+            relays: 2_000,
+            seed: 1,
+            defender_trigger_hours: None,
+        });
+        let cheapest = search
+            .evaluated
+            .iter()
+            .filter(|s| s.client_weighted_downtime + 1e-9 >= target)
+            .min_by(|a, b| {
+                a.cost_usd_month
+                    .partial_cmp(&b.cost_usd_month)
+                    .expect("finite cost")
+            })
+            .expect("five-of-nine reaches 50% over six hours");
+        let row = &frontier.rows[0];
+        assert_eq!(row.defense_label, "no defense");
+        assert_eq!(row.attack_label, cheapest.label);
+        assert_eq!(row.attacker_cost_usd_month, Some(cheapest.cost_usd_month));
+        assert_eq!(
+            row.attack_downtime.to_bits(),
+            cheapest.client_weighted_downtime.to_bits()
         );
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Each driver returns structured rows (serde-serializable) and offers a
 //! `render` helper that prints the same rows/series the paper reports.
-//! The `partialtor-bench` crate wraps each driver in a binary.
+//! `dirsim fig <name>` prints any of them from the command line.
 
 pub mod ablations;
 pub mod adversary;

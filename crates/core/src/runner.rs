@@ -389,13 +389,21 @@ where
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(items.len()) {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(index) else { break };
-                let result = f(item);
-                *slots[index].lock().expect("result slot") = Some(result);
-            });
+        let worker = || loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(index) else { break };
+            let result = f(item);
+            *slots[index].lock().expect("result slot") = Some(result);
+        };
+        let workers: Vec<_> = (0..threads.min(items.len()))
+            .map(|_| scope.spawn(worker))
+            .collect();
+        // Join the OS threads, not only their closures (all the scope
+        // waits for): a worker still exiting when the next batch spawns
+        // keeps its allocator arena and stack, the new worker gets fresh
+        // ones, and peak memory then depends on that race.
+        for worker in workers {
+            worker.join().expect("a sweep worker panicked");
         }
     });
     slots

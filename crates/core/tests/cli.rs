@@ -1,0 +1,59 @@
+//! Drives the built `dirsim` binary: nothing reachable from the command
+//! line may panic. Bad values end with an error, the subcommand's usage
+//! and exit status 2; a stdout that closes early ends the process
+//! quietly.
+
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
+
+fn dirsim() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_dirsim"))
+}
+
+#[test]
+fn bad_budgets_targets_and_typos_exit_2_without_panicking() {
+    let cases: [&[&str]; 10] = [
+        &["adversary", "--budget", "-1"],
+        &["adversary", "--budget", "nan"],
+        &["frontier", "--defense-budget-grid", "nan"],
+        &["frontier", "--defense-budget-grid", "0,-5"],
+        &["frontier", "--attack-budget", "-1"],
+        &["frontier", "--target", "1.5"],
+        // The figure binaries' lenient parser used to turn this typo
+        // into the full 1000-step sweep.
+        &["fig", "fig11", "--stpe", "1"],
+        &["fig", "table2", "--step", "2000"],
+        &["fig", "fig99"],
+        &["fig"],
+    ];
+    for args in cases {
+        let output = dirsim().args(args).output().expect("dirsim runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: dirsim"), "{args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{args:?} printed a report");
+    }
+}
+
+#[test]
+fn a_reader_that_closes_the_pipe_after_one_line_sees_no_panic() {
+    // `fig ablations` prints three tables with a sweep before each, so
+    // its second write is certain to find the pipe already closed.
+    let mut child = dirsim()
+        .args(["fig", "ablations"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("dirsim runs");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("one line of output");
+    assert!(first.starts_with("=== Ablation 1"), "{first:?}");
+    drop(stdout);
+
+    let output = child.wait_with_output().expect("dirsim exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "{:?}: {stderr}", output.status);
+    assert!(stderr.is_empty(), "{stderr}");
+}
