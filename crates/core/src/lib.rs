@@ -50,7 +50,6 @@ pub mod calibration;
 pub mod defense;
 pub mod document;
 pub mod experiments;
-pub mod json;
 pub mod monitor;
 pub mod protocols;
 pub mod runner;
@@ -61,5 +60,6 @@ pub use adversary::{AttackPlan, AttackWindow, Target};
 pub use attack::{AttackCostModel, StressorPricing};
 pub use defense::{DefenseCostModel, DefenseLever, DefensePlan};
 pub use document::DirDocument;
+pub use partialtor_obs::json;
 pub use protocols::ProtocolKind;
 pub use runner::{run, AuthorityReport, RunReport, Scenario};

@@ -12,13 +12,13 @@
 //! `partialtor-obs` histogram plus an `http_request` trace event.
 //!
 //! `/metrics` is answered by the daemon itself from its [`Registry`]
-//! snapshot, hand-rolled JSON — the same shape `dirload --metrics`
-//! writes, so the CI smoke can parse either end.
+//! snapshot through the workspace's one JSON writer
+//! ([`partialtor_obs::json`]), as `dirload --metrics` is.
 
 use crate::proto::{self, DocRequest, Parsed, ResponseHead, MAX_REQUEST_BYTES};
 use crate::store::ServingStore;
-use partialtor_obs::{MetricsSnapshot, Registry, TraceEvent, Tracer};
-use std::collections::VecDeque;
+use partialtor_obs::{Json, MetricsSnapshot, Registry, TraceEvent, Tracer};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -300,43 +300,26 @@ fn handle_connection(
 /// Renders a metrics snapshot as JSON: counters and gauges verbatim,
 /// histograms summarized to count/mean/p50/p90/p99.
 pub fn metrics_json(snapshot: &MetricsSnapshot) -> String {
-    fn num(value: f64) -> String {
-        if value.is_finite() {
-            format!("{value:.9}")
-        } else {
-            "null".to_string()
-        }
+    fn table<V>(map: &BTreeMap<String, V>, value: impl Fn(&V) -> Json) -> Json {
+        Json::Obj(map.iter().map(|(k, v)| (k.clone(), value(v))).collect())
     }
-    let mut out = String::from("{\"counters\":{");
-    for (i, (name, value)) in snapshot.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{name}\":{value}"));
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, (name, value)) in snapshot.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{name}\":{}", num(*value)));
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, (name, hist)) in snapshot.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\"{name}\":{{\"count\":{},\"mean_secs\":{},\"p50_secs\":{},\"p90_secs\":{},\"p99_secs\":{}}}",
-            hist.count(),
-            hist.mean_secs().map_or("null".to_string(), num),
-            hist.p50().map_or("null".to_string(), num),
-            hist.p90().map_or("null".to_string(), num),
-            hist.p99().map_or("null".to_string(), num),
-        ));
-    }
-    out.push_str("}}");
-    out
+    Json::obj([
+        ("counters", table(&snapshot.counters, |&n| n.into())),
+        ("gauges", table(&snapshot.gauges, |&g| g.into())),
+        (
+            "histograms",
+            table(&snapshot.histograms, |hist| {
+                Json::obj([
+                    ("count", hist.count().into()),
+                    ("mean_secs", hist.mean_secs().into()),
+                    ("p50_secs", hist.p50().into()),
+                    ("p90_secs", hist.p90().into()),
+                    ("p99_secs", hist.p99().into()),
+                ])
+            }),
+        ),
+    ])
+    .render()
 }
 
 #[cfg(test)]

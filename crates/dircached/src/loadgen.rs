@@ -24,7 +24,7 @@ use partialtor_dirdist::{
     per_cache_service_budget_bytes, CacheSimConfig, DistConfig, DistSession, DocModel, FetchMix,
     HourInput, LinkWindow, TierNode,
 };
-use partialtor_obs::{Histogram, Registry};
+use partialtor_obs::{Histogram, Json, Registry};
 use partialtor_simnet::geo::{midpoint_ms, Region, CLIENT_WEIGHTS, REGIONS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -167,50 +167,50 @@ impl LoadReport {
         }
     }
 
-    /// The report as JSON (hand-rolled; the CI smoke parses this).
+    /// The report as JSON (the CI smoke parses this).
     pub fn to_json(&self, budget: Option<&BudgetCheck>) -> String {
-        fn opt(v: Option<f64>) -> String {
-            match v {
-                Some(x) if x.is_finite() => format!("{x:.9}"),
-                _ => "null".to_string(),
-            }
-        }
-        let mut out = format!(
-            concat!(
-                "{{\"sent\":{},\"completed\":{},\"failed\":{},\"shed\":{},",
-                "\"bootstrap_fulls\":{},\"refresh_requests\":{},\"diff_hits\":{},",
-                "\"descriptor_requests\":{},\"probes\":{},\"payload_bytes\":{},",
-                "\"wall_secs\":{:.6},\"achieved_rps\":{:.3},\"diff_hit_rate\":{:.6},",
-                "\"latency\":{{\"count\":{},\"p50_secs\":{},\"p90_secs\":{},",
-                "\"p99_secs\":{},\"p999_secs\":{}}}"
+        let mut fields = vec![
+            ("sent", Json::from(self.sent)),
+            ("completed", self.completed.into()),
+            ("failed", self.failed.into()),
+            ("shed", self.shed.into()),
+            ("bootstrap_fulls", self.bootstrap_fulls.into()),
+            ("refresh_requests", self.refresh_requests.into()),
+            ("diff_hits", self.diff_hits.into()),
+            ("descriptor_requests", self.descriptor_requests.into()),
+            ("probes", self.probes.into()),
+            ("payload_bytes", self.payload_bytes.into()),
+            ("wall_secs", self.wall_secs.into()),
+            ("achieved_rps", self.achieved_rps().into()),
+            ("diff_hit_rate", self.diff_hit_rate().into()),
+            (
+                "latency",
+                Json::obj([
+                    ("count", self.latency.count().into()),
+                    ("p50_secs", self.latency.p50().into()),
+                    ("p90_secs", self.latency.p90().into()),
+                    ("p99_secs", self.latency.p99().into()),
+                    ("p999_secs", self.latency.p999().into()),
+                ]),
             ),
-            self.sent,
-            self.completed,
-            self.failed,
-            self.shed,
-            self.bootstrap_fulls,
-            self.refresh_requests,
-            self.diff_hits,
-            self.descriptor_requests,
-            self.probes,
-            self.payload_bytes,
-            self.wall_secs,
-            self.achieved_rps(),
-            self.diff_hit_rate(),
-            self.latency.count(),
-            opt(self.latency.p50()),
-            opt(self.latency.p90()),
-            opt(self.latency.p99()),
-            opt(self.latency.p999()),
-        );
+        ];
         if let Some(check) = budget {
-            out.push_str(&format!(
-                ",\"budget\":{{\"measured_bytes_per_hour\":{:.0},\"assumed_bytes_per_hour\":{},\"ratio\":{:.6}}}",
-                check.measured_bytes_per_hour, check.assumed_bytes_per_hour, check.ratio
+            fields.push((
+                "budget",
+                Json::obj([
+                    (
+                        "measured_bytes_per_hour",
+                        check.measured_bytes_per_hour.into(),
+                    ),
+                    (
+                        "assumed_bytes_per_hour",
+                        check.assumed_bytes_per_hour.into(),
+                    ),
+                    ("ratio", check.ratio.into()),
+                ]),
             ));
         }
-        out.push('}');
-        out
+        Json::obj(fields).render()
     }
 }
 

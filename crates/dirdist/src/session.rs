@@ -489,35 +489,7 @@ impl DistSession {
         };
         fleet_config.bootstrap_retry_secs *= rate_scale;
         fleet_config.refresh_spread_secs *= rate_scale;
-        let mut fleet = FleetSim::new(&fleet_config);
-        let publications = vec![baseline];
-        let cached: Vec<Vec<Option<f64>>> = serving_sets
-            .iter()
-            .map(|serving| tier.cached_at_for(serving))
-            .collect();
-        let budget = config
-            .feedback
-            .then(|| service_budget_bytes(config, &cache_config, 0.0));
-        let fleet_before = config.attribution.then(|| fleet.clone());
-        let (row, egress) = fleet.step_hour(0, &publications, &table, &cached, budget);
-        let hour0_attribution = fleet_before.map(|before| {
-            let (authority_flooded, cache_flooded) =
-                window_flags(&initial_windows, 0, config.valid_secs);
-            attribution::attribute_hour(
-                &before,
-                row.dead_fraction,
-                &LadderContext {
-                    hour: 0,
-                    publications: &publications,
-                    table: &table,
-                    cached: &cached,
-                    budget,
-                    authority_flooded,
-                    cache_flooded,
-                },
-            )
-        });
-
+        let fleet = FleetSim::new(&fleet_config);
         let static_direct_bps = cache_config.direct_client_load_bps;
         let mut session = DistSession {
             config: config.clone(),
@@ -528,7 +500,7 @@ impl DistSession {
             fleet,
             serving_sets,
             placement,
-            publications,
+            publications: vec![baseline],
             next_hour: 1,
             cum_churn: 0.0,
             current_bg: (static_direct_bps, 0.0),
@@ -550,18 +522,7 @@ impl DistSession {
             detector_flags: BTreeMap::new(),
             detector_filtered: BTreeSet::new(),
         };
-        session.finish_hour(
-            0,
-            None,
-            row,
-            egress,
-            0,
-            HourContext {
-                budget,
-                publication_span: baseline_span.recorded(),
-                attribution: hour0_attribution,
-            },
-        );
+        session.run_fleet_hour(0, None, 0, baseline_span.recorded());
         session
     }
 
@@ -652,6 +613,21 @@ impl DistSession {
         });
 
         self.tier.run_to(((hour + 1) * 3_600) as f64);
+        self.run_fleet_hour(hour, published_version, alerts, publication_span)
+    }
+
+    /// The part of an hour that hour 0 and every later hour share, once
+    /// the tier has run to the hour's end: the serving-set cache views,
+    /// the service budget under the background load in effect, the fleet
+    /// step, the blame ladder (with attribution on, from a pre-hour
+    /// fleet clone), then [`DistSession::finish_hour`].
+    fn run_fleet_hour(
+        &mut self,
+        hour: u64,
+        published_version: Option<usize>,
+        alerts: u64,
+        publication_span: Option<SpanId>,
+    ) -> HourReport {
         let cached: Vec<Vec<Option<f64>>> = self
             .serving_sets
             .iter()
@@ -665,7 +641,7 @@ impl DistSession {
         let (row, egress) =
             self.fleet
                 .step_hour(hour, &self.publications, &self.table, &cached, budget);
-        let hour_attribution = fleet_before.map(|before| {
+        let attribution = fleet_before.map(|before| {
             let (authority_flooded, cache_flooded) =
                 window_flags(&self.applied_windows, hour, self.config.valid_secs);
             attribution::attribute_hour(
@@ -691,14 +667,11 @@ impl DistSession {
             HourContext {
                 budget,
                 publication_span,
-                attribution: hour_attribution,
+                attribution,
             },
         )
     }
 
-    /// Accounts the hour that just ran under the background load that
-    /// was in effect, then (with feedback on) schedules the next hour's
-    /// load from the realized egress.
     /// Cumulative tier wire counters as of the tier's current time.
     fn traffic_totals(&self) -> TierHourTraffic {
         let by_kind = self.tier.metrics().by_kind();
@@ -712,6 +685,9 @@ impl DistSession {
         }
     }
 
+    /// Accounts the hour that just ran under the background load that
+    /// was in effect, then (with feedback on) schedules the next hour's
+    /// load from the realized egress.
     fn finish_hour(
         &mut self,
         hour: u64,

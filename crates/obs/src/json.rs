@@ -1,13 +1,14 @@
-//! A minimal JSON value tree and writer.
+//! A minimal JSON value tree and writer — the only one outside
+//! `benchmark/`.
 //!
 //! The workspace builds without network access, so the `serde` in the
 //! dependency tree is a no-op shim — deriving `Serialize` documents
-//! intent but cannot emit bytes. The `--json` output of the `dirsim`
-//! subcommands therefore serializes through this module: experiment
-//! drivers build a [`Json`] tree by hand and [`Json::render`] writes
-//! spec-compliant JSON (escaped strings, `null` for non-finite
-//! numbers). When the real serde lands, these builders become
-//! `#[derive(Serialize)]` and this module retires.
+//! intent but cannot emit bytes. Everything that writes JSON (the
+//! `--json` / `--metrics` / `--trace` outputs of `dirsim`, the daemon's
+//! `/metrics`, `dirload --metrics`) builds a [`Json`] tree and
+//! [`Json::render`] writes spec-compliant JSON (escaped strings, `null`
+//! for non-finite numbers). It lives in this bottom crate so every
+//! layer can reach it; `partialtor::json` re-exports it.
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]

@@ -21,15 +21,20 @@
 //!   own cost, so (unlike traces and metrics) its output is real time
 //!   and not deterministic; it never feeds back into reports.
 //!
+//! Beside them, [`json`] is the workspace's one JSON value + writer:
+//! it sits in this bottom crate so every exporter above can build on it.
+//!
 //! Everything here is **observational**: emitting a trace event or
 //! bumping a counter draws no randomness and schedules no events, so
 //! enabling telemetry leaves simulation output bit-identical.
 
+pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod span;
 pub mod trace;
 
+pub use json::Json;
 pub use metrics::{Histogram, MetricsSnapshot, Registry, HIST_BUCKETS};
 pub use profile::{profile_report, profiling_enabled, reset_profiler, set_profiling, span, Span};
 pub use span::{SpanId, TraceRecord};
