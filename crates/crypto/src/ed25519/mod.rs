@@ -5,14 +5,45 @@
 //! and the upper half seeds the deterministic nonce. Verification uses the
 //! strict equation `[S]B = R + [k]A` with canonical-encoding checks on both
 //! `S` and `R`.
+//!
+//! Every [`SigningKey::sign`] and [`VerifyingKey::verify`] call is counted
+//! per thread; [`work`] reads the counters.
 
 pub mod field;
 pub mod point;
 pub mod scalar;
 
+#[cfg(test)]
+mod oracle;
+
 use crate::sha512;
 use point::EdwardsPoint;
 use scalar::Scalar;
+use std::cell::Cell;
+
+thread_local! {
+    static SIGNS: Cell<u64> = const { Cell::new(0) };
+    static VERIFIES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Signature operations the calling thread has started since it began.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Work {
+    /// Calls of [`SigningKey::sign`].
+    pub signs: u64,
+    /// Calls of [`VerifyingKey::verify`], whatever they returned.
+    pub verifies: u64,
+}
+
+/// The calling thread's signature-work counters. They only grow, so the
+/// difference of two readings is exactly the work done in between on this
+/// thread — for instance by one simulated protocol run.
+pub fn work() -> Work {
+    Work {
+        signs: SIGNS.get(),
+        verifies: VERIFIES.get(),
+    }
+}
 
 /// Errors returned by signature verification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,20 +97,48 @@ impl Signature {
     }
 }
 
-/// An Ed25519 verifying (public) key.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
+/// An Ed25519 verifying (public) key: the 32 compressed bytes, which are
+/// its identity for equality and hashing, and the point they decode to.
+#[derive(Clone, Copy)]
 pub struct VerifyingKey {
     compressed: [u8; 32],
+    point: EdwardsPoint,
+}
+
+impl PartialEq for VerifyingKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.compressed == other.compressed
+    }
+}
+
+impl Eq for VerifyingKey {}
+
+impl std::hash::Hash for VerifyingKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.compressed.hash(state);
+    }
+}
+
+impl std::fmt::Debug for VerifyingKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("VerifyingKey")
+            .field("compressed", &self.compressed)
+            .finish()
+    }
 }
 
 impl VerifyingKey {
     /// Wire size in bytes.
     pub const BYTES: usize = 32;
 
-    /// Parses a compressed public key, rejecting undecodable encodings.
+    /// Parses a compressed public key, rejecting undecodable encodings
+    /// (non-canonical y, off the curve, or x = 0 with the sign bit set).
     pub fn from_bytes(bytes: &[u8; 32]) -> Result<Self, SignatureError> {
-        EdwardsPoint::decompress(bytes).ok_or(SignatureError::InvalidPublicKey)?;
-        Ok(VerifyingKey { compressed: *bytes })
+        let point = EdwardsPoint::decompress(bytes).ok_or(SignatureError::InvalidPublicKey)?;
+        Ok(VerifyingKey {
+            compressed: *bytes,
+            point,
+        })
     }
 
     /// The compressed encoding.
@@ -89,19 +148,22 @@ impl VerifyingKey {
 
     /// Verifies `signature` over `message`.
     ///
-    /// Implements the strict check: rejects non-canonical `S`, undecodable
-    /// `R`/`A`, and failures of `[S]B = R + [k]A` (compared in compressed
-    /// form, i.e. cofactorless verification like Tor's ed25519 use).
+    /// Implements the strict, cofactorless check (like Tor's ed25519 use):
+    /// a non-canonical `S` (≥ l) is refused first; then
+    /// `R′ = [S]B − [k]A` is computed in one double-scalar pass,
+    /// re-encoded, and compared byte for byte with the signature's `R`.
+    /// `R` itself is never decompressed: an `R` that is off the curve,
+    /// non-canonical or otherwise not the encoding of `R′` fails that
+    /// comparison, because re-encoding only ever yields canonical bytes.
+    /// The key was already decoded by whoever constructed it.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), SignatureError> {
+        VERIFIES.set(VERIFIES.get() + 1);
         let s =
             Scalar::from_canonical_bytes(&signature.s).ok_or(SignatureError::NonCanonicalScalar)?;
-        let a =
-            EdwardsPoint::decompress(&self.compressed).ok_or(SignatureError::InvalidPublicKey)?;
         let k_bytes = sha512::digest_parts(&[&signature.r, &self.compressed, message]);
         let k = Scalar::from_bytes_mod_order_wide(&k_bytes);
 
-        // R' = [S]B − [k]A must re-encode exactly to the signature's R.
-        let r_prime = EdwardsPoint::basepoint_mul(&s).add(&a.scalar_mul(&k).neg());
+        let r_prime = EdwardsPoint::double_scalar_mul_basepoint(&k, &self.point.neg(), &s);
         if r_prime.compress() == signature.r {
             Ok(())
         } else {
@@ -132,9 +194,10 @@ impl SigningKey {
         let secret_scalar = Scalar::from_bytes_mod_order(&scalar_bytes);
         let mut prefix = [0u8; 32];
         prefix.copy_from_slice(&h[32..]);
-        let public_point = EdwardsPoint::basepoint_mul(&secret_scalar);
+        let point = EdwardsPoint::basepoint_mul(&secret_scalar);
         let public = VerifyingKey {
-            compressed: public_point.compress(),
+            compressed: point.compress(),
+            point,
         };
         SigningKey {
             seed,
@@ -163,6 +226,7 @@ impl SigningKey {
 
     /// Signs `message` (deterministic per RFC 8032).
     pub fn sign(&self, message: &[u8]) -> Signature {
+        SIGNS.set(SIGNS.get() + 1);
         let r_bytes = sha512::digest_parts(&[&self.prefix, message]);
         let r = Scalar::from_bytes_mod_order_wide(&r_bytes);
         let r_point = EdwardsPoint::basepoint_mul(&r).compress();

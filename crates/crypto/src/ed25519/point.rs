@@ -1,36 +1,170 @@
 //! Edwards-curve point arithmetic for Ed25519.
 //!
-//! Points are kept in projective coordinates (X : Y : Z) on the twisted
-//! Edwards curve −x² + y² = 1 + d·x²·y². Because a = −1 is a square and d is
-//! a non-square modulo p, the unified addition law used here is *complete*:
-//! the same formula handles addition, doubling and the identity, which
-//! removes all special-case branches (and the bugs that come with them).
+//! Points are kept in extended coordinates (X : Y : Z : T), T = XY/Z, on
+//! the twisted Edwards curve −x² + y² = 1 + d·x²·y², with the formulas of
+//! Hisil, Wong, Carter and Dawson (Asiacrypt 2008): a dedicated doubling
+//! (4 squarings + 4 products) and a re-addition against a cached operand
+//! (8 products, 7 when the operand is affine). Because a = −1 is a square
+//! and d is a non-square modulo p, the addition law is *complete*: the same
+//! formula handles addition, doubling, the identity and the small-order
+//! points, so nothing branches on its operands.
+//!
+//! Scalar multiplication comes in the three shapes signatures need, each
+//! implemented once and all variable-time (see the crate-level scope note):
+//! fixed-base [`EdwardsPoint::basepoint_mul`] over a radix-16 table,
+//! double-scalar [`EdwardsPoint::double_scalar_mul_basepoint`] in one
+//! interleaved width-5 / width-8 NAF pass, and variable-base
+//! [`EdwardsPoint::scalar_mul`], which is the double-scalar pass with a zero
+//! base-point scalar.
 
 use super::field::FieldElement;
 use super::scalar::Scalar;
+use std::sync::OnceLock;
 
 /// Affine x-coordinate of the standard base point B.
-const BASE_X: [u64; 4] = [
+const BASE_X: FieldElement = FieldElement([
     0xc9562d608f25d51a,
     0x692cc7609525a7b2,
     0xc0a4e231fdd6dc5c,
     0x216936d3cd6e53fe,
-];
+]);
 
 /// Affine y-coordinate of the standard base point B (= 4/5 mod p).
-const BASE_Y: [u64; 4] = [
+const BASE_Y: FieldElement = FieldElement([
     0x6666666666666658,
     0x6666666666666666,
     0x6666666666666666,
     0x6666666666666666,
-];
+]);
 
-/// A point on the Ed25519 curve, in projective coordinates.
+/// A point on the Ed25519 curve, in extended coordinates.
 #[derive(Clone, Copy, Debug)]
 pub struct EdwardsPoint {
     x: FieldElement,
     y: FieldElement,
     z: FieldElement,
+    t: FieldElement,
+}
+
+/// The result of a doubling or an addition before its last four products:
+/// the point (E·F : G·H : F·G : E·H). A doubling reads only X, Y and Z, so
+/// a run of doublings skips the E·H product in between.
+#[derive(Clone, Copy)]
+struct Completed {
+    e: FieldElement,
+    f: FieldElement,
+    g: FieldElement,
+    h: FieldElement,
+}
+
+/// A point prepared as the second operand of an addition:
+/// (Y + X, Y − X, 2Z, 2d·T).
+#[derive(Clone, Copy)]
+struct Cached {
+    y_plus_x: FieldElement,
+    y_minus_x: FieldElement,
+    z2: FieldElement,
+    t2d: FieldElement,
+}
+
+/// An affine point prepared as the second operand of an addition:
+/// (y + x, y − x, 2d·xy). One product cheaper to add than [`Cached`], one
+/// inversion dearer to build, so only the static tables use it.
+#[derive(Clone, Copy)]
+struct AffineCached {
+    y_plus_x: FieldElement,
+    y_minus_x: FieldElement,
+    xy2d: FieldElement,
+}
+
+/// Multiples of the base point, built on first use and shared by every
+/// thread for the life of the process: 320 entries, 30 KiB. They live on
+/// the heap and are filled in place; built by value they would cross the
+/// initialising thread's stack four times over.
+struct BasepointTables {
+    /// `radix_16[i][j]` = (j + 1)·256^i·B for i < 32, for fixed-base
+    /// multiplication.
+    radix_16: Vec<[AffineCached; 8]>,
+    /// `odd[i]` = (2i + 1)·B for i < 64, for width-8 NAF digits.
+    odd: Vec<AffineCached>,
+}
+
+fn basepoint_tables() -> &'static BasepointTables {
+    static TABLES: OnceLock<BasepointTables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let identity = EdwardsPoint::identity().to_affine_cached();
+        let mut radix_16 = vec![[identity; 8]; 32];
+        let mut row_base = EdwardsPoint::basepoint();
+        for row in radix_16.iter_mut() {
+            fill_with_multiples(row, &row_base, &row_base);
+            for _ in 0..8 {
+                row_base = row_base.double();
+            }
+        }
+        let mut odd = vec![identity; 64];
+        let basepoint = EdwardsPoint::basepoint();
+        fill_with_multiples(&mut odd, &basepoint, &basepoint.double());
+        BasepointTables { radix_16, odd }
+    })
+}
+
+/// Fills `table` with first, first + step, first + 2·step, …
+fn fill_with_multiples(table: &mut [AffineCached], first: &EdwardsPoint, step: &EdwardsPoint) {
+    let step = step.to_cached();
+    let mut multiple = *first;
+    for (i, entry) in table.iter_mut().enumerate() {
+        if i > 0 {
+            multiple = multiple.add_cached(&step, false).to_extended();
+        }
+        *entry = multiple.to_affine_cached();
+    }
+}
+
+impl Completed {
+    /// The identity (0 : 1 : 1 : 0).
+    const IDENTITY: Completed = Completed {
+        e: FieldElement::ZERO,
+        f: FieldElement::ONE,
+        g: FieldElement::ONE,
+        h: FieldElement::ONE,
+    };
+
+    /// The four products that finish the operation.
+    fn to_extended(self) -> EdwardsPoint {
+        EdwardsPoint {
+            x: self.e.mul(&self.f),
+            y: self.g.mul(&self.h),
+            z: self.f.mul(&self.g),
+            t: self.e.mul(&self.h),
+        }
+    }
+
+    /// Doubles the point, finishing only X, Y and Z first.
+    fn double(&self) -> Completed {
+        double_xyz(
+            &self.e.mul(&self.f),
+            &self.g.mul(&self.h),
+            &self.f.mul(&self.g),
+        )
+    }
+}
+
+/// Dedicated doubling of (X : Y : Z), four squarings. With A = X², B = Y²,
+/// C = 2Z²: E = (X + Y)² − A − B, G = B − A, H = B + A, F = C − G. (HWCD
+/// write F = G − C and H = −A − B; negating both negates all four output
+/// coordinates, which is the same point, and saves the negation.)
+fn double_xyz(x: &FieldElement, y: &FieldElement, z: &FieldElement) -> Completed {
+    let a = x.square();
+    let b = y.square();
+    let zz = z.square();
+    let h = b.add(&a);
+    let g = b.sub(&a);
+    Completed {
+        e: x.add(y).square().sub(&h),
+        f: zz.add(&zz).sub(&g),
+        g,
+        h,
+    }
 }
 
 impl PartialEq for EdwardsPoint {
@@ -49,15 +183,21 @@ impl EdwardsPoint {
             x: FieldElement::ZERO,
             y: FieldElement::ONE,
             z: FieldElement::ONE,
+            t: FieldElement::ZERO,
         }
     }
 
     /// The standard base point B.
     pub fn basepoint() -> Self {
+        EdwardsPoint::from_affine(BASE_X, BASE_Y)
+    }
+
+    fn from_affine(x: FieldElement, y: FieldElement) -> Self {
         EdwardsPoint {
-            x: FieldElement::from_limbs_unchecked(BASE_X),
-            y: FieldElement::from_limbs_unchecked(BASE_Y),
+            x,
+            y,
             z: FieldElement::ONE,
+            t: x.mul(&y),
         }
     }
 
@@ -72,54 +212,151 @@ impl EdwardsPoint {
             x: self.x.neg(),
             y: self.y,
             z: self.z,
+            t: self.t.neg(),
         }
     }
 
-    /// Complete unified point addition (add-2008-bbjlp with a = −1).
+    fn to_cached(self) -> Cached {
+        Cached {
+            y_plus_x: self.y.add(&self.x),
+            y_minus_x: self.y.sub(&self.x),
+            z2: self.z.add(&self.z),
+            t2d: self.t.mul(&FieldElement::D2),
+        }
+    }
+
+    fn to_affine_cached(self) -> AffineCached {
+        let z_inv = self.z.invert();
+        let x = self.x.mul(&z_inv);
+        let y = self.y.mul(&z_inv);
+        AffineCached {
+            y_plus_x: y.add(&x),
+            y_minus_x: y.sub(&x),
+            xy2d: x.mul(&y).mul(&FieldElement::D2),
+        }
+    }
+
+    /// Re-addition of a cached operand, negated first if `negate`. With the
+    /// operand's `plus` = Y₂ + X₂ and `minus` = Y₂ − X₂, `c` = T₁·2d·T₂ and
+    /// `d` = Z₁·2Z₂: A = (Y₁ − X₁)·minus, B = (Y₁ + X₁)·plus, E = B − A,
+    /// F = D − C, G = D + C, H = B + A. Negating the operand swaps `plus`
+    /// with `minus` and negates C, which swaps F with G.
+    fn readd(
+        &self,
+        (plus, minus): (&FieldElement, &FieldElement),
+        c: FieldElement,
+        d: FieldElement,
+        negate: bool,
+    ) -> Completed {
+        let (plus, minus) = if negate { (minus, plus) } else { (plus, minus) };
+        let a = self.y.sub(&self.x).mul(minus);
+        let b = self.y.add(&self.x).mul(plus);
+        let (mut f, mut g) = (d.sub(&c), d.add(&c));
+        if negate {
+            std::mem::swap(&mut f, &mut g);
+        }
+        Completed {
+            e: b.sub(&a),
+            f,
+            g,
+            h: b.add(&a),
+        }
+    }
+
+    /// `self ± q` (8 products with the four that finish it).
+    fn add_cached(&self, q: &Cached, negate: bool) -> Completed {
+        let (c, d) = (self.t.mul(&q.t2d), self.z.mul(&q.z2));
+        self.readd((&q.y_plus_x, &q.y_minus_x), c, d, negate)
+    }
+
+    /// `self ± q` for an affine operand: Z₂ = 1, one product fewer.
+    fn add_affine(&self, q: &AffineCached, negate: bool) -> Completed {
+        let (c, d) = (self.t.mul(&q.xy2d), self.z.add(&self.z));
+        self.readd((&q.y_plus_x, &q.y_minus_x), c, d, negate)
+    }
+
+    /// Complete point addition.
     pub fn add(&self, other: &Self) -> Self {
-        let a = self.z.mul(&other.z);
-        let b = a.square();
-        let c = self.x.mul(&other.x);
-        let d = self.y.mul(&other.y);
-        let e = FieldElement::d().mul(&c).mul(&d);
-        let f = b.sub(&e);
-        let g = b.add(&e);
-        let x1py1 = self.x.add(&self.y);
-        let x2py2 = other.x.add(&other.y);
-        let x3 = a.mul(&f).mul(&x1py1.mul(&x2py2).sub(&c).sub(&d));
-        // For a = −1: Y3 = A·G·(D − a·C) = A·G·(D + C).
-        let y3 = a.mul(&g).mul(&d.add(&c));
-        let z3 = f.mul(&g);
-        EdwardsPoint {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
+        self.add_cached(&other.to_cached(), false).to_extended()
     }
 
-    /// Point doubling via the unified addition law.
+    /// Point doubling.
     pub fn double(&self) -> Self {
-        self.add(self)
+        double_xyz(&self.x, &self.y, &self.z).to_extended()
     }
 
-    /// Scalar multiplication \[k\]P by left-to-right double-and-add.
+    /// The odd multiples P, 3P, …, 15P that width-5 NAF digits select.
+    fn odd_multiples(&self) -> [Cached; 8] {
+        let step = self.double().to_cached();
+        let mut multiple = *self;
+        let mut table = [self.to_cached(); 8];
+        for entry in table.iter_mut().skip(1) {
+            multiple = multiple.add_cached(&step, false).to_extended();
+            *entry = multiple.to_cached();
+        }
+        table
+    }
+
+    /// \[a\]P + \[b\]B for the standard base point B, in one interleaved
+    /// (Straus) pass: a shared run of doublings, width-5 NAF digits of `a`
+    /// against eight odd multiples of P built here, width-8 NAF digits of
+    /// `b` against the static table — about 253 doublings and 42 + 28
+    /// additions for two full-size scalars.
+    ///
+    /// Not constant time; see the crate-level scope note.
+    pub fn double_scalar_mul_basepoint(a: &Scalar, point: &Self, b: &Scalar) -> Self {
+        let a_naf = a.non_adjacent_form(5);
+        let b_naf = b.non_adjacent_form(8);
+        let odd_p = point.odd_multiples();
+        let odd_b = &basepoint_tables().odd;
+        let top = (0..a_naf.len())
+            .rev()
+            .find(|&i| a_naf[i] != 0 || b_naf[i] != 0)
+            .unwrap_or(0);
+        let mut acc = Completed::IDENTITY;
+        for i in (0..=top).rev() {
+            acc = acc.double();
+            // An odd digit ±(2j + 1) selects entry j.
+            let (da, db) = (a_naf[i], b_naf[i]);
+            if da != 0 {
+                let entry = &odd_p[da.unsigned_abs() as usize / 2];
+                acc = acc.to_extended().add_cached(entry, da < 0);
+            }
+            if db != 0 {
+                let entry = &odd_b[db.unsigned_abs() as usize / 2];
+                acc = acc.to_extended().add_affine(entry, db < 0);
+            }
+        }
+        acc.to_extended()
+    }
+
+    /// Scalar multiplication \[k\]P for an arbitrary point.
     ///
     /// Not constant time; see the crate-level scope note.
     pub fn scalar_mul(&self, k: &Scalar) -> Self {
-        let limbs = k.limbs();
-        let mut acc = EdwardsPoint::identity();
-        for i in (0..256).rev() {
-            acc = acc.double();
-            if (limbs[i / 64] >> (i % 64)) & 1 == 1 {
-                acc = acc.add(self);
-            }
-        }
-        acc
+        EdwardsPoint::double_scalar_mul_basepoint(k, self, &Scalar::ZERO)
     }
 
-    /// \[k\]B for the standard base point.
+    /// \[k\]B for the standard base point, from the radix-16 table: with
+    /// k = Σ eᵢ·16^i, the odd-position digits are summed first, multiplied
+    /// by 16 (the only four doublings), and the even-position digits added
+    /// on top — 64 table additions at most.
+    ///
+    /// Not constant time; see the crate-level scope note.
     pub fn basepoint_mul(k: &Scalar) -> Self {
-        EdwardsPoint::basepoint().scalar_mul(k)
+        let table = &basepoint_tables().radix_16;
+        let digits = k.to_radix_16();
+        // A digit ±j at position i selects entry j − 1 of row i / 2.
+        let add_digit = |acc: EdwardsPoint, i: usize| match digits[i] {
+            0 => acc,
+            e => {
+                let entry = &table[i / 2][e.unsigned_abs() as usize - 1];
+                acc.add_affine(entry, e < 0).to_extended()
+            }
+        };
+        let odd_half = (1..64).step_by(2).fold(EdwardsPoint::identity(), add_digit);
+        let times_16 = odd_half.double().double().double().double();
+        (0..64).step_by(2).fold(times_16, add_digit)
     }
 
     /// Compresses to the 32-byte RFC 8032 wire format: the y-coordinate with
@@ -146,7 +383,7 @@ impl EdwardsPoint {
         // x² = (y² − 1) / (d·y² + 1).
         let yy = y.square();
         let u = yy.sub(&FieldElement::ONE);
-        let v = FieldElement::d().mul(&yy).add(&FieldElement::ONE);
+        let v = FieldElement::D.mul(&yy).add(&FieldElement::ONE);
         let (is_square, mut x) = FieldElement::sqrt_ratio(&u, &v);
         if !is_square {
             return None;
@@ -157,14 +394,11 @@ impl EdwardsPoint {
         if x.is_odd() != (sign == 1) {
             x = x.neg();
         }
-        Some(EdwardsPoint {
-            x,
-            y,
-            z: FieldElement::ONE,
-        })
+        Some(EdwardsPoint::from_affine(x, y))
     }
 
-    /// Verifies the curve equation −x² + y² = 1 + d·x²·y² (affine check).
+    /// Verifies the curve equation −x² + y² = 1 + d·x²·y² (affine check)
+    /// and that T is consistent with it (T·Z = X·Y).
     pub fn is_on_curve(&self) -> bool {
         let zinv = self.z.invert();
         let x = self.x.mul(&zinv);
@@ -172,8 +406,8 @@ impl EdwardsPoint {
         let xx = x.square();
         let yy = y.square();
         let lhs = yy.sub(&xx);
-        let rhs = FieldElement::ONE.add(&FieldElement::d().mul(&xx).mul(&yy));
-        lhs == rhs
+        let rhs = FieldElement::ONE.add(&FieldElement::D.mul(&xx).mul(&yy));
+        lhs == rhs && self.t.mul(&self.z) == self.x.mul(&self.y)
     }
 }
 
@@ -287,6 +521,36 @@ mod tests {
         if let Some(p) = EdwardsPoint::decompress(&bytes) {
             // If it decompresses, it must be on the curve.
             assert!(p.is_on_curve());
+        }
+    }
+
+    #[test]
+    fn the_static_tables_fit_32_kib_and_hold_what_they_say() {
+        let tables = basepoint_tables();
+        assert_eq!((tables.radix_16.len(), tables.odd.len()), (32, 64));
+        let bytes =
+            std::mem::size_of_val(&tables.radix_16[..]) + std::mem::size_of_val(&tables.odd[..]);
+        assert!(bytes <= 32 * 1024, "{bytes}");
+        let id = EdwardsPoint::identity();
+        let b = EdwardsPoint::basepoint();
+        // odd[i] = (2i + 1)·B.
+        let mut multiple = b;
+        for entry in &tables.odd {
+            assert_eq!(id.add_affine(entry, false).to_extended(), multiple);
+            multiple = multiple.add(&b).add(&b);
+        }
+        // radix_16[i][j] = (j + 1)·256^i·B.
+        let mut row_base = b;
+        for row in &tables.radix_16 {
+            let mut multiple = row_base;
+            for entry in row {
+                assert_eq!(id.add_affine(entry, false).to_extended(), multiple);
+                assert_eq!(multiple.add_affine(entry, true).to_extended(), id);
+                multiple = multiple.add(&row_base);
+            }
+            for _ in 0..8 {
+                row_base = row_base.double();
+            }
         }
     }
 }

@@ -12,8 +12,13 @@
 //! The implementation is *functionally* complete and validated against the
 //! RFC 8032 and FIPS 180-4 test vectors, but it is written for a research
 //! simulator: scalar multiplication is not constant-time and no zeroization
-//! is performed. Do not lift it into an adversarial production environment
-//! as-is.
+//! is performed. Verification recodes both scalars into non-adjacent form
+//! and branches on every digit; signing and key derivation index a table
+//! by the digits of the *secret* nonce and scalar, so timing and cache
+//! behaviour leak them. The tables of base-point multiples (30 KiB) are
+//! process-wide: built once on first use, behind a `OnceLock`, and shared
+//! by every thread. Do not lift it into an adversarial production
+//! environment as-is.
 //!
 //! # Examples
 //!

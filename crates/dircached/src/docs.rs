@@ -40,11 +40,11 @@ pub fn consensus_series(config: &DocSetConfig) -> Vec<Consensus> {
         seed: config.seed,
         count: config.relays + config.history * config.churn_per_hour,
     });
+    let committee = AuthoritySet::live(config.seed);
     (0..config.history)
         .map(|h| {
             let start = h * config.churn_per_hour;
             let window = &population[start..start + config.relays];
-            let committee = AuthoritySet::live(config.seed);
             let votes: Vec<Vote> = committee
                 .iter()
                 .map(|auth| {
