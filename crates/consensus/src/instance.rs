@@ -31,7 +31,7 @@ use crate::types::{
     timeout_digest, vote_digest, Action, Block, ConsensusMsg, ConsensusValue, DecideMsg, Qc, Tc,
     TcEntry, TimeoutMsg, VoteMsg,
 };
-use partialtor_crypto::{Digest32, Signature, SigningKey, VerifyingKey};
+use partialtor_crypto::{Committee, Digest32, Signature, SigningKey};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Static configuration of one agreement instance.
@@ -64,12 +64,12 @@ impl ConsensusConfig {
 }
 
 /// External validity predicate for proposed values.
-pub type Validator<V> = Box<dyn Fn(&V) -> bool + Send>;
+pub type Validator<V> = Box<dyn Fn(&V) -> bool>;
 
 /// A single-shot Byzantine agreement instance.
 pub struct ConsensusInstance<V: ConsensusValue> {
     config: ConsensusConfig,
-    keys: Vec<VerifyingKey>,
+    keys: Committee,
     signing: SigningKey,
     validator: Validator<V>,
 
@@ -100,17 +100,21 @@ pub struct ConsensusInstance<V: ConsensusValue> {
 }
 
 impl<V: ConsensusValue> ConsensusInstance<V> {
-    /// Creates an instance. `keys[i]` must be node `i`'s public key.
+    /// Creates an instance. Key `i` of `keys` must be node `i`'s public
+    /// key; pass a clone of the run's [`Committee`] to share its verified
+    /// set with the other nodes, or a `Vec<VerifyingKey>` for a set of
+    /// this instance's own.
     ///
     /// # Panics
     ///
     /// Panics unless `n ≥ 3f + 1` and `keys.len() == n`.
     pub fn new(
         config: ConsensusConfig,
-        keys: Vec<VerifyingKey>,
+        keys: impl Into<Committee>,
         signing: SigningKey,
         validator: Validator<V>,
     ) -> Self {
+        let keys = keys.into();
         assert!(config.n > 3 * config.f, "need n >= 3f + 1");
         assert_eq!(keys.len(), config.n, "one key per node");
         ConsensusInstance {
@@ -372,12 +376,10 @@ impl<V: ConsensusValue> ConsensusInstance<V> {
     }
 
     fn handle_vote(&mut self, vote: VoteMsg, actions: &mut Vec<Action<V>>) {
-        if vote.voter >= self.config.n {
-            return;
-        }
         let digest = vote_digest(self.config.instance, vote.round, vote.value);
-        if self.keys[vote.voter]
-            .verify(digest.as_bytes(), &vote.signature)
+        if self
+            .keys
+            .verify(vote.voter, digest.as_bytes(), &vote.signature)
             .is_err()
         {
             return;
@@ -395,13 +397,11 @@ impl<V: ConsensusValue> ConsensusInstance<V> {
     }
 
     fn handle_timeout_msg(&mut self, tm: TimeoutMsg, actions: &mut Vec<Action<V>>) {
-        if tm.node >= self.config.n {
-            return;
-        }
         let high_qc_round = tm.high_qc.as_ref().map(|q| q.round);
         let digest = timeout_digest(self.config.instance, tm.round, high_qc_round);
-        if self.keys[tm.node]
-            .verify(digest.as_bytes(), &tm.signature)
+        if self
+            .keys
+            .verify(tm.node, digest.as_bytes(), &tm.signature)
             .is_err()
         {
             return;

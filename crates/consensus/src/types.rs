@@ -7,7 +7,7 @@
 //! a good leader and no GST this decides in 5 rounds, the figure the
 //! paper's Table 2 assumes.
 
-use partialtor_crypto::{sha256, Digest32, Signature, SigningKey, VerifyingKey};
+use partialtor_crypto::{sha256, Committee, Digest32, Signature, SigningKey};
 
 /// A value the committee can agree on.
 pub trait ConsensusValue: Clone {
@@ -68,21 +68,15 @@ pub struct Qc {
 
 impl Qc {
     /// Verifies every signature and the quorum size.
-    pub fn verify(&self, instance: u64, keys: &[VerifyingKey], quorum: usize) -> bool {
+    pub fn verify(&self, instance: u64, keys: &Committee, quorum: usize) -> bool {
         if self.signatures.len() < quorum {
             return false;
         }
         let mut seen = std::collections::BTreeSet::new();
         let digest = vote_digest(instance, self.round, self.value);
-        for (signer, sig) in &self.signatures {
-            if *signer >= keys.len() || !seen.insert(*signer) {
-                return false;
-            }
-            if keys[*signer].verify(digest.as_bytes(), sig).is_err() {
-                return false;
-            }
-        }
-        true
+        self.signatures.iter().all(|(signer, sig)| {
+            seen.insert(*signer) && keys.verify(*signer, digest.as_bytes(), sig).is_ok()
+        })
     }
 
     /// Wire size: 32-byte digest + 8-byte round + signatures.
@@ -123,19 +117,17 @@ impl Tc {
 
     /// Verifies entry signatures, quorum size, and that the embedded
     /// `high_qc` matches the maximum attested round.
-    pub fn verify(&self, instance: u64, keys: &[VerifyingKey], quorum: usize) -> bool {
+    pub fn verify(&self, instance: u64, keys: &Committee, quorum: usize) -> bool {
         if self.entries.len() < quorum {
             return false;
         }
         let mut seen = std::collections::BTreeSet::new();
         for entry in &self.entries {
-            if entry.node >= keys.len() || !seen.insert(entry.node) {
-                return false;
-            }
             let digest = timeout_digest(instance, self.round, entry.high_qc_round);
-            if keys[entry.node]
-                .verify(digest.as_bytes(), &entry.signature)
-                .is_err()
+            if !seen.insert(entry.node)
+                || keys
+                    .verify(entry.node, digest.as_bytes(), &entry.signature)
+                    .is_err()
             {
                 return false;
             }
@@ -195,13 +187,9 @@ impl<V: ConsensusValue> Block<V> {
     }
 
     /// Verifies the proposer's signature.
-    pub fn verify_signature(&self, instance: u64, keys: &[VerifyingKey]) -> bool {
-        if self.proposer >= keys.len() {
-            return false;
-        }
+    pub fn verify_signature(&self, instance: u64, keys: &Committee) -> bool {
         let digest = proposal_digest(instance, self.round, self.value.digest(), self.proposer);
-        keys[self.proposer]
-            .verify(digest.as_bytes(), &self.signature)
+        keys.verify(self.proposer, digest.as_bytes(), &self.signature)
             .is_ok()
     }
 }
@@ -334,7 +322,7 @@ mod tests {
         }
     }
 
-    fn keys(n: usize) -> (Vec<SigningKey>, Vec<VerifyingKey>) {
+    fn keys(n: usize) -> (Vec<SigningKey>, Committee) {
         let signers: Vec<SigningKey> = (0..n)
             .map(|i| SigningKey::from_seed([i as u8 + 1; 32]))
             .collect();
@@ -372,6 +360,31 @@ mod tests {
         let mut qc = make_qc(1, 1, value, &signers[..3]);
         qc.signatures[1] = qc.signatures[0];
         assert!(!qc.verify(1, &verifiers, 3));
+    }
+
+    #[test]
+    fn certificates_naming_a_node_outside_the_committee_fail() {
+        let (signers, verifiers) = keys(4);
+        let mut qc = make_qc(1, 1, sha256::digest(b"v"), &signers[..3]);
+        assert!(qc.verify(1, &verifiers, 3));
+        qc.signatures[2].0 = 4;
+        assert!(!qc.verify(1, &verifiers, 3));
+
+        let digest = timeout_digest(1, 5, None);
+        let mut tc = Tc {
+            round: 5,
+            entries: (0..3)
+                .map(|node| TcEntry {
+                    node,
+                    high_qc_round: None,
+                    signature: signers[node].sign(digest.as_bytes()),
+                })
+                .collect(),
+            high_qc: None,
+        };
+        assert!(tc.verify(1, &verifiers, 3));
+        tc.entries[2].node = usize::MAX;
+        assert!(!tc.verify(1, &verifiers, 3));
     }
 
     #[test]

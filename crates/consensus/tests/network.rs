@@ -7,9 +7,10 @@
 //! termination, agreement, validity.
 
 use partialtor_consensus::{
-    Action, Block, ConsensusConfig, ConsensusInstance, ConsensusMsg, ConsensusValue,
+    Action, Block, ConsensusConfig, ConsensusInstance, ConsensusMsg, ConsensusValue, TimeoutMsg,
+    VoteMsg,
 };
-use partialtor_crypto::{sha256, Digest32, SigningKey};
+use partialtor_crypto::{sha256, Committee, Digest32, SigningKey};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -504,4 +505,30 @@ fn decide_message_alone_convinces_a_node() {
     net2.start_all(&inputs(4));
     assert!(net2.run(60_000));
     assert_eq!(net2.agreed_value(), value, "same setup, same decision");
+}
+
+#[test]
+fn messages_naming_a_node_outside_the_committee_are_ignored() {
+    let (mut net, signers) = Net::new(4, 1, uniform(10));
+    let node = net.nodes[0].as_mut().expect("live node");
+    let committee: Committee = signers.iter().map(|s| s.verifying_key()).collect();
+    let signature = signers[0].sign(b"anything");
+    for outsider in [4, usize::MAX] {
+        let vote = ConsensusMsg::Vote(VoteMsg {
+            round: 0,
+            value: sha256::digest(b"v"),
+            voter: outsider,
+            signature,
+        });
+        assert!(node.on_message(vote).is_empty());
+        let timeout = ConsensusMsg::Timeout(TimeoutMsg {
+            round: 0,
+            high_qc: None,
+            node: outsider,
+            signature,
+        });
+        assert!(node.on_message(timeout).is_empty());
+        let block = Block::new(99, 0, Val(vec![1]), None, None, outsider, &signers[0]);
+        assert!(!block.verify_signature(99, &committee));
+    }
 }

@@ -22,7 +22,7 @@ use crate::calibration::{self, vote_size_bytes};
 use crate::document::DirDocument;
 use crate::protocols::{FetchPolicy, IcpsAuthority, IcpsByzantineMode, IcpsConfig, ProtocolKind};
 use crate::runner::{par_map, sweep, Scenario, SweepJob};
-use partialtor_crypto::SigningKey;
+use partialtor_crypto::{Committee, SigningKey};
 use partialtor_simnet::prelude::*;
 use serde::Serialize;
 
@@ -230,7 +230,7 @@ fn run_fetch(policy: FetchPolicy, seed: u64) -> FetchRow {
     let signers: Vec<SigningKey> = (0..n)
         .map(|i| SigningKey::from_seed([i as u8 + 101; 32]))
         .collect();
-    let keys: Vec<_> = signers.iter().map(|k| k.verifying_key()).collect();
+    let keys: Committee = signers.iter().map(|k| k.verifying_key()).collect();
     let nodes: Vec<IcpsAuthority> = (0..n)
         .map(|i| {
             IcpsAuthority::new(IcpsConfig {

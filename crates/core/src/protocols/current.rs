@@ -20,7 +20,7 @@
 use crate::calibration;
 use crate::document::{consensus_digest, DirDocument};
 use crate::signing::SigRecord;
-use partialtor_crypto::{Digest32, SigningKey, VerifyingKey};
+use partialtor_crypto::{Committee, Digest32, SigningKey};
 use partialtor_simnet::prelude::*;
 use std::collections::BTreeMap;
 
@@ -92,8 +92,8 @@ pub struct CurrentConfig {
     pub my_doc: DirDocument,
     /// Signing key.
     pub signing: SigningKey,
-    /// Committee public keys.
-    pub keys: Vec<VerifyingKey>,
+    /// Committee public keys (a clone of the run's one [`Committee`]).
+    pub keys: Committee,
     /// Misbehavior mode (honest in production scenarios).
     pub byzantine: CurrentByzantineMode,
 }
@@ -422,7 +422,7 @@ mod tests {
         let signers: Vec<SigningKey> = (0..n)
             .map(|i| SigningKey::from_seed([i as u8 + 1; 32]))
             .collect();
-        let keys: Vec<_> = signers.iter().map(|k| k.verifying_key()).collect();
+        let keys: Committee = signers.iter().map(|k| k.verifying_key()).collect();
         let nodes: Vec<CurrentAuthority> = (0..n)
             .map(|i| {
                 CurrentAuthority::new(CurrentConfig {

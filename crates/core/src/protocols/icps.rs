@@ -32,12 +32,12 @@ use crate::signing::{doc_sig_digest, SigRecord};
 use partialtor_consensus::{
     Action, ConsensusConfig, ConsensusInstance, ConsensusMsg, ConsensusValue,
 };
-use partialtor_crypto::{sha256, Digest32, Signature, SigningKey, VerifyingKey};
+use partialtor_crypto::{sha256, Committee, Digest32, Signature, SigningKey};
 use partialtor_simnet::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One slot of the digest vector `H`, with its proof `π` entry.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum VectorEntry {
     /// The authority's document digest, endorsed by `f + 1` nodes.
     Present {
@@ -85,7 +85,7 @@ impl VectorEntry {
 }
 
 /// The digest vector `(H, π)` — the agreement sub-protocol's value.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DigestVector {
     /// The protocol instance.
     pub run_id: u64,
@@ -104,7 +104,7 @@ impl DigestVector {
 
     /// Verifies every proof in the vector (the external-validity predicate
     /// of the agreement sub-protocol).
-    pub fn verify(&self, run_id: u64, n: usize, f: usize, keys: &[VerifyingKey]) -> bool {
+    pub fn verify(&self, run_id: u64, n: usize, f: usize, keys: &Committee) -> bool {
         if self.run_id != run_id || self.entries.len() != n {
             return false;
         }
@@ -118,8 +118,8 @@ impl DigestVector {
                     endorsements,
                 } => {
                     let sender_digest = doc_sig_digest(run_id, j, Some(*digest));
-                    if keys[j as usize]
-                        .verify(sender_digest.as_bytes(), sender_sig)
+                    if keys
+                        .verify(j as usize, sender_digest.as_bytes(), sender_sig)
                         .is_err()
                     {
                         return false;
@@ -145,8 +145,8 @@ impl DigestVector {
                     }
                     let da = doc_sig_digest(run_id, j, Some(*digest_a));
                     let db = doc_sig_digest(run_id, j, Some(*digest_b));
-                    if keys[j as usize].verify(da.as_bytes(), sig_a).is_err()
-                        || keys[j as usize].verify(db.as_bytes(), sig_b).is_err()
+                    if keys.verify(j as usize, da.as_bytes(), sig_a).is_err()
+                        || keys.verify(j as usize, db.as_bytes(), sig_b).is_err()
                     {
                         return false;
                     }
@@ -163,25 +163,19 @@ fn verify_endorsements(
     digest: Option<Digest32>,
     endorsements: &[(u8, Signature)],
     f: usize,
-    keys: &[VerifyingKey],
+    keys: &Committee,
 ) -> bool {
     if endorsements.len() < f + 1 {
         return false;
     }
     let signed = doc_sig_digest(run_id, subject, digest);
     let mut seen = BTreeSet::new();
-    for (endorser, sig) in endorsements {
-        if *endorser as usize >= keys.len() || !seen.insert(*endorser) {
-            return false;
-        }
-        if keys[*endorser as usize]
-            .verify(signed.as_bytes(), sig)
-            .is_err()
-        {
-            return false;
-        }
-    }
-    true
+    endorsements.iter().all(|(endorser, sig)| {
+        seen.insert(*endorser)
+            && keys
+                .verify(*endorser as usize, signed.as_bytes(), sig)
+                .is_ok()
+    })
 }
 
 impl ConsensusValue for DigestVector {
@@ -335,8 +329,10 @@ pub struct IcpsConfig {
     pub my_doc: DirDocument,
     /// Signing key.
     pub signing: SigningKey,
-    /// Committee public keys.
-    pub keys: Vec<VerifyingKey>,
+    /// Committee public keys: a clone of the run's one [`Committee`], so
+    /// that a signature another authority already verified is not
+    /// verified again.
+    pub keys: Committee,
     /// Misbehavior mode (honest in production scenarios).
     pub byzantine: IcpsByzantineMode,
     /// Aggregation fetch policy (ablation knob; endorsers by default).
@@ -344,7 +340,7 @@ pub struct IcpsConfig {
 }
 
 /// Progress timestamps and the final outcome of one authority.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IcpsOutcome {
     /// Whether a majority-signed consensus was obtained.
     pub success: bool,
@@ -391,12 +387,11 @@ impl IcpsAuthority {
             leader_offset: 0,
             base_timeout_ms: cfg.bft_timeout_ms,
         };
-        let keys = cfg.keys.clone();
         let (run_id, n, f) = (cfg.run_id, cfg.n, cfg.f);
-        let validity_keys = keys.clone();
+        let validity_keys = cfg.keys.clone();
         let bft = ConsensusInstance::new(
             bft_config,
-            keys,
+            cfg.keys.clone(),
             cfg.signing.clone(),
             Box::new(move |v: &DigestVector| v.verify(run_id, n, f, &validity_keys)),
         );
@@ -448,15 +443,28 @@ impl IcpsAuthority {
         }
     }
 
-    /// Dissemination: handle a verified document.
+    /// Dissemination and aggregation: handle a document, broadcast or
+    /// fetched.
     fn record_doc(&mut self, ctx: &mut Context<'_, IcpsMsg>, msg: DocMsg) {
         let j = msg.doc.authority;
         if j as usize >= self.cfg.n || self.docs.contains_key(&j) {
             return;
         }
+        // Once agreement has named `j`'s document, no other will do: an
+        // equivocating `j` holds a second validly signed one, and taking
+        // it here would aggregate a vote set nobody agreed on.
+        let named = self
+            .decided
+            .as_ref()
+            .and_then(|vector| vector.entries.get(j as usize)?.digest());
+        if named.is_some_and(|digest| digest != msg.doc.digest) {
+            return;
+        }
         let signed = doc_sig_digest(self.cfg.run_id, j, Some(msg.doc.digest));
-        if self.cfg.keys[j as usize]
-            .verify(signed.as_bytes(), &msg.sig)
+        if self
+            .cfg
+            .keys
+            .verify(j as usize, signed.as_bytes(), &msg.sig)
             .is_err()
         {
             return;
@@ -520,8 +528,10 @@ impl IcpsAuthority {
                 return;
             }
             let endorsed = doc_sig_digest(self.cfg.run_id, j, entry.digest);
-            if self.cfg.keys[p.from as usize]
-                .verify(endorsed.as_bytes(), &entry.endorse_sig)
+            if self
+                .cfg
+                .keys
+                .verify(p.from as usize, endorsed.as_bytes(), &entry.endorse_sig)
                 .is_err()
             {
                 return;
@@ -529,8 +539,10 @@ impl IcpsAuthority {
             match (&entry.digest, &entry.sender_sig) {
                 (Some(digest), Some(sender_sig)) => {
                     let signed = doc_sig_digest(self.cfg.run_id, j, Some(*digest));
-                    if self.cfg.keys[j as usize]
-                        .verify(signed.as_bytes(), sender_sig)
+                    if self
+                        .cfg
+                        .keys
+                        .verify(j as usize, signed.as_bytes(), sender_sig)
                         .is_err()
                     {
                         return;
@@ -793,43 +805,81 @@ mod tests {
     use super::*;
     use crate::calibration::vote_size_bytes;
 
-    fn build_sim(
-        n: usize,
-        relays: u64,
-        bandwidth_bps: f64,
-        seed: u64,
-    ) -> Simulation<IcpsAuthority> {
+    const RUN_ID: u64 = 3;
+
+    fn committee(n: usize) -> (Vec<SigningKey>, Committee) {
         let signers: Vec<SigningKey> = (0..n)
             .map(|i| SigningKey::from_seed([i as u8 + 91; 32]))
             .collect();
-        let keys: Vec<_> = signers.iter().map(|k| k.verifying_key()).collect();
-        let nodes: Vec<IcpsAuthority> = (0..n)
-            .map(|i| {
-                IcpsAuthority::new(IcpsConfig {
-                    run_id: 3,
-                    index: i as u8,
-                    n,
-                    f: calibration::partial_synchrony_f(n),
-                    dissemination_timeout: calibration::dissemination_timeout(),
-                    bft_timeout_ms: calibration::BFT_BASE_TIMEOUT_MS,
-                    my_doc: DirDocument::synthetic(3, i as u8, vote_size_bytes(relays)),
-                    signing: signers[i].clone(),
-                    keys: keys.clone(),
-                    byzantine: IcpsByzantineMode::default(),
-                    fetch_policy: FetchPolicy::default(),
-                })
-            })
-            .collect();
-        let topo = scaled_topology(n, seed);
-        let config = SimConfig {
+        let keys = signers.iter().map(|k| k.verifying_key()).collect();
+        (signers, keys)
+    }
+
+    fn authority(
+        i: usize,
+        n: usize,
+        relays: u64,
+        committee: &(Vec<SigningKey>, Committee),
+    ) -> IcpsAuthority {
+        IcpsAuthority::new(IcpsConfig {
+            run_id: RUN_ID,
+            index: i as u8,
+            n,
+            f: calibration::partial_synchrony_f(n),
+            dissemination_timeout: calibration::dissemination_timeout(),
+            bft_timeout_ms: calibration::BFT_BASE_TIMEOUT_MS,
+            my_doc: DirDocument::synthetic(RUN_ID, i as u8, vote_size_bytes(relays)),
+            signing: committee.0[i].clone(),
+            keys: committee.1.clone(),
+            byzantine: IcpsByzantineMode::default(),
+            fetch_policy: FetchPolicy::default(),
+        })
+    }
+
+    fn sim_config(bandwidth_bps: f64, seed: u64) -> SimConfig {
+        SimConfig {
             seed,
             default_up_bps: bandwidth_bps,
             default_down_bps: bandwidth_bps,
             wire_overhead_bytes: 64,
             collect_logs: false,
             latency_jitter: 0.0,
-        };
-        Simulation::new(topo, nodes, config)
+        }
+    }
+
+    fn build_sim(
+        n: usize,
+        relays: u64,
+        bandwidth_bps: f64,
+        seed: u64,
+    ) -> Simulation<IcpsAuthority> {
+        let committee = committee(n);
+        let nodes = (0..n)
+            .map(|i| authority(i, n, relays, &committee))
+            .collect();
+        Simulation::new(
+            scaled_topology(n, seed),
+            nodes,
+            sim_config(bandwidth_bps, seed),
+        )
+    }
+
+    /// `subject`'s signature and the first `endorsers` nodes' endorsements
+    /// of `digest`.
+    fn present_entry(
+        signers: &[SigningKey],
+        subject: u8,
+        digest: Digest32,
+        endorsers: usize,
+    ) -> VectorEntry {
+        let signed = doc_sig_digest(RUN_ID, subject, Some(digest));
+        VectorEntry::Present {
+            digest,
+            sender_sig: signers[subject as usize].sign(signed.as_bytes()),
+            endorsements: (0..endorsers)
+                .map(|k| (k as u8, signers[k].sign(signed.as_bytes())))
+                .collect(),
+        }
     }
 
     fn assert_all_valid(sim: &Simulation<IcpsAuthority>, n: usize) -> Digest32 {
@@ -870,23 +920,10 @@ mod tests {
 
     #[test]
     fn digest_vector_validity_rejects_bad_proofs() {
-        let signers: Vec<SigningKey> = (0..9)
-            .map(|i| SigningKey::from_seed([i as u8 + 91; 32]))
-            .collect();
-        let keys: Vec<_> = signers.iter().map(|k| k.verifying_key()).collect();
+        let (signers, keys) = committee(9);
         let doc_digest = sha256::digest(b"doc");
-        let make_entry = |j: u8, endorsers: usize| VectorEntry::Present {
-            digest: doc_digest,
-            sender_sig: signers[j as usize].sign(doc_sig_digest(3, j, Some(doc_digest)).as_bytes()),
-            endorsements: (0..endorsers)
-                .map(|k| {
-                    (
-                        k as u8,
-                        signers[k].sign(doc_sig_digest(3, j, Some(doc_digest)).as_bytes()),
-                    )
-                })
-                .collect(),
-        };
+        let make_entry =
+            |j: u8, endorsers: usize| present_entry(&signers, j, doc_digest, endorsers);
         // Valid vector: 9 present entries with f+1 = 3 endorsements.
         let good = DigestVector {
             run_id: 3,
@@ -921,10 +958,7 @@ mod tests {
 
     #[test]
     fn equivocation_entry_requires_distinct_digests() {
-        let signers: Vec<SigningKey> = (0..9)
-            .map(|i| SigningKey::from_seed([i as u8 + 91; 32]))
-            .collect();
-        let keys: Vec<_> = signers.iter().map(|k| k.verifying_key()).collect();
+        let (signers, keys) = committee(1);
         let d = sha256::digest(b"same");
         let sig = signers[0].sign(doc_sig_digest(3, 0, Some(d)).as_bytes());
         let entry = VectorEntry::AbsentEquivocation {
@@ -937,8 +971,8 @@ mod tests {
             run_id: 3,
             entries: vec![entry],
         };
-        // n = 1 committee for the narrow check (entries len must match n).
-        assert!(!vector.verify(3, 1, 0, &keys[..1]));
+        // n = 1 for the narrow check (entries len must match n).
+        assert!(!vector.verify(3, 1, 0, &keys));
         // Distinct digests signed by the subject do verify.
         let d2 = sha256::digest(b"other");
         vector.entries[0] = VectorEntry::AbsentEquivocation {
@@ -948,6 +982,110 @@ mod tests {
             sig_b: signers[0].sign(doc_sig_digest(3, 0, Some(d2)).as_bytes()),
         };
         // Still fails overall: 0 present entries < n − f = 1.
-        assert!(!vector.verify(3, 1, 0, &keys[..1]));
+        assert!(!vector.verify(3, 1, 0, &keys));
+    }
+
+    /// Seat 0 of a nine-seat simulation starts a real authority and then
+    /// plays `script` to it at time zero, inside `on_start` — the one
+    /// place a test is handed a `Context`. The other seats hold no
+    /// authority and swallow whatever it sends.
+    struct Seat {
+        authority: Option<IcpsAuthority>,
+        script: Vec<Step>,
+    }
+
+    enum Step {
+        /// A message arrives from a peer.
+        Deliver(u8, Box<IcpsMsg>),
+        /// The agreement sub-protocol decides this vector.
+        Decide(DigestVector),
+    }
+
+    impl Node for Seat {
+        type Msg = IcpsMsg;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, IcpsMsg>) {
+            let Some(authority) = &mut self.authority else {
+                return;
+            };
+            authority.on_start(ctx);
+            for step in self.script.drain(..) {
+                match step {
+                    Step::Deliver(from, msg) => {
+                        authority.on_message(ctx, NodeId(from as usize), *msg)
+                    }
+                    Step::Decide(vector) => authority.on_bft_decide(ctx, vector, 0),
+                }
+            }
+        }
+
+        fn on_message(&mut self, _: &mut Context<'_, IcpsMsg>, _: NodeId, _: IcpsMsg) {}
+    }
+
+    /// Authority 2 equivocates: node 0 got its second document, the
+    /// committee agreed on its first. Node 0 drops its copy at the
+    /// decision and asks the endorsers — and before they answer, authority
+    /// 2 sends the second document again, validly signed, as a DOCUMENT
+    /// and as a FETCH-RESP. Node 0 must keep waiting for the named one.
+    #[test]
+    fn aggregation_ignores_a_document_the_decided_vector_does_not_name() {
+        const BYZANTINE: u8 = 2;
+        let committee = committee(9);
+        let signers = &committee.0;
+        let size = vote_size_bytes(1_000);
+        let agreed: BTreeMap<u8, DirDocument> = (0..9)
+            .map(|i| (i, DirDocument::synthetic(RUN_ID, i, size)))
+            .collect();
+        let second = DirDocument::synthetic(RUN_ID ^ 0xeb0c, BYZANTINE, size);
+        let signed = |doc: &DirDocument| DocMsg {
+            doc: doc.clone(),
+            sig: signers[doc.authority as usize]
+                .sign(doc_sig_digest(RUN_ID, doc.authority, Some(doc.digest)).as_bytes()),
+        };
+
+        let mut script: Vec<Step> = (1..9)
+            .map(|i| {
+                let doc = if i == BYZANTINE { &second } else { &agreed[&i] };
+                Step::Deliver(i, Box::new(IcpsMsg::Document(signed(doc))))
+            })
+            .collect();
+        let vector = DigestVector {
+            run_id: RUN_ID,
+            entries: agreed
+                .values()
+                .map(|doc| present_entry(signers, doc.authority, doc.digest, 3))
+                .collect(),
+        };
+        assert!(vector.verify(RUN_ID, 9, 2, &committee.1));
+        script.extend([
+            Step::Decide(vector),
+            Step::Deliver(BYZANTINE, Box::new(IcpsMsg::FetchResponse(signed(&second)))),
+            Step::Deliver(BYZANTINE, Box::new(IcpsMsg::Document(signed(&second)))),
+            // An endorser answers the fetch with the named document.
+            Step::Deliver(
+                1,
+                Box::new(IcpsMsg::FetchResponse(signed(&agreed[&BYZANTINE]))),
+            ),
+        ]);
+
+        let mut seats = vec![Seat {
+            authority: Some(authority(0, 9, 1_000, &committee)),
+            script,
+        }];
+        seats.extend((1..9).map(|_| Seat {
+            authority: None,
+            script: Vec::new(),
+        }));
+        let mut sim = Simulation::new(
+            scaled_topology(9, 1),
+            seats,
+            sim_config(calibration::AUTHORITY_LINK_BPS, 1),
+        );
+        sim.run_until(SimTime::from_secs(60));
+
+        let node = sim.node(NodeId(0)).authority.as_ref().expect("seat 0");
+        assert!(node.awaiting_docs.is_empty());
+        assert_eq!(node.docs[&BYZANTINE].doc.digest, agreed[&BYZANTINE].digest);
+        assert_eq!(node.outcome().digest, Some(consensus_digest(&agreed)));
     }
 }

@@ -21,7 +21,7 @@
 use crate::calibration;
 use crate::document::{consensus_digest, DirDocument};
 use crate::signing::ds_sig_digest;
-use partialtor_crypto::{sha256, Digest32, Signature, SigningKey, VerifyingKey};
+use partialtor_crypto::{sha256, Committee, Digest32, Signature, SigningKey};
 use partialtor_simnet::prelude::*;
 use std::collections::BTreeMap;
 
@@ -125,8 +125,8 @@ pub struct SyncConfig {
     pub my_doc: DirDocument,
     /// Signing key.
     pub signing: SigningKey,
-    /// Committee public keys.
-    pub keys: Vec<VerifyingKey>,
+    /// Committee public keys (a clone of the run's one [`Committee`]).
+    pub keys: Committee,
     /// Misbehavior mode (honest in production scenarios).
     pub byzantine: SyncByzantineMode,
 }
@@ -194,8 +194,10 @@ impl SyncAuthority {
             if *signer as usize >= self.cfg.n || !seen.insert(*signer) {
                 return false;
             }
-            if self.cfg.keys[*signer as usize]
-                .verify(digest.as_bytes(), sig)
+            if self
+                .cfg
+                .keys
+                .verify(*signer as usize, digest.as_bytes(), sig)
                 .is_err()
             {
                 return false;
@@ -378,7 +380,7 @@ mod tests {
         let signers: Vec<SigningKey> = (0..n)
             .map(|i| SigningKey::from_seed([i as u8 + 31; 32]))
             .collect();
-        let keys: Vec<_> = signers.iter().map(|k| k.verifying_key()).collect();
+        let keys: Committee = signers.iter().map(|k| k.verifying_key()).collect();
         let nodes: Vec<SyncAuthority> = (0..n)
             .map(|i| {
                 SyncAuthority::new(SyncConfig {

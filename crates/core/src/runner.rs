@@ -15,7 +15,7 @@ use crate::protocols::{
     CurrentAuthority, CurrentConfig, IcpsAuthority, IcpsConfig, ProtocolKind, SyncAuthority,
     SyncConfig,
 };
-use partialtor_crypto::Digest32;
+use partialtor_crypto::{Committee, Digest32, SigningKey};
 use partialtor_simnet::prelude::*;
 use partialtor_simnet::LogEntry;
 use partialtor_tordoc::prelude::*;
@@ -416,16 +416,13 @@ where
         .collect()
 }
 
-fn committee_keys(
-    scenario: &Scenario,
-) -> (
-    Vec<partialtor_crypto::SigningKey>,
-    Vec<partialtor_crypto::VerifyingKey>,
-) {
+/// The run's signing keys and its one [`Committee`]: every node gets a
+/// clone, so the set of verified signatures is shared by the nodes of this
+/// run and dropped with them.
+fn committee_keys(scenario: &Scenario) -> (Vec<SigningKey>, Committee) {
     let set = AuthoritySet::with_size(scenario.seed, scenario.n);
     let signers: Vec<_> = set.iter().map(|a| a.signing_key.clone()).collect();
-    let verifiers = set.verifying_keys();
-    (signers, verifiers)
+    (signers, set.verifying_keys().into())
 }
 
 fn run_current(scenario: &Scenario) -> RunReport {

@@ -4,7 +4,7 @@
 //! digest, tagged with the run id so that messages cannot be replayed
 //! across protocol instances (each hourly consensus run is one instance).
 
-use partialtor_crypto::{sha256, Digest32, Signature, SigningKey, VerifyingKey};
+use partialtor_crypto::{sha256, Committee, Digest32, Signature, SigningKey};
 
 /// Digest signed when an authority endorses a consensus document.
 pub fn consensus_sig_digest(run_id: u64, consensus: Digest32) -> Digest32 {
@@ -54,11 +54,9 @@ impl SigRecord {
     }
 
     /// Verifies the record against the committee keys.
-    pub fn verify(&self, run_id: u64, keys: &[VerifyingKey]) -> bool {
-        let Some(key) = keys.get(self.authority as usize) else {
-            return false;
-        };
-        key.verify(
+    pub fn verify(&self, run_id: u64, keys: &Committee) -> bool {
+        keys.verify(
+            self.authority as usize,
             consensus_sig_digest(run_id, self.digest).as_bytes(),
             &self.signature,
         )
@@ -74,7 +72,7 @@ mod tests {
     #[test]
     fn sig_record_roundtrip() {
         let key = SigningKey::from_seed([9; 32]);
-        let keys = vec![key.verifying_key()];
+        let keys = Committee::from(vec![key.verifying_key()]);
         let digest = sha256::digest(b"consensus");
         let rec = SigRecord::create(5, 0, digest, &key);
         assert!(rec.verify(5, &keys));
@@ -87,7 +85,7 @@ mod tests {
         let digest = sha256::digest(b"consensus");
         let mut rec = SigRecord::create(5, 0, digest, &key);
         rec.authority = 3;
-        assert!(!rec.verify(5, &[key.verifying_key()]));
+        assert!(!rec.verify(5, &vec![key.verifying_key()].into()));
     }
 
     #[test]

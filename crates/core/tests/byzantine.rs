@@ -11,20 +11,28 @@
 //!   `AbsentEquivocation` proof and still reaches agreement; silent and
 //!   selective-disclosure authorities exercise the ⊥-endorsement and
 //!   fetch paths.
+//!
+//! The nodes of a run share one `Committee`, so each signature is verified
+//! once per run; the last two tests hold that sharing to changing nothing
+//! a node can observe, and to never remembering a signature that failed.
 
 use partialtor::calibration::{self, vote_size_bytes};
 use partialtor::document::DirDocument;
+use partialtor::protocols::icps::{ProposalEntry, ProposalMsg};
 use partialtor::protocols::{
     CurrentAuthority, CurrentByzantineMode, CurrentConfig, FetchPolicy, IcpsAuthority,
-    IcpsByzantineMode, IcpsConfig, SyncAuthority, SyncByzantineMode, SyncConfig, VectorEntry,
+    IcpsByzantineMode, IcpsConfig, IcpsMsg, SyncAuthority, SyncByzantineMode, SyncConfig,
+    VectorEntry,
 };
-use partialtor_crypto::SigningKey;
+use partialtor::signing::doc_sig_digest;
+use partialtor_crypto::ed25519::work;
+use partialtor_crypto::{Committee, SigningKey, VerifyingKey};
 use partialtor_simnet::prelude::*;
 
 const N: usize = 9;
 const RELAYS: u64 = 1_000;
 
-fn committee(seed: u64) -> (Vec<SigningKey>, Vec<partialtor_crypto::VerifyingKey>) {
+fn committee(seed: u64) -> (Vec<SigningKey>, Vec<VerifyingKey>) {
     let signers: Vec<SigningKey> = (0..N)
         .map(|i| SigningKey::from_seed([i as u8 + seed as u8 + 1; 32]))
         .collect();
@@ -45,6 +53,7 @@ fn sim_config(seed: u64) -> SimConfig {
 
 fn run_current_with(byz: CurrentByzantineMode) -> Simulation<CurrentAuthority> {
     let (signers, keys) = committee(5);
+    let keys = Committee::from(keys);
     let nodes: Vec<CurrentAuthority> = (0..N)
         .map(|i| {
             CurrentAuthority::new(CurrentConfig {
@@ -107,6 +116,7 @@ fn honest_baseline_for_comparison() {
 #[test]
 fn synchronous_protocol_neutralizes_equivocation() {
     let (signers, keys) = committee(6);
+    let keys = Committee::from(keys);
     // Authority 3 equivocates; the designated sender (0) is honest.
     let nodes: Vec<SyncAuthority> = (0..N)
         .map(|i| {
@@ -146,13 +156,17 @@ fn synchronous_protocol_neutralizes_equivocation() {
     assert!(successes >= 5, "{successes} correct authorities succeeded");
 }
 
-fn build_icps(
+/// Nine ICPS authorities: with clones of one `Committee` (`shared`, as
+/// `runner::run` builds them) or with a `Committee` each.
+fn icps_nodes(
     seed: u64,
     run_id: u64,
     byz: impl Fn(usize) -> IcpsByzantineMode,
-) -> Simulation<IcpsAuthority> {
+    shared: bool,
+) -> Vec<IcpsAuthority> {
     let (signers, keys) = committee(seed);
-    let nodes: Vec<IcpsAuthority> = (0..N)
+    let run = Committee::from(keys.clone());
+    (0..N)
         .map(|i| {
             IcpsAuthority::new(IcpsConfig {
                 run_id,
@@ -163,12 +177,24 @@ fn build_icps(
                 bft_timeout_ms: calibration::BFT_BASE_TIMEOUT_MS,
                 my_doc: DirDocument::synthetic(run_id, i as u8, vote_size_bytes(RELAYS)),
                 signing: signers[i].clone(),
-                keys: keys.clone(),
+                keys: if shared {
+                    run.clone()
+                } else {
+                    Committee::from(keys.clone())
+                },
                 byzantine: byz(i),
                 fetch_policy: FetchPolicy::default(),
             })
         })
-        .collect();
+        .collect()
+}
+
+fn build_icps(
+    seed: u64,
+    run_id: u64,
+    byz: impl Fn(usize) -> IcpsByzantineMode,
+) -> Simulation<IcpsAuthority> {
+    let nodes = icps_nodes(seed, run_id, byz, true);
     let mut sim = Simulation::new(authority_topology(seed), nodes, sim_config(seed));
     sim.run_until(SimTime::from_secs(3_600));
     sim
@@ -288,24 +314,7 @@ fn icps_tolerates_equivocator_plus_silent_node() {
 fn icps_is_robust_to_latency_jitter() {
     // 40% propagation jitter on every message: agreement and validity
     // must be unaffected (timing noise is not a fault).
-    let (signers, keys) = committee(12);
-    let nodes: Vec<IcpsAuthority> = (0..N)
-        .map(|i| {
-            IcpsAuthority::new(IcpsConfig {
-                run_id: 66,
-                index: i as u8,
-                n: N,
-                f: calibration::partial_synchrony_f(N),
-                dissemination_timeout: calibration::dissemination_timeout(),
-                bft_timeout_ms: calibration::BFT_BASE_TIMEOUT_MS,
-                my_doc: DirDocument::synthetic(66, i as u8, vote_size_bytes(RELAYS)),
-                signing: signers[i].clone(),
-                keys: keys.clone(),
-                byzantine: IcpsByzantineMode::Honest,
-                fetch_policy: FetchPolicy::default(),
-            })
-        })
-        .collect();
+    let nodes = icps_nodes(12, 66, |_| IcpsByzantineMode::Honest, true);
     let config = SimConfig {
         latency_jitter: 0.4,
         ..sim_config(12)
@@ -313,4 +322,150 @@ fn icps_is_robust_to_latency_jitter() {
     let mut sim = Simulation::new(authority_topology(12), nodes, config);
     sim.run_until(SimTime::from_secs(3_600));
     assert_icps_agreement(&sim, &[]);
+}
+
+/// Which node runs a check is invisible to every node: the simulator
+/// charges no simulated time for verification, so nine authorities sharing
+/// one verified set and nine with a set each must be the same run — in
+/// calm and under each kind of misbehaviour.
+#[test]
+fn a_shared_committee_and_nine_private_ones_run_the_same_run() {
+    type Misbehaviour = fn(usize) -> IcpsByzantineMode;
+    let scenarios: [(u64, Misbehaviour); 4] = [
+        (21, |_| IcpsByzantineMode::Honest),
+        (22, |i| match i {
+            4 | 8 => IcpsByzantineMode::Silent,
+            _ => IcpsByzantineMode::Honest,
+        }),
+        (23, |i| match i {
+            1 => IcpsByzantineMode::SelectiveSend(calibration::partial_synchrony_f(N) + 1),
+            _ => IcpsByzantineMode::Honest,
+        }),
+        (24, |i| match i {
+            2 => IcpsByzantineMode::EquivocateDocuments,
+            _ => IcpsByzantineMode::Honest,
+        }),
+    ];
+    for (seed, byz) in scenarios {
+        // (simulation, verification requests, kernel passes)
+        let run = |shared: bool| {
+            let before = work();
+            let nodes = icps_nodes(seed, 70 + seed, byz, shared);
+            let mut sim = Simulation::new(authority_topology(seed), nodes, sim_config(seed));
+            sim.run_until(SimTime::from_secs(3_600));
+            let after = work();
+            (
+                sim,
+                after.verifies - before.verifies,
+                after.kernel_verifies - before.kernel_verifies,
+            )
+        };
+        let (shared, shared_requests, shared_passes) = run(true);
+        let (private, private_requests, private_passes) = run(false);
+        assert!(shared.node(NodeId(0)).outcome().success, "scenario {seed}");
+        for i in 0..N {
+            let (a, b) = (shared.node(NodeId(i)), private.node(NodeId(i)));
+            assert_eq!(a.outcome(), b.outcome(), "scenario {seed}, node {i}");
+            assert_eq!(a.decided_vector(), b.decided_vector());
+        }
+        assert_eq!(shared.metrics().by_kind(), private.metrics().by_kind());
+        assert_eq!(shared_requests, private_requests, "the same checks");
+        assert!(
+            shared_passes < private_passes && private_passes < shared_requests,
+            "scenario {seed}: {shared_passes} < {private_passes} < {shared_requests}"
+        );
+    }
+}
+
+/// A real authority, or a seat that says nothing until a timer fires and
+/// then broadcasts one prepared PROPOSAL.
+enum Seat {
+    Authority(Box<IcpsAuthority>),
+    Forger(Option<ProposalMsg>),
+}
+
+impl Node for Seat {
+    type Msg = IcpsMsg;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, IcpsMsg>) {
+        if let Seat::Authority(authority) = self {
+            authority.on_start(ctx);
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_, IcpsMsg>, from: NodeId, msg: IcpsMsg) {
+        if let Seat::Authority(authority) = self {
+            authority.on_message(ctx, from, msg);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, IcpsMsg>, timer: TimerId, tag: u64) {
+        match self {
+            Seat::Authority(authority) => authority.on_timer(ctx, timer, tag),
+            Seat::Forger(proposal) => {
+                if let Some(proposal) = proposal.take() {
+                    ctx.broadcast(IcpsMsg::Proposal(proposal));
+                }
+            }
+        }
+    }
+}
+
+/// The shared set holds only what passed: a forged endorsement is refused
+/// by each of the eight receivers *by running the check*, never from the
+/// first receiver's verdict. Authority 5 sits out the run, then broadcasts
+/// a PROPOSAL whose first entry carries an endorsement signed for another
+/// run; every receiver stops at that entry.
+#[test]
+fn a_forged_endorsement_costs_every_receiver_a_kernel_pass() {
+    const FORGER: usize = 5;
+    const RUN_ID: u64 = 67;
+    let (signers, _) = committee(13);
+    let endorse =
+        |run_id, subject| signers[FORGER].sign(doc_sig_digest(run_id, subject, None).as_bytes());
+    let forged = ProposalMsg {
+        from: FORGER as u8,
+        entries: (0..N as u8)
+            .map(|subject| ProposalEntry {
+                subject,
+                digest: None,
+                sender_sig: None,
+                endorse_sig: endorse(if subject == 0 { RUN_ID + 1 } else { RUN_ID }, subject),
+            })
+            .collect(),
+    };
+    let seats = icps_nodes(13, RUN_ID, |_| IcpsByzantineMode::Honest, true)
+        .into_iter()
+        .enumerate()
+        .map(|(i, authority)| match i {
+            FORGER => Seat::Forger(Some(forged.clone())),
+            _ => Seat::Authority(Box::new(authority)),
+        })
+        .collect();
+    let mut sim = Simulation::new(authority_topology(13), seats, sim_config(13));
+    sim.run_until(SimTime::from_secs(900));
+    let outcomes = |sim: &Simulation<Seat>| -> Vec<_> {
+        sim.nodes()
+            .iter()
+            .filter_map(|seat| match seat {
+                Seat::Authority(authority) => Some(authority.outcome().clone()),
+                Seat::Forger(_) => None,
+            })
+            .collect()
+    };
+    let settled = outcomes(&sim);
+    assert!(settled.len() == N - 1 && settled.iter().all(|o| o.success));
+
+    let before = work();
+    sim.schedule_timer(SimTime::from_secs(1_000), NodeId(FORGER), 0);
+    sim.run_until(SimTime::from_secs(1_100));
+    let after = work();
+    assert_eq!(sim.metrics().by_kind()["PROPOSAL"].count, 8 * 8 + 8);
+    assert_eq!(
+        after.verifies - before.verifies,
+        8,
+        "one check per receiver"
+    );
+    assert_eq!(after.kernel_verifies - before.kernel_verifies, 8);
+    assert_eq!(outcomes(&sim), settled);
 }

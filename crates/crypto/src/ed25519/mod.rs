@@ -6,15 +6,22 @@
 //! strict equation `[S]B = R + [k]A` with canonical-encoding checks on both
 //! `S` and `R`.
 //!
-//! Every [`SigningKey::sign`] and [`VerifyingKey::verify`] call is counted
-//! per thread; [`work`] reads the counters.
+//! [`VerifyingKey::verify`] is the pure primitive: every call runs the
+//! whole check. A [`Committee`] puts a set of already-verified triples in
+//! front of it for the nodes of one simulated run.
+//!
+//! Every [`SigningKey::sign`], every verification request and every run
+//! of the check is counted per thread; [`work`] reads the counters.
 
+mod committee;
 pub mod field;
 pub mod point;
 pub mod scalar;
 
 #[cfg(test)]
 mod oracle;
+
+pub use committee::Committee;
 
 use crate::sha512;
 use point::EdwardsPoint;
@@ -24,6 +31,7 @@ use std::cell::Cell;
 thread_local! {
     static SIGNS: Cell<u64> = const { Cell::new(0) };
     static VERIFIES: Cell<u64> = const { Cell::new(0) };
+    static KERNEL_VERIFIES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Signature operations the calling thread has started since it began.
@@ -31,8 +39,13 @@ thread_local! {
 pub struct Work {
     /// Calls of [`SigningKey::sign`].
     pub signs: u64,
-    /// Calls of [`VerifyingKey::verify`], whatever they returned.
+    /// Verifications asked for — calls of [`VerifyingKey::verify`] and of
+    /// [`Committee::verify`] — whatever they returned.
     pub verifies: u64,
+    /// Verifications that ran the check itself (one double-scalar pass,
+    /// unless `S` was refused first): every [`VerifyingKey::verify`], and
+    /// each [`Committee::verify`] that missed its set.
+    pub kernel_verifies: u64,
 }
 
 /// The calling thread's signature-work counters. They only grow, so the
@@ -42,6 +55,7 @@ pub fn work() -> Work {
     Work {
         signs: SIGNS.get(),
         verifies: VERIFIES.get(),
+        kernel_verifies: KERNEL_VERIFIES.get(),
     }
 }
 
@@ -54,6 +68,8 @@ pub enum SignatureError {
     InvalidPublicKey,
     /// The verification equation failed.
     BadSignature,
+    /// The signer's index is outside the [`Committee`] asked.
+    UnknownSigner,
 }
 
 impl std::fmt::Display for SignatureError {
@@ -62,6 +78,7 @@ impl std::fmt::Display for SignatureError {
             SignatureError::NonCanonicalScalar => write!(f, "non-canonical signature scalar"),
             SignatureError::InvalidPublicKey => write!(f, "invalid public key encoding"),
             SignatureError::BadSignature => write!(f, "signature verification failed"),
+            SignatureError::UnknownSigner => write!(f, "signer index outside the committee"),
         }
     }
 }
@@ -158,10 +175,25 @@ impl VerifyingKey {
     /// The key was already decoded by whoever constructed it.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), SignatureError> {
         VERIFIES.set(VERIFIES.get() + 1);
+        self.verify_challenge(&self.challenge(message, signature), signature)
+    }
+
+    /// The challenge hash `SHA-512(R ‖ A ‖ M)`, before reduction mod l.
+    fn challenge(&self, message: &[u8], signature: &Signature) -> [u8; 64] {
+        sha512::digest_parts(&[&signature.r, &self.compressed, message])
+    }
+
+    /// The check of [`VerifyingKey::verify`] with the message already
+    /// hashed into `challenge`.
+    fn verify_challenge(
+        &self,
+        challenge: &[u8; 64],
+        signature: &Signature,
+    ) -> Result<(), SignatureError> {
+        KERNEL_VERIFIES.set(KERNEL_VERIFIES.get() + 1);
         let s =
             Scalar::from_canonical_bytes(&signature.s).ok_or(SignatureError::NonCanonicalScalar)?;
-        let k_bytes = sha512::digest_parts(&[&signature.r, &self.compressed, message]);
-        let k = Scalar::from_bytes_mod_order_wide(&k_bytes);
+        let k = Scalar::from_bytes_mod_order_wide(challenge);
 
         let r_prime = EdwardsPoint::double_scalar_mul_basepoint(&k, &self.point.neg(), &s);
         if r_prime.compress() == signature.r {

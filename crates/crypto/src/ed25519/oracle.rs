@@ -338,14 +338,15 @@ fn hostile_scalars() -> Vec<[u8; 32]> {
     ]
 }
 
+/// A key, a message and a signature, as the bytes a peer would send.
+pub(super) type Triple = ([u8; 32], Vec<u8>, [u8; 64]);
+
 /// Every hostile encoding as A and as R, crossed with honest and hostile
 /// S and a few messages. With a small-order A the equation reduces to
 /// R = [S]B − [k mod 8]A, so R = [S]B is tried as well: that forgery
 /// *verifies* under cofactorless rules whenever [k]A vanishes (always for
-/// the identity, for one message in eight at order 8), and both sides
-/// must agree on exactly which.
-#[test]
-fn hostile_encodings_get_the_same_verdict() {
+/// the identity, for one message in eight at order 8).
+pub(super) fn hostile_triples() -> Vec<Triple> {
     let honest = SigningKey::from_seed([9u8; 32]);
     let honest_key = honest.verifying_key().to_bytes();
     let messages: [&[u8]; 4] = [b"", b"a", b"consensus", b"another message"];
@@ -357,39 +358,87 @@ fn hostile_encodings_get_the_same_verdict() {
             .try_into()
             .unwrap(),
     );
-    let mut accepted = 0;
-    let mut verdicts = 0;
-    let mut check = |key: &[u8; 32], message: &[u8], r: &[u8; 32], s: &[u8; 32]| {
+    let mut triples = Vec::new();
+    let mut push = |key: &[u8; 32], message: &[u8], r: &[u8; 32], s: &[u8; 32]| {
         let mut signature = [0u8; 64];
         signature[..32].copy_from_slice(r);
         signature[32..].copy_from_slice(s);
-        assert_same_verdict(key, message, &signature);
-        accepted += verify_oracle(key, message, &signature).is_ok() as u32;
-        verdicts += 1;
+        triples.push((*key, message.to_vec(), signature));
     };
     for a in &encodings {
         for s in honest_s.iter().chain(&hostile_scalars()) {
             for message in messages {
                 // Hostile A, hostile R.
                 for r in &encodings {
-                    check(a, message, r, s);
+                    push(a, message, r, s);
                 }
                 // Hostile A, R = [S]B: verifies whenever [k]A vanishes.
                 let s_b = EdwardsPoint::basepoint_mul(&Scalar::from_bytes_mod_order(s)).compress();
-                check(a, message, &s_b, s);
+                push(a, message, &s_b, s);
             }
         }
     }
     for r in &encodings {
         for s in honest_s.iter().chain(&hostile_scalars()) {
             // Honest A, hostile R.
-            check(&honest_key, b"consensus", r, s);
+            push(&honest_key, b"consensus", r, s);
         }
     }
+    triples
+}
+
+/// Both sides must agree on exactly which of the hostile triples verify.
+#[test]
+fn hostile_encodings_get_the_same_verdict() {
+    let triples = hostile_triples();
+    let mut accepted = 0;
+    for (key, message, signature) in &triples {
+        assert_same_verdict(key, message, signature);
+        accepted += verify_oracle(key, message, signature).is_ok() as usize;
+    }
+    let verdicts = triples.len();
     // The table is not vacuous: some forged signatures under small-order
     // keys verify (identity key with R = [S]B always does), most do not.
     assert!(accepted >= 12, "{accepted} of {verdicts} accepted");
     assert!(accepted * 4 < verdicts, "{accepted} of {verdicts} accepted");
+}
+
+/// The honest triple of `seed` and `message`, then that triple with each
+/// of `flips` alone, then with all of them together. A flip is (field,
+/// position, bit): field 0 is R, 1 is S, 2 the key bytes, 3 the message;
+/// the position wraps to the field's length.
+pub(super) fn mutated_triples(
+    seed: [u8; 32],
+    message: &[u8],
+    flips: &[(usize, usize, u8)],
+) -> Vec<Triple> {
+    let signing = SigningKey::from_seed(seed);
+    let honest: Triple = (
+        signing.verifying_key().to_bytes(),
+        message.to_vec(),
+        signing.sign(message).to_bytes(),
+    );
+    fn flip((key, message, signature): &mut Triple, (field, position, bit): (usize, usize, u8)) {
+        let target: &mut [u8] = match field {
+            0 => &mut signature[..32],
+            1 => &mut signature[32..],
+            2 => &mut key[..],
+            _ => &mut message[..],
+        };
+        if !target.is_empty() {
+            target[position % target.len()] ^= 1 << bit;
+        }
+    }
+    let mut all = honest.clone();
+    let mut triples = vec![honest.clone()];
+    for &one_flip in flips {
+        let mut one = honest.clone();
+        flip(&mut one, one_flip);
+        flip(&mut all, one_flip);
+        triples.push(one);
+    }
+    triples.push(all);
+    triples
 }
 
 proptest! {
@@ -416,33 +465,13 @@ proptest! {
     fn mutated_triples_get_the_same_verdict(
         seed in any::<[u8; 32]>(),
         message in proptest::collection::vec(any::<u8>(), 0..96),
-        flips in proptest::collection::vec((0usize..4, any::<proptest::sample::Index>(), 0u8..8), 1..4),
+        flips in proptest::collection::vec((0usize..4, any::<usize>(), 0u8..8), 1..4),
     ) {
-        let signing = SigningKey::from_seed(seed);
-        let key = signing.verifying_key().to_bytes();
-        let signature = signing.sign(&message).to_bytes();
-        prop_assert_eq!(verify_oracle(&key, &message, &signature), Ok(()));
-        assert_same_verdict(&key, &message, &signature);
-
-        let (mut all_key, mut all_message, mut all_signature) = (key, message.clone(), signature);
-        for (field, index, bit) in flips {
-            let (mut one_key, mut one_message, mut one_signature) = (key, message.clone(), signature);
-            for (key, message, signature) in [
-                (&mut one_key, &mut one_message, &mut one_signature),
-                (&mut all_key, &mut all_message, &mut all_signature),
-            ] {
-                let target: &mut [u8] = match field {
-                    0 => &mut signature[..32],
-                    1 => &mut signature[32..],
-                    2 => &mut key[..],
-                    _ => &mut message[..],
-                };
-                if !target.is_empty() {
-                    target[index.index(target.len())] ^= 1 << bit;
-                }
-            }
-            assert_same_verdict(&one_key, &one_message, &one_signature);
+        let triples = mutated_triples(seed, &message, &flips);
+        let (key, message, signature) = &triples[0];
+        prop_assert_eq!(verify_oracle(key, message, signature), Ok(()));
+        for (key, message, signature) in &triples {
+            assert_same_verdict(key, message, signature);
         }
-        assert_same_verdict(&all_key, &all_message, &all_signature);
     }
 }

@@ -20,6 +20,21 @@
 //! by every thread. Do not lift it into an adversarial production
 //! environment as-is.
 //!
+//! [`VerifyingKey::verify`] always runs the whole RFC 8032 check. A
+//! [`Committee`] — the keys of one simulated run plus the set of triples
+//! that have passed under them — is what the protocol nodes ask instead:
+//! nine simulated authorities in one process re-verify the same
+//! endorsements and certificates dozens of times, and the committee they
+//! share runs the check once per distinct triple. Its set is keyed by
+//! `(A, R, S, k)` with `k = SHA-512(R ‖ A ‖ M)` — exactly the inputs of the
+//! equation `[S]B = R + [k]A`, so answering from it assumes nothing the
+//! signature scheme does not (not even that SHA-512 is collision-free:
+//! two messages with one `k` *do* get one verdict). Only `Ok` is stored:
+//! a set entry is a proof that the kernel accepted those inputs, and a
+//! forged signature pays for the full check every time it is presented.
+//! The set belongs to the committee and is dropped with it; there is no
+//! process-wide or per-thread memo, and nothing to reset between runs.
+//!
 //! # Examples
 //!
 //! ```
@@ -39,7 +54,7 @@ pub mod hex;
 pub mod sha256;
 pub mod sha512;
 
-pub use ed25519::{Signature, SignatureError, SigningKey, VerifyingKey};
+pub use ed25519::{Committee, Signature, SignatureError, SigningKey, VerifyingKey};
 pub use sha256::Digest32;
 
 /// Convenience alias used by the directory protocols for document digests.

@@ -81,7 +81,7 @@ proptest! {
     fn run_ids_domain_separate(run_a in 0u64..1_000, run_b in 1_001u64..2_000) {
         use partialtor_repro::core::signing::SigRecord;
         let key = SigningKey::from_seed([1; 32]);
-        let keys = vec![key.verifying_key()];
+        let keys = partialtor_repro::crypto::Committee::from(vec![key.verifying_key()]);
         let digest = partialtor_repro::crypto::sha256::digest(b"doc");
         let rec = SigRecord::create(run_a, 0, digest, &key);
         prop_assert!(rec.verify(run_a, &keys));
