@@ -940,19 +940,17 @@ fn cmd_fig(args: &Args, _telemetry: &mut Telemetry) -> Result<(), String> {
             return Err(format!("{flag} applies only to {}", users.join(", ")));
         }
     }
+    let step = match args.u64("--step", 1_000)? {
+        0 => return Err("--step must be positive".into()),
+        step => step,
+    };
     let seed = REPORT_SEED;
     let text = match name {
         "fig1" => fig1_attack_log::render(&fig1_attack_log::run_experiment(seed)),
         "fig6" => fig6_relays::render(&fig6_relays::run_experiment()),
         "fig7" => fig7_bandwidth::render(&fig7_bandwidth::run_experiment(seed)),
-        "fig10" => {
-            let step = args.u64("--step", 1_000)?;
-            fig10_latency::render(&fig10_latency::run_experiment(seed, step))
-        }
-        "fig11" => {
-            let step = args.u64("--step", 1_000)?;
-            fig11_recovery::render(&fig11_recovery::run_experiment(seed, step))
-        }
+        "fig10" => fig10_latency::render(&fig10_latency::run_experiment(seed, step)),
+        "fig11" => fig11_recovery::render(&fig11_recovery::run_experiment(seed, step)),
         "table1" => table1_complexity::render(&table1_complexity::run_experiment(seed)),
         "table2" => table2_rounds::render(&table2_rounds::run_experiment(seed)),
         "cost" => cost::render(&cost::run_experiment()),

@@ -259,7 +259,6 @@ fn run_fetch(policy: FetchPolicy, seed: u64) -> FetchRow {
         default_up_bps: calibration::AUTHORITY_LINK_BPS,
         default_down_bps: calibration::AUTHORITY_LINK_BPS,
         wire_overhead_bytes: 64,
-        collect_logs: false,
         latency_jitter: 0.0,
     };
     let mut sim = Simulation::new(authority_topology(seed), nodes, config);

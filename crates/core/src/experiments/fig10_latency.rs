@@ -54,12 +54,16 @@ pub fn measure(protocol: ProtocolKind, bandwidth_mbps: f64, relays: u64, seed: u
 
 /// Runs the full sweep in parallel. `step` controls the relay-count
 /// granularity (1 000 for the paper's resolution).
+///
+/// # Panics
+///
+/// Panics if `step` is zero.
 pub fn run_experiment(seed: u64, step: u64) -> Fig10Result {
+    assert!(step > 0, "the relay-count step must be positive");
     let mut cells = Vec::new();
     let mut jobs = Vec::new();
     for &bandwidth_mbps in &BANDWIDTHS_MBPS {
-        let mut relays = step.max(1_000);
-        while relays <= 10_000 {
+        for relays in (step.max(1_000)..=10_000).step_by(step as usize) {
             for protocol in [
                 ProtocolKind::Current,
                 ProtocolKind::Synchronous,
@@ -71,7 +75,6 @@ pub fn run_experiment(seed: u64, step: u64) -> Fig10Result {
                     cell_scenario(bandwidth_mbps, relays, seed),
                 ));
             }
-            relays += step;
         }
     }
     let rows = cells

@@ -68,13 +68,13 @@ pub fn recovery_secs(relays: u64, seed: u64) -> Option<f64> {
 }
 
 /// Runs the sweep over 1 000 – 10 000 relays in parallel.
+///
+/// # Panics
+///
+/// Panics if `step` is zero.
 pub fn run_experiment(seed: u64, step: u64) -> Fig11Result {
-    let mut relay_counts = Vec::new();
-    let mut relays = step.max(1_000);
-    while relays <= 10_000 {
-        relay_counts.push(relays);
-        relays += step;
-    }
+    assert!(step > 0, "the relay-count step must be positive");
+    let relay_counts: Vec<u64> = (step.max(1_000)..=10_000).step_by(step as usize).collect();
     let jobs: Vec<SweepJob> = relay_counts
         .iter()
         .map(|&relays| SweepJob::new(ProtocolKind::Icps, attacked_scenario(relays, seed)))

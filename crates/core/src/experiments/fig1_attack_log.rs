@@ -3,15 +3,15 @@
 //!
 //! Runs the current protocol with the headline DDoS (five victims,
 //! 0.5 Mbit/s residual, covering the vote rounds) and renders the daemon
-//! log of an *unattacked* authority: it notices the missing votes, asks
-//! every other authority for copies, gives up, and fails the consensus
-//! with fewer votes than the required five.
+//! log of an *unattacked* authority from its round records: it notices the
+//! missing votes, asks every other authority for copies, gives up, and
+//! fails the consensus with fewer votes than the required five.
 
 use crate::adversary::AttackPlan;
-use crate::authority_log::render_authority;
-use crate::protocols::ProtocolKind;
+use crate::protocols::{Phase, ProtocolKind};
 use crate::runner::{sweep_one, Scenario};
-use partialtor_simnet::NodeId;
+use partialtor_crypto::sha256;
+use partialtor_simnet::SimTime;
 
 /// Result of the Fig. 1 reproduction.
 #[derive(Clone, Debug)]
@@ -30,12 +30,11 @@ pub fn run_experiment(seed: u64) -> Fig1Result {
         seed,
         relays: 8_000,
         attack: AttackPlan::five_of_nine(),
-        collect_logs: true,
         ..Scenario::default()
     };
     let report = sweep_one(ProtocolKind::Current, scenario);
     // Authority 8 is outside the victim set.
-    let transcript = render_authority(&report.logs, NodeId(8));
+    let transcript = render_transcript(&report.authorities[8].phases);
     let votes_held_line = transcript
         .lines()
         .find(|l| l.contains("We don't have enough votes"))
@@ -45,6 +44,84 @@ pub fn run_experiment(seed: u64) -> Fig1Result {
         votes_held_line,
         transcript,
     }
+}
+
+/// Seconds between simulation start and the fake wall-clock epoch of the
+/// transcript (Fig. 1's lines sit around 01:24, i.e. the run that started
+/// at 01:20).
+const LOG_EPOCH_SECS: u64 = 3600 + 20 * 60;
+
+/// Renders one authority's round records the way `tor` writes its daemon
+/// log — `Jan 01 01:24:30.011 [notice] …`, one line per event.
+pub fn render_transcript(phases: &[Phase]) -> String {
+    let mut lines = Vec::new();
+    let mut log = |at: SimTime, level: &str, text: String| {
+        let total_ms = (at.as_secs_f64() * 1000.0).round() as u64;
+        let secs = LOG_EPOCH_SECS + total_ms / 1000;
+        let ms = total_ms % 1000;
+        let (h, m, s) = (secs / 3600 % 24, secs / 60 % 60, secs % 60);
+        lines.push(format!(
+            "Jan 01 {h:02}:{m:02}:{s:02}.{ms:03} [{level}] {text}"
+        ));
+    };
+    for phase in phases {
+        match *phase {
+            Phase::FetchVotes { at, ref missing } => {
+                let text = "Time to fetch any votes that we're missing.";
+                log(at, "notice", text.into());
+                if !missing.is_empty() {
+                    let fingerprints: Vec<String> = missing
+                        .iter()
+                        .map(|&i| sha256::digest_parts(&[b"authority-fp", &[i]]).short_hex(20))
+                        .collect();
+                    let text = format!(
+                        "We're missing votes from {} authorities ({}). \
+                         Asking every other authority for a copy.",
+                        missing.len(),
+                        fingerprints.join("\n    ")
+                    );
+                    log(at, "notice", text);
+                }
+            }
+            Phase::ComputeConsensus {
+                at,
+                ref missing,
+                held,
+                needed,
+            } => {
+                for i in missing {
+                    let text = format!(
+                        "connection_dir_client_request_failed(): \
+                         Giving up downloading votes from 100.0.0.{}:8080",
+                        i + 1
+                    );
+                    log(at, "info", text);
+                }
+                log(at, "notice", "Time to compute a consensus.".into());
+                if held < needed {
+                    let text = format!(
+                        "We don't have enough votes to generate a consensus: {held} of {needed}"
+                    );
+                    log(at, "warn", text);
+                }
+            }
+            Phase::CloseSignatures {
+                at,
+                computed,
+                matching,
+                needed,
+            } => {
+                if computed && matching < needed {
+                    let text = format!(
+                        "A consensus needs {needed} good signatures from recognized \
+                         authorities for us to accept it. This one has {matching}."
+                    );
+                    log(at, "warn", text);
+                }
+            }
+        }
+    }
+    lines.join("\n")
 }
 
 /// Renders the transcript for printing.
@@ -81,5 +158,81 @@ mod tests {
         let line = result.votes_held_line.expect("failure line present");
         // The observed authority holds the 4 unattacked votes, needs 5.
         assert!(line.contains("4 of 5"), "{line}");
+    }
+
+    /// SHA-256 and line count of a rendered report.
+    fn pin(text: &str) -> (String, usize) {
+        let digest = sha256::digest(text.as_bytes()).to_hex();
+        (digest, text.lines().count())
+    }
+
+    #[test]
+    fn report_is_byte_identical_to_the_pinned_transcripts() {
+        // Seed 42 is what `dirsim fig fig1` prints. The seed moves no
+        // line: the victims, round boundaries and fingerprints are fixed.
+        for seed in [42, 11] {
+            assert_eq!(
+                pin(&render(&run_experiment(seed))),
+                (
+                    "cf481b1f70f9bdf675403c8b0fc6ba89dd605481fa1f47b6e66c3b83d9a4846d".into(),
+                    17
+                ),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_calm_run_logs_only_the_two_round_notices() {
+        let scenario = Scenario {
+            seed: 42,
+            ..Scenario::default()
+        };
+        let report = sweep_one(ProtocolKind::Current, scenario);
+        assert!(report.success);
+        assert_eq!(
+            render_transcript(&report.authorities[8].phases),
+            "Jan 01 01:22:30.000 [notice] Time to fetch any votes that we're missing.\n\
+             Jan 01 01:25:00.000 [notice] Time to compute a consensus."
+        );
+    }
+
+    #[test]
+    fn an_equivocator_holding_a_majority_has_enough_votes() {
+        use crate::calibration;
+        use crate::document::DirDocument;
+        use crate::protocols::{CurrentAuthority, CurrentByzantineMode, CurrentConfig};
+        use partialtor_crypto::{Committee, SigningKey};
+        use partialtor_simnet::prelude::*;
+
+        let signers: Vec<SigningKey> = (0..9u8)
+            .map(|i| SigningKey::from_seed([i + 1; 32]))
+            .collect();
+        let keys: Committee = signers.iter().map(SigningKey::verifying_key).collect();
+        let nodes = (0..9u8)
+            .map(|i| {
+                CurrentAuthority::new(CurrentConfig {
+                    run_id: 5,
+                    index: i,
+                    n: 9,
+                    round: calibration::round_duration(),
+                    my_doc: DirDocument::synthetic(5, i, calibration::vote_size_bytes(1_000)),
+                    signing: signers[i as usize].clone(),
+                    keys: keys.clone(),
+                    byzantine: match i {
+                        0 => CurrentByzantineMode::EquivocateVotes,
+                        _ => CurrentByzantineMode::Honest,
+                    },
+                })
+            })
+            .collect();
+        let mut sim = Simulation::new(authority_topology(5), nodes, SimConfig::default());
+        sim.run_until(SimTime::from_secs(700));
+        let transcript = render_transcript(&sim.node_mut(NodeId(0)).take_phases());
+        assert!(
+            transcript.contains("Time to compute a consensus."),
+            "{transcript}"
+        );
+        assert!(!transcript.contains("enough votes"), "{transcript}");
     }
 }

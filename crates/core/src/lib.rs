@@ -45,7 +45,6 @@
 
 pub mod adversary;
 pub mod attack;
-pub mod authority_log;
 pub mod calibration;
 pub mod defense;
 pub mod document;

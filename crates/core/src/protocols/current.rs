@@ -19,6 +19,7 @@
 
 use crate::calibration;
 use crate::document::{consensus_digest, DirDocument};
+use crate::protocols::Phase;
 use crate::signing::SigRecord;
 use partialtor_crypto::{Committee, Digest32, SigningKey};
 use partialtor_simnet::prelude::*;
@@ -124,6 +125,7 @@ pub struct CurrentAuthority {
     all_votes_at: Option<SimTime>,
     sig_majority_at: Option<SimTime>,
     outcome: Option<AuthorityOutcome>,
+    phases: Vec<Phase>,
 }
 
 impl CurrentAuthority {
@@ -138,12 +140,18 @@ impl CurrentAuthority {
             all_votes_at: None,
             sig_majority_at: None,
             outcome: None,
+            phases: Vec::new(),
         }
     }
 
     /// The final outcome (available after the round-4 timer).
     pub fn outcome(&self) -> Option<&AuthorityOutcome> {
         self.outcome.as_ref()
+    }
+
+    /// Hands over what this authority found at each round boundary so far.
+    pub(crate) fn take_phases(&mut self) -> Vec<Phase> {
+        std::mem::take(&mut self.phases)
     }
 
     fn majority(&self) -> usize {
@@ -188,11 +196,6 @@ impl CurrentAuthority {
         (0..self.cfg.n as u8)
             .filter(|i| !self.votes.contains_key(i))
             .collect()
-    }
-
-    /// Fake per-authority address, used only for Fig. 1 style log lines.
-    fn peer_address(&self, index: u8) -> String {
-        format!("100.0.0.{}:8080", index + 1)
     }
 }
 
@@ -253,28 +256,8 @@ impl Node for CurrentAuthority {
     fn on_timer(&mut self, ctx: &mut Context<'_, CurrentMsg>, _timer: TimerId, tag: u64) {
         match tag {
             TAG_FETCH_VOTES => {
-                ctx.log(
-                    LogLevel::Notice,
-                    "Time to fetch any votes that we're missing.",
-                );
                 let missing = self.missing_votes();
                 if !missing.is_empty() {
-                    let fingerprints = missing
-                        .iter()
-                        .map(|i| {
-                            partialtor_crypto::sha256::digest_parts(&[b"authority-fp", &[*i]])
-                                .short_hex(20)
-                        })
-                        .collect::<Vec<_>>()
-                        .join("\n    ");
-                    ctx.log(
-                        LogLevel::Notice,
-                        format!(
-                            "We're missing votes from {} authorities ({}). Asking every other authority for a copy.",
-                            missing.len(),
-                            fingerprints
-                        ),
-                    );
                     // dir-spec behaviour: ask every other authority.
                     for peer in 0..self.cfg.n {
                         if peer as u8 != self.cfg.index {
@@ -287,18 +270,18 @@ impl Node for CurrentAuthority {
                         }
                     }
                 }
+                self.phases.push(Phase::FetchVotes {
+                    at: ctx.now(),
+                    missing,
+                });
             }
             TAG_COMPUTE => {
-                for id in self.missing_votes() {
-                    ctx.log(
-                        LogLevel::Info,
-                        format!(
-                            "connection_dir_client_request_failed(): Giving up downloading votes from {}",
-                            self.peer_address(id)
-                        ),
-                    );
-                }
-                ctx.log(LogLevel::Notice, "Time to compute a consensus.");
+                self.phases.push(Phase::ComputeConsensus {
+                    at: ctx.now(),
+                    missing: self.missing_votes(),
+                    held: self.votes.len(),
+                    needed: self.majority(),
+                });
                 if self.cfg.byzantine == CurrentByzantineMode::EquivocateVotes
                     && self.votes.len() >= self.majority()
                 {
@@ -356,15 +339,6 @@ impl Node for CurrentAuthority {
                     self.sigs.insert(self.cfg.index, rec.clone());
                     ctx.broadcast(CurrentMsg::Signature(rec));
                     self.check_sig_majority(ctx);
-                } else {
-                    ctx.log(
-                        LogLevel::Warn,
-                        format!(
-                            "We don't have enough votes to generate a consensus: {} of {}",
-                            self.votes.len(),
-                            self.majority()
-                        ),
-                    );
                 }
             }
             TAG_FETCH_SIGS if self.my_digest.is_some() && self.sigs.len() < self.cfg.n => {
@@ -389,16 +363,12 @@ impl Node for CurrentAuthority {
                     }
                     _ => None,
                 };
-                if !success && self.my_digest.is_some() {
-                    ctx.log(
-                        LogLevel::Warn,
-                        format!(
-                            "A consensus needs {} good signatures from recognized authorities for us to accept it. This one has {}.",
-                            self.majority(),
-                            matching
-                        ),
-                    );
-                }
+                self.phases.push(Phase::CloseSignatures {
+                    at: ctx.now(),
+                    computed: self.my_digest.is_some(),
+                    matching,
+                    needed: self.majority(),
+                });
                 self.outcome = Some(AuthorityOutcome {
                     success,
                     digest: self.my_digest,
@@ -443,7 +413,6 @@ mod tests {
             default_up_bps: bandwidth_bps,
             default_down_bps: bandwidth_bps,
             wire_overhead_bytes: 64,
-            collect_logs: false,
             latency_jitter: 0.0,
         };
         Simulation::new(topo, nodes, config)

@@ -19,6 +19,47 @@ pub use icps::{
 };
 pub use synchronous::{Pack, SyncAuthority, SyncByzantineMode, SyncConfig, SyncMsg, SyncOutcome};
 
+use partialtor_simnet::SimTime;
+
+/// What one authority found at one round boundary of its run. Only the
+/// current protocol records phases so far; Fig. 1's daemon log is
+/// rendered from them.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Phase {
+    /// Round 2 begins: the votes still missing are requested from every
+    /// other authority.
+    FetchVotes {
+        /// The boundary.
+        at: SimTime,
+        /// Authorities whose votes are missing.
+        missing: Vec<u8>,
+    },
+    /// Round 3 begins: outstanding vote fetches are abandoned, and a
+    /// consensus is computed iff `held >= needed`.
+    ComputeConsensus {
+        /// The boundary.
+        at: SimTime,
+        /// Authorities whose votes never arrived.
+        missing: Vec<u8>,
+        /// Votes held.
+        held: usize,
+        /// Votes a consensus needs.
+        needed: usize,
+    },
+    /// Round 4 ends: the signatures over this authority's consensus are
+    /// counted.
+    CloseSignatures {
+        /// The boundary.
+        at: SimTime,
+        /// Whether a consensus was computed in round 3.
+        computed: bool,
+        /// Signatures matching its digest, own included.
+        matching: usize,
+        /// Signatures a valid consensus needs.
+        needed: usize,
+    },
+}
+
 /// Which protocol a scenario runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ProtocolKind {

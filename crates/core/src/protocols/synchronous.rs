@@ -402,7 +402,6 @@ mod tests {
             default_up_bps: bandwidth_bps,
             default_down_bps: bandwidth_bps,
             wire_overhead_bytes: 64,
-            collect_logs: false,
             latency_jitter: 0.0,
         };
         Simulation::new(topo, nodes, config)

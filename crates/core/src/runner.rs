@@ -12,12 +12,11 @@ use crate::protocols::current::CurrentByzantineMode;
 use crate::protocols::icps::{FetchPolicy, IcpsByzantineMode};
 use crate::protocols::synchronous::SyncByzantineMode;
 use crate::protocols::{
-    CurrentAuthority, CurrentConfig, IcpsAuthority, IcpsConfig, ProtocolKind, SyncAuthority,
+    CurrentAuthority, CurrentConfig, IcpsAuthority, IcpsConfig, Phase, ProtocolKind, SyncAuthority,
     SyncConfig,
 };
 use partialtor_crypto::{Committee, Digest32, SigningKey};
 use partialtor_simnet::prelude::*;
-use partialtor_simnet::LogEntry;
 use partialtor_tordoc::prelude::*;
 use std::collections::BTreeMap;
 
@@ -45,8 +44,6 @@ pub struct Scenario {
     /// Generate real `tordoc` votes instead of synthetic sized documents.
     /// Only sensible for small relay counts.
     pub real_docs: bool,
-    /// Retain log lines (Fig. 1).
-    pub collect_logs: bool,
     /// Hard simulated-time deadline for the event-driven protocol.
     pub deadline: SimTime,
     /// Base BFT round timeout for the ICPS protocol, milliseconds.
@@ -69,7 +66,6 @@ impl Default for Scenario {
             limited_bps: calibration::ATTACK_RESIDUAL_BPS,
             attack: AttackPlan::empty(),
             real_docs: false,
-            collect_logs: false,
             latency_jitter: 0.0,
             deadline: SimTime::from_secs(4 * 3600),
             bft_timeout_ms: calibration::BFT_BASE_TIMEOUT_MS,
@@ -140,7 +136,6 @@ impl Scenario {
             default_up_bps: effective,
             default_down_bps: effective,
             wire_overhead_bytes: 64,
-            collect_logs: self.collect_logs,
             latency_jitter: self.latency_jitter,
         }
     }
@@ -188,6 +183,9 @@ pub struct AuthorityReport {
     pub valid_at_secs: Option<f64>,
     /// The BFT view whose two-chain committed (ICPS only; 0 = happy path).
     pub decided_round: Option<u64>,
+    /// What it found at each round boundary (Current only; empty for the
+    /// other protocols).
+    pub phases: Vec<Phase>,
 }
 
 /// Aggregate result of one scenario run.
@@ -213,8 +211,6 @@ pub struct RunReport {
     pub by_kind: BTreeMap<String, (u64, u64)>,
     /// Simulated end time, seconds.
     pub end_time_secs: f64,
-    /// Captured logs (when requested).
-    pub logs: Vec<LogEntry>,
 }
 
 fn median(mut values: Vec<f64>) -> Option<f64> {
@@ -262,7 +258,6 @@ fn finish_report<N: Node>(
             .map(|(k, v)| (k.to_string(), (v.bytes, v.count)))
             .collect(),
         end_time_secs: sim.now().as_secs_f64(),
-        logs: sim.logs().to_vec(),
     }
 }
 
@@ -451,7 +446,8 @@ fn run_current(scenario: &Scenario) -> RunReport {
 
     let authorities = (0..scenario.n)
         .map(|i| {
-            let outcome = sim.node(NodeId(i)).outcome().cloned().unwrap_or_default();
+            let node = sim.node_mut(NodeId(i));
+            let outcome = node.outcome().cloned().unwrap_or_default();
             AuthorityReport {
                 index: i,
                 success: outcome.success,
@@ -462,6 +458,7 @@ fn run_current(scenario: &Scenario) -> RunReport {
                     (scenario.round_secs * calibration::LOCKSTEP_ROUNDS) as f64
                 }),
                 decided_round: None,
+                phases: node.take_phases(),
             }
         })
         .collect();
@@ -505,6 +502,7 @@ fn run_synchronous(scenario: &Scenario) -> RunReport {
                     .success
                     .then(|| (scenario.round_secs * calibration::LOCKSTEP_ROUNDS) as f64),
                 decided_round: None,
+                phases: Vec::new(),
             }
         })
         .collect();
@@ -546,6 +544,7 @@ fn run_icps(scenario: &Scenario) -> RunReport {
                 network_time_secs: o.valid_at.map(|t| t.as_secs_f64()),
                 valid_at_secs: o.valid_at.map(|t| t.as_secs_f64()),
                 decided_round: o.decided_round,
+                phases: Vec::new(),
             }
         })
         .collect();

@@ -46,7 +46,6 @@ fn sim_config(seed: u64) -> SimConfig {
         default_up_bps: calibration::AUTHORITY_LINK_BPS,
         default_down_bps: calibration::AUTHORITY_LINK_BPS,
         wire_overhead_bytes: 64,
-        collect_logs: false,
         latency_jitter: 0.0,
     }
 }

@@ -12,7 +12,7 @@ fn dirsim() -> Command {
 
 #[test]
 fn bad_budgets_targets_and_typos_exit_2_without_panicking() {
-    let cases: [&[&str]; 10] = [
+    let cases: [&[&str]; 12] = [
         &["adversary", "--budget", "-1"],
         &["adversary", "--budget", "nan"],
         &["frontier", "--defense-budget-grid", "nan"],
@@ -23,6 +23,9 @@ fn bad_budgets_targets_and_typos_exit_2_without_panicking() {
         // into the full 1000-step sweep.
         &["fig", "fig11", "--stpe", "1"],
         &["fig", "table2", "--step", "2000"],
+        // A zero step used to grow the sweep without end.
+        &["fig", "fig10", "--step", "0"],
+        &["fig", "fig11", "--step", "0"],
         &["fig", "fig99"],
         &["fig"],
     ];

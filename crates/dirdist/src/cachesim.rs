@@ -607,7 +607,6 @@ impl CacheTier {
                 default_up_bps: config.cache_bps,
                 default_down_bps: config.cache_bps,
                 wire_overhead_bytes: 64,
-                collect_logs: false,
                 latency_jitter: 0.0,
             },
         );

@@ -19,41 +19,6 @@ use std::collections::{BinaryHeap, HashSet};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TimerId(u64);
 
-/// Log severity, mirroring Tor's notice/info/warn levels for the Fig. 1
-/// transcript.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LogLevel {
-    /// Routine protocol progress.
-    Notice,
-    /// Detailed diagnostics.
-    Info,
-    /// Protocol failures.
-    Warn,
-}
-
-impl std::fmt::Display for LogLevel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LogLevel::Notice => write!(f, "notice"),
-            LogLevel::Info => write!(f, "info"),
-            LogLevel::Warn => write!(f, "warn"),
-        }
-    }
-}
-
-/// One captured log line.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LogEntry {
-    /// When the line was emitted.
-    pub time: SimTime,
-    /// Which node emitted it.
-    pub node: NodeId,
-    /// Severity.
-    pub level: LogLevel,
-    /// Message text.
-    pub text: String,
-}
-
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -66,8 +31,6 @@ pub struct SimConfig {
     /// Framing overhead added to every message's wire size, in bytes
     /// (models TCP/TLS/HTTP headers of the directory connections).
     pub wire_overhead_bytes: u64,
-    /// Whether to retain log lines (Fig. 1 needs them; sweeps do not).
-    pub collect_logs: bool,
     /// Multiplicative propagation-latency jitter: each message's latency
     /// is scaled by a factor drawn uniformly from `[1 − j, 1 + j]`.
     /// Zero (the default) keeps latencies exact and runs bit-reproducible
@@ -82,7 +45,6 @@ impl Default for SimConfig {
             default_up_bps: 250e6, // the paper's 250 Mbit/s authority links
             default_down_bps: 250e6,
             wire_overhead_bytes: 64,
-            collect_logs: false,
             latency_jitter: 0.0,
         }
     }
@@ -170,8 +132,6 @@ pub struct EngineCore<M> {
     downlinks: Vec<Pipe<M>>,
     latency: LatencyMatrix,
     metrics: Metrics,
-    logs: Vec<LogEntry>,
-    collect_logs: bool,
     wire_overhead: u64,
     latency_jitter: f64,
     stopped: bool,
@@ -285,19 +245,6 @@ impl<'a, M: Payload> Context<'a, M> {
         self.core.cancelled.insert(timer);
     }
 
-    /// Emits a log line (retained only when `collect_logs` is set).
-    pub fn log(&mut self, level: LogLevel, text: impl Into<String>) {
-        if self.core.collect_logs {
-            let entry = LogEntry {
-                time: self.core.now,
-                node: self.node,
-                level,
-                text: text.into(),
-            };
-            self.core.logs.push(entry);
-        }
-    }
-
     /// Requests that the simulation stop after the current event.
     pub fn stop(&mut self) {
         self.core.stopped = true;
@@ -373,8 +320,6 @@ impl<N: Node> Simulation<N> {
             downlinks: (0..n).map(|_| Pipe::new(config.default_down_bps)).collect(),
             latency,
             metrics: Metrics::new(n),
-            logs: Vec::new(),
-            collect_logs: config.collect_logs,
             wire_overhead: config.wire_overhead_bytes,
             latency_jitter: config.latency_jitter.clamp(0.0, 0.99),
             stopped: false,
@@ -626,19 +571,6 @@ impl<N: Node> Simulation<N> {
         &self.core.metrics
     }
 
-    /// Snapshot of a node's link state: `(rate_bits_per_sec, queued_msgs,
-    /// backlog_bytes)` for the uplink.
-    pub fn uplink_state(&self, node: NodeId) -> (f64, usize, f64) {
-        let p = &self.core.uplinks[node.index()];
-        (p.rate_bits_per_sec(), p.queued(), p.backlog_bytes())
-    }
-
-    /// Snapshot of a node's link state for the downlink.
-    pub fn downlink_state(&self, node: NodeId) -> (f64, usize, f64) {
-        let p = &self.core.downlinks[node.index()];
-        (p.rate_bits_per_sec(), p.queued(), p.backlog_bytes())
-    }
-
     /// Current aggregate background load on a node's links, bits/s, as
     /// `(uplink, downlink)`.
     pub fn background_load(&self, node: NodeId) -> (f64, f64) {
@@ -646,11 +578,6 @@ impl<N: Node> Simulation<N> {
             self.core.uplinks[node.index()].background_bits_per_sec(),
             self.core.downlinks[node.index()].background_bits_per_sec(),
         )
-    }
-
-    /// Captured log lines (empty unless `collect_logs` was set).
-    pub fn logs(&self) -> &[LogEntry] {
-        &self.core.logs
     }
 }
 
@@ -699,7 +626,6 @@ mod tests {
             default_up_bps: 1e6,
             default_down_bps: 1e6,
             wire_overhead_bytes: 0,
-            collect_logs: false,
             latency_jitter: 0.0,
         }
     }

@@ -63,11 +63,6 @@ impl<M> Pipe<M> {
         }
     }
 
-    /// Current raw rate in bits per second.
-    pub fn rate_bits_per_sec(&self) -> f64 {
-        self.rate * 8.0
-    }
-
     /// Current background load in bits per second.
     pub fn background_bits_per_sec(&self) -> f64 {
         self.background * 8.0
@@ -76,18 +71,6 @@ impl<M> Pipe<M> {
     /// Bytes per second left for simulated transfers after background load.
     fn effective_rate(&self) -> f64 {
         (self.rate - self.background).max(0.0)
-    }
-
-    /// Number of transfers queued behind the in-flight one.
-    pub fn queued(&self) -> usize {
-        self.queue.len() + usize::from(self.current.is_some())
-    }
-
-    /// Bytes not yet serialized (in-flight remainder plus queued sizes).
-    pub fn backlog_bytes(&self) -> f64 {
-        let head = self.current.as_ref().map_or(0.0, |t| t.bytes_left);
-        let queued: f64 = self.queue.iter().map(|t| t.total_bytes as f64).sum();
-        head + queued
     }
 
     /// Enqueues a transfer, starting it immediately if the pipe is idle.
@@ -182,6 +165,26 @@ impl<M> Pipe<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Link-state probes only these tests read.
+    impl<M> Pipe<M> {
+        /// Current raw rate in bits per second.
+        fn rate_bits_per_sec(&self) -> f64 {
+            self.rate * 8.0
+        }
+
+        /// Number of transfers queued behind the in-flight one.
+        fn queued(&self) -> usize {
+            self.queue.len() + usize::from(self.current.is_some())
+        }
+
+        /// Bytes not yet serialized (in-flight remainder plus queued sizes).
+        fn backlog_bytes(&self) -> f64 {
+            let head = self.current.as_ref().map_or(0.0, |t| t.bytes_left);
+            let queued: f64 = self.queue.iter().map(|t| t.total_bytes as f64).sum();
+            head + queued
+        }
+    }
 
     fn transfer(bytes: u64) -> Transfer<u8> {
         Transfer {

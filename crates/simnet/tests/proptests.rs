@@ -41,7 +41,6 @@ fn build(
         default_up_bps: bandwidth,
         default_down_bps: bandwidth,
         wire_overhead_bytes: 32,
-        collect_logs: false,
         latency_jitter: 0.0,
     };
     Simulation::new(scaled_topology(n, seed), nodes, config)
@@ -182,7 +181,6 @@ fn latency_jitter_bounds_and_determinism() {
             default_up_bps: 100e6,
             default_down_bps: 100e6,
             wire_overhead_bytes: 0,
-            collect_logs: false,
             latency_jitter: jitter,
         };
         let topo = LatencyMatrix::uniform(2, SimDuration::from_millis(100));

@@ -8,23 +8,21 @@
 
 use partialtor::adversary::AttackPlan;
 use partialtor::attack::AttackCostModel;
-use partialtor::authority_log::render_authority;
+use partialtor::experiments::fig1_attack_log::render_transcript;
 use partialtor::protocols::ProtocolKind;
 use partialtor::runner::{run, Scenario};
-use partialtor_simnet::NodeId;
 
 fn main() {
     let scenario = Scenario {
         seed: 99,
         relays: 8_000,
         attack: AttackPlan::five_of_nine(),
-        collect_logs: true,
         ..Scenario::default()
     };
 
     println!("== Current protocol under the 5-authority, 5-minute DDoS ==\n");
     let current = run(ProtocolKind::Current, &scenario);
-    println!("{}", render_authority(&current.logs, NodeId(8)));
+    println!("{}", render_transcript(&current.authorities[8].phases));
     println!(
         "\ncurrent protocol produced a valid consensus: {}",
         current.success
