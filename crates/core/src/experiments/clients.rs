@@ -628,4 +628,55 @@ mod tests {
             "closing the loop can only hurt clients"
         );
     }
+
+    /// A 72 h session against regional serving sets — client-weighted
+    /// caches, Tor Metrics cohorts, feedback, attribution and weekly
+    /// churn on, a five-authority outage over hours 25–36 — rendered
+    /// through the `--json` encoder. Each cohort's availability comes
+    /// from the cache tier's per-serving-set quorum, so the digest pins
+    /// what `CacheTier::cached_at_for` answers, hour by hour.
+    #[test]
+    fn regional_session_json_is_pinned() {
+        use partialtor_dirdist::{CachePlacement, ClientRegions, LinkWindow, TierNode};
+        const OUTAGE: std::ops::RangeInclusive<u64> = 25..=36;
+        let config = DistConfig {
+            clients: 300_000,
+            n_caches: 40,
+            placement: CachePlacement::ClientWeighted,
+            client_regions: ClientRegions::TorMetrics,
+            feedback: true,
+            attribution: true,
+            churn: ChurnSchedule::weekly(),
+            link_windows: OUTAGE
+                .flat_map(|hour| {
+                    (0..5).map(move |authority| LinkWindow {
+                        node: TierNode::Authority(authority),
+                        start_secs: (hour * 3_600) as f64,
+                        duration_secs: 300.0,
+                        bps: 0.5e6,
+                    })
+                })
+                .collect(),
+            ..DistConfig::default()
+        };
+        let mut session = DistSession::new(&config, DocModel::synthetic(config.relays));
+        for hour in 1..=72 {
+            session.step_hour(if OUTAGE.contains(&hour) {
+                HourInput::failed()
+            } else {
+                HourInput::produced(330.0)
+            });
+        }
+        let results = [ClientsResult {
+            protocol: "regional".to_string(),
+            produced_hours: 72 - OUTAGE.count() as u64,
+            dist: session.into_report(),
+            fetch_mixes: Vec::new(),
+        }];
+        let json = to_json(&results).render();
+        assert_eq!(
+            partialtor_crypto::sha256::digest(json.as_bytes()).to_hex(),
+            "46d3796e24387a8d3bc63e35307284381ac4fa193f493447735e32f245a1f1e6"
+        );
+    }
 }

@@ -35,6 +35,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 /// One node of the distribution tier, as the tier's consumers address
 /// it (the simulation's flat `NodeId` space is an internal detail).
@@ -216,7 +217,7 @@ struct AuthorityState {
     n_authorities: usize,
     latest: Option<usize>,
     /// Per-version serving sizes, injected at publication time.
-    serving: Vec<ServeSizes>,
+    serving: Vec<Arc<ServeSizes>>,
     /// Consensus payload bytes served.
     egress_bytes: u64,
     /// What the same consensus responses would have cost served full.
@@ -242,9 +243,8 @@ struct CacheState {
     max_retries: u32,
     /// Newest version held.
     held: Option<usize>,
-    /// First simulated second at which the cache held version `v` (or
-    /// newer) — availability as clients experience it.
-    received_at: Vec<Option<f64>>,
+    /// The tier's arrival record, appended to as responses land.
+    arrivals: ArrivalRecord,
     /// When each version was published, so receives can be turned into
     /// fetch latencies on the spot.
     published_at: Vec<f64>,
@@ -258,6 +258,12 @@ struct CacheState {
     tracer: Tracer,
     registry: Registry,
 }
+
+/// Per version, the `(second, cache)` pairs at which each cache first
+/// held it or a newer one, in arrival order — time order without a sort,
+/// since held versions are always the prefix `0..=held` and simulated
+/// time only moves forward. Caches append; the tier reads.
+type ArrivalRecord = Arc<Mutex<Vec<Vec<(f64, usize)>>>>;
 
 /// Timer tags: `2 * version` polls (cache) / publications (authority),
 /// `2 * version + 1` retries.
@@ -416,6 +422,7 @@ impl Node for DistNode {
             (DistNode::Cache(cache), DirMsg::Response { version, .. })
                 if cache.held.is_none_or(|h| h < version) =>
             {
+                let first_new = cache.held.map_or(0, |held| held + 1);
                 cache.held = Some(version);
                 let now = ctx.now().as_secs_f64();
                 // Fetch latency: publication → the document landing on
@@ -428,10 +435,9 @@ impl Node for DistNode {
                 cache
                     .registry
                     .observe(&format!("cache.fetch_latency.h{hour:05}"), latency);
-                for slot in cache.received_at.iter_mut().take(version + 1) {
-                    if slot.is_none() {
-                        *slot = Some(now);
-                    }
+                let mut arrivals = cache.arrivals.lock().expect("arrival record");
+                for record in &mut arrivals[first_new..=version] {
+                    record.push((now, cache.ordinal));
                 }
             }
             _ => {}
@@ -474,7 +480,6 @@ pub struct CacheTierReport {
 pub struct CacheTier {
     sim: Simulation<DistNode>,
     config: CacheSimConfig,
-    versions: usize,
     /// Region of each cache under the configured placement (`None` =
     /// unplaced/worldwide).
     cache_regions: Vec<Option<Region>>,
@@ -487,6 +492,8 @@ pub struct CacheTier {
     tracer: Tracer,
     /// Always-on metrics registry shared with every node.
     registry: Registry,
+    /// The arrival record, shared with every cache.
+    arrivals: ArrivalRecord,
 }
 
 /// Region of authority `index` (cycling the nine-authority layout for
@@ -534,6 +541,7 @@ impl CacheTier {
         assert!(config.n_authorities > 0, "need at least one authority");
         let n = config.n_authorities + config.n_caches;
         let cache_regions = config.placement.regions(config.n_caches);
+        let arrivals = ArrivalRecord::default();
 
         let nodes: Vec<DistNode> = (0..n)
             .map(|index| {
@@ -562,7 +570,7 @@ impl CacheTier {
                         retry: SimDuration::from_secs(config.retry_secs),
                         max_retries: config.max_retries,
                         held: None,
-                        received_at: Vec::new(),
+                        arrivals: arrivals.clone(),
                         published_at: Vec::new(),
                         attempts: Vec::new(),
                         publication_spans: Vec::new(),
@@ -634,11 +642,11 @@ impl CacheTier {
         let mut tier = CacheTier {
             sim,
             config: config.clone(),
-            versions: 0,
             cache_regions,
             jitter_rng: StdRng::seed_from_u64(config.seed ^ 0x00ca_c4e5_7a66),
             tracer,
             registry,
+            arrivals,
         };
         let windows = tier.config.link_windows.clone();
         tier.apply_windows(&windows);
@@ -655,11 +663,14 @@ impl CacheTier {
     /// Versions must be published in order, at times not earlier than
     /// the tier's current simulated time.
     pub fn publish(&mut self, version: usize, available_at_secs: f64, sizes: ServeSizes) -> SpanId {
+        let mut arrivals = self.arrivals.lock().expect("arrival record");
         assert_eq!(
-            version, self.versions,
+            version,
+            arrivals.len(),
             "versions must be published in order"
         );
-        self.versions += 1;
+        arrivals.push(Vec::with_capacity(self.config.n_caches));
+        drop(arrivals);
         self.registry.inc("tier.publications", 1);
         let publication_span = self.tracer.record(TraceEvent::Publication {
             at_secs: available_at_secs,
@@ -667,14 +678,14 @@ impl CacheTier {
         });
         let at = SimTime::from_micros((available_at_secs * 1e6) as u64);
         let n_authorities = self.config.n_authorities;
+        let sizes = Arc::new(sizes);
         for index in 0..n_authorities + self.config.n_caches {
             match self.sim.node_mut(NodeId(index)) {
                 DistNode::Authority(auth) => {
                     debug_assert_eq!(auth.serving.len(), version);
-                    auth.serving.push(sizes.clone());
+                    auth.serving.push(Arc::clone(&sizes));
                 }
                 DistNode::Cache(cache) => {
-                    cache.received_at.push(None);
                     cache.published_at.push(available_at_secs);
                     cache.attempts.push(0);
                     cache.publication_spans.push(publication_span);
@@ -817,14 +828,22 @@ impl CacheTier {
     /// When each version reached quorum *among the given caches* — the
     /// availability a regional cohort experiences against its serving
     /// set (`cached_at` over the whole tier is the `serving = all`
-    /// case). The quorum fraction applies to the serving set's size.
+    /// case). The quorum fraction applies to the serving set's size;
+    /// `serving` lists distinct cache ordinals.
     pub fn cached_at_for(&self, serving: &[usize]) -> Vec<Option<f64>> {
         let quorum_count = ((serving.len() as f64 * self.config.quorum).ceil() as usize).max(1);
-        self.received_times(serving)
-            .into_iter()
-            .map(|mut times| {
-                times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-                (times.len() >= quorum_count).then(|| times[quorum_count - 1])
+        let mut member = vec![false; self.config.n_caches];
+        serving.iter().for_each(|&cache| member[cache] = true);
+        self.arrivals
+            .lock()
+            .expect("arrival record")
+            .iter()
+            .map(|arrivals| {
+                arrivals
+                    .iter()
+                    .filter(|&&(_, cache)| member[cache])
+                    .nth(quorum_count - 1)
+                    .map(|&(at, _)| at)
             })
             .collect()
     }
@@ -834,38 +853,19 @@ impl CacheTier {
         &self.cache_regions
     }
 
-    /// Per-version receive times over `serving` caches, in serving-set
-    /// order (pre-sort).
-    fn received_times(&self, serving: &[usize]) -> Vec<Vec<f64>> {
-        let mut times: Vec<Vec<f64>> = vec![Vec::new(); self.versions];
-        for &index in serving {
-            if let DistNode::Cache(cache) = self.sim.node(NodeId(self.config.n_authorities + index))
-            {
-                for (version, at) in cache.received_at.iter().enumerate() {
-                    if let Some(at) = at {
-                        times[version].push(*at);
-                    }
-                }
-            }
-        }
-        times
-    }
-
     /// Per-version availability as of the tier's current simulated time.
     fn availability(&self) -> Vec<VersionAvailability> {
-        let all: Vec<usize> = (0..self.config.n_caches).collect();
         let quorum_count =
             ((self.config.n_caches as f64 * self.config.quorum).ceil() as usize).max(1);
-        self.received_times(&all)
-            .into_iter()
+        self.arrivals
+            .lock()
+            .expect("arrival record")
+            .iter()
             .enumerate()
-            .map(|(version, mut times)| {
-                times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-                VersionAvailability {
-                    version,
-                    cached_at_secs: (times.len() >= quorum_count).then(|| times[quorum_count - 1]),
-                    cache_coverage: times.len() as f64 / self.config.n_caches.max(1) as f64,
-                }
+            .map(|(version, arrivals)| VersionAvailability {
+                version,
+                cached_at_secs: arrivals.get(quorum_count - 1).map(|&(at, _)| at),
+                cache_coverage: arrivals.len() as f64 / self.config.n_caches.max(1) as f64,
             })
             .collect()
     }
@@ -934,6 +934,7 @@ mod tests {
     use super::*;
     use crate::docmodel::DocModel;
     use crate::timeline::ConsensusTimeline;
+    use proptest::prelude::*;
 
     fn healthy_timeline(hours: u64) -> ConsensusTimeline {
         let outcomes: Vec<Option<f64>> = (0..hours).map(|_| Some(330.0)).collect();
@@ -1200,5 +1201,172 @@ mod tests {
         let a = run(&config(25), &timeline, &table);
         let b = run(&config(25), &timeline, &table);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    /// Each cache's first-hold second per version (`None` = not yet),
+    /// read back out of the arrival record into the per-cache shape the
+    /// oracle consumes. Checks on the way that every cache appears once
+    /// for exactly the versions `0..=held`.
+    fn received_at(tier: &CacheTier) -> Vec<Vec<Option<f64>>> {
+        let arrivals = tier.arrivals.lock().unwrap();
+        let mut received = vec![vec![None; arrivals.len()]; tier.config.n_caches];
+        for (version, record) in arrivals.iter().enumerate() {
+            for &(at, cache) in record {
+                assert!(received[cache][version].replace(at).is_none());
+            }
+        }
+        for (cache, times) in received.iter().enumerate() {
+            let DistNode::Cache(state) = tier.sim.node(NodeId(tier.config.n_authorities + cache))
+            else {
+                unreachable!("nodes past the authorities are caches")
+            };
+            let held = state.held.map_or(0, |held| held + 1);
+            for (version, at) in times.iter().enumerate() {
+                assert_eq!(at.is_some(), version < held, "cache {cache} v{version}");
+            }
+        }
+        received
+    }
+
+    /// The rebuild-and-sort computation the arrival record replaced:
+    /// gather the serving caches' receive times per version, sort them,
+    /// take the quorum-th.
+    fn oracle_cached_at_for(
+        received_at: &[Vec<Option<f64>>],
+        serving: &[usize],
+        quorum: f64,
+    ) -> Vec<Option<f64>> {
+        let quorum_count = ((serving.len() as f64 * quorum).ceil() as usize).max(1);
+        (0..received_at[0].len())
+            .map(|version| {
+                let mut times: Vec<f64> = serving
+                    .iter()
+                    .filter_map(|&cache| received_at[cache][version])
+                    .collect();
+                times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+                (times.len() >= quorum_count).then(|| times[quorum_count - 1])
+            })
+            .collect()
+    }
+
+    /// The oracle's whole-tier availability, coverage included.
+    fn oracle_availability(
+        received_at: &[Vec<Option<f64>>],
+        quorum: f64,
+    ) -> Vec<VersionAvailability> {
+        let all: Vec<usize> = (0..received_at.len()).collect();
+        oracle_cached_at_for(received_at, &all, quorum)
+            .into_iter()
+            .enumerate()
+            .map(|(version, cached_at_secs)| VersionAvailability {
+                version,
+                cached_at_secs,
+                cache_coverage: received_at.iter().filter(|c| c[version].is_some()).count() as f64
+                    / received_at.len() as f64,
+            })
+            .collect()
+    }
+
+    fn bits(times: &[Option<f64>]) -> Vec<Option<u64>> {
+        times.iter().map(|t| t.map(f64::to_bits)).collect()
+    }
+
+    proptest! {
+        /// The arrival-record queries equal the rebuild-and-sort oracle
+        /// bit for bit after every `run_to`, on random tiers: placements,
+        /// authority / cache / regional link windows (long, dead ones
+        /// exhaust retries), skipped hours and publication offsets.
+        #[test]
+        fn availability_queries_match_the_sorting_oracle(
+            seed in 0u64..1_000,
+            n_caches in 1usize..=40,
+            placement in 0usize..5,
+            max_retries in 0u32..=4,
+            quorum in 0.05f64..=1.0,
+            hours in 1usize..=30,
+            publications in proptest::collection::vec((any::<bool>(), 0.0f64..3_500.0), 30),
+            windows in proptest::collection::vec(
+                (0usize..24, 0.0f64..1.0, 60.0f64..30_000.0, any::<bool>()),
+                0..12,
+            ),
+            subsets in proptest::collection::vec(any::<u64>(), 3),
+        ) {
+            let horizon = (hours * 3_600) as f64;
+            let cfg = CacheSimConfig {
+                seed,
+                n_caches,
+                max_retries,
+                quorum,
+                placement: [
+                    CachePlacement::Uniform,
+                    CachePlacement::ClientWeighted,
+                    CachePlacement::Spread,
+                    CachePlacement::Authorities,
+                    CachePlacement::SingleRegion(Region::Apac),
+                ][placement]
+                    .clone(),
+                link_windows: windows
+                    .iter()
+                    .map(|&(node, start, duration_secs, dead)| LinkWindow {
+                        node: match node {
+                            0..9 => TierNode::Authority(node),
+                            9..13 => TierNode::Region(geo::REGIONS[node - 9]),
+                            _ => TierNode::Cache(node % n_caches),
+                        },
+                        start_secs: start * horizon,
+                        duration_secs,
+                        bps: if dead { 0.0 } else { 0.5e6 },
+                    })
+                    .collect(),
+                ..CacheSimConfig::default()
+            };
+            let mut tier = CacheTier::new(&cfg);
+            let mut serving_sets: Vec<Vec<usize>> = [None]
+                .into_iter()
+                .chain(geo::REGIONS.map(Some))
+                .map(|cohort| crate::placement::serving_caches(tier.cache_regions(), cohort))
+                .collect();
+            serving_sets.extend(subsets.iter().map(|mask| {
+                (0..n_caches).filter(|&c| mask >> c & 1 == 1).collect::<Vec<usize>>()
+            }));
+            let ends = (1..=hours).map(|h| (h * 3_600) as f64).chain([horizon + 7_200.0]);
+            for (hour, end) in ends.enumerate() {
+                if let Some(&(true, offset)) = publications[..hours].get(hour) {
+                    let version = tier.cached_at().len();
+                    let from_base = (0..version)
+                        .map(|base| (base, ((version - base <= 3).then_some(60_000), 90_000)))
+                        .collect();
+                    tier.publish(
+                        version,
+                        (hour * 3_600) as f64 + offset,
+                        ServeSizes {
+                            consensus_full: 2_000_000,
+                            descriptors_full: 6_000_000,
+                            from_base,
+                        },
+                    );
+                }
+                tier.run_to(end);
+
+                let received = received_at(&tier);
+                let oracle = oracle_availability(&received, cfg.quorum);
+                prop_assert_eq!(
+                    bits(&tier.cached_at()),
+                    bits(&oracle.iter().map(|v| v.cached_at_secs).collect::<Vec<_>>())
+                );
+                prop_assert_eq!(
+                    format!("{:?}", tier.report().versions),
+                    format!("{oracle:?}")
+                );
+                for serving in &serving_sets {
+                    prop_assert_eq!(
+                        bits(&tier.cached_at_for(serving)),
+                        bits(&oracle_cached_at_for(&received, serving, cfg.quorum)),
+                        "serving {:?}",
+                        serving
+                    );
+                }
+            }
+        }
     }
 }

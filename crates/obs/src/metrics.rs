@@ -163,6 +163,20 @@ impl Histogram {
     }
 }
 
+/// Applies `apply` to the named instrument, creating it at its default
+/// first. The name is looked up by `&str` and copied into the table only
+/// when the instrument is new.
+fn with_instrument<T: Default>(
+    table: &mut BTreeMap<String, T>,
+    name: &str,
+    apply: impl FnOnce(&mut T),
+) {
+    match table.get_mut(name) {
+        Some(instrument) => apply(instrument),
+        None => apply(table.entry(name.to_string()).or_default()),
+    }
+}
+
 #[derive(Debug, Default)]
 struct RegistryInner {
     counters: BTreeMap<String, u64>,
@@ -201,7 +215,7 @@ impl Registry {
     /// Adds `by` to the named counter (creating it at zero).
     pub fn inc(&self, name: &str, by: u64) {
         let mut inner = self.inner.lock().expect("metrics registry");
-        *inner.counters.entry(name.to_string()).or_insert(0) += by;
+        with_instrument(&mut inner.counters, name, |counter| *counter += by);
     }
 
     /// Reads a counter (0 when absent).
@@ -213,17 +227,15 @@ impl Registry {
     /// Sets the named gauge to `value`.
     pub fn set_gauge(&self, name: &str, value: f64) {
         let mut inner = self.inner.lock().expect("metrics registry");
-        inner.gauges.insert(name.to_string(), value);
+        with_instrument(&mut inner.gauges, name, |gauge| *gauge = value);
     }
 
     /// Records `secs` into the named histogram (creating it empty).
     pub fn observe(&self, name: &str, secs: f64) {
         let mut inner = self.inner.lock().expect("metrics registry");
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(secs);
+        with_instrument(&mut inner.histograms, name, |histogram| {
+            histogram.observe(secs)
+        });
     }
 
     /// Merges a locally-accumulated histogram into the named one
@@ -231,11 +243,9 @@ impl Registry {
     /// observations lock-free and publish them in one exact merge.
     pub fn merge_histogram(&self, name: &str, other: &Histogram) {
         let mut inner = self.inner.lock().expect("metrics registry");
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .merge(other);
+        with_instrument(&mut inner.histograms, name, |histogram| {
+            histogram.merge(other)
+        });
     }
 
     /// Reads a histogram copy (empty when absent).
