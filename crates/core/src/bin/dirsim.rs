@@ -50,7 +50,7 @@ use partialtor::experiments::{
 use partialtor::json::Json;
 use partialtor::monitor;
 use partialtor::protocols::ProtocolKind;
-use partialtor::runner::{set_sweep_threads, sweep, sweep_one, RunReport, Scenario, SweepJob};
+use partialtor::runner::{run, set_sweep_threads, sweep, RunReport, Scenario, SweepJob};
 use partialtor::trace_export::{chrome_trace, trace_line};
 use partialtor_obs::trace::DEFAULT_TRACE_CAPACITY;
 use partialtor_obs::{profile_report, set_profiling, Tracer};
@@ -210,20 +210,11 @@ impl Args {
         }
     }
 
+    /// A rate, duration, budget or fraction ([`parse_f64`]).
     fn f64(&self, name: &str, default: f64) -> Result<f64, String> {
-        match self.values.get(name) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("{name} expects a number, got {raw:?}")),
-        }
-    }
-
-    /// A dollars-per-month budget ([`parse_usd`]).
-    fn usd(&self, name: &str, default: f64) -> Result<f64, String> {
         self.values
             .get(name)
-            .map_or(Ok(default), |raw| parse_usd(name, raw))
+            .map_or(Ok(default), |raw| parse_f64(name, raw))
     }
 
     fn protocol(&self) -> Result<ProtocolKind, String> {
@@ -245,13 +236,13 @@ impl Args {
     }
 }
 
-/// Parses one dollars-per-month amount of flag `name`: finite and
-/// non-negative, so no budget comparison downstream can meet a NaN.
-fn parse_usd(name: &str, raw: &str) -> Result<f64, String> {
+/// Parses one value of flag `name`: finite and non-negative, as every
+/// quantity the flags carry is, so nothing downstream meets a NaN.
+fn parse_f64(name: &str, raw: &str) -> Result<f64, String> {
     match raw.trim().parse::<f64>() {
-        Ok(usd) if usd.is_finite() && usd >= 0.0 => Ok(usd),
+        Ok(value) if value.is_finite() && value >= 0.0 => Ok(value),
         _ => Err(format!(
-            "{name} expects finite, non-negative dollars, got {raw:?}"
+            "{name} expects a finite, non-negative number, got {raw:?}"
         )),
     }
 }
@@ -382,10 +373,14 @@ const SEED_FLAG: FlagSpec = value_flag("--seed", "N", "simulation seed");
 const JSON_FLAG: FlagSpec = bool_flag("--json", "emit machine-readable JSON instead of tables");
 
 fn base_scenario(args: &Args) -> Result<Scenario, String> {
+    let bandwidth_mbps = args.f64("--bandwidth", 250.0)?;
+    if bandwidth_mbps == 0.0 {
+        return Err("--bandwidth expects a positive rate, got 0".into());
+    }
     Ok(Scenario {
         seed: args.u64("--seed", 1)?,
         relays: args.u64("--relays", 8_000)?,
-        bandwidth_bps: args.f64("--bandwidth", 250.0)? * 1e6,
+        bandwidth_bps: bandwidth_mbps * 1e6,
         real_docs: args.present("--real-docs"),
         ..Scenario::default()
     })
@@ -430,7 +425,7 @@ const RUN_SPEC: &[FlagSpec] = &[
 ];
 
 fn cmd_run(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
-    let report = sweep_one(args.protocol()?, base_scenario(args)?);
+    let report = run(args.protocol()?, &base_scenario(args)?);
     telemetry.metrics = run_report_json(&report);
     if args.present("--json") {
         outln!("{}", telemetry.metrics.render());
@@ -467,7 +462,7 @@ fn cmd_attack(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
             .collect(),
     );
     let cost = scenario.attack.cost();
-    let report = sweep_one(args.protocol()?, scenario);
+    let report = run(args.protocol()?, &scenario);
     let alerts = monitor::analyze(&report);
     telemetry.metrics = Json::obj([
         ("report", run_report_json(&report)),
@@ -578,11 +573,7 @@ const MONITOR_SPEC: &[FlagSpec] = &[RELAYS_FLAG, SEED_FLAG, JSON_FLAG];
 
 fn cmd_monitor(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
     let scenario = base_scenario(args)?;
-    let protocols = [
-        ProtocolKind::Current,
-        ProtocolKind::Synchronous,
-        ProtocolKind::Icps,
-    ];
+    let protocols = ProtocolKind::ALL;
     let jobs: Vec<SweepJob> = protocols
         .iter()
         .map(|&protocol| SweepJob::new(protocol, scenario.clone()))
@@ -769,7 +760,7 @@ const ADVERSARY_SPEC: &[FlagSpec] = &[
 fn cmd_adversary(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
     let defaults = adversary::AdversaryParams::default();
     let params = adversary::AdversaryParams {
-        budget_usd_month: args.usd("--budget", defaults.budget_usd_month)?,
+        budget_usd_month: args.f64("--budget", defaults.budget_usd_month)?,
         hours: args.u64("--hours", defaults.hours)?,
         beam: args.u64("--beam", defaults.beam as u64)? as usize,
         clients: args.u64("--clients", defaults.clients)?,
@@ -826,7 +817,7 @@ fn cmd_frontier(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
         None => defaults.defense_budgets.clone(),
         Some(raw) => raw
             .split(',')
-            .map(|usd| parse_usd("--defense-budget-grid", usd))
+            .map(|usd| parse_f64("--defense-budget-grid", usd))
             .collect::<Result<Vec<f64>, String>>()?,
     };
     let target_downtime = args.f64("--target", defaults.target_downtime)?;
@@ -837,7 +828,7 @@ fn cmd_frontier(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
     }
     let params = frontier::FrontierParams {
         defense_budgets,
-        attack_budget_usd_month: args.usd("--attack-budget", defaults.attack_budget_usd_month)?,
+        attack_budget_usd_month: args.f64("--attack-budget", defaults.attack_budget_usd_month)?,
         target_downtime,
         hours: args.u64("--hours", defaults.hours)?,
         beam: args.u64("--beam", defaults.beam as u64)? as usize,

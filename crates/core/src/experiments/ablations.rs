@@ -18,11 +18,9 @@
 //!    same outcome, ~n/(f+1) times the fetch traffic.
 
 use crate::adversary::{AttackPlan, AttackWindow, Target};
-use crate::calibration::{self, vote_size_bytes};
-use crate::document::DirDocument;
-use crate::protocols::{FetchPolicy, IcpsAuthority, IcpsByzantineMode, IcpsConfig, ProtocolKind};
-use crate::runner::{par_map, sweep, Scenario, SweepJob};
-use partialtor_crypto::{Committee, SigningKey};
+use crate::calibration;
+use crate::protocols::{FetchPolicy, IcpsAuthority, IcpsByzantineMode, ProtocolKind};
+use crate::runner::{par_map, run_with, sweep, Scenario, SweepJob};
 use partialtor_simnet::prelude::*;
 use serde::Serialize;
 
@@ -225,76 +223,30 @@ pub struct FetchRow {
 
 /// Runs the selective-disclosure scenario under one fetch policy.
 fn run_fetch(policy: FetchPolicy, seed: u64) -> FetchRow {
-    let n = 9usize;
-    let f = calibration::partial_synchrony_f(n);
-    let signers: Vec<SigningKey> = (0..n)
-        .map(|i| SigningKey::from_seed([i as u8 + 101; 32]))
-        .collect();
-    let keys: Committee = signers.iter().map(|k| k.verifying_key()).collect();
-    let nodes: Vec<IcpsAuthority> = (0..n)
-        .map(|i| {
-            IcpsAuthority::new(IcpsConfig {
-                run_id: 71,
-                index: i as u8,
-                n,
-                f,
-                dissemination_timeout: calibration::dissemination_timeout(),
-                bft_timeout_ms: calibration::BFT_BASE_TIMEOUT_MS,
-                my_doc: DirDocument::synthetic(71, i as u8, vote_size_bytes(2_000)),
-                signing: signers[i].clone(),
-                keys: keys.clone(),
-                // One authority discloses its document to only f + 1
-                // peers, forcing everyone else through the fetch path.
-                byzantine: if i == 1 {
-                    IcpsByzantineMode::SelectiveSend(f + 1)
-                } else {
-                    IcpsByzantineMode::Honest
-                },
-                fetch_policy: policy,
-            })
-        })
-        .collect();
-    let config = SimConfig {
+    let scenario = Scenario {
         seed,
-        default_up_bps: calibration::AUTHORITY_LINK_BPS,
-        default_down_bps: calibration::AUTHORITY_LINK_BPS,
-        wire_overhead_bytes: 64,
-        latency_jitter: 0.0,
+        relays: 2_000,
+        ..Scenario::default()
     };
-    let mut sim = Simulation::new(authority_topology(seed), nodes, config);
-    sim.run_until(SimTime::from_secs(3_600));
-
-    let last_valid_secs = (0..n)
-        .filter_map(|i| {
-            sim.node(NodeId(i))
-                .outcome()
-                .valid_at
-                .map(|t| t.as_secs_f64())
-        })
-        .fold(0.0f64, f64::max);
-    let requests = sim
-        .metrics()
-        .by_kind()
-        .get("FETCH-REQ")
-        .copied()
-        .unwrap_or_default();
-    let responses = sim
-        .metrics()
-        .by_kind()
-        .get("FETCH-RESP")
-        .copied()
-        .unwrap_or_default();
+    let f = calibration::partial_synchrony_f(scenario.n);
+    // One authority discloses its document to only f + 1 peers, forcing
+    // everyone else through the fetch path.
+    let report = run_with::<IcpsAuthority>(&scenario, |i| match i {
+        1 => (IcpsByzantineMode::SelectiveSend(f + 1), policy),
+        _ => (IcpsByzantineMode::Honest, policy),
+    });
+    let traffic = |kind| report.by_kind.get(kind).copied().unwrap_or_default();
     FetchRow {
         policy: format!("{policy:?}"),
-        fetch_requests: requests.count,
-        fetch_response_bytes: responses.bytes,
-        last_valid_secs,
+        fetch_requests: traffic("FETCH-REQ").1,
+        fetch_response_bytes: traffic("FETCH-RESP").0,
+        last_valid_secs: report.last_valid_secs.unwrap_or(0.0),
     }
 }
 
 /// Compares the two fetch policies (both simulations run in parallel;
-/// this driver builds its own `Simulation`, so it goes through
-/// [`par_map`] rather than the scenario-level sweep).
+/// a run with a misbehaving seat is not a [`SweepJob`], so this goes
+/// through [`par_map`]).
 pub fn fetch_policy_comparison(seed: u64) -> Vec<FetchRow> {
     par_map(
         &[FetchPolicy::Endorsers, FetchPolicy::Everyone],

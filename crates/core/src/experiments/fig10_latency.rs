@@ -40,8 +40,6 @@ fn cell_scenario(bandwidth_mbps: f64, relays: u64, seed: u64) -> Scenario {
         seed,
         relays,
         bandwidth_bps: bandwidth_mbps * 1e6,
-        // Generous ceiling: the paper's 0.5 Mbit/s runs take ~15 minutes.
-        deadline: partialtor_simnet::SimTime::from_secs(4 * 3600),
         ..Scenario::default()
     }
 }
@@ -64,11 +62,7 @@ pub fn run_experiment(seed: u64, step: u64) -> Fig10Result {
     let mut jobs = Vec::new();
     for &bandwidth_mbps in &BANDWIDTHS_MBPS {
         for relays in (step.max(1_000)..=10_000).step_by(step as usize) {
-            for protocol in [
-                ProtocolKind::Current,
-                ProtocolKind::Synchronous,
-                ProtocolKind::Icps,
-            ] {
+            for protocol in ProtocolKind::ALL {
                 cells.push((bandwidth_mbps, relays, protocol));
                 jobs.push(SweepJob::new(
                     protocol,

@@ -9,7 +9,7 @@
 
 use crate::adversary::AttackPlan;
 use crate::protocols::{Phase, ProtocolKind};
-use crate::runner::{sweep_one, Scenario};
+use crate::runner::{run, Scenario};
 use partialtor_crypto::sha256;
 use partialtor_simnet::SimTime;
 
@@ -32,7 +32,7 @@ pub fn run_experiment(seed: u64) -> Fig1Result {
         attack: AttackPlan::five_of_nine(),
         ..Scenario::default()
     };
-    let report = sweep_one(ProtocolKind::Current, scenario);
+    let report = run(ProtocolKind::Current, &scenario);
     // Authority 8 is outside the victim set.
     let transcript = render_transcript(&report.authorities[8].phases);
     let votes_held_line = transcript
@@ -188,7 +188,7 @@ mod tests {
             seed: 42,
             ..Scenario::default()
         };
-        let report = sweep_one(ProtocolKind::Current, scenario);
+        let report = run(ProtocolKind::Current, &scenario);
         assert!(report.success);
         assert_eq!(
             render_transcript(&report.authorities[8].phases),
@@ -199,36 +199,22 @@ mod tests {
 
     #[test]
     fn an_equivocator_holding_a_majority_has_enough_votes() {
-        use crate::calibration;
-        use crate::document::DirDocument;
-        use crate::protocols::{CurrentAuthority, CurrentByzantineMode, CurrentConfig};
-        use partialtor_crypto::{Committee, SigningKey};
+        use crate::protocols::{testing, Authority, CurrentAuthority, CurrentByzantineMode};
         use partialtor_simnet::prelude::*;
 
-        let signers: Vec<SigningKey> = (0..9u8)
-            .map(|i| SigningKey::from_seed([i + 1; 32]))
-            .collect();
-        let keys: Committee = signers.iter().map(SigningKey::verifying_key).collect();
-        let nodes = (0..9u8)
+        let committee = testing::committee(9, 1);
+        let nodes = (0..9)
             .map(|i| {
-                CurrentAuthority::new(CurrentConfig {
-                    run_id: 5,
-                    index: i,
-                    n: 9,
-                    round: calibration::round_duration(),
-                    my_doc: DirDocument::synthetic(5, i, calibration::vote_size_bytes(1_000)),
-                    signing: signers[i as usize].clone(),
-                    keys: keys.clone(),
-                    byzantine: match i {
-                        0 => CurrentByzantineMode::EquivocateVotes,
-                        _ => CurrentByzantineMode::Honest,
-                    },
-                })
+                let mode = match i {
+                    0 => CurrentByzantineMode::EquivocateVotes,
+                    _ => CurrentByzantineMode::Honest,
+                };
+                CurrentAuthority::new(testing::seat(i, 5, 1_000, &committee), mode)
             })
             .collect();
         let mut sim = Simulation::new(authority_topology(5), nodes, SimConfig::default());
         sim.run_until(SimTime::from_secs(700));
-        let transcript = render_transcript(&sim.node_mut(NodeId(0)).take_phases());
+        let transcript = render_transcript(&sim.node_mut(NodeId(0)).report().phases);
         assert!(
             transcript.contains("Time to compute a consensus."),
             "{transcript}"

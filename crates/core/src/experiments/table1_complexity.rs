@@ -39,12 +39,6 @@ pub struct Table1Result {
     pub paper_claims: Vec<(String, String)>,
 }
 
-const PROTOCOLS: [ProtocolKind; 3] = [
-    ProtocolKind::Current,
-    ProtocolKind::Synchronous,
-    ProtocolKind::Icps,
-];
-
 fn cell_scenario(n: usize, relays: u64, seed: u64) -> Scenario {
     Scenario {
         seed,
@@ -83,7 +77,7 @@ pub fn run_experiment(seed: u64) -> Table1Result {
     // One flat batch: per protocol, first the n-scaling cells at fixed
     // d, then the d-scaling cells at fixed n = 9.
     let mut shapes = Vec::new();
-    for protocol in PROTOCOLS {
+    for protocol in ProtocolKind::ALL {
         for &n in &ns {
             shapes.push((protocol, n, 1_000u64));
         }
@@ -104,7 +98,7 @@ pub fn run_experiment(seed: u64) -> Table1Result {
     let mut n_exponent = Vec::new();
     let mut d_exponent = Vec::new();
     let mut results = shapes.iter().zip(measured);
-    for protocol in PROTOCOLS {
+    for protocol in ProtocolKind::ALL {
         let mut n_points = Vec::new();
         for _ in &ns {
             let (&(_, n, relays), bytes) = results.next().expect("n cell");

@@ -7,7 +7,7 @@
 //! with a good leader and no GST, giving the paper's 9-round total.
 
 use crate::protocols::ProtocolKind;
-use crate::runner::{sweep_one, Scenario};
+use crate::runner::{run, Scenario};
 use serde::Serialize;
 
 /// The table plus the measured agreement behaviour.
@@ -32,7 +32,7 @@ pub fn run_experiment(seed: u64) -> Table2Result {
         relays: 2_000,
         ..Scenario::default()
     };
-    let report = sweep_one(ProtocolKind::Icps, scenario);
+    let report = run(ProtocolKind::Icps, &scenario);
     assert!(report.success, "healthy run must succeed");
     let fetches = report
         .by_kind

@@ -60,5 +60,5 @@ pub use attack::{AttackCostModel, StressorPricing};
 pub use defense::{DefenseCostModel, DefenseLever, DefensePlan};
 pub use document::DirDocument;
 pub use partialtor_obs::json;
-pub use protocols::ProtocolKind;
-pub use runner::{run, AuthorityReport, RunReport, Scenario};
+pub use protocols::{AuthorityReport, ProtocolKind};
+pub use runner::{run, RunReport, Scenario};

@@ -19,9 +19,9 @@
 
 use crate::calibration;
 use crate::document::{consensus_digest, DirDocument};
-use crate::protocols::Phase;
+use crate::protocols::{lockstep_valid_at, Authority, AuthorityReport, Phase, ProtocolKind, Seat};
 use crate::signing::SigRecord;
-use partialtor_crypto::{Committee, Digest32, SigningKey};
+use partialtor_crypto::Digest32;
 use partialtor_simnet::prelude::*;
 use std::collections::BTreeMap;
 
@@ -79,100 +79,77 @@ pub enum CurrentByzantineMode {
     EquivocateVotes,
 }
 
-/// Per-authority configuration.
-pub struct CurrentConfig {
-    /// Protocol instance id.
-    pub run_id: u64,
-    /// This authority's index.
-    pub index: u8,
-    /// Committee size.
-    pub n: usize,
-    /// Lock-step round length Δ.
-    pub round: SimDuration,
-    /// This authority's vote.
-    pub my_doc: DirDocument,
-    /// Signing key.
-    pub signing: SigningKey,
-    /// Committee public keys (a clone of the run's one [`Committee`]).
-    pub keys: Committee,
-    /// Misbehavior mode (honest in production scenarios).
-    pub byzantine: CurrentByzantineMode,
-}
-
-/// Outcome of one authority's run.
-#[derive(Clone, Debug, Default)]
-pub struct AuthorityOutcome {
-    /// Whether a majority-signed consensus was obtained.
-    pub success: bool,
-    /// The consensus digest this authority computed, if any.
-    pub digest: Option<Digest32>,
-    /// Signatures matching that digest (including own).
-    pub matching_sigs: usize,
-    /// Votes held when the consensus was computed.
-    pub votes_held: usize,
-    /// The paper's "network time": vote-collection time plus
-    /// signature-collection time, in seconds.
-    pub network_time_secs: Option<f64>,
-}
-
 /// One directory authority running the current protocol.
 pub struct CurrentAuthority {
-    cfg: CurrentConfig,
+    seat: Seat,
+    mode: CurrentByzantineMode,
     votes: BTreeMap<u8, DirDocument>,
     sigs: BTreeMap<u8, SigRecord>,
     my_digest: Option<Digest32>,
     start: SimTime,
     all_votes_at: Option<SimTime>,
     sig_majority_at: Option<SimTime>,
-    outcome: Option<AuthorityOutcome>,
+    /// Set at the end of round 4: whether a majority signed `my_digest`.
+    success: bool,
+    /// The paper's "network time": vote-collection time plus
+    /// signature-collection time, in seconds.
+    network_time_secs: Option<f64>,
     phases: Vec<Phase>,
 }
 
-impl CurrentAuthority {
-    /// Creates the authority.
-    pub fn new(cfg: CurrentConfig) -> Self {
+impl Authority for CurrentAuthority {
+    const KIND: ProtocolKind = ProtocolKind::Current;
+    type Mode = CurrentByzantineMode;
+
+    fn new(seat: Seat, mode: CurrentByzantineMode) -> Self {
         CurrentAuthority {
-            cfg,
+            seat,
+            mode,
             votes: BTreeMap::new(),
             sigs: BTreeMap::new(),
             my_digest: None,
             start: SimTime::ZERO,
             all_votes_at: None,
             sig_majority_at: None,
-            outcome: None,
+            success: false,
+            network_time_secs: None,
             phases: Vec::new(),
         }
     }
 
-    /// The final outcome (available after the round-4 timer).
-    pub fn outcome(&self) -> Option<&AuthorityOutcome> {
-        self.outcome.as_ref()
+    fn report(&mut self) -> AuthorityReport {
+        AuthorityReport {
+            index: self.seat.index as usize,
+            success: self.success,
+            digest: self.my_digest,
+            network_time_secs: self.network_time_secs,
+            valid_at_secs: lockstep_valid_at(self.success, self.seat.round),
+            decided_round: None,
+            phases: std::mem::take(&mut self.phases),
+        }
     }
+}
 
-    /// Hands over what this authority found at each round boundary so far.
-    pub(crate) fn take_phases(&mut self) -> Vec<Phase> {
-        std::mem::take(&mut self.phases)
-    }
-
+impl CurrentAuthority {
     fn majority(&self) -> usize {
-        calibration::majority(self.cfg.n)
+        calibration::majority(self.seat.n)
     }
 
     fn record_vote(&mut self, ctx: &mut Context<'_, CurrentMsg>, doc: DirDocument) {
-        if doc.authority as usize >= self.cfg.n {
+        if doc.authority as usize >= self.seat.n {
             return;
         }
         if self.votes.contains_key(&doc.authority) {
             return;
         }
         self.votes.insert(doc.authority, doc);
-        if self.votes.len() == self.cfg.n && self.all_votes_at.is_none() {
+        if self.votes.len() == self.seat.n && self.all_votes_at.is_none() {
             self.all_votes_at = Some(ctx.now());
         }
     }
 
     fn record_sig(&mut self, ctx: &mut Context<'_, CurrentMsg>, rec: SigRecord) {
-        if !rec.verify(self.cfg.run_id, &self.cfg.keys) {
+        if !rec.verify(self.seat.run_id, &self.seat.keys) {
             return;
         }
         self.sigs.entry(rec.authority).or_insert(rec);
@@ -193,7 +170,7 @@ impl CurrentAuthority {
     }
 
     fn missing_votes(&self) -> Vec<u8> {
-        (0..self.cfg.n as u8)
+        (0..self.seat.n as u8)
             .filter(|i| !self.votes.contains_key(i))
             .collect()
     }
@@ -204,24 +181,24 @@ impl Node for CurrentAuthority {
 
     fn on_start(&mut self, ctx: &mut Context<'_, CurrentMsg>) {
         self.start = ctx.now();
-        self.votes.insert(self.cfg.index, self.cfg.my_doc.clone());
-        match self.cfg.byzantine {
+        self.votes.insert(self.seat.index, self.seat.doc.clone());
+        match self.mode {
             CurrentByzantineMode::Honest => {
-                ctx.broadcast(CurrentMsg::Vote(self.cfg.my_doc.clone()));
+                ctx.broadcast(CurrentMsg::Vote(self.seat.doc.clone()));
             }
             CurrentByzantineMode::EquivocateVotes => {
                 // A second, conflicting vote with a distinct digest.
                 let alt = DirDocument::synthetic(
-                    self.cfg.run_id ^ 0xeb0c,
-                    self.cfg.index,
-                    self.cfg.my_doc.size,
+                    self.seat.run_id ^ 0xeb0c,
+                    self.seat.index,
+                    self.seat.doc.size,
                 );
-                for peer in 0..self.cfg.n {
-                    if peer as u8 == self.cfg.index {
+                for peer in 0..self.seat.n {
+                    if peer as u8 == self.seat.index {
                         continue;
                     }
                     let doc = if peer % 2 == 0 {
-                        self.cfg.my_doc.clone()
+                        self.seat.doc.clone()
                     } else {
                         alt.clone()
                     };
@@ -230,7 +207,7 @@ impl Node for CurrentAuthority {
             }
         }
         for tag in [TAG_FETCH_VOTES, TAG_COMPUTE, TAG_FETCH_SIGS, TAG_END] {
-            ctx.set_timer(self.cfg.round.saturating_mul(tag), tag);
+            ctx.set_timer(self.seat.round.saturating_mul(tag), tag);
         }
     }
 
@@ -259,8 +236,8 @@ impl Node for CurrentAuthority {
                 let missing = self.missing_votes();
                 if !missing.is_empty() {
                     // dir-spec behaviour: ask every other authority.
-                    for peer in 0..self.cfg.n {
-                        if peer as u8 != self.cfg.index {
+                    for peer in 0..self.seat.n {
+                        if peer as u8 != self.seat.index {
                             ctx.send(
                                 NodeId(peer),
                                 CurrentMsg::VoteRequest {
@@ -282,7 +259,7 @@ impl Node for CurrentAuthority {
                     held: self.votes.len(),
                     needed: self.majority(),
                 });
-                if self.cfg.byzantine == CurrentByzantineMode::EquivocateVotes
+                if self.mode == CurrentByzantineMode::EquivocateVotes
                     && self.votes.len() >= self.majority()
                 {
                     // The full Luo et al. attack: compute the digest each
@@ -292,30 +269,30 @@ impl Node for CurrentAuthority {
                     let digest_even = consensus_digest(&self.votes);
                     let mut votes_odd = self.votes.clone();
                     votes_odd.insert(
-                        self.cfg.index,
+                        self.seat.index,
                         DirDocument::synthetic(
-                            self.cfg.run_id ^ 0xeb0c,
-                            self.cfg.index,
-                            self.cfg.my_doc.size,
+                            self.seat.run_id ^ 0xeb0c,
+                            self.seat.index,
+                            self.seat.doc.size,
                         ),
                     );
                     let digest_odd = consensus_digest(&votes_odd);
                     self.my_digest = Some(digest_even);
                     let rec_even = SigRecord::create(
-                        self.cfg.run_id,
-                        self.cfg.index,
+                        self.seat.run_id,
+                        self.seat.index,
                         digest_even,
-                        &self.cfg.signing,
+                        &self.seat.signing,
                     );
                     let rec_odd = SigRecord::create(
-                        self.cfg.run_id,
-                        self.cfg.index,
+                        self.seat.run_id,
+                        self.seat.index,
                         digest_odd,
-                        &self.cfg.signing,
+                        &self.seat.signing,
                     );
-                    self.sigs.insert(self.cfg.index, rec_even.clone());
-                    for peer in 0..self.cfg.n {
-                        if peer as u8 == self.cfg.index {
+                    self.sigs.insert(self.seat.index, rec_even.clone());
+                    for peer in 0..self.seat.n {
+                        if peer as u8 == self.seat.index {
                             continue;
                         }
                         let rec = if peer % 2 == 0 {
@@ -331,19 +308,19 @@ impl Node for CurrentAuthority {
                     let digest = consensus_digest(&self.votes);
                     self.my_digest = Some(digest);
                     let rec = SigRecord::create(
-                        self.cfg.run_id,
-                        self.cfg.index,
+                        self.seat.run_id,
+                        self.seat.index,
                         digest,
-                        &self.cfg.signing,
+                        &self.seat.signing,
                     );
-                    self.sigs.insert(self.cfg.index, rec.clone());
+                    self.sigs.insert(self.seat.index, rec.clone());
                     ctx.broadcast(CurrentMsg::Signature(rec));
                     self.check_sig_majority(ctx);
                 }
             }
-            TAG_FETCH_SIGS if self.my_digest.is_some() && self.sigs.len() < self.cfg.n => {
-                for peer in 0..self.cfg.n {
-                    if peer as u8 != self.cfg.index {
+            TAG_FETCH_SIGS if self.my_digest.is_some() && self.sigs.len() < self.seat.n => {
+                for peer in 0..self.seat.n {
+                    if peer as u8 != self.seat.index {
                         ctx.send(NodeId(peer), CurrentMsg::SigRequest);
                     }
                 }
@@ -353,28 +330,22 @@ impl Node for CurrentAuthority {
                     Some(d) => self.sigs.values().filter(|s| s.digest == d).count(),
                     None => 0,
                 };
-                let success = self.my_digest.is_some() && matching >= self.majority();
-                let network_time_secs = match (success, self.all_votes_at, self.sig_majority_at) {
-                    (true, Some(votes_done), Some(sigs_done)) => {
-                        let vote_phase = votes_done.since(self.start).as_secs_f64();
-                        let sig_start = self.start + self.cfg.round.saturating_mul(2);
-                        let sig_phase = sigs_done.since(sig_start).as_secs_f64();
-                        Some(vote_phase + sig_phase)
-                    }
-                    _ => None,
-                };
+                self.success = self.my_digest.is_some() && matching >= self.majority();
+                self.network_time_secs =
+                    match (self.success, self.all_votes_at, self.sig_majority_at) {
+                        (true, Some(votes_done), Some(sigs_done)) => {
+                            let vote_phase = votes_done.since(self.start).as_secs_f64();
+                            let sig_start = self.start + self.seat.round.saturating_mul(2);
+                            let sig_phase = sigs_done.since(sig_start).as_secs_f64();
+                            Some(vote_phase + sig_phase)
+                        }
+                        _ => None,
+                    };
                 self.phases.push(Phase::CloseSignatures {
                     at: ctx.now(),
                     computed: self.my_digest.is_some(),
                     matching,
                     needed: self.majority(),
-                });
-                self.outcome = Some(AuthorityOutcome {
-                    success,
-                    digest: self.my_digest,
-                    matching_sigs: matching,
-                    votes_held: self.votes.len(),
-                    network_time_secs,
                 });
             }
             _ => {}
@@ -385,37 +356,10 @@ impl Node for CurrentAuthority {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calibration::vote_size_bytes;
-    use partialtor_crypto::SigningKey;
+    use crate::protocols::testing;
 
     fn build_sim(n: usize, relays: u64, bandwidth_bps: f64) -> Simulation<CurrentAuthority> {
-        let signers: Vec<SigningKey> = (0..n)
-            .map(|i| SigningKey::from_seed([i as u8 + 1; 32]))
-            .collect();
-        let keys: Committee = signers.iter().map(|k| k.verifying_key()).collect();
-        let nodes: Vec<CurrentAuthority> = (0..n)
-            .map(|i| {
-                CurrentAuthority::new(CurrentConfig {
-                    run_id: 1,
-                    index: i as u8,
-                    n,
-                    round: calibration::round_duration(),
-                    my_doc: DirDocument::synthetic(1, i as u8, vote_size_bytes(relays)),
-                    signing: signers[i].clone(),
-                    keys: keys.clone(),
-                    byzantine: CurrentByzantineMode::default(),
-                })
-            })
-            .collect();
-        let topo = scaled_topology(n, 7);
-        let config = SimConfig {
-            seed: 7,
-            default_up_bps: bandwidth_bps,
-            default_down_bps: bandwidth_bps,
-            wire_overhead_bytes: 64,
-            latency_jitter: 0.0,
-        };
-        Simulation::new(topo, nodes, config)
+        testing::build_sim(n, relays, bandwidth_bps, 7, 1, 1)
     }
 
     #[test]
@@ -423,15 +367,18 @@ mod tests {
         let mut sim = build_sim(9, 1_000, calibration::AUTHORITY_LINK_BPS);
         sim.run_until(SimTime::from_secs(700));
         for i in 0..9 {
-            let outcome = sim.node(NodeId(i)).outcome().expect("finished");
+            let outcome = sim.node_mut(NodeId(i)).report();
             assert!(outcome.success, "authority {i}: {outcome:?}");
-            assert_eq!(outcome.votes_held, 9);
+            assert!(matches!(
+                outcome.phases[1],
+                Phase::ComputeConsensus { held: 9, .. }
+            ));
             assert!(outcome.network_time_secs.unwrap() < 10.0);
         }
         // All authorities agree on one digest.
-        let d0 = sim.node(NodeId(0)).outcome().unwrap().digest;
+        let d0 = sim.node_mut(NodeId(0)).report().digest;
         for i in 1..9 {
-            assert_eq!(sim.node(NodeId(i)).outcome().unwrap().digest, d0);
+            assert_eq!(sim.node_mut(NodeId(i)).report().digest, d0);
         }
     }
 
@@ -442,7 +389,7 @@ mod tests {
         let mut sim = build_sim(9, 8_000, calibration::ATTACK_RESIDUAL_BPS);
         sim.run_until(SimTime::from_secs(700));
         let successes = (0..9)
-            .filter(|&i| sim.node(NodeId(i)).outcome().map(|o| o.success) == Some(true))
+            .filter(|&i| sim.node_mut(NodeId(i)).report().success)
             .count();
         assert_eq!(successes, 0, "protocol must fail under starvation");
     }
@@ -454,7 +401,7 @@ mod tests {
         let mut sim = build_sim(9, 2_000, 4e6);
         sim.run_until(SimTime::from_secs(700));
         let successes = (0..9)
-            .filter(|&i| sim.node(NodeId(i)).outcome().map(|o| o.success) == Some(true))
+            .filter(|&i| sim.node_mut(NodeId(i)).report().success)
             .count();
         assert!(successes >= 5, "only {successes} succeeded");
     }

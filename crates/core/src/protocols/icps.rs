@@ -28,11 +28,12 @@
 
 use crate::calibration;
 use crate::document::{consensus_digest, DirDocument};
+use crate::protocols::{Authority, AuthorityReport, ProtocolKind, Seat};
 use crate::signing::{doc_sig_digest, SigRecord};
 use partialtor_consensus::{
     Action, ConsensusConfig, ConsensusInstance, ConsensusMsg, ConsensusValue,
 };
-use partialtor_crypto::{sha256, Committee, Digest32, Signature, SigningKey};
+use partialtor_crypto::{sha256, Committee, Digest32, Signature};
 use partialtor_simnet::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -311,58 +312,13 @@ pub enum IcpsByzantineMode {
     EquivocateDocuments,
 }
 
-/// Per-authority configuration.
-pub struct IcpsConfig {
-    /// Protocol instance id.
-    pub run_id: u64,
-    /// This authority's index.
-    pub index: u8,
-    /// Committee size.
-    pub n: usize,
-    /// Fault tolerance (n ≥ 3f + 1).
-    pub f: usize,
-    /// Dissemination timeout Δ.
-    pub dissemination_timeout: SimDuration,
-    /// Base BFT round timeout, milliseconds.
-    pub bft_timeout_ms: u64,
-    /// This authority's vote.
-    pub my_doc: DirDocument,
-    /// Signing key.
-    pub signing: SigningKey,
-    /// Committee public keys: a clone of the run's one [`Committee`], so
-    /// that a signature another authority already verified is not
-    /// verified again.
-    pub keys: Committee,
-    /// Misbehavior mode (honest in production scenarios).
-    pub byzantine: IcpsByzantineMode,
-    /// Aggregation fetch policy (ablation knob; endorsers by default).
-    pub fetch_policy: FetchPolicy,
-}
-
-/// Progress timestamps and the final outcome of one authority.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct IcpsOutcome {
-    /// Whether a majority-signed consensus was obtained.
-    pub success: bool,
-    /// The consensus digest.
-    pub digest: Option<Digest32>,
-    /// When this node became proposal-ready.
-    pub ready_at: Option<SimTime>,
-    /// When the agreement sub-protocol decided.
-    pub decided_at: Option<SimTime>,
-    /// When all documents named by the decided vector were held.
-    pub docs_complete_at: Option<SimTime>,
-    /// When a majority of matching consensus signatures were held.
-    pub valid_at: Option<SimTime>,
-    /// The BFT round whose two-chain committed.
-    pub decided_round: Option<u64>,
-    /// Documents present in the decided vector.
-    pub docs_in_vector: usize,
-}
-
 /// One directory authority running the ICPS protocol.
 pub struct IcpsAuthority {
-    cfg: IcpsConfig,
+    seat: Seat,
+    byzantine: IcpsByzantineMode,
+    fetch_policy: FetchPolicy,
+    /// Fault tolerance (n ≥ 3f + 1).
+    f: usize,
     docs: BTreeMap<u8, DocMsg>,
     proposals: BTreeMap<u8, ProposalMsg>,
     deadline_passed: bool,
@@ -373,30 +329,40 @@ pub struct IcpsAuthority {
     awaiting_docs: BTreeSet<u8>,
     my_digest: Option<Digest32>,
     sigs: BTreeMap<u8, SigRecord>,
-    outcome: IcpsOutcome,
+    /// When a majority of matching consensus signatures were held.
+    valid_at: Option<SimTime>,
+    /// The BFT round whose two-chain committed.
+    decided_round: Option<u64>,
 }
 
-impl IcpsAuthority {
-    /// Creates the authority.
-    pub fn new(cfg: IcpsConfig) -> Self {
+impl Authority for IcpsAuthority {
+    const KIND: ProtocolKind = ProtocolKind::Icps;
+    /// Misbehaviour, and where aggregation fetches from (an ablation).
+    type Mode = (IcpsByzantineMode, FetchPolicy);
+
+    fn new(seat: Seat, (byzantine, fetch_policy): Self::Mode) -> Self {
+        let (run_id, n) = (seat.run_id, seat.n);
+        let f = calibration::partial_synchrony_f(n);
         let bft_config = ConsensusConfig {
-            instance: cfg.run_id,
-            n: cfg.n,
-            f: cfg.f,
-            node: cfg.index as usize,
+            instance: run_id,
+            n,
+            f,
+            node: seat.index as usize,
             leader_offset: 0,
-            base_timeout_ms: cfg.bft_timeout_ms,
+            base_timeout_ms: calibration::BFT_BASE_TIMEOUT_MS,
         };
-        let (run_id, n, f) = (cfg.run_id, cfg.n, cfg.f);
-        let validity_keys = cfg.keys.clone();
+        let validity_keys = seat.keys.clone();
         let bft = ConsensusInstance::new(
             bft_config,
-            cfg.keys.clone(),
-            cfg.signing.clone(),
+            seat.keys.clone(),
+            seat.signing.clone(),
             Box::new(move |v: &DigestVector| v.verify(run_id, n, f, &validity_keys)),
         );
         IcpsAuthority {
-            cfg,
+            seat,
+            byzantine,
+            fetch_policy,
+            f,
             docs: BTreeMap::new(),
             proposals: BTreeMap::new(),
             deadline_passed: false,
@@ -407,23 +373,34 @@ impl IcpsAuthority {
             awaiting_docs: BTreeSet::new(),
             my_digest: None,
             sigs: BTreeMap::new(),
-            outcome: IcpsOutcome::default(),
+            valid_at: None,
+            decided_round: None,
         }
     }
 
-    /// Progress record (success flag set once valid).
-    pub fn outcome(&self) -> &IcpsOutcome {
-        &self.outcome
+    fn report(&mut self) -> AuthorityReport {
+        let valid_at_secs = self.valid_at.map(SimTime::as_secs_f64);
+        AuthorityReport {
+            index: self.seat.index as usize,
+            success: self.valid_at.is_some(),
+            digest: self.my_digest,
+            network_time_secs: valid_at_secs,
+            valid_at_secs,
+            decided_round: self.decided_round,
+            phases: Vec::new(),
+        }
     }
+}
 
+impl IcpsAuthority {
     /// The digest vector the agreement sub-protocol decided, if any.
     pub fn decided_vector(&self) -> Option<&DigestVector> {
         self.decided.as_ref()
     }
 
     fn endorse(&self, subject: u8, digest: Option<Digest32>) -> Signature {
-        let d = doc_sig_digest(self.cfg.run_id, subject, digest);
-        self.cfg.signing.sign(d.as_bytes())
+        let d = doc_sig_digest(self.seat.run_id, subject, digest);
+        self.seat.signing.sign(d.as_bytes())
     }
 
     fn apply_bft_actions(
@@ -447,7 +424,7 @@ impl IcpsAuthority {
     /// fetched.
     fn record_doc(&mut self, ctx: &mut Context<'_, IcpsMsg>, msg: DocMsg) {
         let j = msg.doc.authority;
-        if j as usize >= self.cfg.n || self.docs.contains_key(&j) {
+        if j as usize >= self.seat.n || self.docs.contains_key(&j) {
             return;
         }
         // Once agreement has named `j`'s document, no other will do: an
@@ -460,9 +437,9 @@ impl IcpsAuthority {
         if named.is_some_and(|digest| digest != msg.doc.digest) {
             return;
         }
-        let signed = doc_sig_digest(self.cfg.run_id, j, Some(msg.doc.digest));
+        let signed = doc_sig_digest(self.seat.run_id, j, Some(msg.doc.digest));
         if self
-            .cfg
+            .seat
             .keys
             .verify(j as usize, signed.as_bytes(), &msg.sig)
             .is_err()
@@ -480,14 +457,13 @@ impl IcpsAuthority {
         if self.proposal_sent {
             return;
         }
-        let have_all = self.docs.len() == self.cfg.n;
-        let have_quorum = self.docs.len() >= self.cfg.n - self.cfg.f;
+        let have_all = self.docs.len() == self.seat.n;
+        let have_quorum = self.docs.len() >= self.seat.n - self.f;
         if !(have_all || (self.deadline_passed && have_quorum)) {
             return;
         }
         self.proposal_sent = true;
-        self.outcome.ready_at = Some(ctx.now());
-        let entries: Vec<ProposalEntry> = (0..self.cfg.n as u8)
+        let entries: Vec<ProposalEntry> = (0..self.seat.n as u8)
             .map(|j| match self.docs.get(&j) {
                 Some(m) => ProposalEntry {
                     subject: j,
@@ -504,7 +480,7 @@ impl IcpsAuthority {
             })
             .collect();
         let proposal = ProposalMsg {
-            from: self.cfg.index,
+            from: self.seat.index,
             entries,
         };
         self.record_proposal(ctx, proposal.clone());
@@ -514,9 +490,9 @@ impl IcpsAuthority {
     /// Dissemination: accumulate proposals and build the BFT input when
     /// the digest vector becomes ready.
     fn record_proposal(&mut self, ctx: &mut Context<'_, IcpsMsg>, p: ProposalMsg) {
-        if p.from as usize >= self.cfg.n
+        if p.from as usize >= self.seat.n
             || self.proposals.contains_key(&p.from)
-            || p.entries.len() != self.cfg.n
+            || p.entries.len() != self.seat.n
         {
             return;
         }
@@ -527,9 +503,9 @@ impl IcpsAuthority {
             if entry.subject != j {
                 return;
             }
-            let endorsed = doc_sig_digest(self.cfg.run_id, j, entry.digest);
+            let endorsed = doc_sig_digest(self.seat.run_id, j, entry.digest);
             if self
-                .cfg
+                .seat
                 .keys
                 .verify(p.from as usize, endorsed.as_bytes(), &entry.endorse_sig)
                 .is_err()
@@ -538,9 +514,9 @@ impl IcpsAuthority {
             }
             match (&entry.digest, &entry.sender_sig) {
                 (Some(digest), Some(sender_sig)) => {
-                    let signed = doc_sig_digest(self.cfg.run_id, j, Some(*digest));
+                    let signed = doc_sig_digest(self.seat.run_id, j, Some(*digest));
                     if self
-                        .cfg
+                        .seat
                         .keys
                         .verify(j as usize, signed.as_bytes(), sender_sig)
                         .is_err()
@@ -558,11 +534,11 @@ impl IcpsAuthority {
 
     /// Tries to aggregate the received proposals into a ready `(H, π)`.
     fn maybe_build_input(&mut self, ctx: &mut Context<'_, IcpsMsg>) {
-        if self.bft_input_set || self.proposals.len() < self.cfg.n - self.cfg.f {
+        if self.bft_input_set || self.proposals.len() < self.seat.n - self.f {
             return;
         }
-        let mut entries = Vec::with_capacity(self.cfg.n);
-        for j in 0..self.cfg.n as u8 {
+        let mut entries = Vec::with_capacity(self.seat.n);
+        for j in 0..self.seat.n as u8 {
             let mut by_digest: BTreeMap<Digest32, (Signature, Vec<(u8, Signature)>)> =
                 BTreeMap::new();
             let mut absents: Vec<(u8, Signature)> = Vec::new();
@@ -589,7 +565,7 @@ impl IcpsAuthority {
                 });
                 continue;
             }
-            let threshold = self.cfg.f + 1;
+            let threshold = self.f + 1;
             if let Some((digest, (sender_sig, endorsers))) = by_digest.into_iter().next() {
                 if endorsers.len() >= threshold {
                     entries.push(VectorEntry::Present {
@@ -610,11 +586,11 @@ impl IcpsAuthority {
             return;
         }
         let vector = DigestVector {
-            run_id: self.cfg.run_id,
+            run_id: self.seat.run_id,
             entries,
         };
         let present = vector.present().count();
-        if present < self.cfg.n - self.cfg.f {
+        if present < self.seat.n - self.f {
             return;
         }
         self.bft_input_set = true;
@@ -627,9 +603,7 @@ impl IcpsAuthority {
         if self.decided.is_some() {
             return;
         }
-        self.outcome.decided_at = Some(ctx.now());
-        self.outcome.decided_round = Some(round);
-        self.outcome.docs_in_vector = vector.present().count();
+        self.decided_round = Some(round);
         // Fetch any documents we are missing from their endorsers (at
         // least one of which is correct).
         let mut requests: BTreeMap<u8, Vec<u8>> = BTreeMap::new();
@@ -638,7 +612,7 @@ impl IcpsAuthority {
             if !have {
                 self.docs.remove(&j);
                 self.awaiting_docs.insert(j);
-                match self.cfg.fetch_policy {
+                match self.fetch_policy {
                     FetchPolicy::Endorsers => {
                         if let VectorEntry::Present { endorsements, .. } =
                             &vector.entries[j as usize]
@@ -649,7 +623,7 @@ impl IcpsAuthority {
                         }
                     }
                     FetchPolicy::Everyone => {
-                        for peer in 0..self.cfg.n as u8 {
+                        for peer in 0..self.seat.n as u8 {
                             requests.entry(peer).or_default().push(j);
                         }
                     }
@@ -658,7 +632,7 @@ impl IcpsAuthority {
         }
         self.decided = Some(vector);
         for (endorser, wanted) in requests {
-            if endorser != self.cfg.index {
+            if endorser != self.seat.index {
                 ctx.send(NodeId(endorser as usize), IcpsMsg::FetchRequest { wanted });
             }
         }
@@ -681,27 +655,29 @@ impl IcpsAuthority {
             .present()
             .map(|(j, _)| (j, self.docs[&j].doc.clone()))
             .collect();
-        self.outcome.docs_complete_at = Some(ctx.now());
         let digest = consensus_digest(&votes);
         self.my_digest = Some(digest);
-        self.outcome.digest = Some(digest);
-        let rec = SigRecord::create(self.cfg.run_id, self.cfg.index, digest, &self.cfg.signing);
-        self.sigs.insert(self.cfg.index, rec.clone());
+        let rec = SigRecord::create(
+            self.seat.run_id,
+            self.seat.index,
+            digest,
+            &self.seat.signing,
+        );
+        self.sigs.insert(self.seat.index, rec.clone());
         ctx.broadcast(IcpsMsg::ConsensusSig(rec));
         self.check_validity(ctx);
     }
 
     fn check_validity(&mut self, ctx: &mut Context<'_, IcpsMsg>) {
-        if self.outcome.valid_at.is_some() {
+        if self.valid_at.is_some() {
             return;
         }
         let Some(digest) = self.my_digest else {
             return;
         };
         let matching = self.sigs.values().filter(|s| s.digest == digest).count();
-        if matching >= calibration::majority(self.cfg.n) {
-            self.outcome.valid_at = Some(ctx.now());
-            self.outcome.success = true;
+        if matching >= calibration::majority(self.seat.n) {
+            self.valid_at = Some(ctx.now());
         }
     }
 }
@@ -710,22 +686,22 @@ impl Node for IcpsAuthority {
     type Msg = IcpsMsg;
 
     fn on_start(&mut self, ctx: &mut Context<'_, IcpsMsg>) {
-        if self.cfg.byzantine == IcpsByzantineMode::Silent {
+        if self.byzantine == IcpsByzantineMode::Silent {
             return;
         }
-        let sig = self.endorse(self.cfg.index, Some(self.cfg.my_doc.digest));
+        let sig = self.endorse(self.seat.index, Some(self.seat.doc.digest));
         let msg = DocMsg {
-            doc: self.cfg.my_doc.clone(),
+            doc: self.seat.doc.clone(),
             sig,
         };
-        self.docs.insert(self.cfg.index, msg.clone());
-        match self.cfg.byzantine {
+        self.docs.insert(self.seat.index, msg.clone());
+        match self.byzantine {
             IcpsByzantineMode::Honest => ctx.broadcast(IcpsMsg::Document(msg)),
             IcpsByzantineMode::Silent => unreachable!("handled above"),
             IcpsByzantineMode::SelectiveSend(k) => {
                 let mut sent = 0;
-                for peer in 0..self.cfg.n {
-                    if peer as u8 != self.cfg.index && sent < k {
+                for peer in 0..self.seat.n {
+                    if peer as u8 != self.seat.index && sent < k {
                         ctx.send(NodeId(peer), IcpsMsg::Document(msg.clone()));
                         sent += 1;
                     }
@@ -733,16 +709,16 @@ impl Node for IcpsAuthority {
             }
             IcpsByzantineMode::EquivocateDocuments => {
                 let alt_doc = DirDocument::synthetic(
-                    self.cfg.run_id ^ 0xeb0c,
-                    self.cfg.index,
-                    self.cfg.my_doc.size,
+                    self.seat.run_id ^ 0xeb0c,
+                    self.seat.index,
+                    self.seat.doc.size,
                 );
                 let alt = DocMsg {
-                    sig: self.endorse(self.cfg.index, Some(alt_doc.digest)),
+                    sig: self.endorse(self.seat.index, Some(alt_doc.digest)),
                     doc: alt_doc,
                 };
-                for peer in 0..self.cfg.n {
-                    if peer as u8 == self.cfg.index {
+                for peer in 0..self.seat.n {
+                    if peer as u8 == self.seat.index {
                         continue;
                     }
                     let doc = if peer % 2 == 0 {
@@ -754,13 +730,13 @@ impl Node for IcpsAuthority {
                 }
             }
         }
-        ctx.set_timer(self.cfg.dissemination_timeout, TAG_DISSEMINATION);
+        ctx.set_timer(calibration::dissemination_timeout(), TAG_DISSEMINATION);
         let actions = self.bft.start();
         self.apply_bft_actions(ctx, actions);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, IcpsMsg>, from: NodeId, msg: IcpsMsg) {
-        if self.cfg.byzantine == IcpsByzantineMode::Silent {
+        if self.byzantine == IcpsByzantineMode::Silent {
             return;
         }
         match msg {
@@ -778,7 +754,7 @@ impl Node for IcpsAuthority {
                 }
             }
             IcpsMsg::ConsensusSig(rec) => {
-                if rec.verify(self.cfg.run_id, &self.cfg.keys) {
+                if rec.verify(self.seat.run_id, &self.seat.keys) {
                     self.sigs.entry(rec.authority).or_insert(rec);
                     self.check_validity(ctx);
                 }
@@ -787,7 +763,7 @@ impl Node for IcpsAuthority {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, IcpsMsg>, _timer: TimerId, tag: u64) {
-        if self.cfg.byzantine == IcpsByzantineMode::Silent {
+        if self.byzantine == IcpsByzantineMode::Silent {
             return;
         }
         if tag == TAG_DISSEMINATION {
@@ -804,46 +780,13 @@ impl Node for IcpsAuthority {
 mod tests {
     use super::*;
     use crate::calibration::vote_size_bytes;
+    use crate::protocols::testing;
+    use partialtor_crypto::SigningKey;
 
     const RUN_ID: u64 = 3;
 
     fn committee(n: usize) -> (Vec<SigningKey>, Committee) {
-        let signers: Vec<SigningKey> = (0..n)
-            .map(|i| SigningKey::from_seed([i as u8 + 91; 32]))
-            .collect();
-        let keys = signers.iter().map(|k| k.verifying_key()).collect();
-        (signers, keys)
-    }
-
-    fn authority(
-        i: usize,
-        n: usize,
-        relays: u64,
-        committee: &(Vec<SigningKey>, Committee),
-    ) -> IcpsAuthority {
-        IcpsAuthority::new(IcpsConfig {
-            run_id: RUN_ID,
-            index: i as u8,
-            n,
-            f: calibration::partial_synchrony_f(n),
-            dissemination_timeout: calibration::dissemination_timeout(),
-            bft_timeout_ms: calibration::BFT_BASE_TIMEOUT_MS,
-            my_doc: DirDocument::synthetic(RUN_ID, i as u8, vote_size_bytes(relays)),
-            signing: committee.0[i].clone(),
-            keys: committee.1.clone(),
-            byzantine: IcpsByzantineMode::default(),
-            fetch_policy: FetchPolicy::default(),
-        })
-    }
-
-    fn sim_config(bandwidth_bps: f64, seed: u64) -> SimConfig {
-        SimConfig {
-            seed,
-            default_up_bps: bandwidth_bps,
-            default_down_bps: bandwidth_bps,
-            wire_overhead_bytes: 64,
-            latency_jitter: 0.0,
-        }
+        testing::committee(n, 91)
     }
 
     fn build_sim(
@@ -852,15 +795,7 @@ mod tests {
         bandwidth_bps: f64,
         seed: u64,
     ) -> Simulation<IcpsAuthority> {
-        let committee = committee(n);
-        let nodes = (0..n)
-            .map(|i| authority(i, n, relays, &committee))
-            .collect();
-        Simulation::new(
-            scaled_topology(n, seed),
-            nodes,
-            sim_config(bandwidth_bps, seed),
-        )
+        testing::build_sim(n, relays, bandwidth_bps, seed, RUN_ID, 91)
     }
 
     /// `subject`'s signature and the first `endorsers` nodes' endorsements
@@ -881,10 +816,10 @@ mod tests {
         }
     }
 
-    fn assert_all_valid(sim: &Simulation<IcpsAuthority>, n: usize) -> Digest32 {
+    fn assert_all_valid(sim: &mut Simulation<IcpsAuthority>, n: usize) -> Digest32 {
         let mut digest = None;
         for i in 0..n {
-            let o = sim.node(NodeId(i)).outcome();
+            let o = sim.node_mut(NodeId(i)).report();
             assert!(o.success, "authority {i}: {o:?}");
             match digest {
                 None => digest = o.digest,
@@ -898,12 +833,12 @@ mod tests {
     fn completes_quickly_with_ample_bandwidth() {
         let mut sim = build_sim(9, 1_000, calibration::AUTHORITY_LINK_BPS, 1);
         sim.run_until(SimTime::from_secs(3_600));
-        assert_all_valid(&sim, 9);
-        let o = sim.node(NodeId(0)).outcome();
+        assert_all_valid(&mut sim, 9);
+        let o = sim.node_mut(NodeId(0)).report();
         assert!(
-            o.valid_at.unwrap() < SimTime::from_secs(30),
+            o.valid_at_secs.unwrap() < 30.0,
             "should finish in seconds, took {}",
-            o.valid_at.unwrap()
+            o.valid_at_secs.unwrap()
         );
     }
 
@@ -914,7 +849,7 @@ mod tests {
         // authority takes ~minutes; the run must still complete.
         let mut sim = build_sim(9, 1_000, calibration::ATTACK_RESIDUAL_BPS, 2);
         sim.run_until(SimTime::from_secs(7_200));
-        assert_all_valid(&sim, 9);
+        assert_all_valid(&mut sim, 9);
     }
 
     #[test]
@@ -988,7 +923,7 @@ mod tests {
     /// plays `script` to it at time zero, inside `on_start` — the one
     /// place a test is handed a `Context`. The other seats hold no
     /// authority and swallow whatever it sends.
-    struct Seat {
+    struct ScriptedSeat {
         authority: Option<IcpsAuthority>,
         script: Vec<Step>,
     }
@@ -1000,7 +935,7 @@ mod tests {
         Decide(DigestVector),
     }
 
-    impl Node for Seat {
+    impl Node for ScriptedSeat {
         type Msg = IcpsMsg;
 
         fn on_start(&mut self, ctx: &mut Context<'_, IcpsMsg>) {
@@ -1067,24 +1002,30 @@ mod tests {
             ),
         ]);
 
-        let mut seats = vec![Seat {
-            authority: Some(authority(0, 9, 1_000, &committee)),
+        let mut seats = vec![ScriptedSeat {
+            authority: Some(IcpsAuthority::new(
+                testing::seat(0, RUN_ID, 1_000, &committee),
+                Default::default(),
+            )),
             script,
         }];
-        seats.extend((1..9).map(|_| Seat {
+        seats.extend((1..9).map(|_| ScriptedSeat {
             authority: None,
             script: Vec::new(),
         }));
         let mut sim = Simulation::new(
             scaled_topology(9, 1),
             seats,
-            sim_config(calibration::AUTHORITY_LINK_BPS, 1),
+            SimConfig {
+                seed: 1,
+                ..SimConfig::default()
+            },
         );
         sim.run_until(SimTime::from_secs(60));
 
-        let node = sim.node(NodeId(0)).authority.as_ref().expect("seat 0");
+        let node = sim.node_mut(NodeId(0)).authority.as_mut().expect("seat 0");
         assert!(node.awaiting_docs.is_empty());
         assert_eq!(node.docs[&BYZANTINE].doc.digest, agreed[&BYZANTINE].digest);
-        assert_eq!(node.outcome().digest, Some(consensus_digest(&agreed)));
+        assert_eq!(node.report().digest, Some(consensus_digest(&agreed)));
     }
 }

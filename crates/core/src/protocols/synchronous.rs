@@ -20,8 +20,9 @@
 
 use crate::calibration;
 use crate::document::{consensus_digest, DirDocument};
+use crate::protocols::{lockstep_valid_at, Authority, AuthorityReport, ProtocolKind, Seat};
 use crate::signing::ds_sig_digest;
-use partialtor_crypto::{sha256, Committee, Digest32, Signature, SigningKey};
+use partialtor_crypto::{sha256, Digest32, Signature};
 use partialtor_simnet::prelude::*;
 use std::collections::BTreeMap;
 
@@ -109,44 +110,13 @@ pub enum SyncByzantineMode {
     EquivocateProposal,
 }
 
-/// Per-authority configuration.
-pub struct SyncConfig {
-    /// Protocol instance id.
-    pub run_id: u64,
-    /// This authority's index.
-    pub index: u8,
-    /// Committee size.
-    pub n: usize,
-    /// The designated Dolev–Strong sender for this run.
-    pub designated: u8,
-    /// Lock-step round length Δ.
-    pub round: SimDuration,
-    /// This authority's list.
-    pub my_doc: DirDocument,
-    /// Signing key.
-    pub signing: SigningKey,
-    /// Committee public keys (a clone of the run's one [`Committee`]).
-    pub keys: Committee,
-    /// Misbehavior mode (honest in production scenarios).
-    pub byzantine: SyncByzantineMode,
-}
-
-/// Outcome of one authority's run.
-#[derive(Clone, Debug, Default)]
-pub struct SyncOutcome {
-    /// Whether the authority decided the designated pack with enough lists.
-    pub success: bool,
-    /// The digest of the consensus document computed from the agreed pack.
-    pub digest: Option<Digest32>,
-    /// Lists contained in the agreed pack.
-    pub pack_lists: usize,
-    /// The paper's network-time metric, in seconds.
-    pub network_time_secs: Option<f64>,
-}
+/// The Dolev–Strong sender of every run.
+const DESIGNATED: u8 = 0;
 
 /// One directory authority running the synchronous protocol.
 pub struct SyncAuthority {
-    cfg: SyncConfig,
+    seat: Seat,
+    mode: SyncByzantineMode,
     docs: BTreeMap<u8, DirDocument>,
     packs: BTreeMap<u8, Pack>,
     /// Accepted chain for the designated pack (pack, signature chain).
@@ -156,14 +126,21 @@ pub struct SyncAuthority {
     all_docs_at: Option<SimTime>,
     all_packs_at: Option<SimTime>,
     chain_at: Option<SimTime>,
-    outcome: Option<SyncOutcome>,
+    /// Set at the end of round 4 when the agreed pack held a majority of
+    /// lists: the digest of the consensus computed from it.
+    digest: Option<Digest32>,
+    /// The paper's network-time metric, in seconds.
+    network_time_secs: Option<f64>,
 }
 
-impl SyncAuthority {
-    /// Creates the authority.
-    pub fn new(cfg: SyncConfig) -> Self {
+impl Authority for SyncAuthority {
+    const KIND: ProtocolKind = ProtocolKind::Synchronous;
+    type Mode = SyncByzantineMode;
+
+    fn new(seat: Seat, mode: SyncByzantineMode) -> Self {
         SyncAuthority {
-            cfg,
+            seat,
+            mode,
             docs: BTreeMap::new(),
             packs: BTreeMap::new(),
             agreed: None,
@@ -172,30 +149,43 @@ impl SyncAuthority {
             all_docs_at: None,
             all_packs_at: None,
             chain_at: None,
-            outcome: None,
+            digest: None,
+            network_time_secs: None,
         }
     }
 
-    /// The final outcome (available after the round-4 timer).
-    pub fn outcome(&self) -> Option<&SyncOutcome> {
-        self.outcome.as_ref()
+    /// Success means "decided the designated pack with enough lists"; the
+    /// run needs a majority of such authorities.
+    fn report(&mut self) -> AuthorityReport {
+        let success = self.digest.is_some();
+        AuthorityReport {
+            index: self.seat.index as usize,
+            success,
+            digest: self.digest,
+            network_time_secs: self.network_time_secs,
+            valid_at_secs: lockstep_valid_at(success, self.seat.round),
+            decided_round: None,
+            phases: Vec::new(),
+        }
     }
+}
 
+impl SyncAuthority {
     fn verify_chain(&self, pack: &Pack, sigs: &[(u8, Signature)]) -> bool {
-        if sigs.is_empty() || pack.packer != self.cfg.designated {
+        if sigs.is_empty() || pack.packer != DESIGNATED {
             return false;
         }
-        if sigs[0].0 != self.cfg.designated {
+        if sigs[0].0 != DESIGNATED {
             return false;
         }
-        let digest = ds_sig_digest(self.cfg.run_id, pack.digest());
+        let digest = ds_sig_digest(self.seat.run_id, pack.digest());
         let mut seen = std::collections::BTreeSet::new();
         for (signer, sig) in sigs {
-            if *signer as usize >= self.cfg.n || !seen.insert(*signer) {
+            if *signer as usize >= self.seat.n || !seen.insert(*signer) {
                 return false;
             }
             if self
-                .cfg
+                .seat
                 .keys
                 .verify(*signer as usize, digest.as_bytes(), sig)
                 .is_err()
@@ -220,7 +210,7 @@ impl SyncAuthority {
         // spans [(1 + k)Δ, (2 + k)Δ) here, after the propose and vote
         // rounds). Later arrivals are discarded — this is exactly the
         // bounded-synchrony assumption the DDoS attack violates.
-        let deadline = self.start + self.cfg.round.saturating_mul(2 + sigs.len() as u64);
+        let deadline = self.start + self.seat.round.saturating_mul(2 + sigs.len() as u64);
         if ctx.now() > deadline {
             return;
         }
@@ -239,23 +229,23 @@ impl Node for SyncAuthority {
 
     fn on_start(&mut self, ctx: &mut Context<'_, SyncMsg>) {
         self.start = ctx.now();
-        self.docs.insert(self.cfg.index, self.cfg.my_doc.clone());
-        match self.cfg.byzantine {
+        self.docs.insert(self.seat.index, self.seat.doc.clone());
+        match self.mode {
             SyncByzantineMode::Honest => {
-                ctx.broadcast(SyncMsg::Propose(self.cfg.my_doc.clone()));
+                ctx.broadcast(SyncMsg::Propose(self.seat.doc.clone()));
             }
             SyncByzantineMode::EquivocateProposal => {
                 let alt = DirDocument::synthetic(
-                    self.cfg.run_id ^ 0xeb0c,
-                    self.cfg.index,
-                    self.cfg.my_doc.size,
+                    self.seat.run_id ^ 0xeb0c,
+                    self.seat.index,
+                    self.seat.doc.size,
                 );
-                for peer in 0..self.cfg.n {
-                    if peer as u8 == self.cfg.index {
+                for peer in 0..self.seat.n {
+                    if peer as u8 == self.seat.index {
                         continue;
                     }
                     let doc = if peer % 2 == 0 {
-                        self.cfg.my_doc.clone()
+                        self.seat.doc.clone()
                     } else {
                         alt.clone()
                     };
@@ -264,24 +254,24 @@ impl Node for SyncAuthority {
             }
         }
         for tag in [TAG_VOTE, TAG_SYNC1, TAG_SYNC2, TAG_END] {
-            ctx.set_timer(self.cfg.round.saturating_mul(tag), tag);
+            ctx.set_timer(self.seat.round.saturating_mul(tag), tag);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, SyncMsg>, _from: NodeId, msg: SyncMsg) {
         match msg {
             SyncMsg::Propose(doc) => {
-                if (doc.authority as usize) < self.cfg.n {
+                if (doc.authority as usize) < self.seat.n {
                     self.docs.entry(doc.authority).or_insert(doc);
-                    if self.docs.len() == self.cfg.n && self.all_docs_at.is_none() {
+                    if self.docs.len() == self.seat.n && self.all_docs_at.is_none() {
                         self.all_docs_at = Some(ctx.now());
                     }
                 }
             }
             SyncMsg::VotePack(pack) => {
-                if (pack.packer as usize) < self.cfg.n {
+                if (pack.packer as usize) < self.seat.n {
                     self.packs.entry(pack.packer).or_insert(pack);
-                    if self.packs.len() == self.cfg.n && self.all_packs_at.is_none() {
+                    if self.packs.len() == self.seat.n && self.all_packs_at.is_none() {
                         self.all_packs_at = Some(ctx.now());
                     }
                 }
@@ -294,19 +284,19 @@ impl Node for SyncAuthority {
         match tag {
             TAG_VOTE => {
                 let pack = Pack {
-                    packer: self.cfg.index,
+                    packer: self.seat.index,
                     docs: self.docs.values().cloned().collect(),
                 };
-                self.packs.insert(self.cfg.index, pack.clone());
+                self.packs.insert(self.seat.index, pack.clone());
                 ctx.broadcast(SyncMsg::VotePack(pack));
             }
-            TAG_SYNC1 if self.cfg.index == self.cfg.designated => {
+            TAG_SYNC1 if self.seat.index == DESIGNATED => {
                 // The designated sender starts the Dolev–Strong chain over
                 // its own pack.
-                if let Some(pack) = self.packs.get(&self.cfg.index).cloned() {
-                    let digest = ds_sig_digest(self.cfg.run_id, pack.digest());
-                    let sig = self.cfg.signing.sign(digest.as_bytes());
-                    let sigs = vec![(self.cfg.index, sig)];
+                if let Some(pack) = self.packs.get(&self.seat.index).cloned() {
+                    let digest = ds_sig_digest(self.seat.run_id, pack.digest());
+                    let sig = self.seat.signing.sign(digest.as_bytes());
+                    let sigs = vec![(self.seat.index, sig)];
                     self.agreed = Some((pack.clone(), sigs.clone()));
                     self.chain_at = Some(ctx.now());
                     ctx.broadcast(SyncMsg::Chain { pack, sigs });
@@ -315,56 +305,43 @@ impl Node for SyncAuthority {
             TAG_SYNC2 => {
                 // Every authority that accepted a chain countersigns and
                 // re-broadcasts (one Dolev–Strong relay round).
-                if self.chained || self.cfg.index == self.cfg.designated {
+                if self.chained || self.seat.index == DESIGNATED {
                     return;
                 }
                 if let Some((pack, mut sigs)) = self.agreed.clone() {
                     self.chained = true;
-                    let digest = ds_sig_digest(self.cfg.run_id, pack.digest());
-                    sigs.push((self.cfg.index, self.cfg.signing.sign(digest.as_bytes())));
+                    let digest = ds_sig_digest(self.seat.run_id, pack.digest());
+                    sigs.push((self.seat.index, self.seat.signing.sign(digest.as_bytes())));
                     ctx.broadcast(SyncMsg::Chain { pack, sigs });
                 }
             }
             TAG_END => {
-                let (success, digest, pack_lists) = match &self.agreed {
-                    Some((pack, _)) => {
-                        let lists = pack.docs.len();
-                        if lists >= calibration::majority(self.cfg.n) {
-                            let votes: BTreeMap<u8, DirDocument> =
-                                pack.docs.iter().map(|d| (d.authority, d.clone())).collect();
-                            (true, Some(consensus_digest(&votes)), lists)
-                        } else {
-                            (false, None, lists)
-                        }
+                self.digest = match &self.agreed {
+                    Some((pack, _)) if pack.docs.len() >= calibration::majority(self.seat.n) => {
+                        let votes: BTreeMap<u8, DirDocument> =
+                            pack.docs.iter().map(|d| (d.authority, d.clone())).collect();
+                        Some(consensus_digest(&votes))
                     }
-                    None => (false, None, 0),
+                    _ => None,
                 };
-                let network_time_secs = if success {
+                if self.digest.is_some() {
                     let p1 = self
                         .all_docs_at
                         .map(|t| t.since(self.start).as_secs_f64())
-                        .unwrap_or(self.cfg.round.as_secs_f64());
+                        .unwrap_or(self.seat.round.as_secs_f64());
                     let p2 = self
                         .all_packs_at
-                        .map(|t| t.since(self.start + self.cfg.round).as_secs_f64())
-                        .unwrap_or(self.cfg.round.as_secs_f64());
+                        .map(|t| t.since(self.start + self.seat.round).as_secs_f64())
+                        .unwrap_or(self.seat.round.as_secs_f64());
                     let p3 = self
                         .chain_at
                         .map(|t| {
-                            t.since(self.start + self.cfg.round.saturating_mul(2))
+                            t.since(self.start + self.seat.round.saturating_mul(2))
                                 .as_secs_f64()
                         })
-                        .unwrap_or(self.cfg.round.as_secs_f64());
-                    Some(p1 + p2 + p3)
-                } else {
-                    None
-                };
-                self.outcome = Some(SyncOutcome {
-                    success,
-                    digest,
-                    pack_lists,
-                    network_time_secs,
-                });
+                        .unwrap_or(self.seat.round.as_secs_f64());
+                    self.network_time_secs = Some(p1 + p2 + p3);
+                }
             }
             _ => {}
         }
@@ -374,37 +351,10 @@ impl Node for SyncAuthority {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calibration::vote_size_bytes;
+    use crate::protocols::testing;
 
     fn build_sim(n: usize, relays: u64, bandwidth_bps: f64) -> Simulation<SyncAuthority> {
-        let signers: Vec<SigningKey> = (0..n)
-            .map(|i| SigningKey::from_seed([i as u8 + 31; 32]))
-            .collect();
-        let keys: Committee = signers.iter().map(|k| k.verifying_key()).collect();
-        let nodes: Vec<SyncAuthority> = (0..n)
-            .map(|i| {
-                SyncAuthority::new(SyncConfig {
-                    run_id: 2,
-                    index: i as u8,
-                    n,
-                    designated: 0,
-                    round: calibration::round_duration(),
-                    my_doc: DirDocument::synthetic(2, i as u8, vote_size_bytes(relays)),
-                    signing: signers[i].clone(),
-                    keys: keys.clone(),
-                    byzantine: SyncByzantineMode::default(),
-                })
-            })
-            .collect();
-        let topo = scaled_topology(n, 3);
-        let config = SimConfig {
-            seed: 3,
-            default_up_bps: bandwidth_bps,
-            default_down_bps: bandwidth_bps,
-            wire_overhead_bytes: 64,
-            latency_jitter: 0.0,
-        };
-        Simulation::new(topo, nodes, config)
+        testing::build_sim(n, relays, bandwidth_bps, 3, 2, 31)
     }
 
     #[test]
@@ -413,7 +363,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(700));
         let mut digests = std::collections::BTreeSet::new();
         for i in 0..9 {
-            let outcome = sim.node(NodeId(i)).outcome().expect("finished");
+            let outcome = sim.node_mut(NodeId(i)).report();
             assert!(outcome.success, "authority {i}: {outcome:?}");
             digests.insert(outcome.digest.unwrap());
         }
@@ -428,7 +378,7 @@ mod tests {
         let mut sim = build_sim(9, 8_000, 10e6);
         sim.run_until(SimTime::from_secs(700));
         let successes = (0..9)
-            .filter(|&i| sim.node(NodeId(i)).outcome().map(|o| o.success) == Some(true))
+            .filter(|&i| sim.node_mut(NodeId(i)).report().success)
             .count();
         assert!(
             successes < 5,

@@ -8,14 +8,10 @@
 use crate::adversary::AttackPlan;
 use crate::calibration;
 use crate::document::DirDocument;
-use crate::protocols::current::CurrentByzantineMode;
-use crate::protocols::icps::{FetchPolicy, IcpsByzantineMode};
-use crate::protocols::synchronous::SyncByzantineMode;
 use crate::protocols::{
-    CurrentAuthority, CurrentConfig, IcpsAuthority, IcpsConfig, Phase, ProtocolKind, SyncAuthority,
-    SyncConfig,
+    Authority, AuthorityReport, CurrentAuthority, IcpsAuthority, ProtocolKind, Seat, SyncAuthority,
 };
-use partialtor_crypto::{Committee, Digest32, SigningKey};
+use partialtor_crypto::Committee;
 use partialtor_simnet::prelude::*;
 use partialtor_tordoc::prelude::*;
 use std::collections::BTreeMap;
@@ -44,15 +40,9 @@ pub struct Scenario {
     /// Generate real `tordoc` votes instead of synthetic sized documents.
     /// Only sensible for small relay counts.
     pub real_docs: bool,
-    /// Hard simulated-time deadline for the event-driven protocol.
-    pub deadline: SimTime,
-    /// Base BFT round timeout for the ICPS protocol, milliseconds.
-    pub bft_timeout_ms: u64,
     /// Lock-step round length Δ in seconds (the deployed 150 s by
     /// default; the timeout-scaling ablation sweeps it).
     pub round_secs: u64,
-    /// Propagation-latency jitter fraction (0 = exact latencies).
-    pub latency_jitter: f64,
 }
 
 impl Default for Scenario {
@@ -66,9 +56,6 @@ impl Default for Scenario {
             limited_bps: calibration::ATTACK_RESIDUAL_BPS,
             attack: AttackPlan::empty(),
             real_docs: false,
-            latency_jitter: 0.0,
-            deadline: SimTime::from_secs(4 * 3600),
-            bft_timeout_ms: calibration::BFT_BASE_TIMEOUT_MS,
             round_secs: calibration::ROUND_SECS,
         }
     }
@@ -136,7 +123,7 @@ impl Scenario {
             default_up_bps: effective,
             default_down_bps: effective,
             wire_overhead_bytes: 64,
-            latency_jitter: self.latency_jitter,
+            latency_jitter: 0.0,
         }
     }
 
@@ -166,26 +153,6 @@ impl Scenario {
             |target| self.effective(self.bandwidth_of(target)),
         );
     }
-}
-
-/// Per-authority result.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AuthorityReport {
-    /// Authority index.
-    pub index: usize,
-    /// Whether it obtained a majority-signed consensus.
-    pub success: bool,
-    /// Its consensus digest.
-    pub digest: Option<Digest32>,
-    /// The paper's network-time metric, seconds.
-    pub network_time_secs: Option<f64>,
-    /// Absolute simulated time at which its consensus became valid.
-    pub valid_at_secs: Option<f64>,
-    /// The BFT view whose two-chain committed (ICPS only; 0 = happy path).
-    pub decided_round: Option<u64>,
-    /// What it found at each round boundary (Current only; empty for the
-    /// other protocols).
-    pub phases: Vec<Phase>,
 }
 
 /// Aggregate result of one scenario run.
@@ -265,10 +232,54 @@ fn finish_report<N: Node>(
 pub fn run(protocol: ProtocolKind, scenario: &Scenario) -> RunReport {
     let _span = partialtor_obs::span("runner.run");
     match protocol {
-        ProtocolKind::Current => run_current(scenario),
-        ProtocolKind::Synchronous => run_synchronous(scenario),
-        ProtocolKind::Icps => run_icps(scenario),
+        ProtocolKind::Current => run_with::<CurrentAuthority>(scenario, |_| Default::default()),
+        ProtocolKind::Synchronous => run_with::<SyncAuthority>(scenario, |_| Default::default()),
+        ProtocolKind::Icps => run_with::<IcpsAuthority>(scenario, |_| Default::default()),
     }
+}
+
+/// Runs one scenario with an `A` in every seat, seat `i` behaving as
+/// `mode(i)`.
+///
+/// The run's nodes share one [`Committee`], so each signature is verified
+/// once per run. Lock-step protocols run one minute past their fourth
+/// round; ICPS, which has no rounds, gets four hours (the paper's
+/// 0.5 Mbit/s runs take about fifteen minutes).
+pub fn run_with<A: Authority>(scenario: &Scenario, mode: impl Fn(usize) -> A::Mode) -> RunReport {
+    let set = AuthoritySet::with_size(scenario.seed, scenario.n);
+    let keys: Committee = set.verifying_keys().into();
+    let round = SimDuration::from_secs(scenario.round_secs);
+    let nodes: Vec<A> = set
+        .iter()
+        .zip(scenario.documents())
+        .enumerate()
+        .map(|(i, (authority, doc))| {
+            let seat = Seat {
+                run_id: scenario.run_id(),
+                index: i as u8,
+                n: scenario.n,
+                round,
+                doc,
+                signing: authority.signing_key.clone(),
+                keys: keys.clone(),
+            };
+            A::new(seat, mode(i))
+        })
+        .collect();
+    let mut sim = Simulation::new(scenario.topology(), nodes, scenario.sim_config());
+    scenario.apply_network_schedule(&mut sim);
+    sim.run_until(match A::KIND {
+        ProtocolKind::Icps => SimTime::from_secs(4 * 3600),
+        _ => {
+            SimTime::ZERO
+                + round.saturating_mul(calibration::LOCKSTEP_ROUNDS)
+                + SimDuration::from_secs(60)
+        }
+    });
+    let authorities = (0..scenario.n)
+        .map(|i| sim.node_mut(NodeId(i)).report())
+        .collect();
+    finish_report(A::KIND, &sim, authorities)
 }
 
 /// One entry in a [`sweep`] batch.
@@ -333,17 +344,6 @@ fn auto_worker_count(jobs: usize) -> usize {
 /// size) and can be overridden with [`SWEEP_THREADS_ENV`].
 pub fn sweep(jobs: &[SweepJob]) -> Vec<RunReport> {
     sweep_threads(jobs, auto_worker_count(jobs.len()))
-}
-
-/// Runs a single scenario through the batch API (a one-job [`sweep`]).
-///
-/// Behaviourally identical to [`run`]; exists so single-run callers
-/// (Fig. 1, Table 2, `dirsim run`/`attack`) share the sweep entry point
-/// without repeating the one-job boilerplate.
-pub fn sweep_one(protocol: ProtocolKind, scenario: Scenario) -> RunReport {
-    sweep(&[SweepJob::new(protocol, scenario)])
-        .pop()
-        .expect("one job in, one report out")
 }
 
 /// [`sweep`] with an explicit worker count (`<= 1` runs serially).
@@ -411,146 +411,6 @@ where
         .collect()
 }
 
-/// The run's signing keys and its one [`Committee`]: every node gets a
-/// clone, so the set of verified signatures is shared by the nodes of this
-/// run and dropped with them.
-fn committee_keys(scenario: &Scenario) -> (Vec<SigningKey>, Committee) {
-    let set = AuthoritySet::with_size(scenario.seed, scenario.n);
-    let signers: Vec<_> = set.iter().map(|a| a.signing_key.clone()).collect();
-    (signers, set.verifying_keys().into())
-}
-
-fn run_current(scenario: &Scenario) -> RunReport {
-    let (signers, keys) = committee_keys(scenario);
-    let docs = scenario.documents();
-    let nodes: Vec<CurrentAuthority> = (0..scenario.n)
-        .map(|i| {
-            CurrentAuthority::new(CurrentConfig {
-                run_id: scenario.run_id(),
-                index: i as u8,
-                n: scenario.n,
-                round: SimDuration::from_secs(scenario.round_secs),
-                my_doc: docs[i].clone(),
-                signing: signers[i].clone(),
-                keys: keys.clone(),
-                byzantine: CurrentByzantineMode::default(),
-            })
-        })
-        .collect();
-    let mut sim = Simulation::new(scenario.topology(), nodes, scenario.sim_config());
-    scenario.apply_network_schedule(&mut sim);
-    let end = SimTime::ZERO
-        + SimDuration::from_secs(scenario.round_secs).saturating_mul(calibration::LOCKSTEP_ROUNDS)
-        + SimDuration::from_secs(60);
-    sim.run_until(end);
-
-    let authorities = (0..scenario.n)
-        .map(|i| {
-            let node = sim.node_mut(NodeId(i));
-            let outcome = node.outcome().cloned().unwrap_or_default();
-            AuthorityReport {
-                index: i,
-                success: outcome.success,
-                digest: outcome.digest,
-                network_time_secs: outcome.network_time_secs,
-                valid_at_secs: outcome.success.then(|| {
-                    // Lock-step protocols finish at the end of round 4.
-                    (scenario.round_secs * calibration::LOCKSTEP_ROUNDS) as f64
-                }),
-                decided_round: None,
-                phases: node.take_phases(),
-            }
-        })
-        .collect();
-    finish_report(ProtocolKind::Current, &sim, authorities)
-}
-
-fn run_synchronous(scenario: &Scenario) -> RunReport {
-    let (signers, keys) = committee_keys(scenario);
-    let docs = scenario.documents();
-    let nodes: Vec<SyncAuthority> = (0..scenario.n)
-        .map(|i| {
-            SyncAuthority::new(SyncConfig {
-                run_id: scenario.run_id(),
-                index: i as u8,
-                n: scenario.n,
-                designated: 0,
-                round: SimDuration::from_secs(scenario.round_secs),
-                my_doc: docs[i].clone(),
-                signing: signers[i].clone(),
-                keys: keys.clone(),
-                byzantine: SyncByzantineMode::default(),
-            })
-        })
-        .collect();
-    let mut sim = Simulation::new(scenario.topology(), nodes, scenario.sim_config());
-    scenario.apply_network_schedule(&mut sim);
-    let end = SimTime::ZERO
-        + SimDuration::from_secs(scenario.round_secs).saturating_mul(calibration::LOCKSTEP_ROUNDS)
-        + SimDuration::from_secs(60);
-    sim.run_until(end);
-
-    let authorities = (0..scenario.n)
-        .map(|i| {
-            let outcome = sim.node(NodeId(i)).outcome().cloned().unwrap_or_default();
-            AuthorityReport {
-                index: i,
-                success: outcome.success,
-                digest: outcome.digest,
-                network_time_secs: outcome.network_time_secs,
-                valid_at_secs: outcome
-                    .success
-                    .then(|| (scenario.round_secs * calibration::LOCKSTEP_ROUNDS) as f64),
-                decided_round: None,
-                phases: Vec::new(),
-            }
-        })
-        .collect();
-    finish_report(ProtocolKind::Synchronous, &sim, authorities)
-}
-
-fn run_icps(scenario: &Scenario) -> RunReport {
-    let (signers, keys) = committee_keys(scenario);
-    let docs = scenario.documents();
-    let f = calibration::partial_synchrony_f(scenario.n);
-    let nodes: Vec<IcpsAuthority> = (0..scenario.n)
-        .map(|i| {
-            IcpsAuthority::new(IcpsConfig {
-                run_id: scenario.run_id(),
-                index: i as u8,
-                n: scenario.n,
-                f,
-                dissemination_timeout: calibration::dissemination_timeout(),
-                bft_timeout_ms: scenario.bft_timeout_ms,
-                my_doc: docs[i].clone(),
-                signing: signers[i].clone(),
-                keys: keys.clone(),
-                byzantine: IcpsByzantineMode::default(),
-                fetch_policy: FetchPolicy::default(),
-            })
-        })
-        .collect();
-    let mut sim = Simulation::new(scenario.topology(), nodes, scenario.sim_config());
-    scenario.apply_network_schedule(&mut sim);
-    sim.run_until(scenario.deadline);
-
-    let authorities = (0..scenario.n)
-        .map(|i| {
-            let o = sim.node(NodeId(i)).outcome().clone();
-            AuthorityReport {
-                index: i,
-                success: o.success,
-                digest: o.digest,
-                network_time_secs: o.valid_at.map(|t| t.as_secs_f64()),
-                valid_at_secs: o.valid_at.map(|t| t.as_secs_f64()),
-                decided_round: o.decided_round,
-                phases: Vec::new(),
-            }
-        })
-        .collect();
-    finish_report(ProtocolKind::Icps, &sim, authorities)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,16 +420,7 @@ mod tests {
     /// relay counts, and one attacked scenario.
     fn mixed_jobs() -> Vec<SweepJob> {
         let mut jobs = Vec::new();
-        for (i, protocol) in [
-            ProtocolKind::Current,
-            ProtocolKind::Synchronous,
-            ProtocolKind::Icps,
-        ]
-        .into_iter()
-        .cycle()
-        .take(9)
-        .enumerate()
-        {
+        for (i, protocol) in ProtocolKind::ALL.into_iter().cycle().take(9).enumerate() {
             jobs.push(SweepJob::new(
                 protocol,
                 Scenario {
@@ -625,6 +476,56 @@ mod tests {
         );
     }
 
+    /// SHA-256 of each whole report, for the three protocols on four
+    /// scenarios: calm, the headline attack, a scaled four-seat committee
+    /// with one limited link, and real documents.
+    #[test]
+    fn reports_are_byte_identical_to_the_pins() {
+        let scenarios = [
+            Scenario {
+                relays: 1_000,
+                ..Scenario::default()
+            },
+            Scenario {
+                attack: AttackPlan::five_of_nine(),
+                ..Scenario::default()
+            },
+            Scenario {
+                n: 4,
+                limited: vec![1],
+                ..Scenario::default()
+            },
+            Scenario {
+                relays: 60,
+                real_docs: true,
+                ..Scenario::default()
+            },
+        ];
+        let digests: Vec<String> = scenarios
+            .iter()
+            .flat_map(|scenario| ProtocolKind::ALL.map(|protocol| run(protocol, scenario)))
+            .map(|report| partialtor_crypto::sha256::digest(format!("{report:?}").as_bytes()))
+            .map(|digest| digest.to_hex())
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                "0e7ff981bbfeb472a35e200ed33ff711938f2469842a03f0641cc8e63bd1b9ad",
+                "1e7caf87a7bb8c11f19d2e2ea9148693027abfa4596ee25f700600eb2af5a105",
+                "7b532afeec4a7d674b92f5f03e5164004149da73fae47dfee55ad847edcba164",
+                "2b360d93efeecc5c004e7d6e5705fc5425ae1e2f8eeed424a423863869b9697a",
+                "b2dd2eef28fc168f998b416a7848637087eba57c7947490bfb02c37069683d18",
+                "40ab699f38d7aedb597a95f7801396b2cf99d65aa989171fed3a01cc8b30c72f",
+                "27a8c6a732267599652e25b62dd70fcbaccb051ba718af10242ee4bf4dd540d2",
+                "ea8e1df10e2338e8cd9e7ac163978c5373a4d8e4aa5f1ff414788525eb2a631a",
+                "4807a0fc9b38c80e166a638848b662d2d353db917dc98aebf418516a16ffac2d",
+                "85c0f6f751889f5d1ce671fe8fcd5193cdcd81cdd8bdc495c7c1b62d1a317311",
+                "8727fc2f689fe1c9a04444d1edb4eae133355445fe3cb7aaeacac29487ee01e0",
+                "e381d9d5f38298d93e8f00dded59632fd9107555c79d4c013cec5fcd3a90a20b",
+            ]
+        );
+    }
+
     #[test]
     fn par_map_is_order_stable_for_uneven_work() {
         let items: Vec<u64> = (0..40).collect();
@@ -656,11 +557,7 @@ mod tests {
             relays: 1_000,
             ..Scenario::default()
         };
-        for protocol in [
-            ProtocolKind::Current,
-            ProtocolKind::Synchronous,
-            ProtocolKind::Icps,
-        ] {
+        for protocol in ProtocolKind::ALL {
             let report = run(protocol, &scenario);
             assert!(report.success, "{protocol} failed: {report:?}");
             assert!(report.network_time_secs.unwrap() < 60.0, "{protocol} slow");
@@ -696,11 +593,7 @@ mod tests {
             real_docs: true,
             ..Scenario::default()
         };
-        for protocol in [
-            ProtocolKind::Current,
-            ProtocolKind::Synchronous,
-            ProtocolKind::Icps,
-        ] {
+        for protocol in ProtocolKind::ALL {
             let report = run(protocol, &scenario);
             assert!(report.success, "{protocol} failed with real docs");
             // All successful authorities agree on one digest.

@@ -20,9 +20,8 @@ use partialtor::calibration::{self, vote_size_bytes};
 use partialtor::document::DirDocument;
 use partialtor::protocols::icps::{ProposalEntry, ProposalMsg};
 use partialtor::protocols::{
-    CurrentAuthority, CurrentByzantineMode, CurrentConfig, FetchPolicy, IcpsAuthority,
-    IcpsByzantineMode, IcpsConfig, IcpsMsg, SyncAuthority, SyncByzantineMode, SyncConfig,
-    VectorEntry,
+    self, Authority, CurrentAuthority, CurrentByzantineMode, FetchPolicy, IcpsAuthority,
+    IcpsByzantineMode, IcpsMsg, SyncAuthority, SyncByzantineMode, VectorEntry,
 };
 use partialtor::signing::doc_sig_digest;
 use partialtor_crypto::ed25519::work;
@@ -40,45 +39,63 @@ fn committee(seed: u64) -> (Vec<SigningKey>, Vec<VerifyingKey>) {
     (signers, keys)
 }
 
+/// Every link at the paper's 250 Mbit/s, exact latencies.
 fn sim_config(seed: u64) -> SimConfig {
     SimConfig {
         seed,
-        default_up_bps: calibration::AUTHORITY_LINK_BPS,
-        default_down_bps: calibration::AUTHORITY_LINK_BPS,
-        wire_overhead_bytes: 64,
-        latency_jitter: 0.0,
+        ..SimConfig::default()
     }
 }
 
-fn run_current_with(byz: CurrentByzantineMode) -> Simulation<CurrentAuthority> {
-    let (signers, keys) = committee(5);
-    let keys = Committee::from(keys);
-    let nodes: Vec<CurrentAuthority> = (0..N)
+/// Nine authorities of run `run_id`, seat `i` behaving as `mode(i)`: with
+/// clones of one `Committee` (`shared`, as `runner::run` builds them) or
+/// with a `Committee` each.
+fn nodes<A: Authority>(
+    seed: u64,
+    run_id: u64,
+    mode: impl Fn(usize) -> A::Mode,
+    shared: bool,
+) -> Vec<A> {
+    let (signers, keys) = committee(seed);
+    let run = Committee::from(keys.clone());
+    (0..N)
         .map(|i| {
-            CurrentAuthority::new(CurrentConfig {
-                run_id: 60,
+            let seat = protocols::Seat {
+                run_id,
                 index: i as u8,
                 n: N,
                 round: calibration::round_duration(),
-                my_doc: DirDocument::synthetic(60, i as u8, vote_size_bytes(RELAYS)),
+                doc: DirDocument::synthetic(run_id, i as u8, vote_size_bytes(RELAYS)),
                 signing: signers[i].clone(),
-                keys: keys.clone(),
-                byzantine: if i == 0 {
-                    byz
+                keys: if shared {
+                    run.clone()
                 } else {
-                    CurrentByzantineMode::Honest
+                    Committee::from(keys.clone())
                 },
-            })
+            };
+            A::new(seat, mode(i))
         })
-        .collect();
-    let mut sim = Simulation::new(authority_topology(5), nodes, sim_config(5));
-    sim.run_until(SimTime::from_secs(700));
+        .collect()
+}
+
+/// Runs `nodes` on `authority_topology(seed)` until `secs`.
+fn simulate<T: Node>(seed: u64, nodes: Vec<T>, secs: u64) -> Simulation<T> {
+    let mut sim = Simulation::new(authority_topology(seed), nodes, sim_config(seed));
+    sim.run_until(SimTime::from_secs(secs));
     sim
+}
+
+fn run_current_with(byz: CurrentByzantineMode) -> Simulation<CurrentAuthority> {
+    let mode = |i| match i {
+        0 => byz,
+        _ => CurrentByzantineMode::Honest,
+    };
+    simulate(5, nodes(5, 60, mode, true), 700)
 }
 
 #[test]
 fn equivocation_breaks_the_current_protocol() {
-    let sim = run_current_with(CurrentByzantineMode::EquivocateVotes);
+    let mut sim = run_current_with(CurrentByzantineMode::EquivocateVotes);
     // The honest authorities split into two digest camps, and the
     // equivocator countersigns both — so *two conflicting consensus
     // documents* both collect a signature majority. This is exactly the
@@ -86,7 +103,7 @@ fn equivocation_breaks_the_current_protocol() {
     // fix, and the reason the "Current" row of Table 1 reads "insecure".
     let mut camps: std::collections::BTreeMap<_, usize> = std::collections::BTreeMap::new();
     for i in 1..N {
-        let outcome = sim.node(NodeId(i)).outcome().expect("finished");
+        let outcome = sim.node_mut(NodeId(i)).report();
         assert!(
             outcome.success,
             "each camp should reach a (conflicting) majority: {outcome:?}"
@@ -105,43 +122,25 @@ fn equivocation_breaks_the_current_protocol() {
 
 #[test]
 fn honest_baseline_for_comparison() {
-    let sim = run_current_with(CurrentByzantineMode::Honest);
+    let mut sim = run_current_with(CurrentByzantineMode::Honest);
     let successes = (0..N)
-        .filter(|&i| sim.node(NodeId(i)).outcome().map(|o| o.success) == Some(true))
+        .filter(|&i| sim.node_mut(NodeId(i)).report().success)
         .count();
     assert_eq!(successes, N);
 }
 
 #[test]
 fn synchronous_protocol_neutralizes_equivocation() {
-    let (signers, keys) = committee(6);
-    let keys = Committee::from(keys);
     // Authority 3 equivocates; the designated sender (0) is honest.
-    let nodes: Vec<SyncAuthority> = (0..N)
-        .map(|i| {
-            SyncAuthority::new(SyncConfig {
-                run_id: 61,
-                index: i as u8,
-                n: N,
-                designated: 0,
-                round: calibration::round_duration(),
-                my_doc: DirDocument::synthetic(61, i as u8, vote_size_bytes(RELAYS)),
-                signing: signers[i].clone(),
-                keys: keys.clone(),
-                byzantine: if i == 3 {
-                    SyncByzantineMode::EquivocateProposal
-                } else {
-                    SyncByzantineMode::Honest
-                },
-            })
-        })
-        .collect();
-    let mut sim = Simulation::new(authority_topology(6), nodes, sim_config(6));
-    sim.run_until(SimTime::from_secs(700));
+    let mode = |i| match i {
+        3 => SyncByzantineMode::EquivocateProposal,
+        _ => SyncByzantineMode::Honest,
+    };
+    let mut sim: Simulation<SyncAuthority> = simulate(6, nodes(6, 61, mode, true), 700);
 
     let digests: std::collections::BTreeSet<_> = (0..N)
         .filter(|&i| i != 3)
-        .filter_map(|i| sim.node(NodeId(i)).outcome().and_then(|o| o.digest))
+        .filter_map(|i| sim.node_mut(NodeId(i)).report().digest)
         .collect();
     assert_eq!(
         digests.len(),
@@ -150,42 +149,19 @@ fn synchronous_protocol_neutralizes_equivocation() {
     );
     let successes = (0..N)
         .filter(|&i| i != 3)
-        .filter(|&i| sim.node(NodeId(i)).outcome().map(|o| o.success) == Some(true))
+        .filter(|&i| sim.node_mut(NodeId(i)).report().success)
         .count();
     assert!(successes >= 5, "{successes} correct authorities succeeded");
 }
 
-/// Nine ICPS authorities: with clones of one `Committee` (`shared`, as
-/// `runner::run` builds them) or with a `Committee` each.
+/// Nine honest-fetching ICPS authorities, seat `i` misbehaving as `byz(i)`.
 fn icps_nodes(
     seed: u64,
     run_id: u64,
     byz: impl Fn(usize) -> IcpsByzantineMode,
     shared: bool,
 ) -> Vec<IcpsAuthority> {
-    let (signers, keys) = committee(seed);
-    let run = Committee::from(keys.clone());
-    (0..N)
-        .map(|i| {
-            IcpsAuthority::new(IcpsConfig {
-                run_id,
-                index: i as u8,
-                n: N,
-                f: calibration::partial_synchrony_f(N),
-                dissemination_timeout: calibration::dissemination_timeout(),
-                bft_timeout_ms: calibration::BFT_BASE_TIMEOUT_MS,
-                my_doc: DirDocument::synthetic(run_id, i as u8, vote_size_bytes(RELAYS)),
-                signing: signers[i].clone(),
-                keys: if shared {
-                    run.clone()
-                } else {
-                    Committee::from(keys.clone())
-                },
-                byzantine: byz(i),
-                fetch_policy: FetchPolicy::default(),
-            })
-        })
-        .collect()
+    nodes(seed, run_id, |i| (byz(i), FetchPolicy::default()), shared)
 }
 
 fn build_icps(
@@ -193,19 +169,16 @@ fn build_icps(
     run_id: u64,
     byz: impl Fn(usize) -> IcpsByzantineMode,
 ) -> Simulation<IcpsAuthority> {
-    let nodes = icps_nodes(seed, run_id, byz, true);
-    let mut sim = Simulation::new(authority_topology(seed), nodes, sim_config(seed));
-    sim.run_until(SimTime::from_secs(3_600));
-    sim
+    simulate(seed, icps_nodes(seed, run_id, byz, true), 3_600)
 }
 
-fn assert_icps_agreement(sim: &Simulation<IcpsAuthority>, byzantine: &[usize]) {
+fn assert_icps_agreement(sim: &mut Simulation<IcpsAuthority>, byzantine: &[usize]) {
     let mut digests = std::collections::BTreeSet::new();
     for i in 0..N {
         if byzantine.contains(&i) {
             continue;
         }
-        let o = sim.node(NodeId(i)).outcome();
+        let o = sim.node_mut(NodeId(i)).report();
         assert!(o.success, "honest authority {i} failed: {o:?}");
         digests.insert(o.digest.expect("digest"));
     }
@@ -214,14 +187,14 @@ fn assert_icps_agreement(sim: &Simulation<IcpsAuthority>, byzantine: &[usize]) {
 
 #[test]
 fn icps_excludes_an_equivocating_authority_with_proof() {
-    let sim = build_icps(7, 62, |i| {
+    let mut sim = build_icps(7, 62, |i| {
         if i == 2 {
             IcpsByzantineMode::EquivocateDocuments
         } else {
             IcpsByzantineMode::Honest
         }
     });
-    assert_icps_agreement(&sim, &[2]);
+    assert_icps_agreement(&mut sim, &[2]);
     // Every honest authority's decided vector carries an explicit
     // equivocation (or at least a ⊥) entry for authority 2 — its document
     // must never be part of the consensus.
@@ -249,14 +222,14 @@ fn icps_excludes_an_equivocating_authority_with_proof() {
 #[test]
 fn icps_handles_silent_authorities_with_bottom_endorsements() {
     let silent = [4usize, 8];
-    let sim = build_icps(8, 63, |i| {
+    let mut sim = build_icps(8, 63, |i| {
         if silent.contains(&i) {
             IcpsByzantineMode::Silent
         } else {
             IcpsByzantineMode::Honest
         }
     });
-    assert_icps_agreement(&sim, &silent);
+    assert_icps_agreement(&mut sim, &silent);
     let vector = sim.node(NodeId(0)).decided_vector().expect("decided");
     for &s in &silent {
         assert!(
@@ -271,7 +244,7 @@ fn icps_handles_silent_authorities_with_bottom_endorsements() {
 #[test]
 fn icps_selective_disclosure_forces_fetches_and_still_agrees() {
     let f = calibration::partial_synchrony_f(N);
-    let sim = build_icps(9, 64, |i| {
+    let mut sim = build_icps(9, 64, |i| {
         if i == 1 {
             // Disclose to exactly f + 1 peers: enough endorsements for a
             // Present entry, but most nodes must fetch the bytes later.
@@ -280,7 +253,7 @@ fn icps_selective_disclosure_forces_fetches_and_still_agrees() {
             IcpsByzantineMode::Honest
         }
     });
-    assert_icps_agreement(&sim, &[1]);
+    assert_icps_agreement(&mut sim, &[1]);
     let vector = sim.node(NodeId(0)).decided_vector().expect("decided");
     if vector.entries[1].digest().is_some() {
         // The selectively-disclosed document made it into the vector, so
@@ -301,12 +274,12 @@ fn icps_selective_disclosure_forces_fetches_and_still_agrees() {
 #[test]
 fn icps_tolerates_equivocator_plus_silent_node() {
     // f = 2 total faults of mixed kind.
-    let sim = build_icps(10, 65, |i| match i {
+    let mut sim = build_icps(10, 65, |i| match i {
         3 => IcpsByzantineMode::EquivocateDocuments,
         6 => IcpsByzantineMode::Silent,
         _ => IcpsByzantineMode::Honest,
     });
-    assert_icps_agreement(&sim, &[3, 6]);
+    assert_icps_agreement(&mut sim, &[3, 6]);
 }
 
 #[test]
@@ -320,7 +293,7 @@ fn icps_is_robust_to_latency_jitter() {
     };
     let mut sim = Simulation::new(authority_topology(12), nodes, config);
     sim.run_until(SimTime::from_secs(3_600));
-    assert_icps_agreement(&sim, &[]);
+    assert_icps_agreement(&mut sim, &[]);
 }
 
 /// Which node runs a check is invisible to every node: the simulator
@@ -349,9 +322,7 @@ fn a_shared_committee_and_nine_private_ones_run_the_same_run() {
         // (simulation, verification requests, kernel passes)
         let run = |shared: bool| {
             let before = work();
-            let nodes = icps_nodes(seed, 70 + seed, byz, shared);
-            let mut sim = Simulation::new(authority_topology(seed), nodes, sim_config(seed));
-            sim.run_until(SimTime::from_secs(3_600));
+            let sim = simulate(seed, icps_nodes(seed, 70 + seed, byz, shared), 3_600);
             let after = work();
             (
                 sim,
@@ -359,12 +330,15 @@ fn a_shared_committee_and_nine_private_ones_run_the_same_run() {
                 after.kernel_verifies - before.kernel_verifies,
             )
         };
-        let (shared, shared_requests, shared_passes) = run(true);
-        let (private, private_requests, private_passes) = run(false);
-        assert!(shared.node(NodeId(0)).outcome().success, "scenario {seed}");
+        let (mut shared, shared_requests, shared_passes) = run(true);
+        let (mut private, private_requests, private_passes) = run(false);
+        assert!(
+            shared.node_mut(NodeId(0)).report().success,
+            "scenario {seed}"
+        );
         for i in 0..N {
-            let (a, b) = (shared.node(NodeId(i)), private.node(NodeId(i)));
-            assert_eq!(a.outcome(), b.outcome(), "scenario {seed}, node {i}");
+            let (a, b) = (shared.node_mut(NodeId(i)), private.node_mut(NodeId(i)));
+            assert_eq!(a.report(), b.report(), "scenario {seed}, node {i}");
             assert_eq!(a.decided_vector(), b.decided_vector());
         }
         assert_eq!(shared.metrics().by_kind(), private.metrics().by_kind());
@@ -443,16 +417,15 @@ fn a_forged_endorsement_costs_every_receiver_a_kernel_pass() {
         .collect();
     let mut sim = Simulation::new(authority_topology(13), seats, sim_config(13));
     sim.run_until(SimTime::from_secs(900));
-    let outcomes = |sim: &Simulation<Seat>| -> Vec<_> {
-        sim.nodes()
-            .iter()
-            .filter_map(|seat| match seat {
-                Seat::Authority(authority) => Some(authority.outcome().clone()),
+    let outcomes = |sim: &mut Simulation<Seat>| -> Vec<_> {
+        (0..N)
+            .filter_map(|i| match sim.node_mut(NodeId(i)) {
+                Seat::Authority(authority) => Some(authority.report()),
                 Seat::Forger(_) => None,
             })
             .collect()
     };
-    let settled = outcomes(&sim);
+    let settled = outcomes(&mut sim);
     assert!(settled.len() == N - 1 && settled.iter().all(|o| o.success));
 
     let before = work();
@@ -466,5 +439,5 @@ fn a_forged_endorsement_costs_every_receiver_a_kernel_pass() {
         "one check per receiver"
     );
     assert_eq!(after.kernel_verifies - before.kernel_verifies, 8);
-    assert_eq!(outcomes(&sim), settled);
+    assert_eq!(outcomes(&mut sim), settled);
 }

@@ -12,13 +12,21 @@ fn dirsim() -> Command {
 
 #[test]
 fn bad_budgets_targets_and_typos_exit_2_without_panicking() {
-    let cases: [&[&str]; 12] = [
+    let cases: [&[&str]; 19] = [
         &["adversary", "--budget", "-1"],
         &["adversary", "--budget", "nan"],
         &["frontier", "--defense-budget-grid", "nan"],
         &["frontier", "--defense-budget-grid", "0,-5"],
         &["frontier", "--attack-budget", "-1"],
         &["frontier", "--target", "1.5"],
+        // Physical quantities used to run or print with these.
+        &["cost", "--minutes", "-3"],
+        &["cost", "--flood", "nan"],
+        &["run", "--bandwidth", "nan"],
+        &["run", "--bandwidth", "0"],
+        &["run", "--bandwidth", "-5"],
+        &["attack", "--flood", "nan"],
+        &["attack", "--flood", "-1"],
         // The figure binaries' lenient parser used to turn this typo
         // into the full 1000-step sweep.
         &["fig", "fig11", "--stpe", "1"],

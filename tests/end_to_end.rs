@@ -17,11 +17,7 @@ fn real_scenario(seed: u64) -> Scenario {
 fn every_protocol_reaches_the_same_consensus_digest() {
     let scenario = real_scenario(51);
     let mut digests = std::collections::BTreeSet::new();
-    for protocol in [
-        ProtocolKind::Current,
-        ProtocolKind::Synchronous,
-        ProtocolKind::Icps,
-    ] {
+    for protocol in ProtocolKind::ALL {
         let report = run(protocol, &scenario);
         assert!(report.success, "{protocol} failed");
         let run_digests: std::collections::BTreeSet<_> = report
