@@ -353,114 +353,6 @@ impl AttackPlan {
     }
 }
 
-/// A reactive defender that upstream-filters floods aimed at *stable*
-/// victim sets: once a target has been flooded in `trigger_hours`
-/// consecutive hours, the defender arranges filtering for it (contacts
-/// its transit providers, installs scrubbing) and every later window on
-/// that target is neutralized. The attacker keeps paying for the
-/// filtered floods — cost is a property of the plan, not of its
-/// effect — which is exactly why rotating campaigns
-/// ([`AttackPlan::rotate`] and the rotating shapes of the strategy
-/// search) matter: they keep every victim's consecutive-hours counter
-/// below the trigger.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BlocklistDefender {
-    /// Consecutive attacked hours after which a target's floods are
-    /// filtered (the blocklist is sticky for the rest of the horizon).
-    pub trigger_hours: u64,
-}
-
-impl BlocklistDefender {
-    /// The *effective* plan once this defender has reacted: windows on
-    /// targets already blocklisted at their start hour are dropped.
-    pub fn apply(&self, plan: &AttackPlan) -> AttackPlan {
-        self.apply_traced(plan, &partialtor_obs::Tracer::disabled())
-    }
-
-    /// [`BlocklistDefender::apply`], emitting one
-    /// [`BlocklistTrigger`](partialtor_obs::TraceEvent::BlocklistTrigger)
-    /// trace event per target the defender filters (at the hour the
-    /// filtering takes effect), each followed by the
-    /// [`DefenseAction`](partialtor_obs::TraceEvent::DefenseAction) that
-    /// announces it as the [`DefensePlan`](crate::defense::DefensePlan)
-    /// blocklist lever.
-    pub fn apply_traced(&self, plan: &AttackPlan, tracer: &partialtor_obs::Tracer) -> AttackPlan {
-        if self.trigger_hours == 0 {
-            // A zero trigger filters everything from hour 0.
-            return AttackPlan::empty();
-        }
-        use std::collections::{BTreeMap, BTreeSet};
-        // Hours in which each target is flooded (a window covers every
-        // hour it overlaps).
-        let mut attacked: BTreeMap<Target, BTreeSet<u64>> = BTreeMap::new();
-        const HOUR_US: u64 = 3_600_000_000;
-        for w in plan.windows() {
-            let first = w.start.as_micros() / HOUR_US;
-            let last = (w.end().as_micros().saturating_sub(1)) / HOUR_US;
-            attacked.entry(w.target).or_default().extend(first..=last);
-        }
-        // First hour from which each target is blocklisted: the hour
-        // after its first `trigger_hours`-long consecutive run.
-        let mut blocked_from: BTreeMap<Target, u64> = BTreeMap::new();
-        for (target, hours) in &attacked {
-            let mut run_start = None;
-            let mut prev = None;
-            for &h in hours {
-                match (run_start, prev) {
-                    (Some(start), Some(p)) if h == p + 1 => {
-                        if h + 1 - start >= self.trigger_hours {
-                            blocked_from.insert(*target, h + 1);
-                            break;
-                        }
-                    }
-                    _ => {
-                        run_start = Some(h);
-                        if self.trigger_hours == 1 {
-                            blocked_from.insert(*target, h + 1);
-                            break;
-                        }
-                    }
-                }
-                prev = Some(h);
-            }
-        }
-        for (target, &from) in &blocked_from {
-            tracer.emit(partialtor_obs::TraceEvent::BlocklistTrigger {
-                hour: from,
-                target: target.to_string(),
-            });
-            tracer.emit(partialtor_obs::TraceEvent::DefenseAction {
-                action: "blocklist",
-                hour: from,
-                target: target.to_string(),
-            });
-        }
-        AttackPlan::new(
-            plan.windows()
-                .iter()
-                .filter_map(|w| {
-                    let Some(&from) = blocked_from.get(&w.target) else {
-                        return Some(*w);
-                    };
-                    let cutoff = SimTime::from_micros(from.saturating_mul(HOUR_US));
-                    if w.start >= cutoff {
-                        // Filtered before it started.
-                        None
-                    } else if w.end() <= cutoff {
-                        Some(*w)
-                    } else {
-                        // A long window is filtered mid-flight.
-                        Some(AttackWindow {
-                            duration: cutoff.since(w.start),
-                            ..*w
-                        })
-                    }
-                })
-                .collect(),
-        )
-    }
-}
-
 /// Coalesces windows per target: boundary sweep, max flood over the
 /// covering windows of each elementary interval, adjacent equal-rate
 /// runs merged.
@@ -661,66 +553,6 @@ mod tests {
         assert_eq!(cache.bps, 0.0, "a 100 Mbit/s flood kills a cache link");
         assert_eq!(cache.start_secs, 300.0);
         assert_eq!(cache.duration_secs, 900.0);
-    }
-
-    #[test]
-    fn blocklist_defender_filters_stable_victims_but_not_rotations() {
-        let defender = BlocklistDefender { trigger_hours: 6 };
-        // The paper's static campaign: the same five victims every hour.
-        let static_day = AttackPlan::five_of_nine().sustained_hourly(24);
-        let effective = defender.apply(&static_day);
-        assert_eq!(
-            effective.windows().len(),
-            5 * 6,
-            "the static five-of-nine survives exactly the trigger window"
-        );
-        assert!(effective.end_secs() <= 6.0 * 3_600.0 + 300.0);
-        // The attacker still pays for the filtered hours.
-        assert!((static_day.cost_per_month() - 53.28).abs() < 1e-6);
-
-        // A stride-1 rotation keeps every authority under six
-        // consecutive attacked hours: nothing is filtered.
-        let rotating = AttackPlan::new(
-            (1..=24u64)
-                .flat_map(|h| {
-                    (0..5).map(move |k| {
-                        window(
-                            Target::Authority(((h + k) % 9) as usize),
-                            h * 3_600,
-                            300,
-                            240.0,
-                        )
-                    })
-                })
-                .collect(),
-        );
-        let effective = defender.apply(&rotating);
-        assert_eq!(effective, rotating, "rotation evades the blocklist");
-    }
-
-    #[test]
-    fn blocklist_defender_clips_long_windows_and_resets_on_gaps() {
-        let defender = BlocklistDefender { trigger_hours: 2 };
-        // One continuous three-hour flood: filtered mid-flight at the
-        // two-hour mark.
-        let long = AttackPlan::new(vec![window(Target::Authority(0), 0, 3 * 3_600, 240.0)]);
-        let effective = defender.apply(&long);
-        assert_eq!(effective.windows().len(), 1);
-        assert_eq!(
-            effective.windows()[0].duration,
-            SimDuration::from_secs(2 * 3_600)
-        );
-        // Attacks with a rest hour between them never accumulate the
-        // trigger run.
-        let intermittent = AttackPlan::new(vec![
-            window(Target::Authority(0), 0, 300, 240.0),
-            window(Target::Authority(0), 2 * 3_600, 300, 240.0),
-            window(Target::Authority(0), 4 * 3_600, 300, 240.0),
-        ]);
-        assert_eq!(defender.apply(&intermittent), intermittent);
-        // A zero trigger filters everything.
-        let zero = BlocklistDefender { trigger_hours: 0 };
-        assert!(zero.apply(&long).is_empty());
     }
 
     #[test]

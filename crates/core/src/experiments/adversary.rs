@@ -412,7 +412,7 @@ pub(crate) struct SearchEnv {
     /// The defense every campaign is filtered through.
     pub(crate) defense: DefensePlan,
     /// `defense` lowered onto the base tier (seed, fleet, relays, caches,
-    /// consensus lifetimes, detector). With `attribution` on, every
+    /// consensus lifetimes, fetch rate). With `attribution` on, every
     /// score comes with its blame rollup.
     lowered: DistConfig,
 }

@@ -16,9 +16,7 @@
 use crate::adversary::AttackPlan;
 use crate::calibration::N_AUTHORITIES;
 use crate::protocols::ProtocolKind;
-use partialtor_dirdist::{
-    AttributionRollup, DistConfig, DistReport, DistSession, DocModel, HourInput,
-};
+use partialtor_dirdist::{AttributionRollup, DistConfig, DistReport, DocModel};
 use partialtor_obs::Tracer;
 use serde::Serialize;
 
@@ -92,20 +90,14 @@ pub fn run_experiment_traced(params: &AttributeParams, tracer: &Tracer) -> Attri
         attribution: true,
         ..DistConfig::default()
     };
-    let model = DocModel::synthetic(params.relays);
-    let mut session = DistSession::with_telemetry(&config, model, tracer.clone());
-    for hour in 1..=timeline.hours {
-        let publication = timeline
-            .publications
-            .iter()
-            .find(|p| p.hour == hour)
-            .map(|p| p.available_at_secs - (hour * 3_600) as f64);
-        session.step_hour(HourInput {
-            publication,
-            ..HourInput::default()
-        });
-    }
-    let dist = session.into_report();
+    // No run reports: the attributed replay carries no monitor alerts.
+    let (dist, _) = super::sustained::replay_distribution(
+        &config,
+        &timeline,
+        &DocModel::synthetic(params.relays),
+        &[],
+        tracer,
+    );
     AttributeResult {
         protocol: protocol.to_string(),
         produced_hours: hourly.iter().flatten().count() as u64,

@@ -26,12 +26,10 @@
 
 use crate::adversary::AttackPlan;
 use crate::calibration::N_AUTHORITIES;
-use crate::monitor;
 use crate::protocols::ProtocolKind;
-use crate::runner::{sweep, RunReport, SweepJob};
+use crate::runner::{sweep, SweepJob};
 use partialtor_dirdist::{
-    AlertNote, ChurnSchedule, ConsensusTimeline, DistConfig, DistReport, DistSession, DocModel,
-    FetchMix, HourInput,
+    ChurnSchedule, ConsensusTimeline, DistConfig, DistReport, DocModel, FetchMix,
 };
 use partialtor_obs::Tracer;
 use partialtor_tordoc::prelude::*;
@@ -148,54 +146,6 @@ fn measured_model(params: &ClientsParams, timeline: &ConsensusTimeline) -> DocMo
     DocModel::from_consensuses(&docs, 3)
 }
 
-/// The health monitor's verdicts on one hour's run, as distribution-layer
-/// alert notes: what the deployed consensus-health monitor would page
-/// operators with while the hour's fetch storm plays out.
-fn alert_notes(report: &RunReport) -> Vec<AlertNote> {
-    monitor::analyze(report)
-        .iter()
-        .map(|alert| AlertNote {
-            severity: alert.severity(),
-            kind: alert.kind().to_string(),
-            message: alert.to_string(),
-        })
-        .collect()
-}
-
-/// Replays a protocol's hourly timeline through a stepped
-/// [`DistSession`], feeding each hour's monitor alerts into the same
-/// telemetry stream. Equivalent to
-/// [`simulate_with_model`](partialtor_dirdist::simulate_with_model)
-/// plus the alert wiring — telemetry is observational, so the reports
-/// are bit-identical either way.
-fn replay_distribution(
-    config: &DistConfig,
-    timeline: &ConsensusTimeline,
-    model: &DocModel,
-    hourly_reports: &[RunReport],
-    tracer: &Tracer,
-) -> (DistReport, Vec<FetchMix>) {
-    let mut session = DistSession::with_telemetry(config, model.clone(), tracer.clone());
-    for hour in 1..=timeline.hours {
-        let publication = timeline
-            .publications
-            .iter()
-            .find(|p| p.hour == hour)
-            .map(|p| p.available_at_secs - (hour * 3_600) as f64);
-        let alerts = hourly_reports
-            .get(hour as usize - 1)
-            .map(alert_notes)
-            .unwrap_or_default();
-        session.step_hour(HourInput {
-            publication,
-            alerts,
-            ..HourInput::default()
-        });
-    }
-    let fetch_mixes = session.fetch_mixes();
-    (session.into_report(), fetch_mixes)
-}
-
 /// Runs the client-visible timeline for the current and ICPS protocols.
 ///
 /// All `2 × hours` protocol simulations go out as one parallel sweep;
@@ -243,7 +193,7 @@ pub fn run_experiment_traced(params: &ClientsParams, tracer: &Tracer) -> Vec<Cli
                 DocModel::synthetic(params.relays)
             };
             let (dist, fetch_mixes) =
-                replay_distribution(&config, &timeline, &model, slice, tracer);
+                super::sustained::replay_distribution(&config, &timeline, &model, slice, tracer);
             ClientsResult {
                 protocol: protocol.to_string(),
                 produced_hours: hourly.iter().flatten().count() as u64,
@@ -393,6 +343,7 @@ pub fn render(results: &[ClientsResult]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use partialtor_dirdist::{DistSession, HourInput};
 
     fn small_params() -> ClientsParams {
         ClientsParams {

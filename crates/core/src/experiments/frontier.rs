@@ -536,6 +536,48 @@ mod tests {
         }
     }
 
+    /// The probe downtime every playbook defense concedes at the small
+    /// grid's scale, bit for bit, with one memo shared across the
+    /// playbook as the frontier shares it. This covers the detector
+    /// compositions (`detector@3h`, `detector@2h`, `16 caches +
+    /// detector@2h`, the all-lever plan) that no committed frontier row
+    /// reports.
+    #[test]
+    fn playbook_probe_downtimes_are_pinned() {
+        let params = small_params(vec![0.0]);
+        let mut memo = OutcomeMemo::new();
+        let probes: Vec<(String, u64)> = playbook()
+            .iter()
+            .map(|d| (d.label(), probe_downtime(&params, d, &mut memo).to_bits()))
+            .collect();
+        let expected = [
+            ("no defense", 4606101554889448489),
+            ("rate×2", 4606101583860391924),
+            ("blocklist@6h", 4606101554889448489),
+            ("valid+3h", 4605020690978879570),
+            ("8 caches (client-weighted)", 4606101555389806750),
+            ("detector@3h", 4587078350063435514),
+            ("blocklist@3h", 4587078350063435514),
+            ("blocklist@6h + valid+3h", 4605020690978879570),
+            ("detector@2h", 4575765307799480828),
+            ("valid+9h", 4602858963157741732),
+            (
+                "blocklist@6h + valid+3h + rate×2 + detector@2h",
+                4554761223713259113,
+            ),
+            (
+                "16 caches (client-weighted) + detector@2h",
+                4575765339822409601,
+            ),
+            ("blocklist@1h", 0),
+        ];
+        let expected: Vec<(String, u64)> = expected
+            .iter()
+            .map(|&(label, bits)| (label.to_string(), bits))
+            .collect();
+        assert_eq!(probes, expected, "{probes:#?}");
+    }
+
     #[test]
     fn an_unfunded_defender_concedes_the_five_of_nine_optimum() {
         let result = run_experiment(&small_params(vec![0.0]));

@@ -23,10 +23,11 @@
 //!    flooding is credited only in brownout-only scenarios — the
 //!    decomposition stays additive instead of double-counting the
 //!    shared repair.
-//! 4. **DetectorVeto** — structurally zero today: the in-session
-//!    detector only *removes* attack windows, which cannot create
-//!    downtime in this model. The slot keeps the schema stable for
-//!    defenses whose vetoes can misfire.
+//! 4. **DetectorVeto** — structurally zero: the detector acts on the
+//!    attack plan, upstream of every session, so a session only ever
+//!    sees the windows it let through — it has no veto left to repair.
+//!    The slot keeps the schema stable for defenses whose vetoes can
+//!    misfire.
 //! 5. **RecoveryStorm** — additionally move the bootstrap backlog
 //!    (clients stranded by *earlier* hours) onto the newest actually
 //!    live cached version before replaying: downtime recovered is the
@@ -79,7 +80,9 @@ pub struct CauseParts {
     /// No live consensus existed to serve — the protocol failed or
     /// every copy expired.
     pub quorum_lost: f64,
-    /// A defense veto withheld capacity (structurally zero today).
+    /// A defense veto withheld capacity. Structurally zero: the
+    /// detector scrubs the attack plan upstream of every session, so no
+    /// session holds a veto to blame.
     pub detector_veto: f64,
     /// The feedback service budget capped what the tier could serve.
     pub service_budget_saturated: f64,
@@ -365,8 +368,8 @@ pub(crate) fn attribute_hour(
         (0.0, healed_part)
     };
 
-    // Rung 4: detector vetoes only remove attack windows today — they
-    // cannot create downtime, so the slot is structurally zero.
+    // Rung 4: the detector runs on the attack plan before any session
+    // exists, so the session has no veto to undo — structurally zero.
     let detector_veto = 0.0;
 
     // Rung 5: drain the bootstrap backlog onto the newest live cached

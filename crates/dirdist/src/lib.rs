@@ -105,8 +105,8 @@ pub use placement::{
 };
 pub use session::{
     per_cache_service_budget_bytes, AlertNote, CohortPlacement, DistSession, FeedbackSummary,
-    FetchRateDetector, HourInput, HourReport, LatencySummary, PlacementSummary, RegionCacheCount,
-    TelemetrySummary, TierHourTraffic,
+    HourInput, HourReport, LatencySummary, PlacementSummary, RegionCacheCount, TelemetrySummary,
+    TierHourTraffic,
 };
 pub use timeline::{ConsensusTimeline, Publication};
 
@@ -161,10 +161,6 @@ pub struct DistConfig {
     /// the defender's "back off, clients" lever. The default `1.0` is
     /// bit-identical to the pre-defense fleet.
     pub fetch_rate_scale: f64,
-    /// Danner-style fetch-rate anomaly detector over the session's
-    /// per-hour [`TierHourTraffic`] signatures; `None` (the default)
-    /// is fully inert.
-    pub detector: Option<FetchRateDetector>,
     /// Compute the per-hour counterfactual blame decomposition of
     /// client-weighted downtime ([`attribution`]). Observational: the
     /// ladder replays cloned fleets after each real hour has stepped,
@@ -192,7 +188,6 @@ impl Default for DistConfig {
             fresh_secs: 3_600,
             valid_secs: 10_800,
             fetch_rate_scale: 1.0,
-            detector: None,
             attribution: false,
         }
     }

@@ -38,7 +38,6 @@ use crate::{DistConfig, DistReport};
 use partialtor_obs::{Histogram, Registry, SpanId, TraceEvent, Tracer};
 use partialtor_simnet::geo::REGIONS;
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// A health-monitor alert handed into a stepped hour. The monitor lives
 /// upstream (it watches protocol runs, which this crate never sees), so
@@ -86,46 +85,6 @@ impl HourInput {
     /// An hour whose run failed.
     pub fn failed() -> Self {
         HourInput::default()
-    }
-}
-
-/// Danner-style fetch-rate anomaly detector ([`DistConfig::detector`]):
-/// watches the session's per-hour fetch-rate signatures — the tier's
-/// [`TierHourTraffic`] request count plus the fleet's realized
-/// bootstrap/refresh fetch rows, the retry-storm observable — and,
-/// once a node's link has been overridden during `trigger_hours`
-/// anomalous hours (cumulative, not necessarily consecutive), filters
-/// that node's not-yet-applied capacity windows: upstream scrubbing
-/// driven by signatures the defender can actually see, not by attacker
-/// bookkeeping.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FetchRateDetector {
-    /// Directory fetch attempts per client per hour above which the
-    /// hour counts as anomalous. A healthy fleet refreshes well under
-    /// once per client-hour; a bootstrap retry storm attempts once per
-    /// minute per dead client.
-    pub rate_threshold: f64,
-    /// Anomalous hours a node must be implicated in before its windows
-    /// are filtered.
-    pub trigger_hours: u64,
-}
-
-impl Default for FetchRateDetector {
-    fn default() -> Self {
-        FetchRateDetector {
-            rate_threshold: 2.0,
-            trigger_hours: 3,
-        }
-    }
-}
-
-/// Stable label of a tier node for trace events (`auth3`, `cache12`,
-/// `region:europe`) — matches the adversary model's target labels.
-fn node_label(node: &TierNode) -> String {
-    match node {
-        TierNode::Authority(i) => format!("auth{i}"),
-        TierNode::Cache(i) => format!("cache{i}"),
-        TierNode::Region(region) => format!("region:{region}"),
     }
 }
 
@@ -380,20 +339,9 @@ pub struct DistSession {
     /// Cumulative tier traffic as of the end of the previous hour, for
     /// per-hour deltas.
     prev_traffic: TierHourTraffic,
-    alerts_total: u64,
-    /// Capacity windows not yet injected into the tier — detector
-    /// sessions defer post-hour-0 [`DistConfig::link_windows`] so a
-    /// flagged node's windows can be filtered before they apply. Empty
-    /// (and every window applied up front, the legacy path) when no
-    /// detector is configured.
-    pending_windows: Vec<LinkWindow>,
-    /// Windows the tier has accepted, for per-hour anomaly attribution
-    /// (tracked only when a detector is configured).
+    /// Windows the tier has accepted, for the attribution ladder's
+    /// flooded-layer flags (tracked only with attribution on).
     applied_windows: Vec<LinkWindow>,
-    /// Anomalous hours each node has been implicated in so far.
-    detector_flags: BTreeMap<TierNode, u64>,
-    /// Nodes whose future windows the detector filters.
-    detector_filtered: BTreeSet<TierNode>,
 }
 
 impl DistSession {
@@ -412,26 +360,12 @@ impl DistSession {
     /// reports to an untraced one (a test pins this).
     pub fn with_telemetry(config: &DistConfig, model: DocModel, tracer: Tracer) -> Self {
         let registry = Registry::default();
-        // With a detector configured, only hour-0 windows are injected
-        // up front; later ones are deferred so the detector can veto
-        // them once their node is flagged. Without one, every window is
-        // applied up front — the legacy (bit-pinned) path.
-        let (initial_windows, pending_windows): (Vec<LinkWindow>, Vec<LinkWindow>) =
-            if config.detector.is_some() {
-                config
-                    .link_windows
-                    .iter()
-                    .copied()
-                    .partition(|w| w.start_secs < 3_600.0)
-            } else {
-                (config.link_windows.clone(), Vec::new())
-            };
         let cache_config = CacheSimConfig {
             seed: config.seed,
             n_authorities: config.n_authorities,
             n_caches: config.n_caches,
             direct_client_load_bps: config.direct_client_load_bps(),
-            link_windows: initial_windows.clone(),
+            link_windows: config.link_windows.clone(),
             placement: config.placement.clone(),
             ..CacheSimConfig::default()
         };
@@ -512,15 +446,11 @@ impl DistSession {
             tracer,
             registry,
             prev_traffic: TierHourTraffic::default(),
-            alerts_total: 0,
-            pending_windows,
-            applied_windows: if config.detector.is_some() || config.attribution {
-                initial_windows
+            applied_windows: if config.attribution {
+                config.link_windows.clone()
             } else {
                 Vec::new()
             },
-            detector_flags: BTreeMap::new(),
-            detector_filtered: BTreeSet::new(),
         };
         session.run_fleet_hour(0, None, 0, baseline_span.recorded());
         session
@@ -549,43 +479,11 @@ impl DistSession {
         }
         let alerts = input.alerts.len() as u64;
 
-        let mut windows = input.link_windows;
-        if self.config.detector.is_some() {
-            // Release the deferred config windows that start this hour,
-            // then drop every window on a node the detector has already
-            // filtered.
-            let hour_end = ((hour + 1) * 3_600) as f64;
-            let mut due = Vec::new();
-            self.pending_windows.retain(|w| {
-                if w.start_secs < hour_end {
-                    due.push(*w);
-                    false
-                } else {
-                    true
-                }
-            });
-            windows.extend(due);
-            let filtered = &self.detector_filtered;
-            let tracer = &self.tracer;
-            windows.retain(|w| {
-                if filtered.contains(&w.node) {
-                    tracer.emit(TraceEvent::DefenseAction {
-                        action: "detector_drop",
-                        hour,
-                        target: node_label(&w.node),
-                    });
-                    false
-                } else {
-                    true
-                }
-            });
-            self.applied_windows.extend(windows.iter().copied());
-        } else if self.config.attribution {
-            // No detector: nothing filters windows, but the attribution
-            // ladder still needs to know which layers ran flooded.
-            self.applied_windows.extend(windows.iter().copied());
+        if self.config.attribution {
+            self.applied_windows
+                .extend(input.link_windows.iter().copied());
         }
-        self.tier.apply_windows(&windows);
+        self.tier.apply_windows(&input.link_windows);
 
         let mut publication_span: Option<SpanId> = None;
         let published_version = input.publication.map(|offset| {
@@ -715,7 +613,7 @@ impl DistSession {
                 egress.served_bytes + egress.request_bytes,
                 self.config.n_authorities,
             ) * self.config.direct_fetch_fraction;
-            let authority = self.tier_static_direct_load() + authority_feedback;
+            let authority = self.config.direct_client_load_bps() + authority_feedback;
             self.tier.set_background_load(
                 ((hour + 1) * 3_600) as f64,
                 authority_feedback,
@@ -742,40 +640,6 @@ impl DistSession {
             expired_events: totals.expired_events - self.prev_traffic.expired_events,
         };
         self.prev_traffic = totals;
-        if let Some(detector) = self.config.detector {
-            // The hour's realized fetch rate, attempts per client: tier
-            // requests plus the fleet's bootstrap/refresh fetches. A
-            // retry storm pushes this an order of magnitude past any
-            // healthy hour; the nodes whose links ran overridden during
-            // an anomalous hour are the suspects.
-            let fetches = tier_traffic.dir_requests + row.bootstrap_attempts + row.refresh_fetches;
-            if fetches as f64 > detector.rate_threshold * self.config.clients.max(1) as f64 {
-                let start = (hour * 3_600) as f64;
-                let end = ((hour + 1) * 3_600) as f64;
-                let mut suspects: Vec<TierNode> = self
-                    .applied_windows
-                    .iter()
-                    .filter(|w| w.start_secs < end && w.start_secs + w.duration_secs > start)
-                    .map(|w| w.node)
-                    .collect();
-                suspects.sort();
-                suspects.dedup();
-                for node in suspects {
-                    let flags = self.detector_flags.entry(node).or_insert(0);
-                    *flags += 1;
-                    if *flags >= detector.trigger_hours.max(1)
-                        && self.detector_filtered.insert(node)
-                    {
-                        self.tracer.emit(TraceEvent::DefenseAction {
-                            action: "detector",
-                            hour: hour + 1,
-                            target: node_label(&node),
-                        });
-                    }
-                }
-            }
-        }
-        self.alerts_total += alerts;
         let fetch_latency = LatencySummary::from_histogram(
             &self
                 .registry
@@ -823,10 +687,6 @@ impl DistSession {
         };
         self.hour_reports.push(report.clone());
         report
-    }
-
-    fn tier_static_direct_load(&self) -> f64 {
-        self.config.direct_client_load_bps()
     }
 
     /// Hours processed so far (including hour 0).
@@ -892,7 +752,7 @@ impl DistSession {
             fetch_attempts: self.registry.counter("cache.fetch_attempts"),
             fetch_retries: self.registry.counter("cache.fetch_retries"),
             fetch_timeouts: self.registry.counter("cache.fetch_timeouts"),
-            alerts: self.alerts_total,
+            alerts: self.registry.counter("monitor.alerts"),
             expired_events: self.tier.metrics().expired_events(),
             trace_dropped: self.tracer.dropped(),
             fetch_latency: LatencySummary::from_histogram(
@@ -999,79 +859,6 @@ mod tests {
         assert!(
             last_open.dead_fraction < 0.05,
             "open-loop recovery must complete: {last_open:?}"
-        );
-    }
-
-    /// The detector lever end to end: flooded authorities inflate the
-    /// tier's per-hour fetch-rate signature, the detector flags them
-    /// after `trigger_hours` anomalous hours, their later windows are
-    /// dropped before they reach the tier, and the fleet measurably
-    /// recovers — with every move visible as a `DefenseAction` trace.
-    #[test]
-    fn detector_flags_flooded_authorities_and_drops_their_later_windows() {
-        // An offline flood on every cache link, hours 1–8: the tier
-        // stops absorbing the outage, clients expire after the validity
-        // horizon, and the dead fleet's bootstrap retries become the
-        // fetch-rate anomaly the detector watches.
-        let windows: Vec<LinkWindow> = (1..=8)
-            .flat_map(|h| {
-                (0..10).map(move |i| LinkWindow {
-                    node: TierNode::Cache(i),
-                    start_secs: (h * 3_600) as f64,
-                    duration_secs: 3_600.0,
-                    bps: 0.0,
-                })
-            })
-            .collect();
-        let run = |detector: Option<FetchRateDetector>| {
-            let mut cfg = config(60_000, 10, false);
-            cfg.link_windows = windows.clone();
-            cfg.detector = detector;
-            let tracer = Tracer::enabled(1 << 14);
-            let mut session =
-                DistSession::with_telemetry(&cfg, DocModel::synthetic(cfg.relays), tracer.clone());
-            for _ in 1..12 {
-                session.step_hour(HourInput::produced(330.0));
-            }
-            (session.into_report(), tracer)
-        };
-        let (undefended, _) = run(None);
-        let (defended, tracer) = run(Some(FetchRateDetector {
-            rate_threshold: 1.5,
-            trigger_hours: 2,
-        }));
-
-        let events = tracer.drain();
-        let flagged: Vec<String> = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::DefenseAction {
-                    action: "detector",
-                    target,
-                    ..
-                } => Some(target.clone()),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            flagged.iter().any(|t| t == "cache0"),
-            "the detector must flag the flooded caches: {flagged:?}"
-        );
-        assert!(
-            events.iter().any(|e| matches!(
-                e,
-                TraceEvent::DefenseAction {
-                    action: "detector_drop",
-                    ..
-                }
-            )),
-            "filtered nodes' later windows must be dropped"
-        );
-        assert!(
-            defended.fleet.client_weighted_downtime < undefended.fleet.client_weighted_downtime,
-            "filtering the flood must recover availability: {} (detector) vs {}",
-            defended.fleet.client_weighted_downtime,
-            undefended.fleet.client_weighted_downtime
         );
     }
 
