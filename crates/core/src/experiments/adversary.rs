@@ -36,7 +36,7 @@ use crate::calibration::{ATTACK_FLOOD_MBPS, CACHE_FLOOD_MBPS, N_AUTHORITIES};
 use crate::defense::DefensePlan;
 use crate::protocols::ProtocolKind;
 use crate::runner::{par_map, sweep, SweepJob};
-use partialtor_dirdist::{simulate, AttributionRollup, DistConfig};
+use partialtor_dirdist::{AttributionRollup, DistConfig, DocModel};
 use partialtor_obs::{span, Tracer};
 use partialtor_simnet::{SimDuration, SimTime};
 use serde::Serialize;
@@ -412,7 +412,7 @@ pub(crate) struct SearchEnv {
     /// The defense every campaign is filtered through.
     pub(crate) defense: DefensePlan,
     /// `defense` lowered onto the base tier (seed, fleet, relays, caches,
-    /// consensus lifetimes, fetch rate). With `attribution` on, every
+    /// consensus validity, fetch rate). With `attribution` on, every
     /// score comes with its blame rollup.
     lowered: DistConfig,
 }
@@ -474,8 +474,8 @@ impl SearchEnv {
     }
 
     /// Scores one candidate against the memoized protocol outcomes (pure
-    /// lookup + distribution simulation; no protocol runs). The timeline
-    /// honours the lowered config's consensus lifetimes, so an
+    /// lookup + distribution simulation; no protocol runs). The session
+    /// honours the lowered config's consensus lifetime, so an
     /// `ExtendLifetime` lever changes what the fleet experiences, not
     /// just a config field.
     fn score_shape(
@@ -488,19 +488,17 @@ impl SearchEnv {
             .iter()
             .map(|key| *memo.get(key).expect("memo filled for every scored shape"))
             .collect();
-        let (timeline, windows) = super::sustained::dist_view_with_lifetimes(
-            &candidate.plan,
-            &outcomes,
-            self.lowered.fresh_secs,
-            self.lowered.valid_secs,
-        );
-        let dist = simulate(
-            &DistConfig {
-                link_windows: windows,
-                ..self.lowered.clone()
-            },
-            &timeline,
-        );
+        let config = DistConfig {
+            link_windows: candidate.plan.dist_windows(),
+            ..self.lowered.clone()
+        };
+        let dist = super::sustained::replay(
+            &config,
+            DocModel::synthetic(config.relays),
+            outcomes.iter().copied().map(Into::into),
+            &Tracer::disabled(),
+        )
+        .into_report();
         let shape = candidate.shape;
         let score = PlanScore {
             label: shape.label(),

@@ -78,7 +78,6 @@ pub fn run_experiment_traced(params: &AttributeParams, tracer: &Tracer) -> Attri
         super::sustained::hourly_jobs(protocol, &plan, params.hours, params.seed, params.relays);
     let reports = crate::runner::sweep(&jobs);
     let hourly = super::sustained::hourly_outcomes(&reports);
-    let (timeline, windows) = super::sustained::dist_view(&plan, &hourly);
     let config = DistConfig {
         seed: params.seed,
         clients: params.clients,
@@ -86,18 +85,18 @@ pub fn run_experiment_traced(params: &AttributeParams, tracer: &Tracer) -> Attri
         n_authorities: N_AUTHORITIES,
         n_caches: params.caches,
         feedback: params.feedback,
-        link_windows: windows,
+        link_windows: plan.dist_windows(),
         attribution: true,
         ..DistConfig::default()
     };
-    // No run reports: the attributed replay carries no monitor alerts.
-    let (dist, _) = super::sustained::replay_distribution(
+    // Outcomes only: the attributed replay carries no monitor alerts.
+    let dist = super::sustained::replay(
         &config,
-        &timeline,
-        &DocModel::synthetic(params.relays),
-        &[],
+        DocModel::synthetic(params.relays),
+        hourly.iter().copied().map(Into::into),
         tracer,
-    );
+    )
+    .into_report();
     AttributeResult {
         protocol: protocol.to_string(),
         produced_hours: hourly.iter().flatten().count() as u64,

@@ -12,7 +12,8 @@ use crate::adversary::AttackPlan;
 use crate::calibration::CONSENSUS_VALID_SECS;
 use crate::protocols::ProtocolKind;
 use crate::runner::sweep;
-use partialtor_dirdist::{simulate, DistConfig};
+use partialtor_dirdist::{DistConfig, DocModel};
+use partialtor_obs::Tracer;
 use serde::Serialize;
 
 /// Reference fleet used to weight downtime by clients rather than by
@@ -101,17 +102,20 @@ pub fn timeline(protocol: ProtocolKind, hours: u64, seed: u64) -> AvailabilityRe
     // distribution layer with a reference fleet — cache fetches see the
     // same hourly attack windows the protocol runs did — then fold its
     // per-hour staleness back into the rows.
-    let (dist_timeline, windows) = super::sustained::dist_view(&plan, &hourly_outcomes);
-    let dist = simulate(
-        &DistConfig {
-            seed,
-            clients: REFERENCE_FLEET_CLIENTS,
-            n_caches: REFERENCE_FLEET_CACHES,
-            link_windows: windows,
-            ..DistConfig::default()
-        },
-        &dist_timeline,
-    );
+    let config = DistConfig {
+        seed,
+        clients: REFERENCE_FLEET_CLIENTS,
+        n_caches: REFERENCE_FLEET_CACHES,
+        link_windows: plan.dist_windows(),
+        ..DistConfig::default()
+    };
+    let dist = super::sustained::replay(
+        &config,
+        DocModel::synthetic(config.relays),
+        hourly_outcomes.into_iter().map(Into::into),
+        &Tracer::disabled(),
+    )
+    .into_report();
     for row in &mut rows {
         if let Some(fleet_row) = dist.fleet.rows.iter().find(|r| r.hour == row.hour) {
             row.dead_client_fraction = fleet_row.dead_fraction;
@@ -217,6 +221,17 @@ mod tests {
             result.rows.iter().all(|r| r.dead_client_fraction < 0.05),
             "{:?}",
             result.rows
+        );
+    }
+
+    /// Value pin on the rendered timelines of both protocols: the
+    /// distribution replay behind the client columns must not move.
+    #[test]
+    fn timelines_are_pinned() {
+        let text = render(&run_experiment(3, 31));
+        assert_eq!(
+            partialtor_crypto::sha256::digest(text.as_bytes()).to_hex(),
+            "1735d8d38a7014c5f68c3de3dd6e6ac4960caeb1cd94fa7298aeb7a6eb6adf47"
         );
     }
 }

@@ -29,7 +29,7 @@ use crate::calibration::N_AUTHORITIES;
 use crate::protocols::ProtocolKind;
 use crate::runner::{sweep, SweepJob};
 use partialtor_dirdist::{
-    ChurnSchedule, ConsensusTimeline, DistConfig, DistReport, DocModel, FetchMix,
+    ChurnSchedule, DistConfig, DistReport, DocModel, FetchMix, HourInput, RETAIN_HOURS,
 };
 use partialtor_obs::Tracer;
 use partialtor_tordoc::prelude::*;
@@ -97,18 +97,24 @@ pub struct ClientsResult {
     pub fetch_mixes: Vec<FetchMix>,
 }
 
-/// Builds one real consensus per timeline version: a relay-population
-/// window that slides with the cumulative churn of the schedule, voted
-/// on by a majority committee and aggregated — the same documents the
-/// `tordoc` protocol path produces, so every diff the caches serve is a
-/// genuine, verified `ConsensusDiff`.
-fn measured_model(params: &ClientsParams, timeline: &ConsensusTimeline) -> DocModel {
+/// Builds one real consensus per published version — the baseline at
+/// hour 0, then every hour whose `hourly` outcome (hour 1 first) is
+/// `Some`: a relay-population window that slides with the cumulative
+/// churn of the schedule, voted on by a majority committee and
+/// aggregated — the same documents the `tordoc` protocol path produces,
+/// so every diff the caches serve is a genuine, verified
+/// `ConsensusDiff`.
+fn measured_model(params: &ClientsParams, hourly: &[Option<f64>]) -> DocModel {
     assert!(
         params.relays <= REAL_DOCS_MAX_RELAYS,
         "real-docs mode is for small populations (≤ {REAL_DOCS_MAX_RELAYS} relays)"
     );
     let relays = params.relays as usize;
-    let max_hour = timeline.publications.last().map_or(0, |p| p.hour);
+    let published_hours: Vec<u64> = (0..=hourly.len())
+        .filter(|&hour| hour == 0 || hourly[hour - 1].is_some())
+        .map(|hour| hour as u64)
+        .collect();
+    let max_hour = published_hours.last().copied().unwrap_or(0);
     let cum_at = |hour: u64| -> f64 { (1..=hour).map(|h| params.churn.churn_at(h)).sum() };
     let max_offset = (cum_at(max_hour) * relays as f64).ceil() as usize;
     let population = generate_population(&PopulationConfig {
@@ -116,11 +122,10 @@ fn measured_model(params: &ClientsParams, timeline: &ConsensusTimeline) -> DocMo
         count: relays + max_offset,
     });
     let committee = AuthoritySet::with_size(params.seed, N_AUTHORITIES);
-    let docs: Vec<Consensus> = timeline
-        .publications
+    let docs: Vec<Consensus> = published_hours
         .iter()
-        .map(|publication| {
-            let offset = (cum_at(publication.hour) * relays as f64).round() as usize;
+        .map(|&hour| {
+            let offset = (cum_at(hour) * relays as f64).round() as usize;
             let subset = &population[offset..offset + relays];
             // A majority committee suffices to aggregate a consensus.
             let votes: Vec<Vote> = committee
@@ -133,7 +138,7 @@ fn measured_model(params: &ClientsParams, timeline: &ConsensusTimeline) -> DocMo
                             auth.id,
                             &auth.name,
                             auth.fingerprint_hex(),
-                            (publication.hour + 1) * 3_600,
+                            (hour + 1) * 3_600,
                         ),
                         view,
                     )
@@ -143,7 +148,7 @@ fn measured_model(params: &ClientsParams, timeline: &ConsensusTimeline) -> DocMo
             aggregate(&refs)
         })
         .collect();
-    DocModel::from_consensuses(&docs, 3)
+    DocModel::from_consensuses(&docs, RETAIN_HOURS as usize)
 }
 
 /// Runs the client-visible timeline for the current and ICPS protocols.
@@ -174,7 +179,6 @@ pub fn run_experiment_traced(params: &ClientsParams, tracer: &Tracer) -> Vec<Cli
         .map(|(index, &protocol)| {
             let slice = &reports[index * params.hours as usize..][..params.hours as usize];
             let hourly = super::sustained::hourly_outcomes(slice);
-            let (timeline, windows) = super::sustained::dist_view(&plan, &hourly);
             let config = DistConfig {
                 seed: params.seed,
                 clients: params.clients,
@@ -183,17 +187,26 @@ pub fn run_experiment_traced(params: &ClientsParams, tracer: &Tracer) -> Vec<Cli
                 n_caches: params.caches,
                 churn: params.churn.clone(),
                 feedback: params.feedback,
-                link_windows: windows,
+                link_windows: plan.dist_windows(),
                 attribution: params.attribution,
                 ..DistConfig::default()
             };
             let model = if params.real_docs {
-                measured_model(params, &timeline)
+                measured_model(params, &hourly)
             } else {
                 DocModel::synthetic(params.relays)
             };
-            let (dist, fetch_mixes) =
-                super::sustained::replay_distribution(&config, &timeline, &model, slice, tracer);
+            let inputs = hourly
+                .iter()
+                .zip(slice)
+                .map(|(&publication, report)| HourInput {
+                    publication,
+                    alerts: super::sustained::alert_notes(report),
+                    ..HourInput::default()
+                });
+            let session = super::sustained::replay(&config, model, inputs, tracer);
+            let fetch_mixes = session.fetch_mixes();
+            let dist = session.into_report();
             ClientsResult {
                 protocol: protocol.to_string(),
                 produced_hours: hourly.iter().flatten().count() as u64,

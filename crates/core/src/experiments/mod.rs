@@ -12,22 +12,19 @@ pub mod availability;
 pub mod clients;
 pub mod cost;
 
-/// Shared plumbing for the §2.1 sustained-attack experiments
-/// (`availability`, `clients`, `attribute`, `adversary`): one day-clock
+/// Shared plumbing for the §2.1 sustained-attack experiments, called
+/// directly by `availability`, `clients`, `attribute`, `placement` and
+/// `adversary` (which `frontier` drives): one day-clock
 /// [`AttackPlan`](crate::adversary::AttackPlan) drives both the hourly
 /// protocol sweep jobs and the distribution layer's view of the same
-/// windows, and the report-to-timeline mapping lives in one place — the
-/// two sides cannot silently drift onto different scenarios.
+/// windows, and `replay` is the one path from hourly outcomes to a
+/// [`DistSession`](partialtor_dirdist::DistSession).
 pub(crate) mod sustained {
     use crate::adversary::AttackPlan;
-    use crate::calibration::CONSENSUS_VALID_SECS;
     use crate::monitor;
     use crate::protocols::ProtocolKind;
     use crate::runner::{RunReport, Scenario, SweepJob};
-    use partialtor_dirdist::{
-        AlertNote, ConsensusTimeline, DistConfig, DistReport, DistSession, DocModel, FetchMix,
-        HourInput, LinkWindow,
-    };
+    use partialtor_dirdist::{AlertNote, DistConfig, DistSession, DocModel, HourInput};
     use partialtor_obs::Tracer;
 
     /// The scenario of hour `hour` under the day-clock `plan`: its
@@ -68,35 +65,11 @@ pub(crate) mod sustained {
             .collect()
     }
 
-    /// The same campaign as the distribution layer sees it: the
-    /// publication timeline plus every plan window — authorities *and*
-    /// caches — lowered onto tier links on the day's clock.
-    pub fn dist_view(
-        plan: &AttackPlan,
-        outcomes: &[Option<f64>],
-    ) -> (ConsensusTimeline, Vec<LinkWindow>) {
-        dist_view_with_lifetimes(plan, outcomes, 3_600, CONSENSUS_VALID_SECS)
-    }
-
-    /// [`dist_view`] with explicit consensus lifetimes — the frontier
-    /// experiment's path, where a defense plan may have extended the
-    /// validity horizon and the timeline must agree with the lowered
-    /// [`DistConfig`].
-    pub fn dist_view_with_lifetimes(
-        plan: &AttackPlan,
-        outcomes: &[Option<f64>],
-        fresh_secs: u64,
-        valid_secs: u64,
-    ) -> (ConsensusTimeline, Vec<LinkWindow>) {
-        let timeline = ConsensusTimeline::from_hourly_outcomes(outcomes, fresh_secs, valid_secs);
-        (timeline, plan.dist_windows())
-    }
-
     /// The health monitor's verdicts on one hour's run, as
     /// distribution-layer alert notes: what the deployed consensus-health
     /// monitor would page operators with while the hour's fetch storm
     /// plays out.
-    fn alert_notes(report: &RunReport) -> Vec<AlertNote> {
+    pub fn alert_notes(report: &RunReport) -> Vec<AlertNote> {
         monitor::analyze(report)
             .iter()
             .map(|alert| AlertNote {
@@ -107,39 +80,20 @@ pub(crate) mod sustained {
             .collect()
     }
 
-    /// Replays a protocol's hourly timeline through a stepped
-    /// [`DistSession`], feeding each hour's monitor alerts (from
-    /// `hourly_reports`, hour 1 first; none past its end) into the same
-    /// telemetry stream. Equivalent to
-    /// [`simulate_with_model`](partialtor_dirdist::simulate_with_model)
-    /// plus the alert wiring — telemetry is observational, so the reports
-    /// are bit-identical either way.
-    pub fn replay_distribution(
+    /// Opens a [`DistSession`] on `config` and `model` and steps it
+    /// through `inputs`, hour 1 first; the caller closes it (and may
+    /// read its fetch mixes first).
+    pub fn replay(
         config: &DistConfig,
-        timeline: &ConsensusTimeline,
-        model: &DocModel,
-        hourly_reports: &[RunReport],
+        model: DocModel,
+        inputs: impl IntoIterator<Item = HourInput>,
         tracer: &Tracer,
-    ) -> (DistReport, Vec<FetchMix>) {
-        let mut session = DistSession::with_telemetry(config, model.clone(), tracer.clone());
-        for hour in 1..=timeline.hours {
-            let publication = timeline
-                .publications
-                .iter()
-                .find(|p| p.hour == hour)
-                .map(|p| p.available_at_secs - (hour * 3_600) as f64);
-            let alerts = hourly_reports
-                .get(hour as usize - 1)
-                .map(alert_notes)
-                .unwrap_or_default();
-            session.step_hour(HourInput {
-                publication,
-                alerts,
-                ..HourInput::default()
-            });
+    ) -> DistSession {
+        let mut session = DistSession::with_telemetry(config, model, tracer.clone());
+        for input in inputs {
+            session.step_hour(input);
         }
-        let fetch_mixes = session.fetch_mixes();
-        (session.into_report(), fetch_mixes)
+        session
     }
 }
 /// Serializes an optional fetch-latency summary (count plus

@@ -22,9 +22,10 @@ use crate::calibration::N_AUTHORITIES;
 use crate::protocols::ProtocolKind;
 use crate::runner::sweep;
 use partialtor_dirdist::{
-    client_weighted_latency_ms, simulate, CachePlacement, ClientRegions, DistConfig, LinkWindow,
+    client_weighted_latency_ms, CachePlacement, ClientRegions, DistConfig, DocModel, LinkWindow,
     TierNode,
 };
+use partialtor_obs::Tracer;
 use partialtor_simnet::geo::{Region, REGIONS};
 use serde::Serialize;
 
@@ -198,7 +199,7 @@ fn score(
     outcomes: &[Option<f64>],
     plan: &AttackPlan,
 ) -> StrategyScore {
-    let (timeline, mut windows) = super::sustained::dist_view(plan, outcomes);
+    let mut windows = plan.dist_windows();
     if let Some(region) = params.brownout {
         windows.push(LinkWindow {
             node: TierNode::Region(region),
@@ -218,7 +219,13 @@ fn score(
         client_regions: ClientRegions::TorMetrics,
         ..DistConfig::default()
     };
-    let report = simulate(&config, &timeline);
+    let report = super::sustained::replay(
+        &config,
+        DocModel::synthetic(config.relays),
+        outcomes.iter().copied().map(Into::into),
+        &Tracer::disabled(),
+    )
+    .into_report();
     let downtime_of = |region: &str| {
         report
             .fleet
@@ -608,6 +615,30 @@ mod tests {
             "browned-out Europe must lose more client-time: {:?} vs {:?}",
             europe,
             us_east
+        );
+    }
+
+    /// Value pin on the JSON report of the sweep with greedy search and
+    /// of the brownout variant: every strategy's distribution replay
+    /// must not move.
+    #[test]
+    fn results_are_pinned() {
+        let digest = |params: &PlacementParams| {
+            partialtor_crypto::sha256::digest(to_json(&run_experiment(params)).render().as_bytes())
+                .to_hex()
+        };
+        assert_eq!(
+            digest(&small_params()),
+            "f2a3981f7dbd3dec35126e3b39f40c7e9d13aee65f1b59c5046505706a4c03ed"
+        );
+        let brownout = PlacementParams {
+            brownout: Some(Region::Europe),
+            greedy: 0,
+            ..small_params()
+        };
+        assert_eq!(
+            digest(&brownout),
+            "d78f946279faac68f494f7db2a2b8396ee97af96b9da579e5c8598e2454841c2"
         );
     }
 }

@@ -79,7 +79,7 @@ fn nodes<A: Authority>(
 }
 
 /// Runs `nodes` on `authority_topology(seed)` until `secs`.
-fn simulate<T: Node>(seed: u64, nodes: Vec<T>, secs: u64) -> Simulation<T> {
+fn run_nodes<T: Node>(seed: u64, nodes: Vec<T>, secs: u64) -> Simulation<T> {
     let mut sim = Simulation::new(authority_topology(seed), nodes, sim_config(seed));
     sim.run_until(SimTime::from_secs(secs));
     sim
@@ -90,7 +90,7 @@ fn run_current_with(byz: CurrentByzantineMode) -> Simulation<CurrentAuthority> {
         0 => byz,
         _ => CurrentByzantineMode::Honest,
     };
-    simulate(5, nodes(5, 60, mode, true), 700)
+    run_nodes(5, nodes(5, 60, mode, true), 700)
 }
 
 #[test]
@@ -136,7 +136,7 @@ fn synchronous_protocol_neutralizes_equivocation() {
         3 => SyncByzantineMode::EquivocateProposal,
         _ => SyncByzantineMode::Honest,
     };
-    let mut sim: Simulation<SyncAuthority> = simulate(6, nodes(6, 61, mode, true), 700);
+    let mut sim: Simulation<SyncAuthority> = run_nodes(6, nodes(6, 61, mode, true), 700);
 
     let digests: std::collections::BTreeSet<_> = (0..N)
         .filter(|&i| i != 3)
@@ -169,7 +169,7 @@ fn build_icps(
     run_id: u64,
     byz: impl Fn(usize) -> IcpsByzantineMode,
 ) -> Simulation<IcpsAuthority> {
-    simulate(seed, icps_nodes(seed, run_id, byz, true), 3_600)
+    run_nodes(seed, icps_nodes(seed, run_id, byz, true), 3_600)
 }
 
 fn assert_icps_agreement(sim: &mut Simulation<IcpsAuthority>, byzantine: &[usize]) {
@@ -322,7 +322,7 @@ fn a_shared_committee_and_nine_private_ones_run_the_same_run() {
         // (simulation, verification requests, kernel passes)
         let run = |shared: bool| {
             let before = work();
-            let sim = simulate(seed, icps_nodes(seed, 70 + seed, byz, shared), 3_600);
+            let sim = run_nodes(seed, icps_nodes(seed, 70 + seed, byz, shared), 3_600);
             let after = work();
             (
                 sim,

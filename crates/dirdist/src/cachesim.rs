@@ -806,16 +806,6 @@ impl CacheTier {
         self.sim.metrics()
     }
 
-    /// The tier's metrics registry (shared with every node).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// The tier's trace sink.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// When each version reached the cache quorum, as of the tier's
     /// current simulated time (`None` = not yet).
     pub fn cached_at(&self) -> Vec<Option<f64>> {

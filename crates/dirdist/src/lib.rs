@@ -26,35 +26,7 @@
 //!    without diffs) that makes authorities DDoS targets in the first
 //!    place.
 //!
-//! The one-shot [`simulate`] entry point is a thin wrapper that steps a
-//! session over a pre-built [`ConsensusTimeline`] with feedback off;
-//! with identical inputs it is bit-for-bit identical to stepping the
-//! session by hand (a test pins this).
-//!
 //! # Examples
-//!
-//! ```
-//! use partialtor_dirdist::{simulate, ConsensusTimeline, DistConfig};
-//!
-//! // Authorities produced a document every hour (offset ≈ 330 s); feed
-//! // a 100k-client fleet through 20 caches.
-//! let timeline = ConsensusTimeline::from_hourly_outcomes(
-//!     &[Some(330.0), Some(335.0), Some(331.0)],
-//!     3_600,
-//!     10_800,
-//! );
-//! let config = DistConfig {
-//!     clients: 100_000,
-//!     n_caches: 20,
-//!     ..DistConfig::default()
-//! };
-//! let report = simulate(&config, &timeline);
-//! assert!(report.fleet.bootstrap_success_rate > 0.99);
-//! assert!(report.cache.diff_responses > 0);
-//! ```
-//!
-//! Stepping the session directly — the mode the feedback loop and
-//! multi-day churny horizons need:
 //!
 //! ```
 //! use partialtor_dirdist::{DistConfig, DistSession, DocModel, HourInput};
@@ -112,6 +84,17 @@ pub use timeline::{ConsensusTimeline, Publication};
 
 use serde::Serialize;
 
+/// Consensus freshness lifetime, seconds from the nominal hour.
+pub const FRESH_SECS: u64 = 3_600;
+
+/// Diff window: bases older than this many hours get full documents.
+pub const RETAIN_HOURS: u64 = 3;
+
+/// Fraction of clients that still fetch directly from authorities
+/// (legacy behaviour); their load lands on authority links as
+/// aggregate background traffic.
+pub const DIRECT_FETCH_FRACTION: f64 = 0.01;
+
 /// Configuration of one end-to-end distribution simulation.
 #[derive(Clone, Debug)]
 pub struct DistConfig {
@@ -128,12 +111,6 @@ pub struct DistConfig {
     /// Hourly relay churn driving diff sizes: constant, or the Fig. 6
     /// weekly series for multi-day horizons.
     pub churn: ChurnSchedule,
-    /// Diff window: bases older than this many hours get full documents.
-    pub retain_hours: u64,
-    /// Fraction of clients that still fetch directly from authorities
-    /// (legacy behaviour); their load lands on authority links as
-    /// aggregate background traffic.
-    pub direct_fetch_fraction: f64,
     /// Capacity overrides on authority and cache links during the
     /// horizon — DDoS windows lowered from the typed adversary model
     /// upstream (`partialtor::adversary::AttackPlan::dist_windows`).
@@ -152,8 +129,6 @@ pub struct DistConfig {
     /// [`ClientRegions::TorMetrics`] weights four regional cohorts by
     /// the Tor client population.
     pub client_regions: ClientRegions,
-    /// Consensus freshness lifetime, seconds from the nominal hour.
-    pub fresh_secs: u64,
     /// Consensus validity lifetime, seconds from the nominal hour.
     pub valid_secs: u64,
     /// Per-client fetch rate limit, expressed as a multiplier (≥ 1.0)
@@ -179,13 +154,10 @@ impl Default for DistConfig {
             n_authorities: 9,
             n_caches: 200,
             churn: ChurnSchedule::default(),
-            retain_hours: 3,
-            direct_fetch_fraction: 0.01,
             link_windows: Vec::new(),
             feedback: false,
             placement: CachePlacement::Uniform,
             client_regions: ClientRegions::Worldwide,
-            fresh_secs: 3_600,
             valid_secs: 10_800,
             fetch_rate_scale: 1.0,
             attribution: false,
@@ -200,7 +172,7 @@ impl DistConfig {
     /// churned relays' descriptors per such client per hour, spread
     /// over the authorities.
     pub fn direct_client_load_bps(&self) -> f64 {
-        let direct = self.clients as f64 * self.direct_fetch_fraction;
+        let direct = self.clients as f64 * DIRECT_FETCH_FRACTION;
         let churn = self.churn.churn_at(1).clamp(0.0, 1.0);
         let per_client = consensus_size_bytes(self.relays) as f64
             + descriptors_size_bytes(self.relays) as f64 * churn;
@@ -235,63 +207,23 @@ pub struct DistReport {
     pub attribution: Option<AttributionRollup>,
 }
 
-/// Runs the full distribution pipeline with a synthetic document model
-/// sized for `config.relays`: a thin one-shot wrapper that steps a
-/// [`DistSession`] over the timeline.
-pub fn simulate(config: &DistConfig, timeline: &ConsensusTimeline) -> DistReport {
-    simulate_with_model(config, timeline, &DocModel::synthetic(config.relays))
-}
-
-/// Runs the full distribution pipeline with an explicit document model
-/// (e.g. one measured from real `tordoc` consensuses via
-/// [`DocModel::from_consensuses`]).
-///
-/// The timeline's hourly outcomes are replayed through a stepped
-/// [`DistSession`]; its freshness/validity lifetimes should match
-/// `config.fresh_secs`/`config.valid_secs` (the session re-derives
-/// publication lifetimes from the config).
-pub fn simulate_with_model(
-    config: &DistConfig,
-    timeline: &ConsensusTimeline,
-    model: &DocModel,
-) -> DistReport {
-    // The session re-derives publication lifetimes from the config; a
-    // timeline built with different `fresh`/`valid` parameters would
-    // silently describe a different experiment, so refuse it loudly.
-    for p in &timeline.publications {
-        let nominal = (p.hour * 3_600) as f64;
-        assert!(
-            p.fresh_until_secs == nominal + config.fresh_secs as f64
-                && p.valid_until_secs == nominal + config.valid_secs as f64,
-            "timeline lifetimes disagree with DistConfig \
-             (fresh_secs/valid_secs = {}/{}): {p:?}",
-            config.fresh_secs,
-            config.valid_secs,
-        );
-    }
-    let mut session = DistSession::new(config, model.clone());
-    for hour in 1..=timeline.hours {
-        let publication = timeline
-            .publications
-            .iter()
-            .find(|p| p.hour == hour)
-            .map(|p| p.available_at_secs - (hour * 3_600) as f64);
-        session.step_hour(HourInput {
-            publication,
-            ..HourInput::default()
-        });
-    }
-    session.into_report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use partialtor_tordoc::prelude::*;
 
-    fn attacked_hourly(hours: u64, produced: bool) -> ConsensusTimeline {
-        let outcomes: Vec<Option<f64>> = (0..hours).map(|_| produced.then_some(360.0)).collect();
-        ConsensusTimeline::from_hourly_outcomes(&outcomes, 3_600, 10_800)
+    /// Steps a fresh session with the synthetic document model through
+    /// `outcomes` (hour 1 first) and closes it.
+    pub(crate) fn stepped(config: &DistConfig, outcomes: &[Option<f64>]) -> DistReport {
+        let mut session = DistSession::new(config, DocModel::synthetic(config.relays));
+        for &outcome in outcomes {
+            session.step_hour(outcome.into());
+        }
+        session.into_report()
+    }
+
+    fn attacked_hourly(hours: u64, produced: bool) -> Vec<Option<f64>> {
+        (0..hours).map(|_| produced.then_some(360.0)).collect()
     }
 
     fn hourly_attacks(hours: u64) -> Vec<LinkWindow> {
@@ -309,14 +241,14 @@ mod tests {
 
     #[test]
     fn surviving_protocol_keeps_clients_online_under_attack() {
-        let timeline = attacked_hourly(6, true);
+        let outcomes = attacked_hourly(6, true);
         let config = DistConfig {
             clients: 200_000,
             n_caches: 40,
             link_windows: hourly_attacks(6),
             ..DistConfig::default()
         };
-        let report = simulate(&config, &timeline);
+        let report = stepped(&config, &outcomes);
         assert!(report.fleet.bootstrap_success_rate > 0.95);
         assert!(report.fleet.client_weighted_downtime < 0.02);
         assert!(
@@ -326,14 +258,14 @@ mod tests {
 
     #[test]
     fn failing_protocol_strands_clients_three_hours_later() {
-        let timeline = attacked_hourly(6, false);
+        let outcomes = attacked_hourly(6, false);
         let config = DistConfig {
             clients: 200_000,
             n_caches: 40,
             link_windows: hourly_attacks(6),
             ..DistConfig::default()
         };
-        let report = simulate(&config, &timeline);
+        let report = stepped(&config, &outcomes);
         assert!(report.fleet.client_weighted_downtime > 0.3);
         assert!(report.fleet.peak_stale_fraction > 0.99);
         let last = report.fleet.rows.last().unwrap();
@@ -342,41 +274,16 @@ mod tests {
 
     #[test]
     fn pipeline_is_deterministic_end_to_end() {
-        let timeline = attacked_hourly(3, true);
+        let outcomes = attacked_hourly(3, true);
         let config = DistConfig {
             clients: 150_000,
             n_caches: 30,
             link_windows: hourly_attacks(3),
             ..DistConfig::default()
         };
-        let a = simulate(&config, &timeline);
-        let b = simulate(&config, &timeline);
+        let a = stepped(&config, &outcomes);
+        let b = stepped(&config, &outcomes);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    }
-
-    /// The acceptance-criterion pin: the one-shot wrapper and a manually
-    /// stepped session are *bit-for-bit* identical with feedback off.
-    #[test]
-    fn one_shot_wrapper_equals_manual_stepping() {
-        let outcomes = [Some(330.0), None, Some(400.0), None, Some(10.0)];
-        let timeline = ConsensusTimeline::from_hourly_outcomes(&outcomes, 3_600, 10_800);
-        let config = DistConfig {
-            clients: 120_000,
-            n_caches: 25,
-            link_windows: hourly_attacks(5),
-            ..DistConfig::default()
-        };
-        let batch = simulate(&config, &timeline);
-
-        let mut session = DistSession::new(&config, DocModel::synthetic(config.relays));
-        for outcome in outcomes {
-            session.step_hour(HourInput {
-                publication: outcome,
-                ..HourInput::default()
-            });
-        }
-        let stepped = session.into_report();
-        assert_eq!(format!("{batch:?}"), format!("{stepped:?}"));
     }
 
     /// The geo acceptance pin: the default (unplaced, single worldwide
@@ -395,11 +302,7 @@ mod tests {
     /// (`cachesim::tests::placed_tier_caches_faster_than_the_worldwide_one`).
     #[test]
     fn uniform_placement_reproduces_the_pre_geo_results_bit_for_bit() {
-        let timeline = ConsensusTimeline::from_hourly_outcomes(
-            &[Some(330.0), None, Some(400.0)],
-            3_600,
-            10_800,
-        );
+        let outcomes = [Some(330.0), None, Some(400.0)];
         let config = DistConfig {
             clients: 120_000,
             n_caches: 25,
@@ -408,7 +311,7 @@ mod tests {
         };
         assert_eq!(config.placement, CachePlacement::Uniform);
         assert_eq!(config.client_regions, ClientRegions::Worldwide);
-        let report = simulate(&config, &timeline);
+        let report = stepped(&config, &outcomes);
 
         assert_eq!(report.fleet.client_weighted_downtime, 3.4720717660104904e-7);
         assert_eq!(report.fleet.bootstrap_success_rate, 0.9989821882951654);
@@ -476,14 +379,17 @@ mod tests {
             })
             .collect();
         let model = DocModel::from_consensuses(&docs, 3);
-        let timeline = attacked_hourly(3, true);
         let config = DistConfig {
             clients: 50_000,
             n_caches: 20,
             relays: 80,
             ..DistConfig::default()
         };
-        let report = simulate_with_model(&config, &timeline, &model);
+        let mut session = DistSession::new(&config, model);
+        for outcome in attacked_hourly(3, true) {
+            session.step_hour(outcome.into());
+        }
+        let report = session.into_report();
         assert!(report.cache.diff_responses > 0, "real diffs must be served");
         assert!(report.fleet.bootstrap_success_rate > 0.9);
     }

@@ -20,11 +20,8 @@
 //!    bootstrap retry storms — is charged as the *next* hour's
 //!    background load on cache and authority links.
 //!
-//! [`DistSession::into_report`] drains the tier and returns the same
-//! [`DistReport`] the one-shot
-//! [`simulate`](crate::simulate) wrapper produces; with feedback off
-//! the wrapper and a manually stepped session are bit-for-bit
-//! identical (a test pins this).
+//! [`DistSession::into_report`] drains the tier and returns the
+//! end-to-end [`DistReport`].
 
 use crate::attribution::{self, HourAttribution, LadderContext};
 use crate::cachesim::{CacheSimConfig, CacheTier, LinkWindow, ServeSizes, TierNode};
@@ -34,7 +31,7 @@ use crate::placement::{
     client_weighted_latency_ms, cohort_fetch_latency_ms, region_label, serving_caches,
 };
 use crate::timeline::Publication;
-use crate::{DistConfig, DistReport};
+use crate::{DistConfig, DistReport, DIRECT_FETCH_FRACTION, FRESH_SECS, RETAIN_HOURS};
 use partialtor_obs::{Histogram, Registry, SpanId, TraceEvent, Tracer};
 use partialtor_simnet::geo::REGIONS;
 use serde::Serialize;
@@ -85,6 +82,17 @@ impl HourInput {
     /// An hour whose run failed.
     pub fn failed() -> Self {
         HourInput::default()
+    }
+}
+
+/// An hour's protocol outcome alone: [`HourInput::produced`] at the
+/// offset, or [`HourInput::failed`].
+impl From<Option<f64>> for HourInput {
+    fn from(publication: Option<f64>) -> Self {
+        HourInput {
+            publication,
+            ..HourInput::default()
+        }
     }
 }
 
@@ -403,12 +411,12 @@ impl DistSession {
         };
 
         let mut table = DocTable::new();
-        table.push_version(&model, 0, 0.0, config.retain_hours);
+        table.push_version(&model, 0, 0.0, RETAIN_HOURS);
         let baseline = Publication {
             version: 0,
             hour: 0,
             available_at_secs: 0.0,
-            fresh_until_secs: config.fresh_secs as f64,
+            fresh_until_secs: FRESH_SECS as f64,
             valid_until_secs: config.valid_secs as f64,
         };
         let baseline_span = tier.publish(0, 0.0, ServeSizes::for_version(&table, 0));
@@ -494,11 +502,11 @@ impl DistSession {
                 version,
                 hour,
                 available_at_secs: nominal + offset,
-                fresh_until_secs: nominal + self.config.fresh_secs as f64,
+                fresh_until_secs: nominal + FRESH_SECS as f64,
                 valid_until_secs: nominal + self.config.valid_secs as f64,
             });
             self.table
-                .push_version(&self.model, hour, self.cum_churn, self.config.retain_hours);
+                .push_version(&self.model, hour, self.cum_churn, RETAIN_HOURS);
             publication_span = self
                 .tier
                 .publish(
@@ -612,7 +620,7 @@ impl DistSession {
             let authority_feedback = per(
                 egress.served_bytes + egress.request_bytes,
                 self.config.n_authorities,
-            ) * self.config.direct_fetch_fraction;
+            ) * DIRECT_FETCH_FRACTION;
             let authority = self.config.direct_client_load_bps() + authority_feedback;
             self.tier.set_background_load(
                 ((hour + 1) * 3_600) as f64,
@@ -704,21 +712,8 @@ impl DistSession {
         &self.publications
     }
 
-    /// The grown document table.
-    pub fn table(&self) -> &DocTable {
-        &self.table
-    }
-
-    /// The realized fetch mix of one processed hour — the distribution
-    /// `dirload` replays against a real daemon. `None` until the hour
-    /// has been stepped.
-    pub fn fetch_mix(&self, hour: u64) -> Option<crate::FetchMix> {
-        self.hour_reports
-            .get(hour as usize)
-            .map(|report| crate::FetchMix::from_row(&report.fleet, &self.table, &self.publications))
-    }
-
-    /// The fetch mixes of every hour processed so far (hour 0 first).
+    /// The fetch mixes of every hour processed so far (hour 0 first) —
+    /// the distribution `dirload` replays against a real daemon.
     pub fn fetch_mixes(&self) -> Vec<crate::FetchMix> {
         self.hour_reports
             .iter()
@@ -735,11 +730,6 @@ impl DistSession {
     /// The session's metrics registry (shared with the cache tier).
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// The session's trace sink.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Closes the session: drains the cache tier past the horizon (late
@@ -790,7 +780,7 @@ impl DistSession {
 mod tests {
     use super::*;
     use crate::cachesim::TierNode;
-    use crate::{simulate, ConsensusTimeline};
+    use crate::tests::stepped;
     use proptest::prelude::*;
 
     fn five_of_nine_windows(hours: impl Iterator<Item = u64>) -> Vec<LinkWindow> {
@@ -826,13 +816,12 @@ mod tests {
     #[test]
     fn five_of_nine_retry_storm_amplifies_downtime_and_load() {
         let outcomes: Vec<Option<f64>> = (0..30).map(|h| (h >= 24).then_some(330.0)).collect();
-        let timeline = ConsensusTimeline::from_hourly_outcomes(&outcomes, 3_600, 10_800);
         let windows = five_of_nine_windows(1..=24);
 
         let run = |feedback: bool| {
             let mut cfg = config(400_000, 40, feedback);
             cfg.link_windows = windows.clone();
-            simulate(&cfg, &timeline)
+            stepped(&cfg, &outcomes)
         };
         let open_loop = run(false);
         let closed_loop = run(true);
@@ -868,9 +857,8 @@ mod tests {
         // but stays far below the cache link rate, and outcomes match
         // the open-loop run closely.
         let outcomes = vec![Some(330.0); 6];
-        let timeline = ConsensusTimeline::from_hourly_outcomes(&outcomes, 3_600, 10_800);
-        let closed = simulate(&config(200_000, 30, true), &timeline);
-        let open = simulate(&config(200_000, 30, false), &timeline);
+        let closed = stepped(&config(200_000, 30, true), &outcomes);
+        let open = stepped(&config(200_000, 30, false), &outcomes);
         assert!(closed.feedback.peak_cache_bg_bps > 0.0);
         assert!(
             closed.feedback.peak_cache_bg_bps < 25e6,
@@ -1037,12 +1025,11 @@ mod tests {
     #[test]
     fn attribution_is_observational_and_sums_bit_exactly() {
         let outcomes: Vec<Option<f64>> = (0..30).map(|h| (h >= 24).then_some(330.0)).collect();
-        let timeline = ConsensusTimeline::from_hourly_outcomes(&outcomes, 3_600, 10_800);
         let mut cfg = config(400_000, 40, true);
         cfg.link_windows = five_of_nine_windows(1..=24);
-        let plain = simulate(&cfg, &timeline);
+        let plain = stepped(&cfg, &outcomes);
         cfg.attribution = true;
-        let attributed = simulate(&cfg, &timeline);
+        let attributed = stepped(&cfg, &outcomes);
 
         for hour in &attributed.hours {
             let attribution = hour.attribution.as_ref().expect("attribution is on");
@@ -1144,7 +1131,6 @@ mod tests {
         ) {
             let outcomes: Vec<Option<f64>> =
                 produced.iter().map(|ok| ok.then_some(330.0)).collect();
-            let timeline = ConsensusTimeline::from_hourly_outcomes(&outcomes, 3_600, 10_800);
             let mut cfg = config(20_000, 6, feedback);
             cfg.attribution = true;
             cfg.link_windows = windows
@@ -1160,7 +1146,7 @@ mod tests {
                     bps: 0.5e6,
                 })
                 .collect();
-            let report = simulate(&cfg, &timeline);
+            let report = stepped(&cfg, &outcomes);
             for hour in &report.hours {
                 let attribution = hour.attribution.as_ref().expect("attribution is on");
                 for (name, value) in attribution.parts.named() {

@@ -1,12 +1,16 @@
-//! The consensus publication timeline the distribution layer consumes.
+//! Consensus publications: the versioned documents caches fetch and
+//! client fleets live on.
 //!
 //! Upstream (the protocol simulations in `partialtor`'s runner) decides
-//! *whether* and *when* each hourly consensus exists; this module turns
-//! that into the sequence of versioned publications that caches fetch and
-//! client fleets live on. The distribution layer deliberately depends
-//! only on this small interface, not on the protocol crates, so any
-//! protocol — deployed, synchronous, ICPS, or something future — can sit
-//! upstream.
+//! *whether* and *when* each hourly consensus exists; a stepped
+//! [`DistSession`](crate::DistSession) turns each hour's outcome into a
+//! [`Publication`] as it goes. The distribution layer deliberately
+//! depends only on this small interface, not on the protocol crates, so
+//! any protocol — deployed, synchronous, ICPS, or something future —
+//! can sit upstream. A whole [`ConsensusTimeline`] built up front only
+//! feeds the batch runs behind the benchmark's tier and fleet probes,
+//! [`cachesim::run`](crate::cachesim::run) and
+//! [`fleet::run`](crate::fleet::run).
 
 use serde::Serialize;
 
@@ -96,23 +100,15 @@ impl ConsensusTimeline {
     pub fn horizon_secs(&self) -> f64 {
         ((self.hours + 1) * 3600) as f64
     }
-
-    /// The newest version that is fetchable *and* still valid at `t`,
-    /// given when each version became available at the cache tier
-    /// (`cached_at[version]`, `None` = never) — what a client asking the
-    /// tier for a document right now would get.
-    pub fn newest_live_cached(&self, cached_at: &[Option<f64>], t: f64) -> Option<usize> {
-        newest_live_cached(&self.publications, cached_at, t)
-    }
 }
 
-/// The selection rule behind [`ConsensusTimeline::newest_live_cached`],
-/// over a bare publication list — the stepped fleet uses it directly
-/// (its publication list grows hour by hour, so no timeline object
-/// exists yet). Note the newest *cached* version is picked first and
-/// only then checked for validity: a stale-but-cached newer version
-/// masks an older live one, exactly as a client asking the tier for
-/// "the newest you hold" experiences it.
+/// The newest version that is fetchable *and* still valid at `t`,
+/// given when each version became available at the cache tier
+/// (`cached_at[version]`, `None` = never) — what a client asking the
+/// tier for a document right now would get. Note the newest *cached*
+/// version is picked first and only then checked for validity: a
+/// stale-but-cached newer version masks an older live one, exactly as
+/// a client asking the tier for "the newest you hold" experiences it.
 pub fn newest_live_cached(
     publications: &[Publication],
     cached_at: &[Option<f64>],
@@ -159,11 +155,23 @@ mod tests {
         let t = ConsensusTimeline::from_hourly_outcomes(&[Some(360.0), Some(10.0)], 3_600, 10_800);
         // Version 1 reaches the caches at 4 200 s; version 2 never does.
         let cached_at = vec![Some(300.0), Some(4_200.0), None];
-        assert_eq!(t.newest_live_cached(&cached_at, 0.0), None);
-        assert_eq!(t.newest_live_cached(&cached_at, 1_000.0), Some(0));
-        assert_eq!(t.newest_live_cached(&cached_at, 5_000.0), Some(1));
+        assert_eq!(newest_live_cached(&t.publications, &cached_at, 0.0), None);
+        assert_eq!(
+            newest_live_cached(&t.publications, &cached_at, 1_000.0),
+            Some(0)
+        );
+        assert_eq!(
+            newest_live_cached(&t.publications, &cached_at, 5_000.0),
+            Some(1)
+        );
         // The baseline expires at 10 800 s; version 1 at 3 600 + 10 800.
-        assert_eq!(t.newest_live_cached(&cached_at, 14_000.0), Some(1));
-        assert_eq!(t.newest_live_cached(&cached_at, 15_000.0), None);
+        assert_eq!(
+            newest_live_cached(&t.publications, &cached_at, 14_000.0),
+            Some(1)
+        );
+        assert_eq!(
+            newest_live_cached(&t.publications, &cached_at, 15_000.0),
+            None
+        );
     }
 }

@@ -4,15 +4,21 @@
 //! [`DistReport`] sums back to the aggregate fields it refines.
 
 use partialtor_dirdist::{
-    simulate, CachePlacement, ClientRegions, ConsensusTimeline, DistConfig, LinkWindow, TierNode,
+    CachePlacement, ClientRegions, DistConfig, DistReport, DistSession, DocModel, LinkWindow,
+    TierNode,
 };
 use partialtor_simnet::geo::Region;
 use proptest::prelude::*;
 
-fn outcomes_from(raw: &[(bool, f64)]) -> Vec<Option<f64>> {
-    raw.iter()
-        .map(|&(produced, offset)| produced.then_some(offset))
-        .collect()
+/// Steps a fresh session with the synthetic document model through
+/// `raw`'s hourly outcomes (hour 1 first; an hour either produces at the
+/// offset or fails) and closes it.
+fn stepped(config: &DistConfig, raw: &[(bool, f64)]) -> DistReport {
+    let mut session = DistSession::new(config, DocModel::synthetic(config.relays));
+    for &(produced, offset) in raw {
+        session.step_hour(produced.then_some(offset).into());
+    }
+    session.into_report()
 }
 
 fn placement_from(index: u8) -> CachePlacement {
@@ -40,7 +46,6 @@ proptest! {
         clients in 10_000u64..100_000,
         placement_index in 0u8..5,
     ) {
-        let timeline = ConsensusTimeline::from_hourly_outcomes(&outcomes_from(&raw), 3_600, 10_800);
         let config = DistConfig {
             seed,
             clients,
@@ -49,7 +54,7 @@ proptest! {
             client_regions: ClientRegions::TorMetrics,
             ..DistConfig::default()
         };
-        let report = simulate(&config, &timeline);
+        let report = stepped(&config, &raw);
         let fleet = &report.fleet;
         prop_assert_eq!(fleet.regions.len(), 4);
 
@@ -81,13 +86,12 @@ proptest! {
         brownout in any::<bool>(),
         placement_index in 0u8..5,
     ) {
-        let timeline = ConsensusTimeline::from_hourly_outcomes(&outcomes_from(&raw), 3_600, 10_800);
         // A regional brownout stresses the asymmetric paths.
         let link_windows = if brownout {
             vec![LinkWindow {
                 node: TierNode::Region(Region::Europe),
                 start_secs: 3_600.0,
-                duration_secs: timeline.horizon_secs(),
+                duration_secs: ((raw.len() + 1) * 3_600) as f64,
                 bps: 0.0,
             }]
         } else {
@@ -102,7 +106,7 @@ proptest! {
             client_regions: ClientRegions::TorMetrics,
             ..DistConfig::default()
         };
-        let report = simulate(&config, &timeline);
+        let report = stepped(&config, &raw);
         let fleet = &report.fleet;
 
         // Hourly rows: every integer field is the sum of its slices.

@@ -1,13 +1,9 @@
 //! Property-based tests of the consensus timeline invariants the fleet
 //! model leans on — `live_at`/`fresh_at` ordering and the
-//! `newest_live_cached` selection rule — plus the session-vs-batch
-//! equivalence pin over random hourly outcomes: with feedback off, a
-//! manually stepped [`DistSession`] must be bit-for-bit identical to
-//! the one-shot [`simulate`] wrapper.
+//! `newest_live_cached` selection rule.
 
-use partialtor_dirdist::{
-    simulate, ConsensusTimeline, DistConfig, DistSession, DocModel, HourInput, LinkWindow, TierNode,
-};
+use partialtor_dirdist::timeline::newest_live_cached;
+use partialtor_dirdist::ConsensusTimeline;
 use proptest::prelude::*;
 
 /// Random per-hour outcomes: each hour produces a consensus with
@@ -69,7 +65,7 @@ proptest! {
                 cached.then_some(p.available_at_secs.max(at))
             })
             .collect();
-        let got = timeline.newest_live_cached(&cached_at, probe);
+        let got = newest_live_cached(&timeline.publications, &cached_at, probe);
         let expected = timeline
             .publications
             .iter()
@@ -96,43 +92,4 @@ proptest! {
         }
     }
 
-    /// The acceptance-criterion pin, generalized: for *any* random
-    /// timeline (and a five-of-nine window set), stepping a session by
-    /// hand reproduces `simulate()` exactly with feedback off.
-    #[test]
-    fn stepped_session_equals_batch_wrapper(
-        raw in proptest::collection::vec((any::<bool>(), 0f64..600.0), 1..6),
-        seed in 0u64..1_000,
-    ) {
-        let outcomes = outcomes_from(&raw);
-        let timeline = ConsensusTimeline::from_hourly_outcomes(&outcomes, 3_600, 10_800);
-        let windows: Vec<LinkWindow> = (1..=outcomes.len() as u64)
-            .flat_map(|h| {
-                (0..5).map(move |i| LinkWindow {
-                    node: TierNode::Authority(i),
-                    start_secs: (h * 3_600) as f64,
-                    duration_secs: 300.0,
-                    bps: 0.5e6,
-                })
-            })
-            .collect();
-        let config = DistConfig {
-            seed,
-            clients: 30_000,
-            n_caches: 8,
-            link_windows: windows,
-            ..DistConfig::default()
-        };
-        let batch = simulate(&config, &timeline);
-
-        let mut session = DistSession::new(&config, DocModel::synthetic(config.relays));
-        for outcome in &outcomes {
-            session.step_hour(HourInput {
-                publication: *outcome,
-                ..HourInput::default()
-            });
-        }
-        let stepped = session.into_report();
-        prop_assert_eq!(format!("{batch:?}"), format!("{stepped:?}"));
-    }
 }
