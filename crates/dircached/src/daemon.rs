@@ -7,8 +7,8 @@
 //! counter and a trace event), never left to time out in a backlog the
 //! daemon pretends not to have. Workers parse one request per
 //! connection ([`proto::parse_request`]), look the answer up in the
-//! shared [`ServingStore`] (read-lock + `Arc` clone, no I/O under the
-//! lock), write it, and record the request latency in a
+//! shared [`ServingStore`] (the read lock is held only to clone the
+//! current snapshot's `Arc`; no I/O under it), write it, and record the request latency in a
 //! `partialtor-obs` histogram plus an `http_request` trace event.
 //!
 //! `/metrics` is answered by the daemon itself from its [`Registry`]

@@ -97,6 +97,20 @@ impl Consensus {
     /// Encodes the body plus `directory-signature` lines.
     pub fn encode(&self) -> String {
         let mut out = self.encode_body();
+        self.push_signature_lines(&mut out);
+        out
+    }
+
+    /// The full encoding and [`Consensus::digest`] from one encode: the
+    /// body is hashed before the signature lines are appended to it.
+    pub fn encode_with_digest(&self) -> (String, Digest32) {
+        let mut out = self.encode_body();
+        let digest = sha256::digest(out.as_bytes());
+        self.push_signature_lines(&mut out);
+        (out, digest)
+    }
+
+    fn push_signature_lines(&self, out: &mut String) {
         for (auth, sig) in &self.signatures {
             out.push_str(&format!(
                 "directory-signature {} {}\n",
@@ -104,7 +118,6 @@ impl Consensus {
                 hex::encode(&sig.to_bytes())
             ));
         }
-        out
     }
 
     /// Digest of the signed body.
@@ -563,6 +576,7 @@ mod tests {
         let parsed = Consensus::parse(&text).expect("parses");
         assert_eq!(parsed, consensus);
         assert_eq!(parsed.digest(), consensus.digest());
+        assert_eq!(consensus.encode_with_digest(), (text, consensus.digest()));
     }
 
     #[test]

@@ -27,46 +27,77 @@ pub struct ConsensusDiff {
     pub upserts: Vec<ConsensusEntry>,
 }
 
+/// One relay's step in [`walk_entries`].
+#[derive(Clone, Copy, Debug)]
+pub enum EntryStep<'a> {
+    /// Listed only in the old document.
+    Removed(&'a ConsensusEntry),
+    /// Listed only in the new document.
+    Added(&'a ConsensusEntry),
+    /// Listed in both, possibly with changed properties.
+    Kept {
+        /// The old document's entry.
+        old: &'a ConsensusEntry,
+        /// The new document's entry.
+        new: &'a ConsensusEntry,
+    },
+}
+
+/// Walks two entry lists sorted by relay id together (as consensus
+/// entries are), calling `visit` once per relay in id order.
+pub fn walk_entries<'a>(
+    from: &'a [ConsensusEntry],
+    to: &'a [ConsensusEntry],
+    mut visit: impl FnMut(EntryStep<'a>),
+) {
+    let (mut i, mut j) = (0usize, 0usize);
+    loop {
+        let step = match (from.get(i), to.get(j)) {
+            (Some(old), Some(new)) if old.id == new.id => EntryStep::Kept { old, new },
+            (Some(old), Some(new)) if old.id < new.id => EntryStep::Removed(old),
+            (Some(old), None) => EntryStep::Removed(old),
+            (_, Some(new)) => EntryStep::Added(new),
+            (None, None) => return,
+        };
+        match step {
+            EntryStep::Kept { .. } => (i, j) = (i + 1, j + 1),
+            EntryStep::Removed(_) => i += 1,
+            EntryStep::Added(_) => j += 1,
+        }
+        visit(step);
+    }
+}
+
 impl ConsensusDiff {
     /// Computes the diff from `from` to `to`.
     pub fn compute(from: &Consensus, to: &Consensus) -> ConsensusDiff {
+        Self::compute_with_digests(from, from.digest(), to, to.digest())
+    }
+
+    /// [`ConsensusDiff::compute`] for a caller that already holds both
+    /// documents' digests, so neither is re-encoded and re-hashed. The
+    /// digests are trusted: they are what the diff names and what
+    /// [`ConsensusDiff::apply`] checks against.
+    pub fn compute_with_digests(
+        from: &Consensus,
+        from_digest: Digest32,
+        to: &Consensus,
+        to_digest: Digest32,
+    ) -> ConsensusDiff {
         let mut removed = Vec::new();
         let mut upserts = Vec::new();
-
-        // Both entry lists are sorted by relay id; walk them together.
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < from.entries.len() || j < to.entries.len() {
-            match (from.entries.get(i), to.entries.get(j)) {
-                (Some(old), Some(new)) if old.id == new.id => {
-                    if old != new {
-                        upserts.push(new.clone());
-                    }
-                    i += 1;
-                    j += 1;
-                }
-                (Some(old), Some(new)) if old.id < new.id => {
-                    removed.push(old.id);
-                    i += 1;
-                }
-                (Some(_), Some(new)) => {
+        walk_entries(&from.entries, &to.entries, |step| match step {
+            EntryStep::Removed(old) => removed.push(old.id),
+            EntryStep::Added(new) => upserts.push(new.clone()),
+            EntryStep::Kept { old, new } => {
+                if old != new {
                     upserts.push(new.clone());
-                    j += 1;
                 }
-                (Some(old), None) => {
-                    removed.push(old.id);
-                    i += 1;
-                }
-                (None, Some(new)) => {
-                    upserts.push(new.clone());
-                    j += 1;
-                }
-                (None, None) => unreachable!("loop condition"),
             }
-        }
-
+        });
         ConsensusDiff {
-            from_digest: from.digest(),
-            to_digest: to.digest(),
+            from_digest,
+            to_digest,
             meta: to.meta.clone(),
             removed,
             upserts,

@@ -36,61 +36,6 @@ impl Served<'_> {
     pub fn is_diff(&self) -> bool {
         matches!(self, Served::Diff(_))
     }
-
-    /// Clones the response out of the store so the borrow (and any lock
-    /// guarding the store) can be released before the payload is
-    /// encoded and written — the handoff a threaded serving daemon
-    /// needs: lock, [`DiffStore::serve`], `into_owned`, unlock, then
-    /// encode and send on a worker's own time.
-    pub fn into_owned(self) -> ServedOwned {
-        match self {
-            Served::Full(c) => ServedOwned::Full(c.clone()),
-            Served::Diff(d) => ServedOwned::Diff(d.clone()),
-        }
-    }
-}
-
-/// An owned [`Served`]: the same response, detached from the store's
-/// lifetime. Produced by [`Served::into_owned`].
-#[derive(Clone, Debug)]
-pub enum ServedOwned {
-    /// The full latest document.
-    Full(Consensus),
-    /// A diff from a retained predecessor to the latest document.
-    Diff(ConsensusDiff),
-}
-
-impl ServedOwned {
-    /// Bytes this response occupies on the wire.
-    pub fn wire_bytes(&self) -> u64 {
-        match self {
-            ServedOwned::Full(c) => c.wire_size(),
-            ServedOwned::Diff(d) => d.wire_size(),
-        }
-    }
-
-    /// Whether the response is a diff.
-    pub fn is_diff(&self) -> bool {
-        matches!(self, ServedOwned::Diff(_))
-    }
-
-    /// Canonical text encoding of the payload (the bytes a serving
-    /// daemon puts in a response body).
-    pub fn encode(&self) -> String {
-        match self {
-            ServedOwned::Full(c) => c.encode(),
-            ServedOwned::Diff(d) => d.encode(),
-        }
-    }
-
-    /// Digest of the document this response yields: the served document
-    /// itself for a full response, the diff's target for a diff.
-    pub fn target_digest(&self) -> Digest32 {
-        match self {
-            ServedOwned::Full(c) => c.digest(),
-            ServedOwned::Diff(d) => d.to_digest,
-        }
-    }
 }
 
 /// A serving store: the latest consensus, a bounded history of
@@ -136,8 +81,9 @@ impl ServedOwned {
 pub struct DiffStore {
     /// How many predecessor documents to keep diffs for.
     retain: usize,
-    /// Retained documents, oldest first; the last element is the latest.
-    history: VecDeque<Consensus>,
+    /// Retained documents with their digests, oldest first; the last
+    /// element is the latest.
+    history: VecDeque<(Digest32, Consensus)>,
     /// Diffs keyed by the *from* digest, all targeting the latest document.
     diffs: BTreeMap<Digest32, ConsensusDiff>,
 }
@@ -155,25 +101,52 @@ impl DiffStore {
 
     /// Publishes a new latest consensus, recomputing the diff set.
     ///
-    /// Cost is `retain` diff computations over sorted entry lists — the
-    /// proposal-140 hot path measured by the `diff` bench.
+    /// Hashes the new document once; every retained document keeps the
+    /// digest it was published with, so the cost is that one hash plus
+    /// `retain` merge walks over sorted entry lists.
     pub fn publish(&mut self, consensus: Consensus) {
-        self.history.push_back(consensus);
+        let digest = consensus.digest();
+        self.publish_with_digest(consensus, digest);
+    }
+
+    /// [`DiffStore::publish`] for a caller that already hashed the
+    /// document (say with [`Consensus::encode_with_digest`], keeping the
+    /// encoding). `digest` must be `consensus.digest()`: it keys the
+    /// document's diffs from here on.
+    pub fn publish_with_digest(&mut self, consensus: Consensus, digest: Digest32) {
+        debug_assert_eq!(digest, consensus.digest(), "digest of another document");
+        self.history.push_back((digest, consensus));
         while self.history.len() > self.retain + 1 {
             self.history.pop_front();
         }
-        let latest = self.history.back().expect("just pushed");
+        let (latest_digest, latest) = self.history.back().expect("just pushed");
         self.diffs = self
             .history
             .iter()
             .take(self.history.len() - 1)
-            .map(|base| (base.digest(), ConsensusDiff::compute(base, latest)))
+            .map(|(base_digest, base)| {
+                let diff =
+                    ConsensusDiff::compute_with_digests(base, *base_digest, latest, *latest_digest);
+                (*base_digest, diff)
+            })
             .collect();
     }
 
     /// The latest published consensus.
     pub fn latest(&self) -> Option<&Consensus> {
-        self.history.back()
+        self.history.back().map(|(_, c)| c)
+    }
+
+    /// Digest of the latest published consensus (the one it was
+    /// published with, not recomputed).
+    pub fn latest_digest(&self) -> Option<Digest32> {
+        self.history.back().map(|(d, _)| *d)
+    }
+
+    /// Retained documents with their digests, newest first: the latest,
+    /// then each diffable base in recency order.
+    pub fn retained(&self) -> impl Iterator<Item = (Digest32, &Consensus)> {
+        self.history.iter().rev().map(|(d, c)| (*d, c))
     }
 
     /// Number of predecessor documents currently diffable against.
@@ -188,7 +161,7 @@ impl DiffStore {
     /// latest gets the full document back (real caches answer 304; the
     /// distribution layer never asks in that state).
     pub fn serve(&self, have: Option<&Digest32>) -> Option<Served<'_>> {
-        let latest = self.history.back()?;
+        let latest = self.latest()?;
         if let Some(digest) = have {
             if let Some(diff) = self.diffs.get(digest) {
                 return Some(Served::Diff(diff));
@@ -280,11 +253,10 @@ mod tests {
         assert!(!store.serve(Some(&stranger)).unwrap().is_diff());
     }
 
-    /// The serving-daemon handoff pin: many threads serving under
-    /// publish churn, each taking `serve(..).into_owned()` inside the
-    /// lock and verifying on its own time, never see a torn diff —
-    /// every served diff applies cleanly to its claimed base and lands
-    /// on a digest that was actually published.
+    /// Many threads serving under publish churn, each cloning its diff
+    /// out of the lock and verifying on its own time, never see a torn
+    /// diff — every served diff applies cleanly to its claimed base and
+    /// lands on a digest that was actually published.
     #[test]
     fn concurrent_serves_under_publish_churn_never_tear() {
         use std::collections::BTreeSet;
@@ -321,27 +293,25 @@ mod tests {
                     let mut diffs_seen = 0u64;
                     for round in 0..400u64 {
                         let index = ((worker * 131 + round * 7) % digests.len() as u64) as usize;
-                        let owned = {
+                        // A diff is cloned out of the store, so its
+                        // verification runs with the lock released.
+                        let diff = {
                             let guard = store.lock().unwrap();
-                            guard.serve(Some(&digests[index])).map(Served::into_owned)
+                            match guard.serve(Some(&digests[index])).expect("never empty") {
+                                Served::Diff(diff) => diff.clone(),
+                                Served::Full(doc) => {
+                                    assert!(valid.contains(&doc.digest()));
+                                    continue;
+                                }
+                            }
                         };
-                        // Lock released — verification races the publisher.
-                        match owned {
-                            Some(ServedOwned::Diff(diff)) => {
-                                assert_eq!(diff.from_digest, digests[index]);
-                                let rebuilt =
-                                    diff.apply(&bases[index]).expect("served diff applies");
-                                assert!(
-                                    valid.contains(&rebuilt.digest()),
-                                    "diff target must be a published document"
-                                );
-                                diffs_seen += 1;
-                            }
-                            Some(ServedOwned::Full(doc)) => {
-                                assert!(valid.contains(&doc.digest()));
-                            }
-                            None => unreachable!("store is never empty here"),
-                        }
+                        assert_eq!(diff.from_digest, digests[index]);
+                        let rebuilt = diff.apply(&bases[index]).expect("served diff applies");
+                        assert!(
+                            valid.contains(&rebuilt.digest()),
+                            "diff target must be a published document"
+                        );
+                        diffs_seen += 1;
                     }
                     diffs_seen
                 })
@@ -350,6 +320,30 @@ mod tests {
         publisher.join().unwrap();
         let diffs: u64 = servers.into_iter().map(|h| h.join().unwrap()).sum();
         assert!(diffs > 0, "the race must actually exercise diff serving");
+    }
+
+    #[test]
+    fn latest_digest_is_the_published_documents_digest() {
+        let mut store = DiffStore::new(2);
+        assert_eq!(store.latest_digest(), None);
+        let mut doc = consensus_at(14, 40, 3_600);
+        let mut digests = Vec::new();
+        for hour in 1..=5u64 {
+            digests.push(doc.digest());
+            store.publish(doc.clone());
+            assert_eq!(store.latest_digest(), store.latest().map(Consensus::digest));
+            doc = churned(&doc, 1, 3_600 * (hour + 1));
+        }
+        // Five publishes into a store retaining two bases: the latest
+        // and its two predecessors, newest first, each under its digest.
+        let retained: Vec<Digest32> = store
+            .retained()
+            .map(|(d, c)| {
+                assert_eq!(d, c.digest());
+                d
+            })
+            .collect();
+        assert_eq!(retained, [digests[4], digests[3], digests[2]]);
     }
 
     #[test]

@@ -80,6 +80,25 @@ proptest! {
         assert_roundtrip(&from, &to);
     }
 
+    /// The known-digest constructor, handed the true digests, builds
+    /// exactly the diff `compute` does.
+    #[test]
+    fn known_digest_constructor_matches_compute(
+        seed in 0u64..10_000,
+        count in 1usize..48,
+        from_mask in proptest::collection::vec(any::<bool>(), 48),
+        to_mask in proptest::collection::vec(any::<bool>(), 48),
+        bump in proptest::collection::vec(any::<bool>(), 48),
+    ) {
+        let population = generate_population(&PopulationConfig { seed, count });
+        let from = consensus_from(&population, &from_mask, &[], 3_600);
+        let to = consensus_from(&population, &to_mask, &bump, 7_200);
+        prop_assert_eq!(
+            ConsensusDiff::compute_with_digests(&from, from.digest(), &to, to.digest()),
+            ConsensusDiff::compute(&from, &to)
+        );
+    }
+
     /// Fully disjoint relay sets: everything removed, everything added.
     #[test]
     fn disjoint_sets_roundtrip(
