@@ -34,7 +34,7 @@
 //! enabling any of it leaves the simulation output bit-identical.
 //!
 //! Every subcommand also accepts `--threads N` (pins the sweep worker
-//! count, overriding `PARTIALTOR_SWEEP_THREADS`) and `--help`/`-h`.
+//! count; all cores by default) and `--help`/`-h`.
 //! Unknown flags and malformed values are rejected with an error and
 //! the subcommand's usage — never silently defaulted. When stdout
 //! closes early (`dirsim … | head`) the process ends quietly.
@@ -112,7 +112,7 @@ const GLOBAL_FLAGS: &[FlagSpec] = &[
     value_flag(
         "--threads",
         "N",
-        "sweep worker count (overrides PARTIALTOR_SWEEP_THREADS; 1 = serial)",
+        "sweep worker count (default: all cores; 1 = serial)",
     ),
     value_flag(
         "--trace",

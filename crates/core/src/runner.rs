@@ -298,18 +298,14 @@ impl SweepJob {
     }
 }
 
-/// Environment variable overriding the sweep worker count (`0`/`1` force
-/// a serial sweep; unset uses all available cores).
-pub const SWEEP_THREADS_ENV: &str = "PARTIALTOR_SWEEP_THREADS";
-
-/// Process-wide explicit worker count (0 = unset). Takes precedence over
-/// [`SWEEP_THREADS_ENV`]; set from the `dirsim --threads` flag.
+/// Process-wide explicit worker count (0 = unset: use every available
+/// core); set from the `dirsim --threads` flag.
 static SWEEP_THREADS_OVERRIDE: std::sync::atomic::AtomicUsize =
     std::sync::atomic::AtomicUsize::new(0);
 
 /// Sets (or, with `None`, clears) an explicit sweep worker count for this
-/// process. Takes precedence over [`SWEEP_THREADS_ENV`]; `Some(1)` forces
-/// serial sweeps.
+/// process — the one way to pin sweep workers; `Some(1)` forces serial
+/// sweeps.
 pub fn set_sweep_threads(threads: Option<usize>) {
     SWEEP_THREADS_OVERRIDE.store(
         threads.map_or(0, |t| t.max(1)),
@@ -318,19 +314,11 @@ pub fn set_sweep_threads(threads: Option<usize>) {
 }
 
 fn auto_worker_count(jobs: usize) -> usize {
-    let overridden = match SWEEP_THREADS_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
-        0 => None,
-        t => Some(t),
+    let configured = match SWEEP_THREADS_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        t => t,
     };
-    let configured = overridden.or_else(|| {
-        std::env::var(SWEEP_THREADS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-    });
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    configured.unwrap_or(available).clamp(1, jobs.max(1))
+    configured.clamp(1, jobs.max(1))
 }
 
 /// Runs a batch of scenarios, fanning them out across all cores.
@@ -341,7 +329,7 @@ fn auto_worker_count(jobs: usize) -> usize {
 /// and `reports[i]` always corresponds to `jobs[i]`.
 ///
 /// Worker count defaults to the available cores (capped at the batch
-/// size) and can be overridden with [`SWEEP_THREADS_ENV`].
+/// size) and can be pinned with [`set_sweep_threads`].
 pub fn sweep(jobs: &[SweepJob]) -> Vec<RunReport> {
     sweep_threads(jobs, auto_worker_count(jobs.len()))
 }

@@ -224,8 +224,6 @@ struct AuthorityState {
     egress_full_only_bytes: u64,
     /// Descriptor payload bytes served.
     descriptor_egress_bytes: u64,
-    full_responses: u64,
-    diff_responses: u64,
     tracer: Tracer,
     registry: Registry,
 }
@@ -387,10 +385,8 @@ impl Node for DistNode {
                     auth.egress_full_only_bytes += entry.consensus_full;
                     auth.descriptor_egress_bytes += desc_bytes;
                     if is_diff {
-                        auth.diff_responses += 1;
                         auth.registry.inc("authority.diff_responses", 1);
                     } else {
-                        auth.full_responses += 1;
                         auth.registry.inc("authority.full_responses", 1);
                     }
                     auth.tracer.record_caused(
@@ -468,9 +464,11 @@ pub struct CacheTierReport {
     pub authority_egress_full_only_bytes: u64,
     /// Descriptor payload bytes served by all authorities.
     pub authority_descriptor_egress_bytes: u64,
-    /// Responses served as full documents.
+    /// Responses served as full documents: the engine's `DIR_FULL`
+    /// by-kind count, the counter the per-hour
+    /// [`TierHourTraffic`](crate::TierHourTraffic) deltas read.
     pub full_responses: u64,
-    /// Responses served as diffs.
+    /// Responses served as diffs: the engine's `DIR_DIFF` by-kind count.
     pub diff_responses: u64,
 }
 
@@ -553,8 +551,6 @@ impl CacheTier {
                         egress_bytes: 0,
                         egress_full_only_bytes: 0,
                         descriptor_egress_bytes: 0,
-                        full_responses: 0,
-                        diff_responses: 0,
                         tracer: tracer.clone(),
                         registry: registry.clone(),
                     })
@@ -806,6 +802,12 @@ impl CacheTier {
         self.sim.metrics()
     }
 
+    /// Messages of one kind (`DIR_REQ`, `DIR_DIFF`, `DIR_FULL`,
+    /// `DIR_304`) the engine has enqueued so far.
+    pub(crate) fn sent(&self, kind: &str) -> u64 {
+        self.metrics().by_kind().get(kind).map_or(0, |k| k.count)
+    }
+
     /// When each version reached the cache quorum, as of the tier's
     /// current simulated time (`None` = not yet).
     pub fn cached_at(&self) -> Vec<Option<f64>> {
@@ -865,15 +867,11 @@ impl CacheTier {
         let mut egress = 0u64;
         let mut egress_full_only = 0u64;
         let mut desc_egress = 0u64;
-        let mut full_responses = 0u64;
-        let mut diff_responses = 0u64;
         for index in 0..self.config.n_authorities {
             if let DistNode::Authority(auth) = self.sim.node(NodeId(index)) {
                 egress += auth.egress_bytes;
                 egress_full_only += auth.egress_full_only_bytes;
                 desc_egress += auth.descriptor_egress_bytes;
-                full_responses += auth.full_responses;
-                diff_responses += auth.diff_responses;
             }
         }
         CacheTierReport {
@@ -881,8 +879,8 @@ impl CacheTier {
             authority_egress_bytes: egress,
             authority_egress_full_only_bytes: egress_full_only,
             authority_descriptor_egress_bytes: desc_egress,
-            full_responses,
-            diff_responses,
+            full_responses: self.sent("DIR_FULL"),
+            diff_responses: self.sent("DIR_DIFF"),
         }
     }
 }
@@ -1191,6 +1189,28 @@ mod tests {
         let a = run(&config(25), &timeline, &table);
         let b = run(&config(25), &timeline, &table);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    /// The batch entry point's whole report, pinned by the SHA-256 of
+    /// its `Debug` rendering: one flooded authority for half an hour,
+    /// so the full and diff response counts are both exercised.
+    #[test]
+    fn batch_report_is_pinned() {
+        let timeline = healthy_timeline(4);
+        let mut cfg = config(30);
+        cfg.link_windows = vec![LinkWindow {
+            node: TierNode::Authority(2),
+            start_secs: 3_600.0,
+            duration_secs: 1_800.0,
+            bps: 0.5e6,
+        }];
+        let report = run(&cfg, &timeline, &table_for(&timeline));
+        assert!(report.full_responses > 0 && report.diff_responses > 0);
+        let rendered = format!("{report:?}");
+        assert_eq!(
+            partialtor_crypto::sha256::digest(rendered.as_bytes()).to_hex(),
+            "965f6bc6a4500be2db090202d67a569c6d65c9721151be488b60262239f25510"
+        );
     }
 
     /// Each cache's first-hold second per version (`None` = not yet),

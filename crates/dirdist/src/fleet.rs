@@ -255,7 +255,9 @@ pub struct FleetReport {
 /// or not yet, in stepped use).
 pub type CacheAvailability = [Option<f64>];
 
-/// One regional cohort's persistent state plus cumulative accounting.
+/// One regional cohort's live state: who holds which version, the
+/// bootstrap pool, and the per-step sums only stepping can produce. Its
+/// hourly counts live in the [`RegionHourSlice`]s the caller keeps.
 #[derive(Clone)]
 struct Cohort {
     region: Option<Region>,
@@ -266,12 +268,8 @@ struct Cohort {
     /// The bootstrap pool (no usable consensus).
     pool: u64,
     arrivals: u64,
-    attempts: u64,
-    successes: u64,
-    refreshes: u64,
-    egress: u64,
-    desc_egress: u64,
-    request: u64,
+    /// Per-step dead and stale fractions, summed: rows carry hourly
+    /// means, which cannot reproduce these sums bit for bit.
     dead_sum: f64,
     stale_sum: f64,
 }
@@ -300,8 +298,10 @@ struct HourScratch {
     clients_sum: f64,
 }
 
-/// The stepped cohort fleet: persistent per-region cohort state plus
-/// cumulative accounting, advanced one hour at a time.
+/// The stepped cohort fleet: live per-region cohort state, advanced one
+/// hour at a time. It keeps no hour history — [`FleetSim::step_hour`]
+/// hands each hour's row to the caller, which owns the rows and passes
+/// them back to [`FleetSim::report`].
 ///
 /// The fleet is `Clone` (its sampler included), so a session can fork
 /// the pre-hour state and replay the same hour under counterfactual
@@ -312,16 +312,10 @@ pub struct FleetSim {
     config: FleetConfig,
     rng: StdRng,
     cohorts: Vec<Cohort>,
-    rows: Vec<FleetHourRow>,
-    total_attempts: u64,
-    total_successes: u64,
     downtime_sum: f64,
     stale_sum: f64,
     steps_done: u64,
     peak_stale: f64,
-    egress: u64,
-    egress_full: u64,
-    desc_egress: u64,
 }
 
 impl FleetSim {
@@ -345,12 +339,6 @@ impl FleetSim {
                     holding,
                     pool: 0,
                     arrivals: 0,
-                    attempts: 0,
-                    successes: 0,
-                    refreshes: 0,
-                    egress: 0,
-                    desc_egress: 0,
-                    request: 0,
                     dead_sum: 0.0,
                     stale_sum: 0.0,
                 }
@@ -360,16 +348,10 @@ impl FleetSim {
             config: config.clone(),
             rng: StdRng::seed_from_u64(config.seed),
             cohorts,
-            rows: Vec::new(),
-            total_attempts: 0,
-            total_successes: 0,
             downtime_sum: 0.0,
             stale_sum: 0.0,
             steps_done: 0,
             peak_stale: 0.0,
-            egress: 0,
-            egress_full: 0,
-            desc_egress: 0,
         }
     }
 
@@ -429,14 +411,14 @@ impl FleetSim {
         service_budget_bytes: Option<u64>,
     ) -> (FleetHourRow, FleetHourEgress) {
         let _span = span("fleet.step_hour");
-        assert_eq!(hour, self.rows.len() as u64, "hours step in order");
+        let dt = self.config.step_secs.max(1) as f64;
+        let steps = (3_600.0 / dt).ceil() as u64;
+        assert_eq!(self.steps_done, hour * steps, "hours step in order");
         assert_eq!(
             cached.len(),
             self.cohorts.len(),
             "one availability view per cohort"
         );
-        let dt = self.config.step_secs.max(1) as f64;
-        let steps = (3_600.0 / dt).ceil() as u64;
 
         let mut scratch: Vec<HourScratch> = vec![HourScratch::default(); self.cohorts.len()];
         let mut transitions: BTreeMap<(usize, usize), u64> = BTreeMap::new();
@@ -544,7 +526,6 @@ impl FleetSim {
                     let p_attempt = (dt / self.config.bootstrap_retry_secs).min(1.0);
                     let attempts = binomial(&mut self.rng, cohort.pool, p_attempt);
                     scratch.attempts += attempts;
-                    self.total_attempts += attempts;
                     if let Some(target) = newest_live {
                         // The cache tier serves them the full documents
                         // — as many as fit in what the links can still
@@ -559,7 +540,6 @@ impl FleetSim {
                             *bootstrap_targets.entry(target).or_insert(0) += served;
                         }
                         scratch.successes += served;
-                        self.total_successes += served;
                         scratch.egress += served * bytes;
                         hour_egress_full += served * bytes;
                         scratch.desc_egress += served * desc_bytes;
@@ -609,14 +589,6 @@ impl FleetSim {
             self.steps_done += 1;
         }
 
-        for (cohort, scratch) in self.cohorts.iter_mut().zip(&scratch) {
-            cohort.attempts += scratch.attempts;
-            cohort.successes += scratch.successes;
-            cohort.refreshes += scratch.refreshes;
-            cohort.egress += scratch.egress;
-            cohort.desc_egress += scratch.desc_egress;
-            cohort.request += scratch.request;
-        }
         let samples = hour_samples.max(1) as f64;
         let regions: Vec<RegionHourSlice> = self
             .cohorts
@@ -665,10 +637,6 @@ impl FleetSim {
                 .collect(),
             regions,
         };
-        self.egress += row.cache_egress_bytes;
-        self.egress_full += hour_egress_full;
-        self.desc_egress += row.descriptor_egress_bytes;
-        self.rows.push(row.clone());
         let egress = FleetHourEgress {
             served_bytes: row.cache_egress_bytes + row.descriptor_egress_bytes,
             request_bytes: row.request_bytes,
@@ -676,41 +644,55 @@ impl FleetSim {
         (row, egress)
     }
 
-    /// The whole-horizon report over every hour stepped so far.
-    pub fn report(&self) -> FleetReport {
+    /// The whole-horizon report. `rows` must be the rows this fleet's
+    /// [`FleetSim::step_hour`] calls returned, hour 0 first: every
+    /// integer total (attempts, successes, refreshes, egress, request
+    /// bytes — aggregate and per region) is their sum. The fractions
+    /// come from the fleet's per-step sums.
+    pub fn report(&self, rows: Vec<FleetHourRow>) -> FleetReport {
         let steps = self.steps_done.max(1) as f64;
-        FleetReport {
-            rows: self.rows.clone(),
-            bootstrap_success_rate: if self.total_attempts == 0 {
-                1.0
-            } else {
-                self.total_successes as f64 / self.total_attempts as f64
-            },
-            client_weighted_downtime: self.downtime_sum / steps,
-            mean_stale_fraction: self.stale_sum / steps,
-            peak_stale_fraction: self.peak_stale,
-            cache_egress_bytes: self.egress,
-            cache_egress_full_only_bytes: self.egress_full,
-            descriptor_egress_bytes: self.desc_egress,
-            regions: self
-                .cohorts
-                .iter()
-                .map(|cohort| RegionSummary {
+        let total = |f: fn(&FleetHourRow) -> u64| rows.iter().map(f).sum::<u64>();
+        let attempts = total(|r| r.bootstrap_attempts);
+        let successes = total(|r| r.bootstrap_successes);
+        let regions = self
+            .cohorts
+            .iter()
+            .enumerate()
+            .map(|(index, cohort)| {
+                let total = |f: fn(&RegionHourSlice) -> u64| {
+                    rows.iter().map(|r| f(&r.regions[index])).sum::<u64>()
+                };
+                RegionSummary {
                     region: cohort.label(),
                     weight: cohort.weight,
                     initial_clients: cohort.initial,
                     arrivals: cohort.arrivals,
                     final_clients: cohort.population(),
-                    bootstrap_attempts: cohort.attempts,
-                    bootstrap_successes: cohort.successes,
-                    refresh_fetches: cohort.refreshes,
+                    bootstrap_attempts: total(|s| s.bootstrap_attempts),
+                    bootstrap_successes: total(|s| s.bootstrap_successes),
+                    refresh_fetches: total(|s| s.refresh_fetches),
                     client_weighted_downtime: cohort.dead_sum / steps,
                     mean_stale_fraction: cohort.stale_sum / steps,
-                    cache_egress_bytes: cohort.egress,
-                    descriptor_egress_bytes: cohort.desc_egress,
-                    request_bytes: cohort.request,
-                })
-                .collect(),
+                    cache_egress_bytes: total(|s| s.cache_egress_bytes),
+                    descriptor_egress_bytes: total(|s| s.descriptor_egress_bytes),
+                    request_bytes: total(|s| s.request_bytes),
+                }
+            })
+            .collect();
+        FleetReport {
+            bootstrap_success_rate: if attempts == 0 {
+                1.0
+            } else {
+                successes as f64 / attempts as f64
+            },
+            client_weighted_downtime: self.downtime_sum / steps,
+            mean_stale_fraction: self.stale_sum / steps,
+            peak_stale_fraction: self.peak_stale,
+            cache_egress_bytes: total(|r| r.cache_egress_bytes),
+            cache_egress_full_only_bytes: total(|r| r.cache_egress_full_only_bytes),
+            descriptor_egress_bytes: total(|r| r.descriptor_egress_bytes),
+            regions,
+            rows,
         }
     }
 }
@@ -728,10 +710,14 @@ pub fn run(
     let mut fleet = FleetSim::new(config);
     let views = vec![cached_at.to_vec(); fleet.cohort_count()];
     let hours = (timeline.horizon_secs() / 3_600.0).ceil() as u64;
-    for hour in 0..hours {
-        fleet.step_hour(hour, &timeline.publications, table, &views, None);
-    }
-    fleet.report()
+    let rows = (0..hours)
+        .map(|hour| {
+            fleet
+                .step_hour(hour, &timeline.publications, table, &views, None)
+                .0
+        })
+        .collect();
+    fleet.report(rows)
 }
 
 #[cfg(test)]
@@ -866,6 +852,7 @@ mod tests {
 
         let mut fleet = FleetSim::new(&FleetConfig::sized(200_000, 11));
         let hours = (t.horizon_secs() / 3_600.0) as u64;
+        let mut rows = Vec::new();
         for hour in 0..hours {
             // The tier only reveals versions cached by the end of the
             // stepped hour — exactly what a session sees.
@@ -874,9 +861,10 @@ mod tests {
                 .iter()
                 .map(|at| at.filter(|&at| at <= hour_end))
                 .collect();
-            fleet.step_hour(hour, &t.publications, &m, &[partial], None);
+            let (row, _) = fleet.step_hour(hour, &t.publications, &m, &[partial], None);
+            rows.push(row);
         }
-        let stepped = fleet.report();
+        let stepped = fleet.report(rows);
         assert_eq!(format!("{batch:?}"), format!("{stepped:?}"));
     }
 
@@ -926,6 +914,38 @@ mod tests {
         }
     }
 
+    /// The batch entry point's whole report, pinned by the SHA-256 of
+    /// its `Debug` rendering: Tor-weighted regional cohorts through a
+    /// four-hour failure that outlives the last document's validity, so
+    /// the region totals and the recovery's bootstrap successes are all
+    /// exercised.
+    #[test]
+    fn batch_report_is_pinned() {
+        let t = timeline(&[
+            Some(330.0),
+            None,
+            None,
+            None,
+            None,
+            Some(400.0),
+            Some(330.0),
+        ]);
+        let m = table(&t);
+        let config = FleetConfig {
+            regions: ClientRegions::TorMetrics,
+            ..FleetConfig::sized(300_000, 29)
+        };
+        let report = run(&config, &t, &m, &prompt_caches(&t));
+        let recovered: u64 = report.rows[6..].iter().map(|r| r.bootstrap_successes).sum();
+        assert!(report.rows[5].dead_fraction > 0.5 && recovered > 0);
+        assert!(report.regions.iter().all(|r| r.bootstrap_attempts > 0));
+        let rendered = format!("{report:?}");
+        assert_eq!(
+            partialtor_crypto::sha256::digest(rendered.as_bytes()).to_hex(),
+            "2b929d9cd0cb5edd7729d04b9f3c26e96d7971ee50a748b50d933efe993cce90"
+        );
+    }
+
     /// A cohort whose serving caches never receive a version dies alone:
     /// regional availability views starve exactly their own region.
     #[test]
@@ -946,10 +966,10 @@ mod tests {
             .collect();
         let views = [healthy.clone(), healthy.clone(), healthy.clone(), starved];
         let hours = (t.horizon_secs() / 3_600.0) as u64;
-        for hour in 0..hours {
-            fleet.step_hour(hour, &t.publications, &m, &views, None);
-        }
-        let report = fleet.report();
+        let rows = (0..hours)
+            .map(|hour| fleet.step_hour(hour, &t.publications, &m, &views, None).0)
+            .collect();
+        let report = fleet.report(rows);
         let apac = &report.regions[3];
         let europe = &report.regions[2];
         assert_eq!(apac.region, "apac");

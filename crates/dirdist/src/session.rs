@@ -314,6 +314,10 @@ struct HourContext {
 }
 
 /// The hour-stepped co-simulation of the whole distribution layer.
+///
+/// The session is the one owner of per-hour history: the tier and the
+/// fleet below it keep live state only, and every whole-run figure
+/// that is a sum over hours is folded from `hour_reports`.
 pub struct DistSession {
     config: DistConfig,
     cache_config: CacheSimConfig,
@@ -325,18 +329,13 @@ pub struct DistSession {
     serving_sets: Vec<Vec<usize>>,
     placement: PlacementSummary,
     publications: Vec<Publication>,
-    /// The next hour [`DistSession::step_hour`] will process (hour 0 is
-    /// handled at construction).
-    next_hour: u64,
     cum_churn: f64,
     /// Background load in effect during the current hour:
     /// `(authority, cache_up)` bits/s.
     current_bg: (f64, f64),
+    /// Every processed hour, hour 0 first; its length is the next hour
+    /// [`DistSession::step_hour`] will process.
     hour_reports: Vec<HourReport>,
-    bg_authority_sum: f64,
-    bg_authority_peak: f64,
-    bg_cache_sum: f64,
-    bg_cache_peak: f64,
     /// Shared with the tier's nodes; the session adds its own events
     /// (hour summaries, health alerts).
     tracer: Tracer,
@@ -443,14 +442,9 @@ impl DistSession {
             serving_sets,
             placement,
             publications: vec![baseline],
-            next_hour: 1,
             cum_churn: 0.0,
             current_bg: (static_direct_bps, 0.0),
             hour_reports: Vec::new(),
-            bg_authority_sum: 0.0,
-            bg_authority_peak: 0.0,
-            bg_cache_sum: 0.0,
-            bg_cache_peak: 0.0,
             tracer,
             registry,
             prev_traffic: TierHourTraffic::default(),
@@ -469,8 +463,7 @@ impl DistSession {
     /// and — with feedback on — charges the realized egress to the next
     /// hour's links.
     pub fn step_hour(&mut self, input: HourInput) -> HourReport {
-        let hour = self.next_hour;
-        self.next_hour += 1;
+        let hour = self.hours();
         let churn = input
             .churn
             .unwrap_or_else(|| self.config.churn.churn_at(hour));
@@ -580,13 +573,11 @@ impl DistSession {
 
     /// Cumulative tier wire counters as of the tier's current time.
     fn traffic_totals(&self) -> TierHourTraffic {
-        let by_kind = self.tier.metrics().by_kind();
-        let count = |kind: &str| by_kind.get(kind).map_or(0, |k| k.count);
         TierHourTraffic {
-            dir_requests: count("DIR_REQ"),
-            dir_diff_responses: count("DIR_DIFF"),
-            dir_full_responses: count("DIR_FULL"),
-            dir_not_modified: count("DIR_304"),
+            dir_requests: self.tier.sent("DIR_REQ"),
+            dir_diff_responses: self.tier.sent("DIR_DIFF"),
+            dir_full_responses: self.tier.sent("DIR_FULL"),
+            dir_not_modified: self.tier.sent("DIR_304"),
             expired_events: self.tier.metrics().expired_events(),
         }
     }
@@ -604,10 +595,6 @@ impl DistSession {
         ctx: HourContext,
     ) -> HourReport {
         let (authority_bg_bps, cache_bg_bps) = self.current_bg;
-        self.bg_authority_sum += authority_bg_bps;
-        self.bg_authority_peak = self.bg_authority_peak.max(authority_bg_bps);
-        self.bg_cache_sum += cache_bg_bps;
-        self.bg_cache_peak = self.bg_cache_peak.max(cache_bg_bps);
 
         if self.config.feedback {
             let per = |bytes: u64, links: usize| bytes as f64 * 8.0 / 3_600.0 / links.max(1) as f64;
@@ -699,7 +686,7 @@ impl DistSession {
 
     /// Hours processed so far (including hour 0).
     pub fn hours(&self) -> u64 {
-        self.next_hour
+        self.hour_reports.len() as u64
     }
 
     /// The per-hour reports so far (hour 0 first).
@@ -736,8 +723,8 @@ impl DistSession {
     /// fetches still count toward cache coverage) and folds everything
     /// into the end-to-end report.
     pub fn into_report(mut self) -> DistReport {
-        self.tier.run_to((self.next_hour * 3_600) as f64 + 1_800.0);
-        let hours = self.next_hour.max(1) as f64;
+        self.tier.run_to((self.hours() * 3_600) as f64 + 1_800.0);
+        let hours = self.hours().max(1) as f64;
         let telemetry = TelemetrySummary {
             fetch_attempts: self.registry.counter("cache.fetch_attempts"),
             fetch_retries: self.registry.counter("cache.fetch_retries"),
@@ -749,7 +736,21 @@ impl DistSession {
                 &self.registry.histogram("cache.fetch_latency"),
             ),
         };
-        let fleet_report = self.fleet.report();
+        let fleet_report = self
+            .fleet
+            .report(self.hour_reports.iter().map(|h| h.fleet.clone()).collect());
+        // (sum, peak) of one background-load series, folded from 0.0 in
+        // hour order: bit for bit what an hourly accumulator produces.
+        let sum_peak = |bps: fn(&HourReport) -> f64| {
+            self.hour_reports
+                .iter()
+                .map(bps)
+                .fold((0.0, 0.0), |(sum, peak): (f64, f64), x| {
+                    (sum + x, peak.max(x))
+                })
+        };
+        let (authority_sum, authority_peak) = sum_peak(|h| h.authority_bg_bps);
+        let (cache_sum, cache_peak) = sum_peak(|h| h.cache_bg_bps);
         let attribution = self.config.attribution.then(|| {
             let hour_parts: Vec<HourAttribution> = self
                 .hour_reports
@@ -764,10 +765,10 @@ impl DistSession {
             placement: self.placement,
             feedback: FeedbackSummary {
                 enabled: self.config.feedback,
-                mean_authority_bg_bps: self.bg_authority_sum / hours,
-                peak_authority_bg_bps: self.bg_authority_peak,
-                mean_cache_bg_bps: self.bg_cache_sum / hours,
-                peak_cache_bg_bps: self.bg_cache_peak,
+                mean_authority_bg_bps: authority_sum / hours,
+                peak_authority_bg_bps: authority_peak,
+                mean_cache_bg_bps: cache_sum / hours,
+                peak_cache_bg_bps: cache_peak,
             },
             hours: self.hour_reports,
             telemetry,
