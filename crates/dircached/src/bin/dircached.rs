@@ -7,6 +7,7 @@
 //! document churn. Prints `dircached listening on <addr>` once bound —
 //! CI captures the ephemeral port from that line.
 
+use partialtor_dircached::cli::{parse, parse_secs};
 use partialtor_dircached::{consensus_series, Daemon, DaemonConfig, DocSetConfig, ServingStore};
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,8 +41,8 @@ struct Args {
     seed: u64,
     workers: usize,
     max_pending: usize,
-    publish_every: f64,
-    serve_secs: f64,
+    publish_every: Duration,
+    serve_secs: Duration,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -54,8 +55,8 @@ fn parse_args() -> Result<Args, String> {
         seed: 7,
         workers: 0,
         max_pending: 64,
-        publish_every: 0.0,
-        serve_secs: 0.0,
+        publish_every: Duration::ZERO,
+        serve_secs: Duration::ZERO,
     };
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
@@ -74,9 +75,11 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => args.workers = parse(&value("--workers")?, "--workers")?,
             "--max-pending" => args.max_pending = parse(&value("--max-pending")?, "--max-pending")?,
             "--publish-every" => {
-                args.publish_every = parse(&value("--publish-every")?, "--publish-every")?
+                args.publish_every = parse_secs(&value("--publish-every")?, "--publish-every")?
             }
-            "--serve-secs" => args.serve_secs = parse(&value("--serve-secs")?, "--serve-secs")?,
+            "--serve-secs" => {
+                args.serve_secs = parse_secs(&value("--serve-secs")?, "--serve-secs")?
+            }
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -84,12 +87,6 @@ fn parse_args() -> Result<Args, String> {
         return Err("--history must be at least 1".to_string());
     }
     Ok(args)
-}
-
-fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
 }
 
 fn main() {
@@ -111,7 +108,7 @@ fn main() {
 
     // Publish everything up front, or hold documents back for the
     // incremental-publish loop below.
-    let up_front = if args.publish_every > 0.0 {
+    let up_front = if !args.publish_every.is_zero() {
         1
     } else {
         docs.len()
@@ -142,21 +139,21 @@ fn main() {
     let started = std::time::Instant::now();
     let mut published = up_front;
     loop {
-        let step = if args.publish_every > 0.0 && published < docs.len() {
+        let step = if !args.publish_every.is_zero() && published < docs.len() {
             args.publish_every
-        } else if args.serve_secs > 0.0 {
-            0.25
+        } else if !args.serve_secs.is_zero() {
+            Duration::from_millis(250)
         } else {
             // Nothing left to publish and no deadline: park forever.
             std::thread::park();
             continue;
         };
-        std::thread::sleep(Duration::from_secs_f64(step));
-        if args.publish_every > 0.0 && published < docs.len() {
+        std::thread::sleep(step);
+        if !args.publish_every.is_zero() && published < docs.len() {
             store.publish(docs[published].clone());
             published += 1;
         }
-        if args.serve_secs > 0.0 && started.elapsed().as_secs_f64() >= args.serve_secs {
+        if !args.serve_secs.is_zero() && started.elapsed() >= args.serve_secs {
             break;
         }
     }

@@ -10,12 +10,12 @@
 //! per-cache service budget the simulation assumes. `--metrics FILE`
 //! writes the report as JSON for machines (CI) to parse.
 
+use partialtor_dircached::cli::{parse, parse_secs};
 use partialtor_dircached::loadgen;
 use partialtor_dircached::{budget_check, synthesize_mix, LoadConfig, LoadReport, LATENCY_METRIC};
 use partialtor_dirdist::FetchMix;
 use partialtor_obs::{Histogram, Registry};
 use partialtor_simnet::geo::Region;
-use std::time::Duration;
 
 const USAGE: &str = "\
 usage: dirload --addr HOST:PORT [options]
@@ -48,12 +48,6 @@ struct Args {
     json: bool,
 }
 
-fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
-}
-
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         load: LoadConfig::default(),
@@ -76,18 +70,12 @@ fn parse_args() -> Result<Args, String> {
                 args.load.addr = value("--addr")?;
                 saw_addr = true;
             }
-            "--duration" => {
-                args.load.duration =
-                    Duration::from_secs_f64(parse(&value("--duration")?, "--duration")?)
-            }
+            "--duration" => args.load.duration = parse_secs(&value("--duration")?, "--duration")?,
             "--rate" => args.load.rate = parse(&value("--rate")?, "--rate")?,
             "--connections" => {
                 args.load.connections = parse(&value("--connections")?, "--connections")?
             }
-            "--timeout" => {
-                args.load.timeout =
-                    Duration::from_secs_f64(parse(&value("--timeout")?, "--timeout")?)
-            }
+            "--timeout" => args.load.timeout = parse_secs(&value("--timeout")?, "--timeout")?,
             "--mix" => args.mix_file = Some(value("--mix")?),
             "--hour" => args.hour = Some(parse(&value("--hour")?, "--hour")?),
             "--geo" => args.load.geo = true,
@@ -106,8 +94,8 @@ fn parse_args() -> Result<Args, String> {
     if !saw_addr {
         return Err("--addr is required".to_string());
     }
-    if args.load.rate <= 0.0 {
-        return Err("--rate must be positive".to_string());
+    if !(args.load.rate > 0.0 && args.load.rate.is_finite()) {
+        return Err("--rate must be a positive number".to_string());
     }
     Ok(args)
 }

@@ -20,6 +20,11 @@
 //! time with [`CacheTier::run_to`]. The one-shot [`run`] wrapper
 //! replays a whole timeline through the same machinery.
 //!
+//! Each fact is counted once: wire activity (every fetch attempt is one
+//! `DIR_REQ`) is the engine's by-kind count, read by
+//! [`CacheTier::traffic`]; arrivals, retries, timeouts and per-hour
+//! fetch latency go into one `FetchRecord` the caches share.
+//!
 //! Client fleets never appear here as nodes; their load arrives in bulk
 //! via `simnet`'s background-load mechanism, and their behaviour lives
 //! in [`crate::fleet`].
@@ -27,15 +32,14 @@
 use crate::docmodel::{DocClass, DocTable};
 use crate::placement::CachePlacement;
 use crate::timeline::ConsensusTimeline;
-use partialtor_obs::{span, Registry, SpanId, TraceEvent, Tracer};
+use partialtor_obs::{span, Histogram, SpanId, TraceEvent, Tracer};
 use partialtor_simnet::geo::{self, Region, AUTHORITY_REGIONS};
 use partialtor_simnet::prelude::*;
-use partialtor_simnet::Metrics;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One node of the distribution tier, as the tier's consumers address
 /// it (the simulation's flat `NodeId` space is an internal detail).
@@ -225,7 +229,6 @@ struct AuthorityState {
     /// Descriptor payload bytes served.
     descriptor_egress_bytes: u64,
     tracer: Tracer,
-    registry: Registry,
 }
 
 struct CacheState {
@@ -241,8 +244,8 @@ struct CacheState {
     max_retries: u32,
     /// Newest version held.
     held: Option<usize>,
-    /// The tier's arrival record, appended to as responses land.
-    arrivals: ArrivalRecord,
+    /// The tier's fetch record, appended to as fetches resolve.
+    record: Arc<Mutex<FetchRecord>>,
     /// When each version was published, so receives can be turned into
     /// fetch latencies on the spot.
     published_at: Vec<f64>,
@@ -254,14 +257,24 @@ struct CacheState {
     /// and timeouts can link to the attempt they follow.
     last_attempt: Vec<SpanId>,
     tracer: Tracer,
-    registry: Registry,
 }
 
-/// Per version, the `(second, cache)` pairs at which each cache first
-/// held it or a newer one, in arrival order — time order without a sort,
-/// since held versions are always the prefix `0..=held` and simulated
-/// time only moves forward. Caches append; the tier reads.
-type ArrivalRecord = Arc<Mutex<Vec<Vec<(f64, usize)>>>>;
+/// What the caches record as their fetches resolve, shared by all of
+/// them so a receive takes one lock. Caches append; the tier reads.
+#[derive(Default)]
+pub(crate) struct FetchRecord {
+    /// Per version, the `(second, cache)` pairs at which each cache first
+    /// held it or a newer one, in arrival order — time order without a
+    /// sort, since held versions are always the prefix `0..=held` and
+    /// simulated time only moves forward.
+    arrivals: Vec<Vec<(f64, usize)>>,
+    /// Attempts after a version's first poll.
+    pub(crate) retries: u64,
+    /// Versions a cache gave up on after exhausting its retries.
+    pub(crate) timeouts: u64,
+    /// Publication → receive latency, one histogram per receive hour.
+    pub(crate) latency: Vec<Histogram>,
+}
 
 /// Timer tags: `2 * version` polls (cache) / publications (authority),
 /// `2 * version + 1` retries.
@@ -284,7 +297,6 @@ impl CacheState {
         // escape a stalled victim (nearest-first for placed caches).
         let pick = self.authority_order
             [(self.ordinal + version + self.attempts[version] as usize - 1) % self.n_authorities];
-        self.registry.inc("cache.fetch_attempts", 1);
         let attempt_span = self.tracer.record_caused(
             TraceEvent::FetchAttempt {
                 at_secs: ctx.now().as_secs_f64(),
@@ -341,7 +353,7 @@ impl Node for DistNode {
                     // Retry against the next authority; the retry is
                     // caused by the attempt that went unanswered, and
                     // in turn causes the next attempt.
-                    cache.registry.inc("cache.fetch_retries", 1);
+                    cache.record.lock().expect("fetch record").retries += 1;
                     let retry_span = cache.tracer.record_caused(
                         TraceEvent::FetchRetry {
                             at_secs: ctx.now().as_secs_f64(),
@@ -355,7 +367,7 @@ impl Node for DistNode {
                 } else {
                     // Out of retries; the cache gives up on this version
                     // (it still catches up when a newer one appears).
-                    cache.registry.inc("cache.fetch_timeouts", 1);
+                    cache.record.lock().expect("fetch record").timeouts += 1;
                     cache.tracer.record_caused(
                         TraceEvent::FetchTimeout {
                             at_secs: ctx.now().as_secs_f64(),
@@ -384,11 +396,6 @@ impl Node for DistNode {
                     auth.egress_bytes += bytes;
                     auth.egress_full_only_bytes += entry.consensus_full;
                     auth.descriptor_egress_bytes += desc_bytes;
-                    if is_diff {
-                        auth.registry.inc("authority.diff_responses", 1);
-                    } else {
-                        auth.registry.inc("authority.full_responses", 1);
-                    }
                     auth.tracer.record_caused(
                         TraceEvent::Served {
                             at_secs: ctx.now().as_secs_f64(),
@@ -410,10 +417,7 @@ impl Node for DistNode {
                         },
                     );
                 }
-                _ => {
-                    auth.registry.inc("authority.not_modified", 1);
-                    ctx.send(from, DirMsg::NotModified)
-                }
+                _ => ctx.send(from, DirMsg::NotModified),
             },
             (DistNode::Cache(cache), DirMsg::Response { version, .. })
                 if cache.held.is_none_or(|h| h < version) =>
@@ -422,18 +426,15 @@ impl Node for DistNode {
                 cache.held = Some(version);
                 let now = ctx.now().as_secs_f64();
                 // Fetch latency: publication → the document landing on
-                // this cache. Recorded both in aggregate and keyed by
-                // the receive hour, so the session can report per-hour
-                // percentiles.
-                let latency = now - cache.published_at[version];
-                cache.registry.observe("cache.fetch_latency", latency);
-                let hour = (now / 3_600.0) as u64;
-                cache
-                    .registry
-                    .observe(&format!("cache.fetch_latency.h{hour:05}"), latency);
-                let mut arrivals = cache.arrivals.lock().expect("arrival record");
-                for record in &mut arrivals[first_new..=version] {
-                    record.push((now, cache.ordinal));
+                // this cache, keyed by the receive hour.
+                let hour = (now / 3_600.0) as usize;
+                let mut record = cache.record.lock().expect("fetch record");
+                if record.latency.len() <= hour {
+                    record.latency.resize_with(hour + 1, Histogram::new);
+                }
+                record.latency[hour].observe(now - cache.published_at[version]);
+                for arrivals in &mut record.arrivals[first_new..=version] {
+                    arrivals.push((now, cache.ordinal));
                 }
             }
             _ => {}
@@ -465,11 +466,28 @@ pub struct CacheTierReport {
     /// Descriptor payload bytes served by all authorities.
     pub authority_descriptor_egress_bytes: u64,
     /// Responses served as full documents: the engine's `DIR_FULL`
-    /// by-kind count, the counter the per-hour
-    /// [`TierHourTraffic`](crate::TierHourTraffic) deltas read.
+    /// by-kind count, the counter the per-hour [`TierHourTraffic`] deltas read.
     pub full_responses: u64,
     /// Responses served as diffs: the engine's `DIR_DIFF` by-kind count.
     pub diff_responses: u64,
+}
+
+/// Tier wire activity from the engine's by-kind counters: cumulative in
+/// [`CacheTier::traffic`], per-hour deltas (the fetch-rate signature) in
+/// [`HourReport`](crate::HourReport).
+#[derive(Clone, Copy, Debug, Default, Serialize)]
+pub struct TierHourTraffic {
+    /// `DIR_REQ` requests enqueued, one per cache fetch attempt.
+    pub dir_requests: u64,
+    /// `DIR_DIFF` responses enqueued.
+    pub dir_diff_responses: u64,
+    /// `DIR_FULL` responses enqueued.
+    pub dir_full_responses: u64,
+    /// `DIR_304` responses enqueued.
+    pub dir_not_modified: u64,
+    /// Engine bookkeeping events that arrived dead (stale link
+    /// completions after rate changes, cancelled timers).
+    pub expired_events: u64,
 }
 
 /// The stepped cache tier: one live `simnet` engine, driven hour by
@@ -488,10 +506,8 @@ pub struct CacheTier {
     /// observational: no RNG draw or event depends on it, so a disabled
     /// and an enabled tier run event-for-event identically.
     tracer: Tracer,
-    /// Always-on metrics registry shared with every node.
-    registry: Registry,
-    /// The arrival record, shared with every cache.
-    arrivals: ArrivalRecord,
+    /// The fetch record, shared with every cache.
+    record: Arc<Mutex<FetchRecord>>,
 }
 
 /// Region of authority `index` (cycling the nine-authority layout for
@@ -520,26 +536,18 @@ impl CacheTier {
     /// caches at the latencies their [`CachePlacement`] implies (the
     /// flat worldwide hop when unplaced), static legacy-client load
     /// on the authority uplinks, and any up-front link windows applied.
+    /// Every node shares `tracer` (pass [`Tracer::disabled`] for none),
+    /// so up-front link windows and all wire activity are traced from
+    /// the first event.
     ///
     /// # Panics
     ///
     /// Panics if `config.n_authorities` is zero.
-    pub fn new(config: &CacheSimConfig) -> Self {
-        CacheTier::with_telemetry(config, Tracer::disabled(), Registry::default())
-    }
-
-    /// [`CacheTier::new`] with an explicit trace sink and metrics
-    /// registry. Every node shares the handles, so up-front link windows
-    /// and all wire activity are observed from the first event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.n_authorities` is zero.
-    pub fn with_telemetry(config: &CacheSimConfig, tracer: Tracer, registry: Registry) -> Self {
+    pub fn new(config: &CacheSimConfig, tracer: Tracer) -> Self {
         assert!(config.n_authorities > 0, "need at least one authority");
         let n = config.n_authorities + config.n_caches;
         let cache_regions = config.placement.regions(config.n_caches);
-        let arrivals = ArrivalRecord::default();
+        let record = Arc::<Mutex<FetchRecord>>::default();
 
         let nodes: Vec<DistNode> = (0..n)
             .map(|index| {
@@ -552,7 +560,6 @@ impl CacheTier {
                         egress_full_only_bytes: 0,
                         descriptor_egress_bytes: 0,
                         tracer: tracer.clone(),
-                        registry: registry.clone(),
                     })
                 } else {
                     let ordinal = index - config.n_authorities;
@@ -566,13 +573,12 @@ impl CacheTier {
                         retry: SimDuration::from_secs(config.retry_secs),
                         max_retries: config.max_retries,
                         held: None,
-                        arrivals: arrivals.clone(),
+                        record: Arc::clone(&record),
                         published_at: Vec::new(),
                         attempts: Vec::new(),
                         publication_spans: Vec::new(),
                         last_attempt: Vec::new(),
                         tracer: tracer.clone(),
-                        registry: registry.clone(),
                     })
                 }
             })
@@ -641,8 +647,7 @@ impl CacheTier {
             cache_regions,
             jitter_rng: StdRng::seed_from_u64(config.seed ^ 0x00ca_c4e5_7a66),
             tracer,
-            registry,
-            arrivals,
+            record,
         };
         let windows = tier.config.link_windows.clone();
         tier.apply_windows(&windows);
@@ -659,15 +664,16 @@ impl CacheTier {
     /// Versions must be published in order, at times not earlier than
     /// the tier's current simulated time.
     pub fn publish(&mut self, version: usize, available_at_secs: f64, sizes: ServeSizes) -> SpanId {
-        let mut arrivals = self.arrivals.lock().expect("arrival record");
+        let mut record = self.fetches();
         assert_eq!(
             version,
-            arrivals.len(),
+            record.arrivals.len(),
             "versions must be published in order"
         );
-        arrivals.push(Vec::with_capacity(self.config.n_caches));
-        drop(arrivals);
-        self.registry.inc("tier.publications", 1);
+        record
+            .arrivals
+            .push(Vec::with_capacity(self.config.n_caches));
+        drop(record);
         let publication_span = self.tracer.record(TraceEvent::Publication {
             at_secs: available_at_secs,
             version: version as u64,
@@ -733,7 +739,6 @@ impl CacheTier {
             let end =
                 SimTime::from_micros(((window.start_secs + window.duration_secs) * 1e6) as u64);
             for (node, restore_bps) in targets {
-                self.registry.inc("tier.link_windows", 1);
                 let opened = self.tracer.record(TraceEvent::LinkWindow {
                     at_secs: window.start_secs,
                     node: node.index() as u64,
@@ -796,16 +801,23 @@ impl CacheTier {
             .run_until(SimTime::from_micros((t_secs * 1e6) as u64));
     }
 
-    /// The underlying engine's traffic accounting (tx/rx by message
-    /// kind, expired events).
-    pub fn metrics(&self) -> &Metrics {
-        self.sim.metrics()
+    /// The tier's wire activity so far: the engine's by-kind message
+    /// counts and its expired events.
+    pub fn traffic(&self) -> TierHourTraffic {
+        let metrics = self.sim.metrics();
+        let sent = |kind: &str| metrics.by_kind().get(kind).map_or(0, |k| k.count);
+        TierHourTraffic {
+            dir_requests: sent("DIR_REQ"),
+            dir_diff_responses: sent("DIR_DIFF"),
+            dir_full_responses: sent("DIR_FULL"),
+            dir_not_modified: sent("DIR_304"),
+            expired_events: metrics.expired_events(),
+        }
     }
 
-    /// Messages of one kind (`DIR_REQ`, `DIR_DIFF`, `DIR_FULL`,
-    /// `DIR_304`) the engine has enqueued so far.
-    pub(crate) fn sent(&self, kind: &str) -> u64 {
-        self.metrics().by_kind().get(kind).map_or(0, |k| k.count)
+    /// The caches' shared fetch record as of the tier's current time.
+    pub(crate) fn fetches(&self) -> MutexGuard<'_, FetchRecord> {
+        self.record.lock().expect("fetch record")
     }
 
     /// When each version reached the cache quorum, as of the tier's
@@ -826,9 +838,8 @@ impl CacheTier {
         let quorum_count = ((serving.len() as f64 * self.config.quorum).ceil() as usize).max(1);
         let mut member = vec![false; self.config.n_caches];
         serving.iter().for_each(|&cache| member[cache] = true);
-        self.arrivals
-            .lock()
-            .expect("arrival record")
+        self.fetches()
+            .arrivals
             .iter()
             .map(|arrivals| {
                 arrivals
@@ -849,9 +860,8 @@ impl CacheTier {
     fn availability(&self) -> Vec<VersionAvailability> {
         let quorum_count =
             ((self.config.n_caches as f64 * self.config.quorum).ceil() as usize).max(1);
-        self.arrivals
-            .lock()
-            .expect("arrival record")
+        self.fetches()
+            .arrivals
             .iter()
             .enumerate()
             .map(|(version, arrivals)| VersionAvailability {
@@ -874,13 +884,14 @@ impl CacheTier {
                 desc_egress += auth.descriptor_egress_bytes;
             }
         }
+        let traffic = self.traffic();
         CacheTierReport {
             versions: self.availability(),
             authority_egress_bytes: egress,
             authority_egress_full_only_bytes: egress_full_only,
             authority_descriptor_egress_bytes: desc_egress,
-            full_responses: self.sent("DIR_FULL"),
-            diff_responses: self.sent("DIR_DIFF"),
+            full_responses: traffic.dir_full_responses,
+            diff_responses: traffic.dir_diff_responses,
         }
     }
 }
@@ -895,7 +906,7 @@ pub fn run(
     timeline: &ConsensusTimeline,
     table: &DocTable,
 ) -> CacheTierReport {
-    let mut tier = CacheTier::new(config);
+    let mut tier = CacheTier::new(config, Tracer::disabled());
     let hours = (timeline.horizon_secs() / 3_600.0).ceil() as u64;
     let mut published = 0;
     for hour in 0..hours {
@@ -1060,7 +1071,7 @@ mod tests {
         let table = table_for(&timeline);
         let batch = run(&config(25), &timeline, &table);
 
-        let mut tier = CacheTier::new(&config(25));
+        let mut tier = CacheTier::new(&config(25), Tracer::disabled());
         let mut published = 0;
         for hour in 0..=4u64 {
             while published < timeline.publications.len()
@@ -1121,7 +1132,7 @@ mod tests {
             crate::placement::serving_caches(&tier_regions, Some(Region::UsEast));
         assert!(europe.len() >= 9 && !us_east.is_empty());
 
-        let mut tier = CacheTier::new(&cfg);
+        let mut tier = CacheTier::new(&cfg, Tracer::disabled());
         let table = table_for(&timeline);
         for publication in &timeline.publications {
             tier.publish(
@@ -1218,7 +1229,7 @@ mod tests {
     /// oracle consumes. Checks on the way that every cache appears once
     /// for exactly the versions `0..=held`.
     fn received_at(tier: &CacheTier) -> Vec<Vec<Option<f64>>> {
-        let arrivals = tier.arrivals.lock().unwrap();
+        let arrivals = &tier.fetches().arrivals;
         let mut received = vec![vec![None; arrivals.len()]; tier.config.n_caches];
         for (version, record) in arrivals.iter().enumerate() {
             for &(at, cache) in record {
@@ -1330,7 +1341,7 @@ mod tests {
                     .collect(),
                 ..CacheSimConfig::default()
             };
-            let mut tier = CacheTier::new(&cfg);
+            let mut tier = CacheTier::new(&cfg, Tracer::disabled());
             let mut serving_sets: Vec<Vec<usize>> = [None]
                 .into_iter()
                 .chain(geo::REGIONS.map(Some))

@@ -59,7 +59,7 @@ pub mod timeline;
 
 pub use attribution::{AttributionRollup, CauseParts, HourAttribution};
 pub use cachesim::{
-    CacheSimConfig, CacheTier, CacheTierReport, LinkWindow, ServeSizes, TierNode,
+    CacheSimConfig, CacheTier, CacheTierReport, LinkWindow, ServeSizes, TierHourTraffic, TierNode,
     VersionAvailability,
 };
 pub use churn::ChurnSchedule;
@@ -78,7 +78,6 @@ pub use placement::{
 pub use session::{
     per_cache_service_budget_bytes, AlertNote, CohortPlacement, DistSession, FeedbackSummary,
     HourInput, HourReport, LatencySummary, PlacementSummary, RegionCacheCount, TelemetrySummary,
-    TierHourTraffic,
 };
 pub use timeline::{ConsensusTimeline, Publication};
 

@@ -24,7 +24,9 @@
 //! end-to-end [`DistReport`].
 
 use crate::attribution::{self, HourAttribution, LadderContext};
-use crate::cachesim::{CacheSimConfig, CacheTier, LinkWindow, ServeSizes, TierNode};
+use crate::cachesim::{
+    CacheSimConfig, CacheTier, LinkWindow, ServeSizes, TierHourTraffic, TierNode,
+};
 use crate::docmodel::{DocModel, DocTable};
 use crate::fleet::{FleetConfig, FleetHourEgress, FleetHourRow, FleetSim};
 use crate::placement::{
@@ -32,15 +34,16 @@ use crate::placement::{
 };
 use crate::timeline::Publication;
 use crate::{DistConfig, DistReport, DIRECT_FETCH_FRACTION, FRESH_SECS, RETAIN_HOURS};
-use partialtor_obs::{Histogram, Registry, SpanId, TraceEvent, Tracer};
+use partialtor_obs::{Histogram, SpanId, TraceEvent, Tracer};
 use partialtor_simnet::geo::REGIONS;
 use serde::Serialize;
 
 /// A health-monitor alert handed into a stepped hour. The monitor lives
 /// upstream (it watches protocol runs, which this crate never sees), so
 /// the session takes its verdicts as plain notes: each one becomes a
-/// structured trace event and a registry count, keeping alerting on the
-/// same timeline as the distribution telemetry it explains.
+/// structured trace event and counts toward its hour's
+/// [`HourReport::alerts`], keeping alerting on the same timeline as the
+/// distribution telemetry it explains.
 #[derive(Clone, Debug)]
 pub struct AlertNote {
     /// Severity label (`warning`, `critical`, ...).
@@ -152,23 +155,6 @@ impl LatencySummary {
     }
 }
 
-/// Tier wire activity during one stepped hour — the per-hour fetch-rate
-/// signature (deltas of the engine's cumulative by-kind counters).
-#[derive(Clone, Copy, Debug, Default, Serialize)]
-pub struct TierHourTraffic {
-    /// `DIR_REQ` messages enqueued (cache → authority requests).
-    pub dir_requests: u64,
-    /// `DIR_DIFF` responses enqueued.
-    pub dir_diff_responses: u64,
-    /// `DIR_FULL` responses enqueued.
-    pub dir_full_responses: u64,
-    /// `DIR_304` responses enqueued.
-    pub dir_not_modified: u64,
-    /// Engine bookkeeping events that arrived dead (stale link
-    /// completions after rate changes, cancelled timers).
-    pub expired_events: u64,
-}
-
 /// What one stepped hour looked like.
 #[derive(Clone, Debug, Serialize)]
 pub struct HourReport {
@@ -201,16 +187,20 @@ pub struct HourReport {
     pub attribution: Option<HourAttribution>,
 }
 
-/// Session-wide telemetry rollup.
+/// Session-wide telemetry rollup. Each field is read from the one
+/// place that counts it.
 #[derive(Clone, Debug, Serialize)]
 pub struct TelemetrySummary {
-    /// Cache fetch attempts (first polls and retries).
+    /// Cache fetch attempts (first polls and retries): the engine's
+    /// `DIR_REQ` count, one request per attempt.
     pub fetch_attempts: u64,
-    /// Retries among the attempts.
+    /// Retries among the attempts, from the caches' fetch record.
     pub fetch_retries: u64,
-    /// Versions a cache gave up on after exhausting its retries.
+    /// Versions a cache gave up on after exhausting its retries, from
+    /// the caches' fetch record.
     pub fetch_timeouts: u64,
-    /// Health alerts raised over the session.
+    /// Health alerts raised over the session: the sum of
+    /// [`HourReport::alerts`].
     pub alerts: u64,
     /// Engine events that arrived dead over the whole session.
     pub expired_events: u64,
@@ -218,7 +208,9 @@ pub struct TelemetrySummary {
     /// session — nonzero means the exported trace is a suffix, never a
     /// silent gap.
     pub trace_dropped: u64,
-    /// Publication → cache fetch latency over the whole session.
+    /// Publication → cache fetch latency over the whole session: the
+    /// exact merge of the fetch record's per-hour histograms, the drain
+    /// after the last hour included.
     pub fetch_latency: Option<LatencySummary>,
 }
 
@@ -339,10 +331,6 @@ pub struct DistSession {
     /// Shared with the tier's nodes; the session adds its own events
     /// (hour summaries, health alerts).
     tracer: Tracer,
-    /// Shared with the tier's nodes. Always on — the per-hour report
-    /// fields derived from it exist whether or not anything exports the
-    /// registry, so exporting cannot change any report.
-    registry: Registry,
     /// Cumulative tier traffic as of the end of the previous hour, for
     /// per-hour deltas.
     prev_traffic: TierHourTraffic,
@@ -361,12 +349,10 @@ impl DistSession {
         DistSession::with_telemetry(config, model, Tracer::disabled())
     }
 
-    /// [`DistSession::new`] with a structured trace sink. The metrics
-    /// registry is created internally and always on; tracing is purely
-    /// observational, so a traced session produces bit-identical
+    /// [`DistSession::new`] with a structured trace sink. Tracing is
+    /// purely observational, so a traced session produces bit-identical
     /// reports to an untraced one (a test pins this).
     pub fn with_telemetry(config: &DistConfig, model: DocModel, tracer: Tracer) -> Self {
-        let registry = Registry::default();
         let cache_config = CacheSimConfig {
             seed: config.seed,
             n_authorities: config.n_authorities,
@@ -376,7 +362,7 @@ impl DistSession {
             placement: config.placement.clone(),
             ..CacheSimConfig::default()
         };
-        let mut tier = CacheTier::with_telemetry(&cache_config, tracer.clone(), registry.clone());
+        let mut tier = CacheTier::new(&cache_config, tracer.clone());
 
         // The placement decides which caches each cohort fetches from,
         // and with it the latency story of the whole session.
@@ -446,7 +432,6 @@ impl DistSession {
             current_bg: (static_direct_bps, 0.0),
             hour_reports: Vec::new(),
             tracer,
-            registry,
             prev_traffic: TierHourTraffic::default(),
             applied_windows: if config.attribution {
                 config.link_windows.clone()
@@ -470,7 +455,6 @@ impl DistSession {
         self.cum_churn += churn.max(0.0);
 
         for alert in &input.alerts {
-            self.registry.inc("monitor.alerts", 1);
             self.tracer.emit(TraceEvent::HealthAlert {
                 hour,
                 severity: alert.severity,
@@ -571,17 +555,6 @@ impl DistSession {
         )
     }
 
-    /// Cumulative tier wire counters as of the tier's current time.
-    fn traffic_totals(&self) -> TierHourTraffic {
-        TierHourTraffic {
-            dir_requests: self.tier.sent("DIR_REQ"),
-            dir_diff_responses: self.tier.sent("DIR_DIFF"),
-            dir_full_responses: self.tier.sent("DIR_FULL"),
-            dir_not_modified: self.tier.sent("DIR_304"),
-            expired_events: self.tier.metrics().expired_events(),
-        }
-    }
-
     /// Accounts the hour that just ran under the background load that
     /// was in effect, then (with feedback on) schedules the next hour's
     /// load from the realized egress.
@@ -626,7 +599,7 @@ impl DistSession {
                 .find(|p| matches!(cached.get(p.version), Some(Some(_))))
                 .map(|p| p.version)
         };
-        let totals = self.traffic_totals();
+        let totals = self.tier.traffic();
         let tier_traffic = TierHourTraffic {
             dir_requests: totals.dir_requests - self.prev_traffic.dir_requests,
             dir_diff_responses: totals.dir_diff_responses - self.prev_traffic.dir_diff_responses,
@@ -635,11 +608,12 @@ impl DistSession {
             expired_events: totals.expired_events - self.prev_traffic.expired_events,
         };
         self.prev_traffic = totals;
-        let fetch_latency = LatencySummary::from_histogram(
-            &self
-                .registry
-                .histogram(&format!("cache.fetch_latency.h{hour:05}")),
-        );
+        let fetch_latency = self
+            .tier
+            .fetches()
+            .latency
+            .get(hour as usize)
+            .and_then(LatencySummary::from_histogram);
         // The hour summary's cause is the hour's defining upstream
         // event: a near-exhausted service budget when one fired, else
         // the hour's publication.
@@ -714,28 +688,29 @@ impl DistSession {
         &self.placement
     }
 
-    /// The session's metrics registry (shared with the cache tier).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// Closes the session: drains the cache tier past the horizon (late
     /// fetches still count toward cache coverage) and folds everything
     /// into the end-to-end report.
     pub fn into_report(mut self) -> DistReport {
         self.tier.run_to((self.hours() * 3_600) as f64 + 1_800.0);
         let hours = self.hours().max(1) as f64;
+        let traffic = self.tier.traffic();
+        let fetches = self.tier.fetches();
+        let mut run_latency = Histogram::new();
+        fetches
+            .latency
+            .iter()
+            .for_each(|hour| run_latency.merge(hour));
         let telemetry = TelemetrySummary {
-            fetch_attempts: self.registry.counter("cache.fetch_attempts"),
-            fetch_retries: self.registry.counter("cache.fetch_retries"),
-            fetch_timeouts: self.registry.counter("cache.fetch_timeouts"),
-            alerts: self.registry.counter("monitor.alerts"),
-            expired_events: self.tier.metrics().expired_events(),
+            fetch_attempts: traffic.dir_requests,
+            fetch_retries: fetches.retries,
+            fetch_timeouts: fetches.timeouts,
+            alerts: self.hour_reports.iter().map(|h| h.alerts).sum(),
+            expired_events: traffic.expired_events,
             trace_dropped: self.tracer.dropped(),
-            fetch_latency: LatencySummary::from_histogram(
-                &self.registry.histogram("cache.fetch_latency"),
-            ),
+            fetch_latency: LatencySummary::from_histogram(&run_latency),
         };
+        drop(fetches);
         let fleet_report = self
             .fleet
             .report(self.hour_reports.iter().map(|h| h.fleet.clone()).collect());
@@ -997,7 +972,6 @@ mod tests {
         });
         let second = session.step_hour(alerted);
         assert_eq!(second.alerts, 1);
-        assert_eq!(session.registry().counter("monitor.alerts"), 1);
 
         let report = session.into_report();
         assert_eq!(report.hours.len(), 3);
@@ -1115,6 +1089,59 @@ mod tests {
                 "{name} drifted: {value} (pinned {pin}); update the pin only for an intentional model change"
             );
         }
+    }
+
+    /// The session's telemetry, pinned by the SHA-256 of its `Debug`
+    /// rendering: the whole-run rollup, every hour's fetch latency,
+    /// traffic signature and alert count, and the tier report. All nine
+    /// authorities sit at 0.5 Mbit/s for half of hours 3 and 4, so
+    /// caches retry and give up, and hour 5 raises one alert.
+    #[test]
+    fn telemetry_is_pinned() {
+        let mut cfg = config(400_000, 30, false);
+        cfg.link_windows = (3..=4u64)
+            .flat_map(|h| {
+                (0..9).map(move |i| LinkWindow {
+                    node: TierNode::Authority(i),
+                    start_secs: (h * 3_600) as f64,
+                    duration_secs: 1_800.0,
+                    bps: 0.5e6,
+                })
+            })
+            .collect();
+        let mut session = DistSession::new(&cfg, DocModel::synthetic(cfg.relays));
+        for hour in 1..=8u64 {
+            let mut input = HourInput::produced(330.0);
+            if hour == 5 {
+                input.alerts.push(AlertNote {
+                    severity: "critical",
+                    kind: "consensus_failure_streak".into(),
+                    message: "authorities flooded".into(),
+                });
+            }
+            session.step_hour(input);
+        }
+        let report = session.into_report();
+        let telemetry = &report.telemetry;
+        assert!(telemetry.fetch_retries > 0, "{telemetry:?}");
+        assert!(telemetry.fetch_timeouts > 0, "{telemetry:?}");
+        assert!(telemetry.alerts > 0, "{telemetry:?}");
+        let hours_with_latency = report
+            .hours
+            .iter()
+            .filter(|h| h.fetch_latency.is_some())
+            .count();
+        assert!(hours_with_latency >= 2);
+        let hourly: Vec<_> = report
+            .hours
+            .iter()
+            .map(|h| (h.fetch_latency, h.tier_traffic, h.alerts))
+            .collect();
+        let rendered = format!("{telemetry:?}{hourly:?}{:?}", report.cache);
+        assert_eq!(
+            partialtor_crypto::sha256::digest(rendered.as_bytes()).to_hex(),
+            "877e1aec75c09336db4c0a64c992b6fac6e8bc312987579611ca700a42e75a2c"
+        );
     }
 
     proptest! {

@@ -1,7 +1,8 @@
 //! `partialtor-obs` — the workspace's telemetry substrate.
 //!
 //! Three independent instruments, all std-only and dependency-free so
-//! every layer (simnet, dirdist, core) can use them without cycles:
+//! any layer above `simnet` (which stays free of them) can use them
+//! without cycles:
 //!
 //! * [`trace`] — typed, timestamped [`TraceEvent`]s emitted through a
 //!   cloneable [`Tracer`] handle. A disabled tracer is a `None` and every
@@ -15,7 +16,9 @@
 //!   fixed-bucket latency [`Histogram`]s. Histograms are mergeable
 //!   (exactly associative and commutative: durations accumulate in
 //!   integer nanoseconds) and expose deterministic p50/p90/p99
-//!   extraction bounded by the observed min/max.
+//!   extraction bounded by the observed min/max. The name-keyed
+//!   `Registry` backs exports that are tables of names (`dircached`'s
+//!   `/metrics`, `dirload`); the simulator keeps typed counters.
 //! * [`profile`] — process-global wall-clock spans behind an atomic
 //!   flag, for `dirsim --profile`. Profiling measures the *simulator's*
 //!   own cost, so (unlike traces and metrics) its output is real time
