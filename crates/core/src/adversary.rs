@@ -1,14 +1,7 @@
 //! The typed adversary model: one attack vocabulary for every layer.
 //!
-//! Before this module existed the attack surface was split in two:
-//! `attack::DdosAttack` carried a bare `Vec<usize>` of authority indices
-//! for the protocol simulations, and `partialtor_dirdist` kept its own
-//! incompatible window struct for the cache tier. Neither could express
-//! an attack *on a cache*, and every experiment re-derived one shape
-//! from the other by hand.
-//!
-//! Now a single [`AttackPlan`] — a normalized set of
-//! [`AttackWindow`]s over typed [`Target`]s — describes a whole
+//! A single [`AttackPlan`] — a normalized set of [`AttackWindow`]s over
+//! typed [`Target`]s, authorities *and* caches — describes a whole
 //! campaign on the day's clock. Each consumer lowers the same plan onto
 //! its own machinery:
 //!
@@ -18,8 +11,8 @@
 //! * [`AttackPlan::dist_windows`] lowers every window (authorities *and*
 //!   caches) onto the distribution tier's mechanism-level
 //!   [`LinkWindow`]s;
-//! * [`AttackPlan::cost_with`] prices the campaign with the §4.3
-//!   stressor arithmetic of [`StressorPricing`].
+//! * [`AttackPlan::cost`] prices the campaign with the §4.3 stressor
+//!   arithmetic at [`USD_PER_MBIT_HOUR`].
 //!
 //! Plans are normalized on construction: windows on the same target that
 //! overlap or touch are coalesced (the flood during an overlap is the
@@ -28,10 +21,9 @@
 //! the result is sorted by start time then target. Cost is therefore
 //! invariant under splitting or duplicating windows.
 
-use crate::attack::StressorPricing;
 use crate::calibration::{
     flooded_residual_bps, ATTACK_FLOOD_MBPS, AUTHORITY_LINK_BPS, CACHE_LINK_BPS, N_AUTHORITIES,
-    OFFLINE_FLOOD_MBPS,
+    OFFLINE_FLOOD_MBPS, USD_PER_MBIT_HOUR,
 };
 use partialtor_dirdist::{LinkWindow, TierNode};
 use partialtor_simnet::{Node, NodeId, SimDuration, SimTime, Simulation};
@@ -93,8 +85,8 @@ impl AttackWindow {
     }
 
     /// What the stressor service charges for this window, dollars.
-    pub fn cost(&self, pricing: &StressorPricing) -> f64 {
-        pricing.usd_per_mbit_hour * self.flood_mbps * self.duration.as_secs_f64() / 3_600.0
+    pub fn cost(&self) -> f64 {
+        USD_PER_MBIT_HOUR * self.flood_mbps * self.duration.as_secs_f64() / 3_600.0
     }
 }
 
@@ -213,18 +205,11 @@ impl AttackPlan {
             .fold(0.0, f64::max)
     }
 
-    /// Campaign price under `pricing`, dollars.
-    pub fn cost_with(&self, pricing: &StressorPricing) -> f64 {
+    /// Campaign price, dollars: the sum of its windows' prices.
+    pub fn cost(&self) -> f64 {
         // Folded from +0.0 because `Sum for f64` starts at -0.0, which
         // would leak a "-0.00" into every empty-plan cost display.
-        self.windows
-            .iter()
-            .fold(0.0, |acc, w| acc + w.cost(pricing))
-    }
-
-    /// Campaign price under the default stressor pricing, dollars.
-    pub fn cost(&self) -> f64 {
-        self.cost_with(&StressorPricing::default())
+        self.windows.iter().fold(0.0, |acc, w| acc + w.cost())
     }
 
     /// Hours the plan's pattern occupies (minimum 1): from the hour of
@@ -284,27 +269,18 @@ impl AttackPlan {
         }
     }
 
-    /// Lowers the whole plan onto the distribution tier's default link
-    /// rates ([`AUTHORITY_LINK_BPS`], [`CACHE_LINK_BPS`] — the values
-    /// `CacheSimConfig::default()` uses; a test pins the two crates
-    /// together). For a tier with custom rates use
-    /// [`AttackPlan::dist_windows_for`].
-    pub fn dist_windows(&self) -> Vec<LinkWindow> {
-        self.dist_windows_for(AUTHORITY_LINK_BPS, CACHE_LINK_BPS)
-    }
-
-    /// Lowers the plan onto a distribution tier whose authority and
-    /// cache links run at the given rates: every window becomes a
-    /// capacity override on its victim's link, the during-window
-    /// bandwidth derived from the flood rate via
+    /// Lowers the whole plan onto the distribution tier: every window
+    /// becomes a capacity override on its victim's link
+    /// ([`AUTHORITY_LINK_BPS`] or [`CACHE_LINK_BPS`]), the
+    /// during-window bandwidth derived from the flood rate via
     /// [`flooded_residual_bps`].
-    pub fn dist_windows_for(&self, authority_bps: f64, cache_bps: f64) -> Vec<LinkWindow> {
+    pub fn dist_windows(&self) -> Vec<LinkWindow> {
         self.windows
             .iter()
             .map(|w| {
                 let (node, link_bps) = match w.target {
-                    Target::Authority(i) => (TierNode::Authority(i), authority_bps),
-                    Target::Cache(i) => (TierNode::Cache(i), cache_bps),
+                    Target::Authority(i) => (TierNode::Authority(i), AUTHORITY_LINK_BPS),
+                    Target::Cache(i) => (TierNode::Cache(i), CACHE_LINK_BPS),
                 };
                 LinkWindow {
                     node,
@@ -431,6 +407,30 @@ mod tests {
     }
 
     #[test]
+    fn paper_cost_figures() {
+        let plan = AttackPlan::five_of_nine();
+        // §4.3: "approximately $0.074" per run …
+        assert!((plan.cost() - 0.074).abs() < 1e-9);
+        // … and "$53.28/month".
+        assert!((plan.cost_per_month() - 53.28).abs() < 1e-6);
+    }
+
+    #[test]
+    fn cost_scales_linearly_in_targets_and_rate() {
+        let plan = |targets: usize, flood: f64| {
+            AttackPlan::new(
+                (0..targets)
+                    .map(|i| window(Target::Authority(i), 0, 300, flood))
+                    .collect(),
+            )
+        };
+        let base = plan(5, ATTACK_FLOOD_MBPS);
+        assert_eq!(base, AttackPlan::five_of_nine());
+        assert!((plan(10, ATTACK_FLOOD_MBPS).cost() - 2.0 * base.cost()).abs() < 1e-12);
+        assert!((plan(5, 120.0).cost() - base.cost() / 2.0).abs() < 1e-12);
+    }
+
+    #[test]
     fn monthly_price_survives_hour_boundary_merging() {
         // Full-hour windows repeated hourly coalesce into one long
         // window; the monthly extrapolation must still charge the
@@ -504,23 +504,12 @@ mod tests {
         assert_eq!(clipped.windows()[0].duration, SimDuration::from_secs(600));
     }
 
-    /// The default lowering and `CacheSimConfig::default()` must agree
-    /// on link rates, or `dist_windows()` would compute residuals
-    /// against capacities the tier does not actually have.
+    /// The tier owns the link rates, so the default lowering computes
+    /// residuals against the capacities the tier actually has.
     #[test]
     fn default_lowering_matches_the_tier_defaults() {
-        let tier = partialtor_dirdist::CacheSimConfig::default();
-        assert_eq!(tier.authority_bps, AUTHORITY_LINK_BPS);
-        assert_eq!(tier.cache_bps, CACHE_LINK_BPS);
-        // A custom tier lowers against its own rates: a 100 Mbit/s
-        // flood on a 200 Mbit/s cache link subtracts instead of
-        // killing the link.
         let plan = AttackPlan::new(vec![window(Target::Cache(0), 0, 300, 100.0)]);
         assert_eq!(plan.dist_windows()[0].bps, 0.0);
-        assert_eq!(
-            plan.dist_windows_for(AUTHORITY_LINK_BPS, 200e6)[0].bps,
-            100e6
-        );
     }
 
     #[test]

@@ -40,8 +40,7 @@
 //! closes early (`dirsim … | head`) the process ends quietly.
 
 use partialtor::adversary::{AttackPlan, AttackWindow, Target};
-use partialtor::attack::AttackCostModel;
-use partialtor::calibration::ATTACK_FLOOD_MBPS;
+use partialtor::calibration::{ATTACK_FLOOD_MBPS, N_AUTHORITIES};
 use partialtor::experiments::{
     ablations, adversary, attribute, availability, clients, cost, diff_savings, fig10_latency,
     fig11_recovery, fig1_attack_log, fig6_relays, fig7_bandwidth, frontier, placement,
@@ -546,26 +545,29 @@ const COST_SPEC: &[FlagSpec] = &[
 ];
 
 fn cmd_cost(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
-    let model = AttackCostModel {
-        targets: args.u64("--targets", 5)? as usize,
-        flood_mbps: args.f64("--flood", ATTACK_FLOOD_MBPS)?,
-        minutes_per_run: args.f64("--minutes", 5.0)?,
-        runs_per_hour: 1.0,
-        pricing: Default::default(),
-    };
+    let targets = args.u64("--targets", 5)?;
+    let flood_mbps = args.f64("--flood", ATTACK_FLOOD_MBPS)?;
+    let minutes = args.f64("--minutes", 5.0)?;
+    if targets > N_AUTHORITIES as u64 {
+        return Err(format!("--targets must be at most {N_AUTHORITIES}"));
+    }
+    if minutes > 60.0 {
+        return Err("--minutes must be at most 60 (one run per hour)".into());
+    }
+    let plan = cost::hourly_plan(targets as usize, flood_mbps, minutes);
     telemetry.metrics = Json::obj([
-        ("targets", Json::from(model.targets)),
-        ("flood_mbps", Json::from(model.flood_mbps)),
-        ("minutes_per_run", Json::from(model.minutes_per_run)),
-        ("cost_per_run_usd", Json::from(model.cost_per_run())),
-        ("cost_per_month_usd", Json::from(model.cost_per_month())),
+        ("targets", Json::from(targets as usize)),
+        ("flood_mbps", Json::from(flood_mbps)),
+        ("minutes_per_run", Json::from(minutes)),
+        ("cost_per_run_usd", Json::from(plan.cost())),
+        ("cost_per_month_usd", Json::from(plan.cost_per_month())),
     ]);
     if args.present("--json") {
         outln!("{}", telemetry.metrics.render());
         return Ok(());
     }
-    outln!("cost per breached run : ${:.4}", model.cost_per_run());
-    outln!("cost per month        : ${:.2}", model.cost_per_month());
+    outln!("cost per breached run : ${:.4}", plan.cost());
+    outln!("cost per month        : ${:.2}", plan.cost_per_month());
     Ok(())
 }
 
@@ -966,25 +968,24 @@ fn cmd_fig(args: &Args, _telemetry: &mut Telemetry) -> Result<(), String> {
     Ok(())
 }
 
-const USAGE: &str =
-    "usage: dirsim <run|attack|sweep|clients|attribute|adversary|frontier|placement|cost|monitor|fig> [options]
-  run       one protocol run
-  attack    one run under a bandwidth-DDoS window set
-  sweep     latency across a bandwidth grid
-  clients   client-visible availability through the distribution layer
-  attribute exact blame decomposition of the five-of-nine downtime
-  adversary budget-constrained strategy search over authorities + caches
-  frontier  attacker-defender co-evolution: the cost-of-denial frontier
-  placement geographic cache-placement sweep + greedy placement search
-  cost      the §4.3 DDoS-for-hire price arithmetic
-  monitor   run all three protocols through the bandwidth monitor
-  fig       regenerate one figure or table of the paper (fig <name>)
-run `dirsim <subcommand> --help` for the subcommand's options;
+/// The top-level usage: one line per [`SUBCOMMANDS`] entry, then the
+/// flags every subcommand accepts.
+fn usage() -> String {
+    let names: Vec<&str> = SUBCOMMANDS.iter().map(|(name, ..)| *name).collect();
+    let mut out = format!("usage: dirsim <{}> [options]\n", names.join("|"));
+    for (name, about, ..) in SUBCOMMANDS {
+        out.push_str(&format!("  {name:<9} {about}\n"));
+    }
+    out.push_str(
+        "run `dirsim <subcommand> --help` for the subcommand's options;
 every subcommand also accepts --threads N (1 = serial sweeps),
 --trace FILE (JSONL event trace with span/cause ids),
 --trace-chrome FILE (Chrome trace-event JSON for chrome://tracing),
 --metrics FILE (metrics JSON)
-and --profile (per-phase wall-clock profile on stderr)";
+and --profile (per-phase wall-clock profile on stderr)",
+    );
+    out
+}
 
 /// Subcommand table: name, one-line description, flag spec, handler.
 type Handler = fn(&Args, &mut Telemetry) -> Result<(), String>;
@@ -1055,17 +1056,17 @@ const SUBCOMMANDS: &[(&str, &str, &[FlagSpec], Handler)] = &[
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some(first) = raw.first() else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         std::process::exit(2);
     };
     if first == "-h" || first == "--help" {
-        outln!("{USAGE}");
+        outln!("{}", usage());
         return;
     }
     let Some((sub, about, spec, handler)) =
         SUBCOMMANDS.iter().find(|(name, ..)| name == first).copied()
     else {
-        eprintln!("unknown subcommand {first:?}\n{USAGE}");
+        eprintln!("unknown subcommand {first:?}\n{}", usage());
         std::process::exit(2);
     };
     let outcome = parse_args(sub, about, spec, &raw[1..])

@@ -2,11 +2,16 @@
 //!
 //! The paper's absolute numbers come from Shadow running the real Tor
 //! stack on a tornettools-generated network; ours come from a fluid-flow
-//! simulator. These constants (documented in `DESIGN.md`) fix the shared
-//! quantities; `EXPERIMENTS.md` records where the resulting absolute
-//! numbers land relative to the paper's.
+//! simulator. These constants fix the quantities every layer shares.
+//! Each is defined once: the link rates and the consensus lifetime
+//! belong to the distribution tier (`partialtor-dirdist`) and are
+//! re-exported here under the names the protocol layer uses.
 
 use partialtor_simnet::SimDuration;
+
+pub use partialtor_dirdist::{
+    AUTHORITY_LINK_BPS, CACHE_LINK_BPS, VALID_SECS as CONSENSUS_VALID_SECS,
+};
 
 /// The lock-step round length Δ of the deployed directory protocol
 /// (§3.2: "the currently deployed parameter of 150 s").
@@ -19,9 +24,6 @@ pub const fn round_duration() -> SimDuration {
 
 /// Number of lock-step rounds per protocol run (Fig. 4).
 pub const LOCKSTEP_ROUNDS: u64 = 4;
-
-/// The paper's authority link capacity estimate (§4.3): 250 Mbit/s.
-pub const AUTHORITY_LINK_BPS: f64 = 250e6;
 
 /// Residual bandwidth available to a DDoS victim (§4.3, after Jansen et
 /// al.): 0.5 Mbit/s.
@@ -36,14 +38,15 @@ pub const ATTACK_FLOOD_MBPS: f64 = 240.0;
 /// row): [`flooded_residual_bps`] maps it to a fully dead link.
 pub const OFFLINE_FLOOD_MBPS: f64 = 1_000.0;
 
-/// Directory-cache link rate, bits/s. Must stay in sync with
-/// `partialtor_dirdist::CacheSimConfig::default().cache_bps` — the
-/// adversary model lowers cache-targeted windows with this capacity.
-pub const CACHE_LINK_BPS: f64 = 100e6;
-
 /// Flood rate that saturates a directory-cache link (equal to the cache
 /// link rate, so the victim drops to zero).
-pub const CACHE_FLOOD_MBPS: f64 = 100.0;
+pub const CACHE_FLOOD_MBPS: f64 = CACHE_LINK_BPS / 1e6;
+
+/// Stressor-service price (§4.3, from Jansen et al. \[22\]): dollars
+/// per Mbit/s of attack traffic per hour, amortized. The paper's
+/// five-of-nine five-minute campaign costs $0.074 per breached run and
+/// $53.28 per month of sustained outage at this rate.
+pub const USD_PER_MBIT_HOUR: f64 = 0.00074;
 
 /// Fraction of a link's rate a flood must reach before queue collapse
 /// leaves the victim only the Jansen et al. residual. Calibrated so the
@@ -201,10 +204,6 @@ pub const fn dissemination_timeout() -> SimDuration {
 /// "the fallback mechanism that reruns the protocol after 30 minutes").
 pub const FALLBACK_RETRY_SECS: u64 = 30 * 60;
 
-/// Consensus documents become invalid three hours after generation;
-/// sustained failure for this long halts the Tor network (§2.1).
-pub const CONSENSUS_VALID_SECS: u64 = 3 * 3600;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,6 +230,7 @@ mod tests {
     fn paper_figures() {
         assert_eq!(ROUND_SECS * LOCKSTEP_ROUNDS, 600, "10-minute protocol");
         assert_eq!(CONSENSUS_VALID_SECS, 10_800);
+        assert_eq!(CACHE_FLOOD_MBPS, 100.0);
     }
 
     /// The calibrated constant and the document-class derivation must

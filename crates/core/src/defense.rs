@@ -29,11 +29,9 @@
 //! `AttackPlan` gives the attacker's side, and what the frontier search
 //! relies on when it dedups candidate defenses.
 //!
-//! Each lever prices in $/month through [`DefenseCostModel`] (the same
-//! shape as the attacker's
-//! [`StressorPricing`](crate::attack::StressorPricing) arithmetic),
-//! lowers onto
-//! the distribution layer through [`DefensePlan::lower`] (a
+//! Each lever prices in $/month through [`DefensePlan::cost_per_month`]
+//! (the counterpart of the attacker's [`AttackPlan::cost_per_month`]),
+//! lowers onto the distribution layer through [`DefensePlan::lower`] (a
 //! [`DistConfig`] transformer), and reacts to a campaign through
 //! [`DefensePlan::effective_attack`] (an
 //! [`AttackPlan`] transformer — the one place the reactive levers run).
@@ -269,23 +267,18 @@ impl DefensePlan {
         }
     }
 
-    /// Monthly cost under `model`, USD.
-    pub fn cost_with(&self, model: &DefenseCostModel) -> f64 {
-        let mut usd = self.added_caches as f64 * model.usd_per_cache_month;
+    /// Monthly cost, USD: each lever at its price below.
+    pub fn cost_per_month(&self) -> f64 {
+        let mut usd = self.added_caches as f64 * USD_PER_CACHE_MONTH;
         if let Some(t) = self.blocklist_trigger_hours {
-            usd += model.blocklist_base_usd_month / t as f64;
+            usd += BLOCKLIST_BASE_USD_MONTH / t as f64;
         }
         if let Some(t) = self.detector_trigger_hours {
-            usd += model.detector_base_usd_month / t as f64;
+            usd += DETECTOR_BASE_USD_MONTH / t as f64;
         }
-        usd += self.extra_valid_secs as f64 / 3_600.0 * model.usd_per_valid_hour_month;
-        usd += (self.rate_limit_scale - 1.0).max(0.0) * model.rate_limit_usd_month;
+        usd += self.extra_valid_secs as f64 / 3_600.0 * USD_PER_VALID_HOUR_MONTH;
+        usd += (self.rate_limit_scale - 1.0).max(0.0) * RATE_LIMIT_USD_MONTH;
         usd
-    }
-
-    /// Monthly cost under the default [`DefenseCostModel`], USD.
-    pub fn cost_per_month(&self) -> f64 {
-        self.cost_with(&DefenseCostModel::default())
     }
 
     /// The *effective* campaign once this defense has reacted: the
@@ -470,43 +463,26 @@ fn scrub(
     )
 }
 
-/// Defender-side $/month pricing — the counterpart of the attacker's
-/// [`StressorPricing`](crate::attack::StressorPricing). Reactive levers
-/// price by aggressiveness (a faster trigger costs more operator
-/// attention and more false-positive fallout), structural levers by
-/// rental and risk.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DefenseCostModel {
-    /// Renting one directory cache, $/month — the same arithmetic the
-    /// attacker's stressor budget uses for flood capacity, pointed the
-    /// other way.
-    pub usd_per_cache_month: f64,
-    /// Operating the blocklist at a 1-hour trigger, $/month; an
-    /// `h`-hour trigger costs `1/h` of it.
-    pub blocklist_base_usd_month: f64,
-    /// Operating the anomaly detector at a 1-hour trigger, $/month;
-    /// an `h`-hour trigger costs `1/h` of it.
-    pub detector_base_usd_month: f64,
-    /// Each extra hour of consensus validity, $/month — priced as risk:
-    /// a longer-lived consensus is a longer window for a compromised
-    /// relay set to stay routable.
-    pub usd_per_valid_hour_month: f64,
-    /// Each unit of fetch-interval stretch beyond 1×, $/month — priced
-    /// as client experience: slower bootstrap and staler clients.
-    pub rate_limit_usd_month: f64,
-}
+// Defender-side $/month pricing, the counterpart of the attacker's
+// stressor rate. Reactive levers price by aggressiveness (a faster
+// trigger costs more operator attention and more false-positive
+// fallout), structural levers by rental and risk.
 
-impl Default for DefenseCostModel {
-    fn default() -> Self {
-        DefenseCostModel {
-            usd_per_cache_month: 5.0,
-            blocklist_base_usd_month: 180.0,
-            detector_base_usd_month: 120.0,
-            usd_per_valid_hour_month: 10.0,
-            rate_limit_usd_month: 15.0,
-        }
-    }
-}
+/// Renting one directory cache, $/month.
+const USD_PER_CACHE_MONTH: f64 = 5.0;
+/// Operating the blocklist at a 1-hour trigger, $/month; an `h`-hour
+/// trigger costs `1/h` of it.
+const BLOCKLIST_BASE_USD_MONTH: f64 = 180.0;
+/// Operating the anomaly detector at a 1-hour trigger, $/month; an
+/// `h`-hour trigger costs `1/h` of it.
+const DETECTOR_BASE_USD_MONTH: f64 = 120.0;
+/// Each extra hour of consensus validity, $/month — priced as risk: a
+/// longer-lived consensus is a longer window for a compromised relay
+/// set to stay routable.
+const USD_PER_VALID_HOUR_MONTH: f64 = 10.0;
+/// Each unit of fetch-interval stretch beyond 1×, $/month — priced as
+/// client experience: slower bootstrap and staler clients.
+const RATE_LIMIT_USD_MONTH: f64 = 15.0;
 
 /// The two reactive filters as they stood before they shared
 /// [`scrub`], kept as test oracles for [`DefensePlan::effective_attack`].
@@ -898,24 +874,23 @@ mod tests {
 
     #[test]
     fn costs_follow_the_model_and_are_invariant_under_lever_splits() {
-        let model = DefenseCostModel::default();
         assert_eq!(DefensePlan::empty().cost_per_month(), 0.0);
-        assert_eq!(DefensePlan::blocklist(6).cost_with(&model), 30.0);
-        assert_eq!(DefensePlan::detector(3).cost_with(&model), 40.0);
+        assert_eq!(DefensePlan::blocklist(6).cost_per_month(), 30.0);
+        assert_eq!(DefensePlan::detector(3).cost_per_month(), 40.0);
         assert_eq!(
-            DefensePlan::add_caches(8, CachePlacement::ClientWeighted).cost_with(&model),
+            DefensePlan::add_caches(8, CachePlacement::ClientWeighted).cost_per_month(),
             40.0
         );
         assert_eq!(
-            DefensePlan::extend_lifetime(3 * 3_600).cost_with(&model),
+            DefensePlan::extend_lifetime(3 * 3_600).cost_per_month(),
             30.0
         );
-        assert_eq!(DefensePlan::rate_limit(2.0).cost_with(&model), 15.0);
+        assert_eq!(DefensePlan::rate_limit(2.0).cost_per_month(), 15.0);
         let split = DefensePlan::add_caches(3, CachePlacement::ClientWeighted)
             .union(&DefensePlan::add_caches(5, CachePlacement::ClientWeighted));
         assert_eq!(
-            split.cost_with(&model),
-            DefensePlan::add_caches(8, CachePlacement::ClientWeighted).cost_with(&model)
+            split.cost_per_month(),
+            DefensePlan::add_caches(8, CachePlacement::ClientWeighted).cost_per_month()
         );
     }
 

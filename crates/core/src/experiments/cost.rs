@@ -2,10 +2,12 @@
 //!
 //! $0.00074 per Mbit/s per hour of stressor traffic; 5 authorities at 240
 //! Mbit/s for 5 minutes per hourly run → $0.074 per breached run, $53.28
-//! per month of sustained outage.
+//! per month of sustained outage. Every row is an [`AttackPlan`] priced
+//! by [`AttackPlan::cost`], the one price path the searches use too.
 
-use crate::adversary::AttackPlan;
-use crate::attack::AttackCostModel;
+use crate::adversary::{AttackPlan, AttackWindow, Target};
+use crate::calibration::ATTACK_FLOOD_MBPS;
+use partialtor_simnet::{SimDuration, SimTime};
 use serde::Serialize;
 
 /// One cost-model row.
@@ -28,43 +30,50 @@ pub struct CostRow {
 pub struct CostResult {
     /// Rows, headline first.
     pub rows: Vec<CostRow>,
-    /// The same headline campaign priced through the typed
-    /// [`AttackPlan`] API, dollars per month — must equal the first
-    /// row's `per_month_usd` (the two cost paths cannot drift apart).
-    pub plan_cross_check_usd_month: f64,
 }
 
-fn row(scenario: &str, model: AttackCostModel) -> CostRow {
+/// One hourly consensus run's campaign: authorities `0..targets`, each
+/// flooded at `flood_mbps` for the run's first `minutes`.
+pub fn hourly_plan(targets: usize, flood_mbps: f64, minutes: f64) -> AttackPlan {
+    let duration = SimDuration::from_secs_f64(minutes * 60.0);
+    AttackPlan::new(
+        (0..targets)
+            .map(|i| AttackWindow::new(Target::Authority(i), SimTime::ZERO, duration, flood_mbps))
+            .collect(),
+    )
+}
+
+fn row(scenario: &str, targets: usize, flood_mbps: f64, minutes: f64) -> CostRow {
+    let plan = hourly_plan(targets, flood_mbps, minutes);
     CostRow {
         scenario: scenario.to_string(),
-        targets: model.targets,
-        flood_mbps: model.flood_mbps,
-        per_run_usd: model.cost_per_run(),
-        per_month_usd: model.cost_per_month(),
+        targets,
+        flood_mbps,
+        per_run_usd: plan.cost(),
+        per_month_usd: plan.cost_per_month(),
     }
 }
 
 /// Builds the headline cost plus sensitivity rows.
 ///
-/// Pure arithmetic over [`AttackCostModel`] — the one driver with no
+/// Pure arithmetic over [`hourly_plan`]s — the one driver with no
 /// scenario batch to hand to `runner::sweep`.
 pub fn run_experiment() -> CostResult {
-    let paper = AttackCostModel::paper();
-    let mut all_nine = paper;
-    all_nine.targets = 9;
-    let mut gigabit = paper;
-    gigabit.flood_mbps = 990.0; // 1 Gbit/s links instead of 250 Mbit/s
-    let mut longer = paper;
-    longer.minutes_per_run = 10.0; // doubled protocol window
-
+    let flood = ATTACK_FLOOD_MBPS;
     CostResult {
         rows: vec![
-            row("paper headline (5 × 240 Mbit/s, 5 min hourly)", paper),
-            row("all nine authorities", all_nine),
-            row("1 Gbit/s authority links", gigabit),
-            row("10-minute attack window", longer),
+            row(
+                "paper headline (5 × 240 Mbit/s, 5 min hourly)",
+                5,
+                flood,
+                5.0,
+            ),
+            row("all nine authorities", 9, flood, 5.0),
+            // 1 Gbit/s links instead of 250 Mbit/s.
+            row("1 Gbit/s authority links", 5, 990.0, 5.0),
+            // Doubled protocol window.
+            row("10-minute attack window", 5, flood, 10.0),
         ],
-        plan_cross_check_usd_month: AttackPlan::five_of_nine().cost_per_month(),
     }
 }
 
@@ -82,10 +91,6 @@ pub fn render(result: &CostResult) -> String {
             row.scenario, row.targets, row.flood_mbps, row.per_run_usd, row.per_month_usd
         ));
     }
-    out.push_str(&format!(
-        "\ntyped AttackPlan::five_of_nine() prices the headline at ${:.2}/month\n",
-        result.plan_cross_check_usd_month
-    ));
     out
 }
 
@@ -99,9 +104,10 @@ mod tests {
         let headline = &result.rows[0];
         assert!((headline.per_run_usd - 0.074).abs() < 1e-9);
         assert!((headline.per_month_usd - 53.28).abs() < 1e-6);
-        assert!(
-            (result.plan_cross_check_usd_month - headline.per_month_usd).abs() < 1e-9,
-            "the typed plan and the cost model must price the campaign identically"
+        assert_eq!(
+            headline.per_month_usd,
+            AttackPlan::five_of_nine().cost_per_month(),
+            "the table and the searches price the campaign on one path"
         );
     }
 }

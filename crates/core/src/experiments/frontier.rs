@@ -142,8 +142,8 @@ struct BestResponse {
 }
 
 /// The defender's typed playbook: every composition of levers the
-/// frontier considers, cheapest first. Costs under the default
-/// [`DefenseCostModel`](crate::defense::DefenseCostModel) span $0 (do
+/// frontier considers, cheapest first. Costs
+/// ([`DefensePlan::cost_per_month`]) span $0 (do
 /// nothing) to ~$225 (every lever at once), so the grid has meaningful
 /// candidates at every budget the CLI exposes.
 fn playbook() -> Vec<DefensePlan> {

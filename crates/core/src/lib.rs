@@ -14,10 +14,10 @@
 //! * [`signing`] — signature domains shared by the protocols;
 //! * [`protocols`] — the three directory protocols as simulation nodes;
 //! * [`adversary`] — the typed attack model ([`AttackPlan`] over
-//!   authorities *and* caches) every layer consumes;
+//!   authorities *and* caches) every layer consumes, priced by the
+//!   §4.3 stressor arithmetic;
 //! * [`defense`] — the typed mitigation model ([`DefensePlan`]) with
 //!   its own $/month cost arithmetic, the attacker's counterpart;
-//! * [`attack`] — stressor pricing and the §4.3 cost arithmetic;
 //! * [`monitor`] — the consensus-health monitor of Table 1's footnote;
 //! * [`runner`] — scenario orchestration returning uniform reports;
 //! * [`experiments`] — one driver per paper table/figure (plus ablations
@@ -44,7 +44,6 @@
 //! ```
 
 pub mod adversary;
-pub mod attack;
 pub mod calibration;
 pub mod defense;
 pub mod document;
@@ -56,8 +55,7 @@ pub mod signing;
 pub mod trace_export;
 
 pub use adversary::{AttackPlan, AttackWindow, Target};
-pub use attack::{AttackCostModel, StressorPricing};
-pub use defense::{DefenseCostModel, DefenseLever, DefensePlan};
+pub use defense::{DefenseLever, DefensePlan};
 pub use document::DirDocument;
 pub use partialtor_obs::json;
 pub use protocols::{AuthorityReport, ProtocolKind};

@@ -12,7 +12,7 @@ fn dirsim() -> Command {
 
 #[test]
 fn bad_budgets_targets_and_typos_exit_2_without_panicking() {
-    let cases: [&[&str]; 19] = [
+    let cases: [&[&str]; 22] = [
         &["adversary", "--budget", "-1"],
         &["adversary", "--budget", "nan"],
         &["frontier", "--defense-budget-grid", "nan"],
@@ -22,6 +22,11 @@ fn bad_budgets_targets_and_typos_exit_2_without_panicking() {
         // Physical quantities used to run or print with these.
         &["cost", "--minutes", "-3"],
         &["cost", "--flood", "nan"],
+        // A campaign no hourly price describes: a tenth authority, 2⁶⁴
+        // of them, more than one run's worth of minutes per hour.
+        &["cost", "--targets", "10"],
+        &["cost", "--targets", "18446744073709551615"],
+        &["cost", "--minutes", "61"],
         &["run", "--bandwidth", "nan"],
         &["run", "--bandwidth", "0"],
         &["run", "--bandwidth", "-5"],
@@ -44,6 +49,34 @@ fn bad_budgets_targets_and_typos_exit_2_without_panicking() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(stderr.contains("usage: dirsim"), "{args:?}: {stderr}");
         assert!(output.stdout.is_empty(), "{args:?} printed a report");
+    }
+}
+
+#[test]
+fn top_level_help_lists_every_subcommand_description() {
+    let output = dirsim().arg("--help").output().expect("dirsim runs");
+    assert!(output.status.success());
+    let help = String::from_utf8_lossy(&output.stdout).into_owned();
+    let subcommands = help
+        .lines()
+        .next()
+        .and_then(|line| line.split_once('<'))
+        .and_then(|(_, rest)| rest.split_once('>'))
+        .map(|(names, _)| names.to_string())
+        .expect("usage line names the subcommands");
+    for sub in subcommands.split('|') {
+        let output = dirsim()
+            .args([sub, "--help"])
+            .output()
+            .expect("dirsim runs");
+        assert!(output.status.success(), "{sub} --help");
+        let sub_help = String::from_utf8_lossy(&output.stdout).into_owned();
+        let about = sub_help.lines().nth(1).expect("description line").trim();
+        assert!(
+            help.lines()
+                .any(|line| line.trim_start().strip_prefix(sub).map(str::trim) == Some(about)),
+            "dirsim --help lacks {sub:?}'s description {about:?}:\n{help}"
+        );
     }
 }
 

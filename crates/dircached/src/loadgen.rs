@@ -21,8 +21,8 @@
 use crate::proto::{parse_response_head, DocRequest};
 use partialtor_crypto::Digest32;
 use partialtor_dirdist::{
-    per_cache_service_budget_bytes, CacheSimConfig, DistConfig, DistSession, DocModel, FetchMix,
-    HourInput, LinkWindow, TierNode,
+    per_cache_service_budget_bytes, DistConfig, DistSession, DocModel, FetchMix, HourInput,
+    LinkWindow, TierNode,
 };
 use partialtor_obs::{Histogram, Json, Registry};
 use partialtor_simnet::geo::{midpoint_ms, Region, CLIENT_WEIGHTS, REGIONS};
@@ -235,7 +235,7 @@ pub fn budget_check(report: &LoadReport) -> BudgetCheck {
     } else {
         0.0
     };
-    let assumed = per_cache_service_budget_bytes(CacheSimConfig::default().cache_bps, 0.0);
+    let assumed = per_cache_service_budget_bytes(0.0);
     BudgetCheck {
         measured_bytes_per_hour: per_sec * 3_600.0,
         assumed_bytes_per_hour: assumed,
@@ -588,7 +588,7 @@ mod tests {
         let check = budget_check(&report);
         assert_eq!(
             check.assumed_bytes_per_hour,
-            per_cache_service_budget_bytes(CacheSimConfig::default().cache_bps, 0.0)
+            per_cache_service_budget_bytes(0.0)
         );
         let expected = 500_000.0 * 3_600.0 / check.assumed_bytes_per_hour as f64;
         assert!((check.ratio - expected).abs() < 1e-9);

@@ -75,6 +75,13 @@ pub struct LinkWindow {
     pub bps: f64,
 }
 
+/// Authority link rate, bits/s: the paper's estimate (§4.3),
+/// 250 Mbit/s.
+pub const AUTHORITY_LINK_BPS: f64 = 250e6;
+
+/// Directory-cache link rate, bits/s.
+pub const CACHE_LINK_BPS: f64 = 100e6;
+
 /// Cache-tier configuration.
 #[derive(Clone, Debug)]
 pub struct CacheSimConfig {
@@ -84,10 +91,6 @@ pub struct CacheSimConfig {
     pub n_authorities: usize,
     /// Number of directory caches.
     pub n_caches: usize,
-    /// Authority link rate, bits/s.
-    pub authority_bps: f64,
-    /// Cache link rate, bits/s.
-    pub cache_bps: f64,
     /// Aggregate legacy-client load on each authority's uplink, bits/s
     /// (clients that fetch directly instead of via caches).
     pub direct_client_load_bps: f64,
@@ -118,8 +121,6 @@ impl Default for CacheSimConfig {
             seed: 1,
             n_authorities: 9,
             n_caches: 200,
-            authority_bps: 250e6,
-            cache_bps: 100e6,
             direct_client_load_bps: 0.0,
             link_windows: Vec::new(),
             poll_spread_secs: 120,
@@ -614,8 +615,8 @@ impl CacheTier {
             nodes,
             SimConfig {
                 seed: config.seed,
-                default_up_bps: config.cache_bps,
-                default_down_bps: config.cache_bps,
+                default_up_bps: CACHE_LINK_BPS,
+                default_down_bps: CACHE_LINK_BPS,
                 wire_overhead_bytes: 64,
                 latency_jitter: 0.0,
             },
@@ -628,8 +629,8 @@ impl CacheTier {
             sim.schedule_bandwidth_change(
                 SimTime::ZERO,
                 NodeId(a),
-                Some(config.authority_bps),
-                Some(config.authority_bps),
+                Some(AUTHORITY_LINK_BPS),
+                Some(AUTHORITY_LINK_BPS),
             );
             if config.direct_client_load_bps > 0.0 {
                 sim.schedule_background_load(
@@ -721,17 +722,17 @@ impl CacheTier {
         for window in windows {
             let targets: Vec<(NodeId, f64)> = match window.node {
                 TierNode::Authority(i) if i < self.config.n_authorities => {
-                    vec![(NodeId(i), self.config.authority_bps)]
+                    vec![(NodeId(i), AUTHORITY_LINK_BPS)]
                 }
                 TierNode::Cache(i) if i < self.config.n_caches => {
-                    vec![(NodeId(self.config.n_authorities + i), self.config.cache_bps)]
+                    vec![(NodeId(self.config.n_authorities + i), CACHE_LINK_BPS)]
                 }
                 TierNode::Region(region) => self
                     .cache_regions
                     .iter()
                     .enumerate()
                     .filter(|&(_, r)| *r == Some(region))
-                    .map(|(i, _)| (NodeId(self.config.n_authorities + i), self.config.cache_bps))
+                    .map(|(i, _)| (NodeId(self.config.n_authorities + i), CACHE_LINK_BPS))
                     .collect(),
                 _ => continue,
             };

@@ -60,7 +60,7 @@ pub mod timeline;
 pub use attribution::{AttributionRollup, CauseParts, HourAttribution};
 pub use cachesim::{
     CacheSimConfig, CacheTier, CacheTierReport, LinkWindow, ServeSizes, TierHourTraffic, TierNode,
-    VersionAvailability,
+    VersionAvailability, AUTHORITY_LINK_BPS, CACHE_LINK_BPS,
 };
 pub use churn::ChurnSchedule;
 pub use docmodel::{
@@ -85,6 +85,11 @@ use serde::Serialize;
 
 /// Consensus freshness lifetime, seconds from the nominal hour.
 pub const FRESH_SECS: u64 = 3_600;
+
+/// Consensus validity lifetime, seconds from the nominal hour: three
+/// hours, after which sustained production failure halts the Tor
+/// network (§2.1). [`DistConfig::valid_secs`] defaults to it.
+pub const VALID_SECS: u64 = 3 * 3_600;
 
 /// Diff window: bases older than this many hours get full documents.
 pub const RETAIN_HOURS: u64 = 3;
@@ -157,7 +162,7 @@ impl Default for DistConfig {
             feedback: false,
             placement: CachePlacement::Uniform,
             client_regions: ClientRegions::Worldwide,
-            valid_secs: 10_800,
+            valid_secs: VALID_SECS,
             fetch_rate_scale: 1.0,
             attribution: false,
         }

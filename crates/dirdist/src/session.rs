@@ -25,7 +25,7 @@
 
 use crate::attribution::{self, HourAttribution, LadderContext};
 use crate::cachesim::{
-    CacheSimConfig, CacheTier, LinkWindow, ServeSizes, TierHourTraffic, TierNode,
+    CacheSimConfig, CacheTier, LinkWindow, ServeSizes, TierHourTraffic, TierNode, CACHE_LINK_BPS,
 };
 use crate::docmodel::{DocModel, DocTable};
 use crate::fleet::{FleetConfig, FleetHourEgress, FleetHourRow, FleetSim};
@@ -268,14 +268,14 @@ pub struct FeedbackSummary {
 }
 
 /// The payload *one* directory cache can serve clients in one hour,
-/// bytes: its uplink rate minus the background load already charged to
-/// it, integrated over the hour. This is the per-cache service-budget
+/// bytes: its uplink rate ([`CACHE_LINK_BPS`]) minus the background
+/// load already charged to it, integrated over the hour. This is the per-cache service-budget
 /// *assumption* every simulated number rests on — exported so the real
 /// serving path (`partialtor-dircached`'s `dirload --budget-check`) can
 /// measure a daemon's achieved bytes/hour on real sockets and print the
 /// ratio against it.
-pub fn per_cache_service_budget_bytes(cache_bps: f64, cache_bg_bps: f64) -> u64 {
-    ((cache_bps - cache_bg_bps).max(0.0) / 8.0 * 3_600.0) as u64
+pub fn per_cache_service_budget_bytes(cache_bg_bps: f64) -> u64 {
+    ((CACHE_LINK_BPS - cache_bg_bps).max(0.0) / 8.0 * 3_600.0) as u64
 }
 
 /// The payload the cache tier can still serve clients in one hour,
@@ -283,15 +283,11 @@ pub fn per_cache_service_budget_bytes(cache_bps: f64, cache_bg_bps: f64) -> u64 
 /// load already charged to them. This is the second half of the closed
 /// loop — last hour's storm not only loads the links, it bounds what
 /// this hour's clients can fetch through them.
-fn service_budget_bytes(
-    config: &DistConfig,
-    cache_config: &CacheSimConfig,
-    cache_bg_bps: f64,
-) -> u64 {
+fn service_budget_bytes(config: &DistConfig, cache_bg_bps: f64) -> u64 {
     // Kept as one float expression (not n_caches × the per-cache
     // helper): the truncation order here is pinned by feedback-on
     // session results.
-    let per_link = (cache_config.cache_bps - cache_bg_bps).max(0.0);
+    let per_link = (CACHE_LINK_BPS - cache_bg_bps).max(0.0);
     (per_link / 8.0 * 3_600.0 * config.n_caches as f64) as u64
 }
 
@@ -312,7 +308,6 @@ struct HourContext {
 /// that is a sum over hours is folded from `hour_reports`.
 pub struct DistSession {
     config: DistConfig,
-    cache_config: CacheSimConfig,
     model: DocModel,
     table: DocTable,
     tier: CacheTier,
@@ -420,7 +415,6 @@ impl DistSession {
         let static_direct_bps = cache_config.direct_client_load_bps;
         let mut session = DistSession {
             config: config.clone(),
-            cache_config,
             model,
             table,
             tier,
@@ -519,7 +513,7 @@ impl DistSession {
         let budget = self
             .config
             .feedback
-            .then(|| service_budget_bytes(&self.config, &self.cache_config, self.current_bg.1));
+            .then(|| service_budget_bytes(&self.config, self.current_bg.1));
         let fleet_before = self.config.attribution.then(|| self.fleet.clone());
         let (row, egress) =
             self.fleet
