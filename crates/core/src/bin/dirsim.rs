@@ -209,6 +209,25 @@ impl Args {
         }
     }
 
+    /// A count that must be at least one (a step, a beam width).
+    fn positive(&self, name: &str, default: u64) -> Result<u64, String> {
+        match self.u64(name, default)? {
+            0 => Err(format!("{name} must be positive")),
+            value => Ok(value),
+        }
+    }
+
+    /// `--targets`: authorities a campaign floods, at most the
+    /// [`N_AUTHORITIES`] that exist.
+    fn targets(&self) -> Result<usize, String> {
+        match self.u64("--targets", 5)? {
+            k if k > N_AUTHORITIES as u64 => {
+                Err(format!("--targets must be at most {N_AUTHORITIES}"))
+            }
+            k => Ok(k as usize),
+        }
+    }
+
     /// A rate, duration, budget or fraction ([`parse_f64`]).
     fn f64(&self, name: &str, default: f64) -> Result<f64, String> {
         self.values
@@ -452,11 +471,15 @@ const ATTACK_SPEC: &[FlagSpec] = &[
 
 fn cmd_attack(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
     let mut scenario = base_scenario(args)?;
-    let targets = args.u64("--targets", 5)? as usize;
-    let duration = SimDuration::from_secs(args.u64("--duration", 300)?);
+    let targets = args.targets()?;
+    let duration_secs = args.u64("--duration", 300)?;
+    if duration_secs > 3_600 {
+        return Err("--duration must be at most 3600 (one run per hour)".into());
+    }
+    let duration = SimDuration::from_secs(duration_secs);
     let flood_mbps = args.f64("--flood", ATTACK_FLOOD_MBPS)?;
     scenario.attack = AttackPlan::new(
-        (0..targets.min(scenario.n))
+        (0..targets)
             .map(|i| AttackWindow::new(Target::Authority(i), SimTime::ZERO, duration, flood_mbps))
             .collect(),
     );
@@ -545,18 +568,15 @@ const COST_SPEC: &[FlagSpec] = &[
 ];
 
 fn cmd_cost(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
-    let targets = args.u64("--targets", 5)?;
+    let targets = args.targets()?;
     let flood_mbps = args.f64("--flood", ATTACK_FLOOD_MBPS)?;
     let minutes = args.f64("--minutes", 5.0)?;
-    if targets > N_AUTHORITIES as u64 {
-        return Err(format!("--targets must be at most {N_AUTHORITIES}"));
-    }
     if minutes > 60.0 {
         return Err("--minutes must be at most 60 (one run per hour)".into());
     }
-    let plan = cost::hourly_plan(targets as usize, flood_mbps, minutes);
+    let plan = cost::hourly_plan(targets, flood_mbps, minutes);
     telemetry.metrics = Json::obj([
-        ("targets", Json::from(targets as usize)),
+        ("targets", Json::from(targets)),
         ("flood_mbps", Json::from(flood_mbps)),
         ("minutes_per_run", Json::from(minutes)),
         ("cost_per_run_usd", Json::from(plan.cost())),
@@ -674,7 +694,7 @@ fn cmd_clients(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
             if args.present("--hours") {
                 return Err("--days and --hours are mutually exclusive".into());
             }
-            24 * days
+            days.checked_mul(24).ok_or("--days is too large")?
         }
     };
     let relays = args.u64("--relays", 8_000)?;
@@ -764,7 +784,7 @@ fn cmd_adversary(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
     let params = adversary::AdversaryParams {
         budget_usd_month: args.f64("--budget", defaults.budget_usd_month)?,
         hours: args.u64("--hours", defaults.hours)?,
-        beam: args.u64("--beam", defaults.beam as u64)? as usize,
+        beam: args.positive("--beam", defaults.beam as u64)? as usize,
         clients: args.u64("--clients", defaults.clients)?,
         caches: args.u64("--caches", defaults.caches as u64)? as usize,
         relays: args.u64("--relays", defaults.relays)?,
@@ -833,7 +853,7 @@ fn cmd_frontier(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
         attack_budget_usd_month: args.f64("--attack-budget", defaults.attack_budget_usd_month)?,
         target_downtime,
         hours: args.u64("--hours", defaults.hours)?,
-        beam: args.u64("--beam", defaults.beam as u64)? as usize,
+        beam: args.positive("--beam", defaults.beam as u64)? as usize,
         clients: args.u64("--clients", defaults.clients)?,
         caches: args.u64("--caches", defaults.caches as u64)? as usize,
         relays: args.u64("--relays", defaults.relays)?,
@@ -933,10 +953,7 @@ fn cmd_fig(args: &Args, _telemetry: &mut Telemetry) -> Result<(), String> {
             return Err(format!("{flag} applies only to {}", users.join(", ")));
         }
     }
-    let step = match args.u64("--step", 1_000)? {
-        0 => return Err("--step must be positive".into()),
-        step => step,
-    };
+    let step = args.positive("--step", 1_000)?;
     let seed = REPORT_SEED;
     let text = match name {
         "fig1" => fig1_attack_log::render(&fig1_attack_log::run_experiment(seed)),

@@ -12,7 +12,7 @@ fn dirsim() -> Command {
 
 #[test]
 fn bad_budgets_targets_and_typos_exit_2_without_panicking() {
-    let cases: [&[&str]; 22] = [
+    let cases: [&[&str]; 27] = [
         &["adversary", "--budget", "-1"],
         &["adversary", "--budget", "nan"],
         &["frontier", "--defense-budget-grid", "nan"],
@@ -32,6 +32,15 @@ fn bad_budgets_targets_and_typos_exit_2_without_panicking() {
         &["run", "--bandwidth", "-5"],
         &["attack", "--flood", "nan"],
         &["attack", "--flood", "-1"],
+        // `attack` prices its windows by `cost`'s rules: these used to
+        // flood nine authorities, and wrap the window to a cent.
+        &["attack", "--targets", "10"],
+        &["attack", "--duration", "3601"],
+        // `24 * days` used to wrap to an 8-hour run.
+        &["clients", "--days", "768614336404564651"],
+        // Both searches used to report beam 0 and search beam 1.
+        &["adversary", "--beam", "0"],
+        &["frontier", "--beam", "0"],
         // The figure binaries' lenient parser used to turn this typo
         // into the full 1000-step sweep.
         &["fig", "fig11", "--stpe", "1"],

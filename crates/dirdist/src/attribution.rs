@@ -237,26 +237,6 @@ pub(crate) fn reconcile(mut parts: CauseParts, total: f64) -> CauseParts {
     }
 }
 
-/// Replays `hour` on a clone of the pre-hour fleet under the given
-/// counterfactual inputs and returns the replayed `dead_fraction`.
-/// Never touches the real fleet: the clone carries its own sampler.
-fn replay(
-    fleet_before: &FleetSim,
-    hour: u64,
-    publications: &[Publication],
-    table: &DocTable,
-    cached: &[Vec<Option<f64>>],
-    budget: Option<u64>,
-    revive_targets: Option<&[Option<usize>]>,
-) -> f64 {
-    let mut fleet = fleet_before.clone();
-    if let Some(targets) = revive_targets {
-        fleet.revive_pools(targets);
-    }
-    let (row, _) = fleet.step_hour(hour, publications, table, cached, budget);
-    row.dead_fraction
-}
-
 /// Heals every cohort's availability view to "version cached within
 /// [`HEALED_FETCH_SECS`] of its publication" — the counterfactual where
 /// no link damage ever slowed a cache fetch.
@@ -305,41 +285,30 @@ pub(crate) fn attribute_hour(
     let hour_start = (ctx.hour * 3_600) as f64;
     let hour_end = ((ctx.hour + 1) * 3_600) as f64;
     let mut d_prev = actual_dead;
-    // One rung: replay under the mods accumulated so far, clamp
-    // monotone, and return the downtime this repair recovered.
-    let rung = |fleet: &FleetSim,
-                d_prev: &mut f64,
-                publications: &[Publication],
-                cached: &[Vec<Option<f64>>],
-                budget: Option<u64>,
-                targets: Option<&[Option<usize>]>| {
-        let d_raw = replay(
-            fleet,
-            ctx.hour,
-            publications,
-            ctx.table,
-            cached,
-            budget,
-            targets,
-        );
-        let d_eff = d_raw.min(*d_prev);
-        let part = *d_prev - d_eff;
-        *d_prev = d_eff;
+    // One rung: replay the hour on a clone of the pre-hour fleet (its
+    // sampler included) under the mods accumulated so far and an
+    // unlimited budget, clamp monotone, and return the downtime this
+    // repair recovered. The real fleet is never touched.
+    let mut rung = |publications: &[Publication],
+                    cached: &[Vec<Option<f64>>],
+                    revive: Option<&[Option<usize>]>| {
+        let mut fleet = fleet_before.clone();
+        if let Some(targets) = revive {
+            fleet.revive_pools(targets);
+        }
+        let d_raw = fleet
+            .step_hour(ctx.hour, publications, ctx.table, cached, None)
+            .dead_fraction;
+        let d_eff = d_raw.min(d_prev);
+        let part = d_prev - d_eff;
+        d_prev = d_eff;
         part
     };
 
     // Rung 1: lift the service budget. Structural skip (exactly 0.0)
     // when the hour ran unbudgeted.
-    let budget_mod = None;
     let service_budget_saturated = if ctx.budget.is_some() {
-        rung(
-            fleet_before,
-            &mut d_prev,
-            ctx.publications,
-            ctx.cached,
-            budget_mod,
-            None,
-        )
+        rung(ctx.publications, ctx.cached, None)
     } else {
         0.0
     };
@@ -351,14 +320,7 @@ pub(crate) fn attribute_hour(
         .then(|| healed_views(ctx.publications, ctx.cached));
     let cached_mod: &[Vec<Option<f64>>] = healed.as_deref().unwrap_or(ctx.cached);
     let healed_part = if healed.is_some() {
-        rung(
-            fleet_before,
-            &mut d_prev,
-            ctx.publications,
-            cached_mod,
-            budget_mod,
-            None,
-        )
+        rung(ctx.publications, cached_mod, None)
     } else {
         0.0
     };
@@ -378,14 +340,7 @@ pub(crate) fn attribute_hour(
     let storm_targets = revive_targets(ctx.publications, cached_mod, hour_start);
     let recovery_storm =
         if fleet_before.pool_total() > 0 && storm_targets.iter().any(Option::is_some) {
-            rung(
-                fleet_before,
-                &mut d_prev,
-                ctx.publications,
-                cached_mod,
-                budget_mod,
-                Some(&storm_targets),
-            )
+            rung(ctx.publications, cached_mod, Some(&storm_targets))
         } else {
             0.0
         };
@@ -408,14 +363,7 @@ pub(crate) fn attribute_hour(
             })
             .collect();
         let eternal_targets = revive_targets(&eternal, cached_mod, hour_start);
-        rung(
-            fleet_before,
-            &mut d_prev,
-            &eternal,
-            cached_mod,
-            budget_mod,
-            Some(&eternal_targets),
-        )
+        rung(&eternal, cached_mod, Some(&eternal_targets))
     } else {
         0.0
     };

@@ -26,8 +26,9 @@
 //! breakdowns whose counts sum to the aggregate fields.
 //!
 //! The fleet is stepped one hour at a time ([`FleetSim::step_hour`]),
-//! and each hour reports not just client-visible outcomes but the
-//! *realized egress* it pulled out of the tier — the quantity the
+//! and each hour's [`FleetHourRow`] carries not just client-visible
+//! outcomes but the *realized egress* it pulled out of the tier —
+//! served consensus and descriptor bytes plus request bytes, which the
 //! session charges to the next hour's links when fetch feedback is on.
 
 use crate::docmodel::{DocClass, DocTable};
@@ -178,17 +179,6 @@ pub struct FleetHourRow {
     /// Per-region slices (one per cohort; integer fields sum to the
     /// aggregates above).
     pub regions: Vec<RegionHourSlice>,
-}
-
-/// The egress one stepped hour realized — what the session charges to
-/// the next hour's links when feedback is on.
-#[derive(Clone, Copy, Debug, Default, Serialize)]
-pub struct FleetHourEgress {
-    /// Payload bytes (consensus + descriptors) the tier served to
-    /// clients.
-    pub served_bytes: u64,
-    /// Request-side and failed-probe bytes clients sent at the tier.
-    pub request_bytes: u64,
 }
 
 /// One region cohort's whole-horizon outcome — the integer fields sum
@@ -409,7 +399,7 @@ impl FleetSim {
         table: &DocTable,
         cached: &[Vec<Option<f64>>],
         service_budget_bytes: Option<u64>,
-    ) -> (FleetHourRow, FleetHourEgress) {
+    ) -> FleetHourRow {
         let _span = span("fleet.step_hour");
         let dt = self.config.step_secs.max(1) as f64;
         let steps = (3_600.0 / dt).ceil() as u64;
@@ -612,7 +602,7 @@ impl FleetSim {
         // fraction per step (Σ pools / Σ totals), so they are not the
         // mean of the per-cohort fractions — the per-region counts, not
         // the fractions, are the fields that sum to the aggregates.
-        let row = FleetHourRow {
+        FleetHourRow {
             hour,
             bootstrap_attempts: sum(|s| s.attempts),
             bootstrap_successes: sum(|s| s.successes),
@@ -636,12 +626,7 @@ impl FleetSim {
                 .map(|(version, count)| VersionCount { version, count })
                 .collect(),
             regions,
-        };
-        let egress = FleetHourEgress {
-            served_bytes: row.cache_egress_bytes + row.descriptor_egress_bytes,
-            request_bytes: row.request_bytes,
-        };
-        (row, egress)
+        }
     }
 
     /// The whole-horizon report. `rows` must be the rows this fleet's
@@ -711,11 +696,7 @@ pub fn run(
     let views = vec![cached_at.to_vec(); fleet.cohort_count()];
     let hours = (timeline.horizon_secs() / 3_600.0).ceil() as u64;
     let rows = (0..hours)
-        .map(|hour| {
-            fleet
-                .step_hour(hour, &timeline.publications, table, &views, None)
-                .0
-        })
+        .map(|hour| fleet.step_hour(hour, &timeline.publications, table, &views, None))
         .collect();
     fleet.report(rows)
 }
@@ -861,7 +842,7 @@ mod tests {
                 .iter()
                 .map(|at| at.filter(|&at| at <= hour_end))
                 .collect();
-            let (row, _) = fleet.step_hour(hour, &t.publications, &m, &[partial], None);
+            let row = fleet.step_hour(hour, &t.publications, &m, &[partial], None);
             rows.push(row);
         }
         let stepped = fleet.report(rows);
@@ -967,7 +948,7 @@ mod tests {
         let views = [healthy.clone(), healthy.clone(), healthy.clone(), starved];
         let hours = (t.horizon_secs() / 3_600.0) as u64;
         let rows = (0..hours)
-            .map(|hour| fleet.step_hour(hour, &t.publications, &m, &views, None).0)
+            .map(|hour| fleet.step_hour(hour, &t.publications, &m, &views, None))
             .collect();
         let report = fleet.report(rows);
         let apac = &report.regions[3];

@@ -68,8 +68,8 @@ pub use docmodel::{
 };
 pub use fetchmix::{BootstrapClass, FetchMix, RefreshClass};
 pub use fleet::{
-    FetchTransition, FleetConfig, FleetHourEgress, FleetHourRow, FleetReport, FleetSim,
-    RegionHourSlice, RegionSummary, VersionCount,
+    FetchTransition, FleetConfig, FleetHourRow, FleetReport, FleetSim, RegionHourSlice,
+    RegionSummary, VersionCount,
 };
 pub use placement::{
     client_weighted_latency_ms, cohort_fetch_latency_ms, region_label, serving_caches,

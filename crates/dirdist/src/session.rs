@@ -10,25 +10,27 @@
 //! 1. the driver calls [`DistSession::step_hour`] with that hour's
 //!    [`HourInput`] — whether the protocol produced a consensus, any
 //!    attack windows, and optionally an explicit churn rate;
-//! 2. the session grows its [`DocTable`] (diff sizes driven by the
-//!    churn accumulated between base and target), injects the
-//!    publication into the live cache tier, and advances the tier to
-//!    the end of the hour;
-//! 3. the cohort fleet steps over the same hour against the tier's
-//!    availability as of that hour's end;
-//! 4. with feedback enabled, the fleet's *realized* egress — including
-//!    bootstrap retry storms — is charged as the *next* hour's
-//!    background load on cache and authority links.
+//! 2. the session's private `publish` stage grows its [`DocTable`]
+//!    (diff sizes driven by the churn accumulated between base and
+//!    target) and injects the publication into the live cache tier,
+//!    which then advances to the end of the hour;
+//! 3. the private `close_hour` stage steps the cohort fleet over the
+//!    same hour against the tier's availability as of that hour's end,
+//!    runs the blame ladder when attribution is on, and — with
+//!    feedback enabled — charges the fleet's *realized* egress,
+//!    bootstrap retry storms included, as the *next* hour's background
+//!    load on cache and authority links.
 //!
-//! [`DistSession::into_report`] drains the tier and returns the
-//! end-to-end [`DistReport`].
+//! Opening a session runs the same two stages for hour 0, the
+//! baseline. [`DistSession::into_report`] drains the tier and returns
+//! the end-to-end [`DistReport`].
 
 use crate::attribution::{self, HourAttribution, LadderContext};
 use crate::cachesim::{
     CacheSimConfig, CacheTier, LinkWindow, ServeSizes, TierHourTraffic, TierNode, CACHE_LINK_BPS,
 };
 use crate::docmodel::{DocModel, DocTable};
-use crate::fleet::{FleetConfig, FleetHourEgress, FleetHourRow, FleetSim};
+use crate::fleet::{FleetConfig, FleetHourRow, FleetSim};
 use crate::placement::{
     client_weighted_latency_ms, cohort_fetch_latency_ms, region_label, serving_caches,
 };
@@ -291,16 +293,6 @@ fn service_budget_bytes(config: &DistConfig, cache_bg_bps: f64) -> u64 {
     (per_link / 8.0 * 3_600.0 * config.n_caches as f64) as u64
 }
 
-/// Per-hour context [`DistSession::finish_hour`] needs beyond the
-/// fleet row: the budget in effect (for the budget-saturation span),
-/// the hour's publication span (causal anchor for the hour summary),
-/// and the attribution ladder's verdict when it ran.
-struct HourContext {
-    budget: Option<u64>,
-    publication_span: Option<SpanId>,
-    attribution: Option<HourAttribution>,
-}
-
 /// The hour-stepped co-simulation of the whole distribution layer.
 ///
 /// The session is the one owner of per-hour history: the tier and the
@@ -357,7 +349,7 @@ impl DistSession {
             placement: config.placement.clone(),
             ..CacheSimConfig::default()
         };
-        let mut tier = CacheTier::new(&cache_config, tracer.clone());
+        let tier = CacheTier::new(&cache_config, tracer.clone());
 
         // The placement decides which caches each cohort fetches from,
         // and with it the latency story of the whole session.
@@ -390,18 +382,6 @@ impl DistSession {
                 .collect(),
         };
 
-        let mut table = DocTable::new();
-        table.push_version(&model, 0, 0.0, RETAIN_HOURS);
-        let baseline = Publication {
-            version: 0,
-            hour: 0,
-            available_at_secs: 0.0,
-            fresh_until_secs: FRESH_SECS as f64,
-            valid_until_secs: config.valid_secs as f64,
-        };
-        let baseline_span = tier.publish(0, 0.0, ServeSizes::for_version(&table, 0));
-        tier.run_to(3_600.0);
-
         // The defender's rate-limit lever stretches both client fetch
         // intervals; ×1.0 is bit-identical to the pre-defense fleet.
         let rate_scale = config.fetch_rate_scale.max(1.0);
@@ -411,19 +391,17 @@ impl DistSession {
         };
         fleet_config.bootstrap_retry_secs *= rate_scale;
         fleet_config.refresh_spread_secs *= rate_scale;
-        let fleet = FleetSim::new(&fleet_config);
-        let static_direct_bps = cache_config.direct_client_load_bps;
         let mut session = DistSession {
             config: config.clone(),
             model,
-            table,
+            table: DocTable::new(),
             tier,
-            fleet,
+            fleet: FleetSim::new(&fleet_config),
             serving_sets,
             placement,
-            publications: vec![baseline],
+            publications: Vec::new(),
             cum_churn: 0.0,
-            current_bg: (static_direct_bps, 0.0),
+            current_bg: (cache_config.direct_client_load_bps, 0.0),
             hour_reports: Vec::new(),
             tracer,
             prev_traffic: TierHourTraffic::default(),
@@ -433,14 +411,16 @@ impl DistSession {
                 Vec::new()
             },
         };
-        session.run_fleet_hour(0, None, 0, baseline_span.recorded());
+        let baseline_span = session.publish(0, 0.0);
+        session.tier.run_to(3_600.0);
+        session.close_hour(0, None, 0, baseline_span);
         session
     }
 
-    /// Steps one hour: applies the input's windows, publishes its
-    /// consensus (if any), advances the cache tier, steps the fleet,
-    /// and — with feedback on — charges the realized egress to the next
-    /// hour's links.
+    /// Steps one hour: accumulates its churn, traces its alerts,
+    /// applies its windows, publishes its consensus (if any), advances
+    /// the cache tier to the hour's end and closes the hour — the same
+    /// `publish` and `close_hour` stages that opened hour 0.
     pub fn step_hour(&mut self, input: HourInput) -> HourReport {
         let hour = self.hours();
         let churn = input
@@ -456,7 +436,6 @@ impl DistSession {
                 message: alert.message.clone(),
             });
         }
-        let alerts = input.alerts.len() as u64;
 
         if self.config.attribution {
             self.applied_windows
@@ -464,41 +443,53 @@ impl DistSession {
         }
         self.tier.apply_windows(&input.link_windows);
 
-        let mut publication_span: Option<SpanId> = None;
-        let published_version = input.publication.map(|offset| {
-            assert!(offset >= 0.0, "publication offset must be within the hour");
-            let version = self.publications.len();
-            let nominal = (hour * 3_600) as f64;
-            self.publications.push(Publication {
-                version,
-                hour,
-                available_at_secs: nominal + offset,
-                fresh_until_secs: nominal + FRESH_SECS as f64,
-                valid_until_secs: nominal + self.config.valid_secs as f64,
-            });
-            self.table
-                .push_version(&self.model, hour, self.cum_churn, RETAIN_HOURS);
-            publication_span = self
-                .tier
-                .publish(
-                    version,
-                    nominal + offset,
-                    ServeSizes::for_version(&self.table, version),
-                )
-                .recorded();
-            version
-        });
-
+        let published_version = input.publication.map(|_| self.publications.len());
+        let publication_span = input
+            .publication
+            .and_then(|offset| self.publish(hour, offset));
         self.tier.run_to(((hour + 1) * 3_600) as f64);
-        self.run_fleet_hour(hour, published_version, alerts, publication_span)
+        self.close_hour(
+            hour,
+            published_version,
+            input.alerts.len() as u64,
+            publication_span,
+        )
     }
 
-    /// The part of an hour that hour 0 and every later hour share, once
-    /// the tier has run to the hour's end: the serving-set cache views,
-    /// the service budget under the background load in effect, the fleet
-    /// step, the blame ladder (with attribution on, from a pre-hour
-    /// fleet clone), then [`DistSession::finish_hour`].
-    fn run_fleet_hour(
+    /// Publishes the next version, produced by `hour`'s run
+    /// `offset_secs` into the hour: records its [`Publication`], grows
+    /// the [`DocTable`] under the churn accumulated so far, and injects
+    /// it into the tier. Returns the publication's span when traced.
+    fn publish(&mut self, hour: u64, offset_secs: f64) -> Option<SpanId> {
+        assert!(
+            offset_secs >= 0.0,
+            "publication offset must be within the hour"
+        );
+        let version = self.publications.len();
+        let publication = Publication::hourly(
+            version,
+            hour,
+            offset_secs,
+            FRESH_SECS,
+            self.config.valid_secs,
+        );
+        self.publications.push(publication);
+        self.table
+            .push_version(&self.model, hour, self.cum_churn, RETAIN_HOURS);
+        let sizes = ServeSizes::for_version(&self.table, version);
+        self.tier
+            .publish(version, publication.available_at_secs, sizes)
+            .recorded()
+    }
+
+    /// Closes an hour once the tier has run to its end; hour 0 and every
+    /// stepped hour share it. In order: each cohort's serving-set view
+    /// of the tier, the service budget under the background load in
+    /// effect, the fleet step (with attribution on, the blame ladder
+    /// replays it from a pre-hour clone), the realized egress charged to
+    /// the next hour's links (with feedback on), the tier traffic delta,
+    /// the hour's trace records, and its report.
+    fn close_hour(
         &mut self,
         hour: u64,
         published_version: Option<usize>,
@@ -515,9 +506,9 @@ impl DistSession {
             .feedback
             .then(|| service_budget_bytes(&self.config, self.current_bg.1));
         let fleet_before = self.config.attribution.then(|| self.fleet.clone());
-        let (row, egress) =
-            self.fleet
-                .step_hour(hour, &self.publications, &self.table, &cached, budget);
+        let row = self
+            .fleet
+            .step_hour(hour, &self.publications, &self.table, &cached, budget);
         let attribution = fleet_before.map(|before| {
             let (authority_flooded, cache_flooded) =
                 window_flags(&self.applied_windows, hour, self.config.valid_secs);
@@ -535,46 +526,20 @@ impl DistSession {
                 },
             )
         });
-        self.finish_hour(
-            hour,
-            published_version,
-            row,
-            egress,
-            alerts,
-            HourContext {
-                budget,
-                publication_span,
-                attribution,
-            },
-        )
-    }
 
-    /// Accounts the hour that just ran under the background load that
-    /// was in effect, then (with feedback on) schedules the next hour's
-    /// load from the realized egress.
-    fn finish_hour(
-        &mut self,
-        hour: u64,
-        published_version: Option<usize>,
-        row: FleetHourRow,
-        egress: FleetHourEgress,
-        alerts: u64,
-        ctx: HourContext,
-    ) -> HourReport {
         let (authority_bg_bps, cache_bg_bps) = self.current_bg;
-
+        let served_bytes = row.cache_egress_bytes + row.descriptor_egress_bytes;
         if self.config.feedback {
             let per = |bytes: u64, links: usize| bytes as f64 * 8.0 / 3_600.0 / links.max(1) as f64;
-            let cache_up = per(egress.served_bytes, self.config.n_caches);
-            let cache_down = per(egress.request_bytes, self.config.n_caches);
+            let cache_up = per(served_bytes, self.config.n_caches);
+            let cache_down = per(row.request_bytes, self.config.n_caches);
             // The legacy direct-fetching slice mirrors the fleet's
             // behaviour per client, so its storm traffic lands on the
             // authorities scaled by the direct fraction — computed from
             // the document classes, not calibrated.
-            let authority_feedback = per(
-                egress.served_bytes + egress.request_bytes,
-                self.config.n_authorities,
-            ) * DIRECT_FETCH_FRACTION;
+            let authority_feedback =
+                per(served_bytes + row.request_bytes, self.config.n_authorities)
+                    * DIRECT_FETCH_FRACTION;
             let authority = self.config.direct_client_load_bps() + authority_feedback;
             self.tier.set_background_load(
                 ((hour + 1) * 3_600) as f64,
@@ -611,16 +576,16 @@ impl DistSession {
         // The hour summary's cause is the hour's defining upstream
         // event: a near-exhausted service budget when one fired, else
         // the hour's publication.
-        let mut hour_cause = ctx.publication_span;
-        if let Some(budget_bytes) = ctx.budget {
-            if egress.served_bytes.saturating_mul(100) >= budget_bytes.saturating_mul(99) {
+        let mut hour_cause = publication_span;
+        if let Some(budget_bytes) = budget {
+            if served_bytes.saturating_mul(100) >= budget_bytes.saturating_mul(99) {
                 let saturation = self.tracer.record_caused(
                     TraceEvent::BudgetSaturation {
                         hour,
                         budget_bytes,
-                        served_bytes: egress.served_bytes,
+                        served_bytes,
                     },
-                    ctx.publication_span,
+                    publication_span,
                 );
                 hour_cause = saturation.recorded().or(hour_cause);
             }
@@ -646,7 +611,7 @@ impl DistSession {
             fetch_latency,
             tier_traffic,
             alerts,
-            attribution: ctx.attribution,
+            attribution,
         };
         self.hour_reports.push(report.clone());
         report
@@ -934,6 +899,69 @@ mod tests {
         ] {
             assert!(kinds.contains(kind), "missing {kind}: {kinds:?}");
         }
+    }
+
+    /// The session's whole trace, pinned by the SHA-256 of its records'
+    /// `Debug` rendering: the order, span ids and causes of every
+    /// publication, fetch, window, alert, budget-saturation and hour
+    /// summary over an eight-hour run with feedback and attribution on,
+    /// a three-hour five-of-nine flood and failed runs in hours 3–5.
+    #[test]
+    fn traced_hour_pipeline_is_pinned() {
+        let cfg = DistConfig {
+            clients: 3_000_000,
+            n_caches: 2,
+            feedback: true,
+            attribution: true,
+            link_windows: five_of_nine_windows(3..=5),
+            ..DistConfig::default()
+        };
+        let tracer = Tracer::enabled(1 << 16);
+        let mut session =
+            DistSession::with_telemetry(&cfg, DocModel::synthetic(cfg.relays), tracer.clone());
+        for hour in 1..=8u64 {
+            let mut input = if (3..=5).contains(&hour) {
+                HourInput::failed()
+            } else {
+                HourInput::produced(330.0)
+            };
+            if hour == 4 {
+                input.alerts.push(AlertNote {
+                    severity: "critical",
+                    kind: "consensus_failure_streak".into(),
+                    message: "run failed".into(),
+                });
+            }
+            session.step_hour(input);
+        }
+        let report = session.into_report();
+        assert_eq!(report.telemetry.trace_dropped, 0);
+        let records = tracer.drain_records();
+        assert_eq!(records.len(), 152);
+        let mut kinds = std::collections::BTreeMap::<&'static str, usize>::new();
+        for record in &records {
+            *kinds.entry(record.event.kind()).or_default() += 1;
+        }
+        for kind in [
+            "publication",
+            "fetch_attempt",
+            "fetch_retry",
+            "fetch_timeout",
+            "served",
+            "link_window",
+            "health_alert",
+            "budget_saturation",
+            "hour_summary",
+        ] {
+            assert!(kinds.contains_key(kind), "missing {kind}: {kinds:?}");
+        }
+        assert_eq!(kinds["budget_saturation"], 4, "{kinds:?}");
+        assert_eq!(kinds["health_alert"], 1, "{kinds:?}");
+        assert_eq!(kinds["publication"], 6, "{kinds:?}");
+        assert_eq!(
+            partialtor_crypto::sha256::digest(format!("{records:?}").as_bytes()).to_hex(),
+            "bbe016e8f7377f79b9ff746b8402c431f8617abb8d9bbce508017062cc38c6fd"
+        );
     }
 
     /// Per-hour telemetry lands in the hour reports: fetch-latency

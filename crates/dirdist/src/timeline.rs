@@ -35,6 +35,27 @@ pub struct Publication {
 }
 
 impl Publication {
+    /// Version `version`, produced by hour `hour`'s run `offset_secs`
+    /// into the hour. The dir-spec lifetimes `fresh_secs` and
+    /// `valid_secs` run from the nominal hour (3 600 s and 10 800 s for
+    /// Tor), not from the completion offset.
+    pub fn hourly(
+        version: usize,
+        hour: u64,
+        offset_secs: f64,
+        fresh_secs: u64,
+        valid_secs: u64,
+    ) -> Self {
+        let nominal = (hour * 3_600) as f64;
+        Publication {
+            version,
+            hour,
+            available_at_secs: nominal + offset_secs,
+            fresh_until_secs: nominal + fresh_secs as f64,
+            valid_until_secs: nominal + valid_secs as f64,
+        }
+    }
+
     /// Whether the document still validates at `t` (holders can build
     /// circuits).
     pub fn live_at(&self, t: f64) -> bool {
@@ -66,27 +87,15 @@ impl ConsensusTimeline {
     /// is always prepended — the paper's §2.1 timeline starts from the
     /// last document the network produced before the attack.
     ///
-    /// `fresh_secs` and `valid_secs` are the dir-spec lifetimes measured
-    /// from the nominal hour (3 600 s and 10 800 s for Tor).
+    /// `fresh_secs` and `valid_secs` are as in [`Publication::hourly`].
     pub fn from_hourly_outcomes(hourly: &[Option<f64>], fresh_secs: u64, valid_secs: u64) -> Self {
-        let mut publications = vec![Publication {
-            version: 0,
-            hour: 0,
-            available_at_secs: 0.0,
-            fresh_until_secs: fresh_secs as f64,
-            valid_until_secs: valid_secs as f64,
-        }];
+        let mut publications = vec![Publication::hourly(0, 0, 0.0, fresh_secs, valid_secs)];
         for (index, outcome) in hourly.iter().enumerate() {
-            let hour = index as u64 + 1;
             if let Some(offset) = outcome {
-                let nominal = (hour * 3600) as f64;
-                publications.push(Publication {
-                    version: publications.len(),
-                    hour,
-                    available_at_secs: nominal + offset,
-                    fresh_until_secs: nominal + fresh_secs as f64,
-                    valid_until_secs: nominal + valid_secs as f64,
-                });
+                let (version, hour) = (publications.len(), index as u64 + 1);
+                publications.push(Publication::hourly(
+                    version, hour, *offset, fresh_secs, valid_secs,
+                ));
             }
         }
         ConsensusTimeline {
