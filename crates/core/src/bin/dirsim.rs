@@ -134,6 +134,14 @@ const GLOBAL_FLAGS: &[FlagSpec] = &[
 /// <name>`); the token itself is stored as its value.
 const POSITIONAL: &str = "<name>";
 
+/// Largest `--relays`: a hundred times the paper's 10 000-relay sweep,
+/// and far below where the document-size arithmetic wraps.
+const MAX_RELAYS: u64 = 1_000_000;
+
+/// Largest `--clients`: over 300 times the 3 M default fleet, and far
+/// below where the fleet's client and byte sums wrap.
+const MAX_CLIENTS: u64 = 1_000_000_000;
+
 /// Parsed arguments of one subcommand: flag name → raw value ("" for
 /// boolean flags).
 struct Args {
@@ -217,15 +225,28 @@ impl Args {
         }
     }
 
+    /// A count that must not exceed `max`.
+    fn at_most(&self, name: &str, default: u64, max: u64) -> Result<u64, String> {
+        match self.u64(name, default)? {
+            value if value > max => Err(format!("{name} must be at most {max}")),
+            value => Ok(value),
+        }
+    }
+
     /// `--targets`: authorities a campaign floods, at most the
     /// [`N_AUTHORITIES`] that exist.
     fn targets(&self) -> Result<usize, String> {
-        match self.u64("--targets", 5)? {
-            k if k > N_AUTHORITIES as u64 => {
-                Err(format!("--targets must be at most {N_AUTHORITIES}"))
-            }
-            k => Ok(k as usize),
-        }
+        Ok(self.at_most("--targets", 5, N_AUTHORITIES as u64)? as usize)
+    }
+
+    /// `--relays`: the relay population, at most [`MAX_RELAYS`].
+    fn relays(&self, default: u64) -> Result<u64, String> {
+        self.at_most("--relays", default, MAX_RELAYS)
+    }
+
+    /// `--clients`: the client fleet size, at most [`MAX_CLIENTS`].
+    fn clients(&self, default: u64) -> Result<u64, String> {
+        self.at_most("--clients", default, MAX_CLIENTS)
     }
 
     /// A rate, duration, budget or fraction ([`parse_f64`]).
@@ -248,7 +269,7 @@ impl Args {
 
     fn apply_threads(&self) -> Result<(), String> {
         if self.present("--threads") {
-            set_sweep_threads(Some(self.u64("--threads", 0)? as usize));
+            set_sweep_threads(Some(self.positive("--threads", 1)? as usize));
         }
         Ok(())
     }
@@ -397,7 +418,7 @@ fn base_scenario(args: &Args) -> Result<Scenario, String> {
     }
     Ok(Scenario {
         seed: args.u64("--seed", 1)?,
-        relays: args.u64("--relays", 8_000)?,
+        relays: args.relays(8_000)?,
         bandwidth_bps: bandwidth_mbps * 1e6,
         real_docs: args.present("--real-docs"),
         ..Scenario::default()
@@ -697,7 +718,7 @@ fn cmd_clients(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
             days.checked_mul(24).ok_or("--days is too large")?
         }
     };
-    let relays = args.u64("--relays", 8_000)?;
+    let relays = args.relays(8_000)?;
     if args.present("--real-docs") && relays > clients::REAL_DOCS_MAX_RELAYS {
         return Err(format!(
             "--real-docs builds real documents; use --relays {} or fewer",
@@ -706,7 +727,7 @@ fn cmd_clients(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
     }
     let params = clients::ClientsParams {
         hours,
-        clients: args.u64("--clients", 3_000_000)?,
+        clients: args.clients(3_000_000)?,
         caches: args.u64("--caches", 200)? as usize,
         relays,
         seed: args.u64("--seed", 1)?,
@@ -747,9 +768,9 @@ fn cmd_attribute(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
     let defaults = attribute::AttributeParams::default();
     let params = attribute::AttributeParams {
         hours: args.u64("--hours", defaults.hours)?,
-        clients: args.u64("--clients", defaults.clients)?,
+        clients: args.clients(defaults.clients)?,
         caches: args.u64("--caches", defaults.caches as u64)? as usize,
-        relays: args.u64("--relays", defaults.relays)?,
+        relays: args.relays(defaults.relays)?,
         seed: args.u64("--seed", defaults.seed)?,
         feedback: args.present("--feedback"),
     };
@@ -785,9 +806,9 @@ fn cmd_adversary(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
         budget_usd_month: args.f64("--budget", defaults.budget_usd_month)?,
         hours: args.u64("--hours", defaults.hours)?,
         beam: args.positive("--beam", defaults.beam as u64)? as usize,
-        clients: args.u64("--clients", defaults.clients)?,
+        clients: args.clients(defaults.clients)?,
         caches: args.u64("--caches", defaults.caches as u64)? as usize,
-        relays: args.u64("--relays", defaults.relays)?,
+        relays: args.relays(defaults.relays)?,
         seed: args.u64("--seed", defaults.seed)?,
         defender_trigger_hours: match args.u64("--defender", 0)? {
             0 => None,
@@ -854,9 +875,9 @@ fn cmd_frontier(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
         target_downtime,
         hours: args.u64("--hours", defaults.hours)?,
         beam: args.positive("--beam", defaults.beam as u64)? as usize,
-        clients: args.u64("--clients", defaults.clients)?,
+        clients: args.clients(defaults.clients)?,
         caches: args.u64("--caches", defaults.caches as u64)? as usize,
-        relays: args.u64("--relays", defaults.relays)?,
+        relays: args.relays(defaults.relays)?,
         seed: args.u64("--seed", defaults.seed)?,
         attribution: args.present("--attribution"),
     };
@@ -899,9 +920,9 @@ fn cmd_placement(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
     let caches = args.u64("--caches", defaults.caches as u64)? as usize;
     let params = placement::PlacementParams {
         hours: args.u64("--hours", defaults.hours)?,
-        clients: args.u64("--clients", defaults.clients)?,
+        clients: args.clients(defaults.clients)?,
         caches,
-        relays: args.u64("--relays", defaults.relays)?,
+        relays: args.relays(defaults.relays)?,
         seed: args.u64("--seed", defaults.seed)?,
         greedy: args.u64("--greedy", caches as u64)? as usize,
         brownout: match args.values.get("--brownout") {

@@ -2,7 +2,8 @@
 //!
 //! [`DefensePlan`] mirrors [`AttackPlan`]
 //! on the defender's side of the board. Where the attacker composes
-//! flood windows, the defender composes [`DefenseLever`]s:
+//! flood windows, the defender composes five levers, each with its own
+//! single-lever constructor:
 //!
 //! * **Blocklist** — once a target has been flooded in `trigger_hours`
 //!   *consecutive* hours, its later floods are filtered upstream (its
@@ -21,13 +22,13 @@
 //!   `trigger_hours` *cumulative* (not necessarily consecutive) hours
 //!   is scrubbed from then on — the counter that rotation cannot reset.
 //!
-//! Plans are normalized on construction (duplicate levers merge:
-//! triggers take the minimum, cache counts sum, lifetime extensions and
-//! rate scales take the maximum), so building a plan from its own
-//! [`DefensePlan::levers`] is the identity and cost is invariant under
-//! splitting or reordering levers — the same contract
-//! `AttackPlan` gives the attacker's side, and what the frontier search
-//! relies on when it dedups candidate defenses.
+//! Plans compose through [`DefensePlan::union`] (duplicate levers
+//! merge: triggers take the minimum, cache counts sum, lifetime
+//! extensions and rate scales take the maximum), so the order levers
+//! are combined in never matters, a neutral lever is absorbed, and cost
+//! is invariant under splitting or reordering levers — the same
+//! contract `AttackPlan` gives the attacker's side, and what the
+//! frontier search relies on when it dedups candidate defenses.
 //!
 //! Each lever prices in $/month through [`DefensePlan::cost_per_month`]
 //! (the counterpart of the attacker's [`AttackPlan::cost_per_month`]),
@@ -48,43 +49,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 const HOUR_US: u64 = 3_600_000_000;
 
-/// One mitigation the defender can deploy. Levers are the unit the
-/// frontier search composes; a [`DefensePlan`] is their normalized sum.
-#[derive(Clone, Debug, PartialEq)]
-pub enum DefenseLever {
-    /// Filter a target's floods after this many *consecutive* attacked
-    /// hours.
-    Blocklist {
-        /// Consecutive attacked hours before the filter engages (≥ 1).
-        trigger_hours: u64,
-    },
-    /// Rent `count` extra directory caches placed by `placement`.
-    AddCaches {
-        /// Caches added on top of the configured tier.
-        count: usize,
-        /// Where the added caches live.
-        placement: CachePlacement,
-    },
-    /// Publish consensuses that stay valid this much longer.
-    ExtendLifetime {
-        /// Extra validity lifetime, seconds.
-        extra_valid_secs: u64,
-    },
-    /// Stretch the fleet's fetch intervals by this factor (≥ 1).
-    RateLimit {
-        /// Multiplier on bootstrap-retry and refresh-spread intervals.
-        interval_scale: f64,
-    },
-    /// Scrub a target after this many *cumulative* hours with a
-    /// saturating flood signature on its link.
-    Detector {
-        /// Cumulative flagged hours before the scrubbing engages (≥ 1).
-        trigger_hours: u64,
-    },
-}
-
-/// A normalized set of [`DefenseLever`]s — the defender's counterpart
-/// of [`AttackPlan`].
+/// The defender's counterpart of [`AttackPlan`]: one field per lever,
+/// each at its neutral value when the lever is not deployed.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DefensePlan {
     /// Blocklist trigger, hours (None = lever not deployed).
@@ -102,12 +68,6 @@ pub struct DefensePlan {
     detector_trigger_hours: Option<u64>,
 }
 
-impl Default for DefensePlan {
-    fn default() -> Self {
-        DefensePlan::empty()
-    }
-}
-
 impl DefensePlan {
     /// The do-nothing defense.
     pub fn empty() -> Self {
@@ -121,120 +81,90 @@ impl DefensePlan {
         }
     }
 
-    /// Builds a normalized plan from any bag of levers: duplicate
-    /// levers merge (minimum trigger, summed cache counts, maximum
-    /// extension and scale), neutral levers vanish, and lever order
-    /// never matters.
-    pub fn new(levers: Vec<DefenseLever>) -> Self {
-        let mut plan = DefensePlan::empty();
-        // Among AddCaches levers the placement with the smallest label
-        // wins, so merging is order-independent; a plan with no added
-        // caches always resets to the neutral placement.
-        let mut placements: Vec<CachePlacement> = Vec::new();
-        for lever in levers {
-            match lever {
-                DefenseLever::Blocklist { trigger_hours } => {
-                    let t = trigger_hours.max(1);
-                    plan.blocklist_trigger_hours = Some(
-                        plan.blocklist_trigger_hours
-                            .map_or(t, |existing| existing.min(t)),
-                    );
-                }
-                DefenseLever::AddCaches { count, placement } => {
-                    if count > 0 {
-                        plan.added_caches += count;
-                        placements.push(placement);
-                    }
-                }
-                DefenseLever::ExtendLifetime { extra_valid_secs } => {
-                    plan.extra_valid_secs = plan.extra_valid_secs.max(extra_valid_secs);
-                }
-                DefenseLever::RateLimit { interval_scale } => {
-                    plan.rate_limit_scale = plan.rate_limit_scale.max(interval_scale).max(1.0);
-                }
-                DefenseLever::Detector { trigger_hours } => {
-                    let t = trigger_hours.max(1);
-                    plan.detector_trigger_hours = Some(
-                        plan.detector_trigger_hours
-                            .map_or(t, |existing| existing.min(t)),
-                    );
-                }
-            }
-        }
-        if let Some(placement) = placements
-            .into_iter()
-            .min_by(|a, b| a.label().cmp(&b.label()))
-        {
-            plan.cache_placement = placement;
-        }
-        plan
-    }
-
-    /// A single-lever blocklist plan.
+    /// Filter a target's floods after `trigger_hours` *consecutive*
+    /// attacked hours (a trigger of 0 acts as 1).
     pub fn blocklist(trigger_hours: u64) -> Self {
-        DefensePlan::new(vec![DefenseLever::Blocklist { trigger_hours }])
+        DefensePlan {
+            blocklist_trigger_hours: Some(trigger_hours.max(1)),
+            ..DefensePlan::empty()
+        }
     }
 
-    /// A single-lever added-caches plan.
+    /// Rent `count` extra directory caches placed by `placement`
+    /// (`add_caches(0, _)` is the empty plan).
     pub fn add_caches(count: usize, placement: CachePlacement) -> Self {
-        DefensePlan::new(vec![DefenseLever::AddCaches { count, placement }])
+        if count == 0 {
+            return DefensePlan::empty();
+        }
+        DefensePlan {
+            added_caches: count,
+            cache_placement: placement,
+            ..DefensePlan::empty()
+        }
     }
 
-    /// A single-lever consensus-lifetime-extension plan.
+    /// Publish consensuses that stay valid `extra_valid_secs` longer.
     pub fn extend_lifetime(extra_valid_secs: u64) -> Self {
-        DefensePlan::new(vec![DefenseLever::ExtendLifetime { extra_valid_secs }])
+        DefensePlan {
+            extra_valid_secs,
+            ..DefensePlan::empty()
+        }
     }
 
-    /// A single-lever rate-limit plan.
+    /// Stretch the fleet's fetch intervals by `interval_scale` (scales
+    /// below 1 act as 1, the neutral value).
     pub fn rate_limit(interval_scale: f64) -> Self {
-        DefensePlan::new(vec![DefenseLever::RateLimit { interval_scale }])
+        DefensePlan {
+            rate_limit_scale: interval_scale.max(1.0),
+            ..DefensePlan::empty()
+        }
     }
 
-    /// A single-lever detector plan.
+    /// Scrub a target after `trigger_hours` *cumulative* hours with a
+    /// saturating flood signature on its link (a trigger of 0 acts as 1).
     pub fn detector(trigger_hours: u64) -> Self {
-        DefensePlan::new(vec![DefenseLever::Detector { trigger_hours }])
-    }
-
-    /// The plan's levers in canonical order (neutral levers omitted).
-    /// `DefensePlan::new(plan.levers()) == plan` — normalization is
-    /// idempotent.
-    pub fn levers(&self) -> Vec<DefenseLever> {
-        let mut levers = Vec::new();
-        if let Some(trigger_hours) = self.blocklist_trigger_hours {
-            levers.push(DefenseLever::Blocklist { trigger_hours });
+        DefensePlan {
+            detector_trigger_hours: Some(trigger_hours.max(1)),
+            ..DefensePlan::empty()
         }
-        if self.added_caches > 0 {
-            levers.push(DefenseLever::AddCaches {
-                count: self.added_caches,
-                placement: self.cache_placement.clone(),
-            });
-        }
-        if self.extra_valid_secs > 0 {
-            levers.push(DefenseLever::ExtendLifetime {
-                extra_valid_secs: self.extra_valid_secs,
-            });
-        }
-        if self.rate_limit_scale > 1.0 {
-            levers.push(DefenseLever::RateLimit {
-                interval_scale: self.rate_limit_scale,
-            });
-        }
-        if let Some(trigger_hours) = self.detector_trigger_hours {
-            levers.push(DefenseLever::Detector { trigger_hours });
-        }
-        levers
     }
 
     /// True when no lever is deployed.
     pub fn is_empty(&self) -> bool {
-        self.levers().is_empty()
+        *self == DefensePlan::empty()
     }
 
-    /// The union of two plans (merged under the normalization rules).
+    /// Both plans' levers at once: triggers take the minimum, cache
+    /// counts sum, the lifetime extension and rate scale take the
+    /// maximum. The added caches keep the placement of whichever side
+    /// adds any (the smaller label when both do), so the union is
+    /// commutative and associative and `empty()` is its identity.
     pub fn union(&self, other: &DefensePlan) -> Self {
-        let mut levers = self.levers();
-        levers.extend(other.levers());
-        DefensePlan::new(levers)
+        let trigger = |a: Option<u64>, b: Option<u64>| match (a, b) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            _ => a.or(b),
+        };
+        // A plan adding no caches holds the neutral placement.
+        let cache_placement = match (self.added_caches, other.added_caches) {
+            (_, 0) => self.cache_placement.clone(),
+            (0, _) => other.cache_placement.clone(),
+            _ => std::cmp::min_by_key(&self.cache_placement, &other.cache_placement, |p| p.label())
+                .clone(),
+        };
+        DefensePlan {
+            blocklist_trigger_hours: trigger(
+                self.blocklist_trigger_hours,
+                other.blocklist_trigger_hours,
+            ),
+            added_caches: self.added_caches + other.added_caches,
+            cache_placement,
+            extra_valid_secs: self.extra_valid_secs.max(other.extra_valid_secs),
+            rate_limit_scale: self.rate_limit_scale.max(other.rate_limit_scale),
+            detector_trigger_hours: trigger(
+                self.detector_trigger_hours,
+                other.detector_trigger_hours,
+            ),
+        }
     }
 
     /// Human-readable plan summary, e.g.
@@ -333,16 +263,12 @@ impl DefensePlan {
     /// caches grow the tier (via [`CachePlacement::Augmented`] when they
     /// are placed differently from the base), the lifetime extension
     /// lengthens `valid_secs`, and the rate limit scales the fleet's
-    /// fetch intervals. The reactive levers (blocklist, detector) leave
-    /// the config alone: they act on the campaign itself, upstream of
-    /// every session, through [`DefensePlan::effective_attack`].
-    pub fn lower(&self, base: &DistConfig) -> DistConfig {
-        self.lower_traced(base, &Tracer::disabled())
-    }
-
-    /// [`DefensePlan::lower`], emitting one
-    /// [`TraceEvent::DefenseAction`] per lever it threads.
-    pub fn lower_traced(&self, base: &DistConfig, tracer: &Tracer) -> DistConfig {
+    /// fetch intervals — each announced as one
+    /// [`TraceEvent::DefenseAction`]. The reactive levers (blocklist,
+    /// detector) leave the config alone: they act on the campaign
+    /// itself, upstream of every session, through
+    /// [`DefensePlan::effective_attack`].
+    pub fn lower(&self, base: &DistConfig, tracer: &Tracer) -> DistConfig {
         let mut config = base.clone();
         if self.added_caches > 0 {
             config.placement = if base.placement == self.cache_placement {
@@ -645,41 +571,29 @@ mod tests {
 
     #[test]
     fn normalization_merges_levers_and_drops_neutral_ones() {
-        let plan = DefensePlan::new(vec![
-            DefenseLever::Blocklist { trigger_hours: 6 },
-            DefenseLever::Blocklist { trigger_hours: 3 },
-            DefenseLever::AddCaches {
-                count: 5,
-                placement: CachePlacement::ClientWeighted,
-            },
-            DefenseLever::AddCaches {
-                count: 3,
-                placement: CachePlacement::ClientWeighted,
-            },
-            DefenseLever::AddCaches {
-                count: 0,
-                placement: CachePlacement::Spread,
-            },
-            DefenseLever::RateLimit {
-                interval_scale: 0.5,
-            },
-            DefenseLever::ExtendLifetime {
-                extra_valid_secs: 3_600,
-            },
-            DefenseLever::ExtendLifetime {
-                extra_valid_secs: 7_200,
-            },
-        ]);
+        let plan = [
+            DefensePlan::blocklist(6),
+            DefensePlan::blocklist(3),
+            DefensePlan::add_caches(5, CachePlacement::ClientWeighted),
+            DefensePlan::add_caches(3, CachePlacement::ClientWeighted),
+            DefensePlan::add_caches(0, CachePlacement::Spread),
+            DefensePlan::rate_limit(0.5),
+            DefensePlan::extend_lifetime(3_600),
+            DefensePlan::extend_lifetime(7_200),
+        ]
+        .iter()
+        .fold(DefensePlan::empty(), |plan, lever| plan.union(lever));
         assert_eq!(
             plan,
             DefensePlan::blocklist(3)
                 .union(&DefensePlan::add_caches(8, CachePlacement::ClientWeighted))
                 .union(&DefensePlan::extend_lifetime(7_200))
         );
-        // The sub-1 rate limit is neutral and vanished.
-        assert_eq!(plan.levers().len(), 3);
-        // Round trip: a plan rebuilt from its own levers is itself.
-        assert_eq!(DefensePlan::new(plan.levers()), plan);
+        // The zero-cache and sub-1 rate-limit levers are neutral and
+        // vanished, and the empty plan is the identity of union.
+        assert!(DefensePlan::add_caches(0, CachePlacement::Spread).is_empty());
+        assert!(DefensePlan::rate_limit(0.5).is_empty());
+        assert_eq!(plan.union(&DefensePlan::empty()), plan);
         assert!(DefensePlan::empty().is_empty());
         assert_eq!(DefensePlan::empty().label(), "no defense");
         assert_eq!(
@@ -798,16 +712,16 @@ mod tests {
                 windows.extend((first..first + hours).map(|h| window(target(t), h * 3_600, 300, 240.0)));
             }
             let plan = AttackPlan::new(windows);
-            let mut levers = Vec::new();
+            let mut defense = DefensePlan::empty();
             if blocklist > 0 {
-                levers.push(DefenseLever::Blocklist { trigger_hours: blocklist });
+                defense = defense.union(&DefensePlan::blocklist(blocklist));
             }
             if detector > 0 {
-                levers.push(DefenseLever::Detector { trigger_hours: detector });
+                defense = defense.union(&DefensePlan::detector(detector));
             }
 
             let tracer = Tracer::enabled(1 << 12);
-            let effective = DefensePlan::new(levers).effective_attack(&plan, &tracer);
+            let effective = defense.effective_attack(&plan, &tracer);
             let oracle_tracer = Tracer::enabled(1 << 12);
             let mut expected = plan.clone();
             if blocklist > 0 {
@@ -896,25 +810,16 @@ mod tests {
 
     #[test]
     fn lowering_threads_every_lever_into_the_dist_config() {
-        let plan = DefensePlan::new(vec![
-            DefenseLever::AddCaches {
-                count: 16,
-                placement: CachePlacement::ClientWeighted,
-            },
-            DefenseLever::ExtendLifetime {
-                extra_valid_secs: 7_200,
-            },
-            DefenseLever::RateLimit {
-                interval_scale: 2.0,
-            },
-            DefenseLever::Detector { trigger_hours: 3 },
-        ]);
+        let plan = DefensePlan::add_caches(16, CachePlacement::ClientWeighted)
+            .union(&DefensePlan::extend_lifetime(7_200))
+            .union(&DefensePlan::rate_limit(2.0))
+            .union(&DefensePlan::detector(3));
         let base = DistConfig {
             n_caches: 40,
             ..DistConfig::default()
         };
         let tracer = Tracer::enabled(1 << 10);
-        let lowered = plan.lower_traced(&base, &tracer);
+        let lowered = plan.lower(&base, &tracer);
         assert_eq!(lowered.n_caches, 56);
         assert_eq!(
             lowered.placement,
@@ -939,10 +844,11 @@ mod tests {
         assert_eq!(actions, vec!["add_caches", "extend_lifetime", "rate_limit"]);
         // Same-placement growth skips the Augmented wrapper; the empty
         // plan is the identity lowering.
-        let grown = DefensePlan::add_caches(8, CachePlacement::Uniform).lower(&base);
+        let grown =
+            DefensePlan::add_caches(8, CachePlacement::Uniform).lower(&base, &Tracer::disabled());
         assert_eq!(grown.placement, CachePlacement::Uniform);
         assert_eq!(grown.n_caches, 48);
-        let identity = DefensePlan::empty().lower(&base);
+        let identity = DefensePlan::empty().lower(&base, &Tracer::disabled());
         assert_eq!(identity.n_caches, base.n_caches);
         assert_eq!(identity.valid_secs, base.valid_secs);
         assert_eq!(identity.fetch_rate_scale, base.fetch_rate_scale);

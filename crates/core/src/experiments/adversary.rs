@@ -100,11 +100,14 @@ const FLOOD_STEP_MBPS: u64 = 60;
 
 /// One point of the symmetric campaign space the beam explores: the
 /// first `authorities` authorities and first `caches` caches attacked
-/// identically every hour.
+/// identically every hour. The derived `Ord` (field declaration order)
+/// is the last tie-break of both rank functions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct CampaignShape {
     /// Authorities flooded at `flood_mbps` from each run start.
     pub(crate) authorities: usize,
+    /// Caches knocked offline at [`CACHE_FLOOD_MBPS`].
+    pub(crate) caches: usize,
     /// Authority window length, seconds.
     pub(crate) auth_window_secs: u64,
     /// Per-victim authority flood rate, Mbit/s — a searchable axis the
@@ -113,8 +116,6 @@ pub(crate) struct CampaignShape {
     /// (`calibration::FLOOD_SATURATION_FRACTION`) and leave the victim
     /// a workable residual.
     pub(crate) flood_mbps: u64,
-    /// Caches knocked offline at [`CACHE_FLOOD_MBPS`].
-    pub(crate) caches: usize,
     /// Cache window length, seconds.
     pub(crate) cache_window_secs: u64,
     /// Rotate the victim indices by one position each hour (same cost,
@@ -126,9 +127,9 @@ pub(crate) struct CampaignShape {
 impl CampaignShape {
     pub(crate) const EMPTY: CampaignShape = CampaignShape {
         authorities: 0,
+        caches: 0,
         auth_window_secs: 300,
         flood_mbps: DEFAULT_FLOOD_MBPS,
-        caches: 0,
         cache_window_secs: 900,
         rotate: false,
     };
@@ -192,20 +193,6 @@ impl CampaignShape {
     /// bills for).
     pub(crate) fn cost_usd_month(&self) -> f64 {
         AttackPlan::new(self.windows_for_hour(0)).cost_per_month()
-    }
-
-    /// Last tie-break of both rank functions. Not the derived `Ord`
-    /// (field declaration order): the beam's visiting order, and with it
-    /// every pinned search result, follows this tuple order.
-    fn tie_break(&self) -> (usize, usize, u64, u64, u64, bool) {
-        (
-            self.authorities,
-            self.caches,
-            self.auth_window_secs,
-            self.flood_mbps,
-            self.cache_window_secs,
-            self.rotate,
-        )
     }
 
     /// Human-readable shape summary.
@@ -286,18 +273,9 @@ impl CampaignShape {
 pub struct PlanScore {
     /// Human-readable campaign summary.
     pub label: String,
-    /// Authorities attacked per hour.
-    pub authorities: usize,
-    /// Caches attacked per hour.
-    pub caches: usize,
-    /// Authority window length, seconds.
-    pub auth_window_secs: u64,
-    /// Per-victim authority flood rate, Mbit/s.
-    pub flood_mbps: u64,
-    /// Cache window length, seconds.
-    pub cache_window_secs: u64,
-    /// Whether victim indices rotate hourly.
-    pub rotate: bool,
+    /// The searched shape: victim counts, window lengths, flood rate and
+    /// rotation.
+    pub(crate) shape: CampaignShape,
     /// Windows in the full-horizon plan.
     pub windows: usize,
     /// Monthly price of sustaining the campaign, dollars.
@@ -306,8 +284,6 @@ pub struct PlanScore {
     pub produced_hours: u64,
     /// Fraction of client-time lost over the horizon — the score.
     pub client_weighted_downtime: f64,
-    /// The searched shape the fields above report.
-    pub(crate) shape: CampaignShape,
 }
 
 /// Result of one strategy search.
@@ -361,15 +337,16 @@ fn slice_key(slice: &AttackPlan) -> SliceKey {
 /// scores identically, so a cheapest-first frontier would never reach
 /// the fifth authority on its own.
 fn frontier_rank(a: &PlanScore, b: &PlanScore) -> std::cmp::Ordering {
+    let (sa, sb) = (&a.shape, &b.shape);
     b.client_weighted_downtime
         .partial_cmp(&a.client_weighted_downtime)
         .expect("finite downtime")
-        .then((b.authorities + b.caches).cmp(&(a.authorities + a.caches)))
+        .then((sb.authorities + sb.caches).cmp(&(sa.authorities + sa.caches)))
         .then(
-            (b.auth_window_secs + b.cache_window_secs)
-                .cmp(&(a.auth_window_secs + a.cache_window_secs)),
+            (sb.auth_window_secs + sb.cache_window_secs)
+                .cmp(&(sa.auth_window_secs + sa.cache_window_secs)),
         )
-        .then(a.shape.tie_break().cmp(&b.shape.tie_break()))
+        .then(sa.cmp(sb))
 }
 
 /// Ranks scores for *reporting*: more downtime first, then cheaper,
@@ -384,7 +361,7 @@ fn rank(a: &PlanScore, b: &PlanScore) -> std::cmp::Ordering {
                 .partial_cmp(&b.cost_usd_month)
                 .expect("finite cost"),
         )
-        .then(a.shape.tie_break().cmp(&b.shape.tie_break()))
+        .then(a.shape.cmp(&b.shape))
 }
 
 /// A shape readied for scoring: the campaign its victims actually
@@ -431,7 +408,7 @@ impl SearchEnv {
             beam,
             budget_usd_month,
             cache_pool: base.n_caches,
-            lowered: defense.lower(base),
+            lowered: defense.lower(base, &Tracer::disabled()),
             defense,
         }
     }
@@ -476,7 +453,7 @@ impl SearchEnv {
     /// Scores one candidate against the memoized protocol outcomes (pure
     /// lookup + distribution simulation; no protocol runs). The session
     /// honours the lowered config's consensus lifetime, so an
-    /// `ExtendLifetime` lever changes what the fleet experiences, not
+    /// `extend_lifetime` lever changes what the fleet experiences, not
     /// just a config field.
     fn score_shape(
         &self,
@@ -502,17 +479,11 @@ impl SearchEnv {
         let shape = candidate.shape;
         let score = PlanScore {
             label: shape.label(),
-            authorities: shape.authorities,
-            caches: shape.caches,
-            auth_window_secs: shape.auth_window_secs,
-            flood_mbps: shape.flood_mbps,
-            cache_window_secs: shape.cache_window_secs,
-            rotate: shape.rotate,
+            shape,
             windows: candidate.plan.windows().len(),
             cost_usd_month: shape.cost_usd_month(),
             produced_hours: outcomes.iter().flatten().count() as u64,
             client_weighted_downtime: dist.fleet.client_weighted_downtime,
-            shape,
         };
         (score, dist.attribution)
     }
@@ -651,14 +622,15 @@ pub fn run_experiment_traced(params: &AdversaryParams, tracer: &Tracer) -> Adver
 /// Serializes one scored campaign for `dirsim adversary --json`.
 fn score_json(score: &PlanScore) -> crate::json::Json {
     use crate::json::Json;
+    let shape = &score.shape;
     Json::obj([
         ("label", Json::str(score.label.clone())),
-        ("authorities", Json::from(score.authorities)),
-        ("caches", Json::from(score.caches)),
-        ("auth_window_secs", Json::from(score.auth_window_secs)),
-        ("flood_mbps", Json::from(score.flood_mbps)),
-        ("cache_window_secs", Json::from(score.cache_window_secs)),
-        ("rotate", Json::from(score.rotate)),
+        ("authorities", Json::from(shape.authorities)),
+        ("caches", Json::from(shape.caches)),
+        ("auth_window_secs", Json::from(shape.auth_window_secs)),
+        ("flood_mbps", Json::from(shape.flood_mbps)),
+        ("cache_window_secs", Json::from(shape.cache_window_secs)),
+        ("rotate", Json::from(shape.rotate)),
         ("windows", Json::from(score.windows)),
         ("cost_usd_month", Json::from(score.cost_usd_month)),
         ("produced_hours", Json::from(score.produced_hours)),
@@ -743,11 +715,13 @@ pub fn render(result: &AdversaryResult) -> String {
         out.push_str("verdict: the fixed baseline was not affordable within the budget\n");
     }
     if result.defender_trigger_hours.is_some() {
+        let baseline = &result.baseline.shape;
         let rotating = result.evaluated.iter().find(|s| {
+            let s = &s.shape;
             s.rotate
-                && s.authorities == result.baseline.authorities
-                && s.caches == result.baseline.caches
-                && s.auth_window_secs == result.baseline.auth_window_secs
+                && s.authorities == baseline.authorities
+                && s.caches == baseline.caches
+                && s.auth_window_secs == baseline.auth_window_secs
         });
         if let Some(rotating) = rotating {
             let gain = rotating.client_weighted_downtime - result.baseline.client_weighted_downtime;
@@ -804,9 +778,9 @@ mod tests {
         assert_eq!(shapes.len(), 2, "empty shape can add one of each kind");
         let full = CampaignShape {
             authorities: N_AUTHORITIES,
+            caches: 10,
             auth_window_secs: 3_600,
             flood_mbps: DEFAULT_FLOOD_MBPS,
-            caches: 10,
             cache_window_secs: 2_700,
             rotate: true,
         };
@@ -895,7 +869,7 @@ mod tests {
             result
                 .evaluated
                 .iter()
-                .any(|s| s.caches > 0 && s.authorities == 0),
+                .any(|s| s.shape.caches > 0 && s.shape.authorities == 0),
             "cache-only campaigns must appear: {:?}",
             result.evaluated
         );
@@ -904,10 +878,10 @@ mod tests {
             .evaluated
             .iter()
             .find(|s| {
-                s.authorities == 1
-                    && s.caches == 0
-                    && !s.rotate
-                    && s.flood_mbps == DEFAULT_FLOOD_MBPS
+                s.shape.authorities == 1
+                    && s.shape.caches == 0
+                    && !s.shape.rotate
+                    && s.shape.flood_mbps == DEFAULT_FLOOD_MBPS
             })
             .expect("the first expansion is always evaluated");
         assert_eq!(minority.produced_hours, 1);
@@ -917,7 +891,12 @@ mod tests {
         let throttled = result
             .evaluated
             .iter()
-            .find(|s| s.authorities == 5 && s.flood_mbps == 180 && s.caches == 0 && !s.rotate)
+            .find(|s| {
+                s.shape.authorities == 5
+                    && s.shape.flood_mbps == 180
+                    && s.shape.caches == 0
+                    && !s.shape.rotate
+            })
             .expect("the flood-down expansion of the baseline is explored");
         assert_eq!(
             throttled.produced_hours, 1,
@@ -950,7 +929,7 @@ mod tests {
             "5cf648cc7f030808eb6b9d989facbc16894478460c79db08e5fdcdb15610da77"
         );
         assert_eq!(result.best.label, "5 auth × 300 s");
-        assert_eq!(result.best.flood_mbps, 240);
+        assert_eq!(result.best.shape.flood_mbps, 240);
         assert!((result.best.cost_usd_month - 53.28).abs() < 1e-6);
         assert!(
             result.best.client_weighted_downtime > 0.1,
@@ -960,7 +939,12 @@ mod tests {
         let throttled = result
             .evaluated
             .iter()
-            .find(|s| s.authorities == 5 && s.flood_mbps == 180 && s.caches == 0 && !s.rotate)
+            .find(|s| {
+                s.shape.authorities == 5
+                    && s.shape.flood_mbps == 180
+                    && s.shape.caches == 0
+                    && !s.shape.rotate
+            })
             .expect("the cheaper flood is explored");
         assert_eq!(throttled.produced_hours, 3);
         assert!(
@@ -975,7 +959,7 @@ mod tests {
             ..CampaignShape::FIVE_OF_NINE
         };
         assert!(cranked.cost_usd_month() > params.budget_usd_month);
-        assert!(result.evaluated.iter().all(|s| s.flood_mbps != 300));
+        assert!(result.evaluated.iter().all(|s| s.shape.flood_mbps != 300));
     }
 
     /// Under a stable-victim blocklist defender, the static five-of-nine
@@ -1004,7 +988,12 @@ mod tests {
         let rotating = result
             .evaluated
             .iter()
-            .find(|s| s.rotate && s.authorities == 5 && s.caches == 0 && s.auth_window_secs == 300)
+            .find(|s| {
+                s.shape.rotate
+                    && s.shape.authorities == 5
+                    && s.shape.caches == 0
+                    && s.shape.auth_window_secs == 300
+            })
             .expect("the rotating five-of-nine is always seeded with the baseline");
 
         // The defender filters the static campaign after six hours, so

@@ -372,7 +372,7 @@ pub fn run_experiment_traced(params: &FrontierParams, tracer: &Tracer) -> Fronti
         // lowering onto the tier, then its reaction to the reported
         // campaign.
         if tracer.is_enabled() {
-            winner.lower_traced(&base_config(params), tracer);
+            winner.lower(&base_config(params), tracer);
             winner.effective_attack(&reported.shape.plan(params.hours), tracer);
         }
 
@@ -529,7 +529,7 @@ mod tests {
         );
         for plan in &plans {
             assert_eq!(
-                DefensePlan::new(plan.levers()),
+                plan.union(&DefensePlan::empty()),
                 *plan,
                 "playbook entries must already be normalized"
             );
@@ -576,6 +576,46 @@ mod tests {
             .map(|&(label, bits)| (label.to_string(), bits))
             .collect();
         assert_eq!(probes, expected, "{probes:#?}");
+    }
+
+    /// Every playbook defense's price bits, lowered config and reaction
+    /// to the paper's baseline and its rotating twin, plus the whole
+    /// trace those calls emit, by SHA-256.
+    #[test]
+    fn playbook_reactions_are_pinned() {
+        let base = DistConfig {
+            clients: 12_000,
+            n_caches: 6,
+            relays: 2_000,
+            ..DistConfig::default()
+        };
+        let tracer = Tracer::enabled(1 << 16);
+        let mut lines = Vec::new();
+        for defense in playbook() {
+            lines.push(format!(
+                "{} {}",
+                defense.label(),
+                defense.cost_per_month().to_bits()
+            ));
+            lines.push(format!("{:?}", defense.lower(&base, &tracer)));
+            for shape in [
+                CampaignShape::FIVE_OF_NINE,
+                CampaignShape::FIVE_OF_NINE_ROTATING,
+            ] {
+                lines.push(format!(
+                    "{:?}",
+                    defense.effective_attack(&shape.plan(24), &tracer)
+                ));
+            }
+        }
+        assert_eq!(tracer.dropped(), 0);
+        let records = tracer.drain_records();
+        assert_eq!(records.len(), 150);
+        lines.push(format!("{records:?}"));
+        assert_eq!(
+            partialtor_crypto::sha256::digest(lines.join("\n").as_bytes()).to_hex(),
+            "3b22dd2248cfc5e32d866993e5df33a437c3f03655171953c9e2dc58d72fa33a"
+        );
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod signing;
 pub mod trace_export;
 
 pub use adversary::{AttackPlan, AttackWindow, Target};
-pub use defense::{DefenseLever, DefensePlan};
+pub use defense::DefensePlan;
 pub use document::DirDocument;
 pub use partialtor_obs::json;
 pub use protocols::{AuthorityReport, ProtocolKind};

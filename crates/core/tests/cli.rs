@@ -12,7 +12,7 @@ fn dirsim() -> Command {
 
 #[test]
 fn bad_budgets_targets_and_typos_exit_2_without_panicking() {
-    let cases: [&[&str]; 27] = [
+    let cases: [&[&str]; 32] = [
         &["adversary", "--budget", "-1"],
         &["adversary", "--budget", "nan"],
         &["frontier", "--defense-budget-grid", "nan"],
@@ -41,6 +41,14 @@ fn bad_budgets_targets_and_typos_exit_2_without_panicking() {
         // Both searches used to report beam 0 and search beam 1.
         &["adversary", "--beam", "0"],
         &["frontier", "--beam", "0"],
+        // Document and fleet sizes whose byte arithmetic used to wrap:
+        // a run "succeeded" on 1.45 MB, a fleet went −561 484 % stale.
+        &["run", "--relays", "1000001"],
+        &["clients", "--relays", "18446744073709551615"],
+        &["clients", "--clients", "1000000001"],
+        &["adversary", "--clients", "18446744073709551615"],
+        // Zero sweep workers used to run serially, as one does.
+        &["run", "--threads", "0"],
         // The figure binaries' lenient parser used to turn this typo
         // into the full 1000-step sweep.
         &["fig", "fig11", "--stpe", "1"],

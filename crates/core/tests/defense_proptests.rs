@@ -1,14 +1,14 @@
-//! Property tests for [`partialtor::defense::DefensePlan`]
-//! normalization: idempotence, lever-order independence, and cost
-//! invariance under lever splitting/duplication — the defender-side
-//! mirror of `plan_proptests.rs`.
+//! Property tests for [`partialtor::defense::DefensePlan`] composition:
+//! `union` has the empty plan as identity, is associative and
+//! order-independent, and cost is invariant under lever splitting and
+//! duplication — the defender-side mirror of `plan_proptests.rs`.
 
-use partialtor::defense::{DefenseLever, DefensePlan};
+use partialtor::defense::DefensePlan;
 use partialtor_dirdist::CachePlacement;
 use proptest::prelude::*;
 
 /// Rate-limit scales drawn from an exact-f64 vocabulary, so equal-scale
-/// levers merge exactly (the `max` in normalization is bitwise).
+/// levers merge exactly (the `max` in union is bitwise).
 const SCALES: [f64; 5] = [0.5, 1.0, 1.5, 2.0, 4.0];
 
 const PLACEMENTS: [CachePlacement; 4] = [
@@ -18,34 +18,46 @@ const PLACEMENTS: [CachePlacement; 4] = [
     CachePlacement::Authorities,
 ];
 
-fn sampled_levers(specs: &[(u8, u8, u16, u8)]) -> Vec<DefenseLever> {
+/// One `(kind, small, wide, pick)` spec's cache lever, if it is one.
+fn cache_spec(&(kind, small, _, pick): &(u8, u8, u16, u8)) -> Option<(usize, CachePlacement)> {
+    (kind % 5 == 1).then(|| {
+        (
+            small as usize % 24,
+            PLACEMENTS[pick as usize % PLACEMENTS.len()].clone(),
+        )
+    })
+}
+
+/// One single-lever plan per spec.
+fn sampled_levers(specs: &[(u8, u8, u16, u8)]) -> Vec<DefensePlan> {
     specs
         .iter()
-        .map(|&(kind, small, wide, pick)| match kind % 5 {
-            0 => DefenseLever::Blocklist {
-                trigger_hours: small as u64 % 12,
-            },
-            1 => DefenseLever::AddCaches {
-                count: small as usize % 24,
-                placement: PLACEMENTS[pick as usize % PLACEMENTS.len()].clone(),
-            },
-            2 => DefenseLever::ExtendLifetime {
-                extra_valid_secs: wide as u64 * 10,
-            },
-            3 => DefenseLever::RateLimit {
-                interval_scale: SCALES[pick as usize % SCALES.len()],
-            },
-            _ => DefenseLever::Detector {
-                trigger_hours: small as u64 % 12,
-            },
+        .map(|spec @ &(kind, small, wide, pick)| match kind % 5 {
+            0 => DefensePlan::blocklist(small as u64 % 12),
+            1 => {
+                let (count, placement) = cache_spec(spec).expect("a cache spec");
+                DefensePlan::add_caches(count, placement)
+            }
+            2 => DefensePlan::extend_lifetime(wide as u64 * 10),
+            3 => DefensePlan::rate_limit(SCALES[pick as usize % SCALES.len()]),
+            _ => DefensePlan::detector(small as u64 % 12),
         })
         .collect()
+}
+
+/// `levers` composed left to right, starting from the empty plan.
+fn fold(levers: &[DefensePlan]) -> DefensePlan {
+    levers
+        .iter()
+        .fold(DefensePlan::empty(), |plan, lever| plan.union(lever))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Rebuilding a plan from its own canonical levers is the identity.
+    /// The empty plan is the identity of union on either side — of
+    /// every single lever too — and folding the levers from the left
+    /// equals folding them from the right, the price included.
     #[test]
     fn normalization_is_idempotent(
         specs in proptest::collection::vec(
@@ -53,17 +65,26 @@ proptest! {
             0..10,
         ),
     ) {
-        let plan = DefensePlan::new(sampled_levers(&specs));
-        let again = DefensePlan::new(plan.levers());
-        prop_assert_eq!(&plan, &again);
+        let levers = sampled_levers(&specs);
+        for lever in &levers {
+            prop_assert_eq!(&lever.union(&DefensePlan::empty()), lever);
+        }
+        let plan = fold(&levers);
+        prop_assert_eq!(&plan.union(&DefensePlan::empty()), &plan);
+        prop_assert_eq!(&DefensePlan::empty().union(&plan), &plan);
+        let right = levers
+            .iter()
+            .rev()
+            .fold(DefensePlan::empty(), |plan, lever| lever.union(&plan));
+        prop_assert_eq!(&right, &plan);
         prop_assert!(
-            (again.cost_per_month() - plan.cost_per_month()).abs() < 1e-9,
-            "round-tripping must not change the price"
+            (right.cost_per_month() - plan.cost_per_month()).abs() < 1e-9,
+            "regrouping must not change the price"
         );
     }
 
-    /// The order levers are listed in is irrelevant — the plan and its
-    /// price only depend on the normalized sum.
+    /// The order levers are combined in is irrelevant — the plan and its
+    /// price only depend on the merged levers.
     #[test]
     fn lever_order_is_irrelevant(
         specs in proptest::collection::vec(
@@ -74,76 +95,67 @@ proptest! {
         let levers = sampled_levers(&specs);
         let mut reversed = levers.clone();
         reversed.reverse();
-        let plan = DefensePlan::new(levers);
-        let flipped = DefensePlan::new(reversed);
+        let plan = fold(&levers);
+        let flipped = fold(&reversed);
         prop_assert_eq!(&plan, &flipped);
         prop_assert!((plan.cost_per_month() - flipped.cost_per_month()).abs() < 1e-9);
     }
 
     /// Splitting an added-cache lever in two and duplicating any
     /// non-additive lever leaves the plan — and therefore its price —
-    /// unchanged, and union never forgets a lever.
+    /// unchanged, and a self-union doubles only the cache count.
     #[test]
     fn cost_is_invariant_under_split_and_duplication(
         specs in proptest::collection::vec(
             (any::<u8>(), any::<u8>(), 0u16..3_600, any::<u8>()),
             1..10,
         ),
-        pick in any::<proptest::sample::Index>(),
         extra in 1u8..20,
     ) {
         let levers = sampled_levers(&specs);
-        let plan = DefensePlan::new(levers.clone());
-        let canonical = plan.levers();
+        let plan = fold(&levers);
 
         // Split every cache lever at `extra` caches: the counts sum
-        // back during normalization.
-        let mut split: Vec<DefenseLever> = Vec::new();
-        for lever in &canonical {
-            match lever {
-                DefenseLever::AddCaches { count, placement } if *count > 1 => {
-                    let first = (*count).min(extra as usize);
-                    split.push(DefenseLever::AddCaches {
-                        count: first,
-                        placement: placement.clone(),
-                    });
-                    if *count > first {
-                        split.push(DefenseLever::AddCaches {
-                            count: count - first,
-                            placement: placement.clone(),
-                        });
-                    }
+        // back under union.
+        let mut split: Vec<DefensePlan> = Vec::new();
+        for (spec, lever) in specs.iter().zip(&levers) {
+            match cache_spec(spec) {
+                Some((count, placement)) if count > 1 => {
+                    let first = count.min(extra as usize);
+                    let head = DefensePlan::add_caches(first, placement.clone());
+                    let tail = DefensePlan::add_caches(count - first, placement);
+                    prop_assert_eq!(&head.union(&tail), lever, "split cache levers re-merge");
+                    split.push(head);
+                    split.push(tail);
                 }
-                other => split.push(other.clone()),
+                _ => split.push(lever.clone()),
             }
         }
-        let split_plan = DefensePlan::new(split);
+        let split_plan = fold(&split);
         prop_assert_eq!(&split_plan, &plan, "split cache levers re-merge");
         prop_assert!((split_plan.cost_per_month() - plan.cost_per_month()).abs() < 1e-9);
 
-        // Duplicate one non-additive lever (min/max absorption): the
-        // plan and its price are unchanged.
-        if !canonical.is_empty() {
-            let victim = canonical[pick.index(canonical.len())].clone();
-            if !matches!(victim, DefenseLever::AddCaches { .. }) {
-                let mut duplicated = canonical.clone();
-                duplicated.push(victim);
-                let doubled = DefensePlan::new(duplicated);
-                prop_assert_eq!(&doubled, &plan);
-                prop_assert!(
-                    (doubled.cost_per_month() - plan.cost_per_month()).abs() < 1e-9
-                );
-            }
+        // Duplicate each non-additive lever in turn (min/max
+        // absorption): the plan and its price are unchanged every time.
+        let (caches, others): (Vec<_>, Vec<_>) = specs
+            .iter()
+            .zip(&levers)
+            .partition(|(spec, _)| cache_spec(spec).is_some());
+        for (_, victim) in &others {
+            let mut duplicated = levers.clone();
+            duplicated.push((*victim).clone());
+            let doubled = fold(&duplicated);
+            prop_assert_eq!(&doubled, &plan);
+            prop_assert!((doubled.cost_per_month() - plan.cost_per_month()).abs() < 1e-9);
         }
 
-        // Union with itself is the identity for non-additive levers
-        // and doubles only the cache count.
-        let self_union = plan.union(&plan);
-        prop_assert_eq!(
-            DefensePlan::new(self_union.levers()),
-            self_union,
-            "unions stay normalized"
-        );
+        // Union with itself is the identity for non-additive levers and
+        // doubles only the cache count.
+        let caches = fold(&caches.into_iter().map(|(_, l)| l.clone()).collect::<Vec<_>>());
+        let others = fold(&others.into_iter().map(|(_, l)| l.clone()).collect::<Vec<_>>());
+        prop_assert_eq!(&others.union(&caches), &plan);
+        prop_assert_eq!(&others.union(&others), &others);
+        prop_assert_eq!(plan.union(&plan), others.union(&caches).union(&caches));
     }
 }
 
