@@ -51,6 +51,15 @@
 //! test and proptest. Everything here is observational: the real hour
 //! has already been stepped before the ladder runs, and no clone ever
 //! touches session state.
+//!
+//! A rung replays only while downtime is left to explain: once the
+//! previous rungs have brought the hour's downtime to `0.0` — or the
+//! hour had none — every later rung is charged `+0.0` without a replay.
+//! This is exact. A dead fraction is never below `+0.0`, so a replay
+//! entered at `0.0` clamps to `0.0` and would return the same `+0.0`
+//! part; and each rung steps its own clone, so skipping one changes
+//! nothing another rung sees. Healthy hours therefore cost no replay,
+//! and an hour the budget rung fully explains costs one.
 
 use crate::docmodel::DocTable;
 use crate::fleet::FleetSim;
@@ -292,6 +301,17 @@ pub(crate) fn attribute_hour(
     let mut rung = |publications: &[Publication],
                     cached: &[Vec<Option<f64>>],
                     revive: Option<&[Option<usize>]>| {
+        // Nothing left to explain: the replay would return +0.0, so skip
+        // it. A dead fraction is a mean of `pool / total` samples, never
+        // below +0.0, so with `d_prev == 0.0` the replay's
+        // `d_raw.min(d_prev)` is +0.0 and its part `0.0 - 0.0` is +0.0 —
+        // the value returned here — and `d_prev` stays +0.0. Every rung
+        // steps its own clone of `fleet_before` (sampler included), so a
+        // skipped replay changes no state a later rung reads, and
+        // `reconcile` receives bit-identical parts.
+        if d_prev == 0.0 {
+            return 0.0;
+        }
         let mut fleet = fleet_before.clone();
         if let Some(targets) = revive {
             fleet.revive_pools(targets);
@@ -346,8 +366,11 @@ pub(crate) fn attribute_hour(
         };
 
     // Rung 6: extend every publication's validity to infinity (and
-    // revive the backlog under that liveness). Structural skip when
-    // nothing can expire this hour and no backlog exists.
+    // revive the backlog under that liveness). Structural skip while no
+    // publication of the session — old ones included — has expired by
+    // the hour's end and no backlog exists; in practice only the first
+    // hours of a session skip here, later ones rely on the
+    // nothing-left-to-explain skip above.
     let quorum_relevant = fleet_before.pool_total() > 0
         || ctx
             .publications

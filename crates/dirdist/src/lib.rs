@@ -121,7 +121,10 @@ pub struct DistConfig {
     pub link_windows: Vec<LinkWindow>,
     /// Closes the §2.1 fetch-feedback loop: each hour's realized fleet
     /// egress (bootstrap storms included) becomes the next hour's
-    /// background load on cache and authority links.
+    /// background load on cache and authority links. After a long
+    /// outage the loop can lock into a two-hour cycle: an hour that
+    /// serves its whole budget leaves the next hour's cache uplinks
+    /// fully loaded and its budget zero, so the fleet never recovers.
     pub feedback: bool,
     /// Where the directory caches live: the default
     /// [`CachePlacement::Uniform`] keeps the legacy flat worldwide hop;
@@ -144,8 +147,9 @@ pub struct DistConfig {
     /// client-weighted downtime ([`attribution`]). Observational: the
     /// ladder replays cloned fleets after each real hour has stepped,
     /// so turning it on leaves every existing report field bit-identical
-    /// (a test pins this). Off by default — each hour costs a handful
-    /// of extra fleet replays.
+    /// (a test pins this). Off by default — each hour costs at most
+    /// four extra fleet replays, and none once the hour's downtime is
+    /// explained, so healthy hours cost none.
     pub attribution: bool,
 }
 

@@ -1113,6 +1113,54 @@ mod tests {
         }
     }
 
+    /// The blame ladder on a week-shaped run, pinned by the SHA-256 of
+    /// every hour's `HourAttribution` and the rollup: a day of healthy
+    /// hours, a day-long five-of-nine flood with failed runs (hours
+    /// 25–48) and a budget-bound recovery, with feedback, regional
+    /// cohorts and weekly churn on. All three regimes occur — hours with
+    /// no downtime, hours the service budget explains, hours the quorum
+    /// explains — so a change to which rungs replay, or when, must keep
+    /// all three bit-identical.
+    #[test]
+    fn week_shaped_blame_is_pinned() {
+        use crate::{CachePlacement, ChurnSchedule, ClientRegions};
+
+        let cfg = DistConfig {
+            clients: 300_000,
+            n_caches: 10,
+            placement: CachePlacement::ClientWeighted,
+            client_regions: ClientRegions::TorMetrics,
+            feedback: true,
+            attribution: true,
+            churn: ChurnSchedule::weekly(),
+            link_windows: five_of_nine_windows(25..=48),
+            ..DistConfig::default()
+        };
+        let mut session = DistSession::new(&cfg, DocModel::synthetic(8_000));
+        for hour in 1..=56u64 {
+            session.step_hour(if (25..=48).contains(&hour) {
+                HourInput::failed()
+            } else {
+                HourInput::produced(330.0)
+            });
+        }
+        let report = session.into_report();
+        let hours: Vec<HourAttribution> = report
+            .hours
+            .iter()
+            .map(|h| h.attribution.expect("attribution is on"))
+            .collect();
+        let regime = |f: fn(&HourAttribution) -> bool| hours.iter().filter(|h| f(h)).count();
+        assert_eq!(regime(|h| h.downtime == 0.0), 26);
+        assert_eq!(regime(|h| h.parts.service_budget_saturated > 0.0), 8);
+        assert_eq!(regime(|h| h.parts.quorum_lost > 0.0), 23);
+        let rollup = report.attribution.expect("rollup is on");
+        assert_eq!(
+            partialtor_crypto::sha256::digest(format!("{hours:?}{rollup:?}").as_bytes()).to_hex(),
+            "4322a4bd916245177fc00adf73121e7c0881785a30c16c323ae389bb0df18459"
+        );
+    }
+
     /// The session's telemetry, pinned by the SHA-256 of its `Debug`
     /// rendering: the whole-run rollup, every hour's fetch latency,
     /// traffic signature and alert count, and the tier report. All nine
@@ -1210,6 +1258,17 @@ mod tests {
                     attribution.parts,
                     hour.fleet.dead_fraction
                 );
+                if hour.fleet.dead_fraction == 0.0 {
+                    for (name, value) in attribution.parts.named() {
+                        prop_assert_eq!(
+                            value.to_bits(),
+                            0.0f64.to_bits(),
+                            "hour {} has no downtime, so {} must be +0.0",
+                            hour.hour,
+                            name
+                        );
+                    }
+                }
             }
             let rollup = report.attribution.as_ref().expect("rollup is on");
             prop_assert_eq!(
