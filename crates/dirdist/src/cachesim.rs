@@ -802,11 +802,17 @@ impl CacheTier {
             .run_until(SimTime::from_micros((t_secs * 1e6) as u64));
     }
 
+    /// Events the tier's engine has processed so far: the simulated
+    /// network's whole work, counted exactly.
+    pub fn events_processed(&self) -> u64 {
+        self.sim.events_processed()
+    }
+
     /// The tier's wire activity so far: the engine's by-kind message
     /// counts and its expired events.
     pub fn traffic(&self) -> TierHourTraffic {
         let metrics = self.sim.metrics();
-        let sent = |kind: &str| metrics.by_kind().get(kind).map_or(0, |k| k.count);
+        let sent = |kind: &str| metrics.kind(kind).count;
         TierHourTraffic {
             dir_requests: sent("DIR_REQ"),
             dir_diff_responses: sent("DIR_DIFF"),

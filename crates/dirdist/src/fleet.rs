@@ -418,6 +418,9 @@ impl FleetSim {
         let mut hour_stale_sum = 0.0;
         let mut hour_samples = 0u64;
         let mut budget_left = service_budget_bytes;
+        // Refresh sources `(version, holders)`, refilled per cohort and
+        // step: one buffer for the whole hour.
+        let mut sources: Vec<(usize, u64)> = Vec::new();
 
         // How many of `wanted` fetches at `cost` bytes each fit in the
         // remaining budget (all of them when the budget is unlimited).
@@ -443,15 +446,14 @@ impl FleetSim {
 
                 // 1. Expiry: cohorts whose document passed valid-until
                 //    fall off the network and start over.
-                let expired: Vec<usize> = cohort
-                    .holding
-                    .keys()
-                    .copied()
-                    .filter(|&v| !publications[v].live_at(t))
-                    .collect();
-                for v in expired {
-                    cohort.pool += cohort.holding.remove(&v).unwrap_or(0);
-                }
+                let pool = &mut cohort.pool;
+                cohort.holding.retain(|&v, &mut count| {
+                    let live = publications[v].live_at(t);
+                    if !live {
+                        *pool += count;
+                    }
+                    live
+                });
 
                 // 2. Arrivals: fresh clients joining the network
                 //    (Poisson, population-weighted per region).
@@ -469,14 +471,14 @@ impl FleetSim {
                 //    churned relays' descriptors.
                 if let Some(target) = newest_live {
                     let p_refresh = (dt / self.config.refresh_spread_secs).min(1.0);
-                    let sources: Vec<usize> = cohort
-                        .holding
-                        .keys()
-                        .copied()
-                        .filter(|&v| v < target)
-                        .collect();
-                    for v in sources {
-                        let count = cohort.holding[&v];
+                    sources.clear();
+                    sources.extend(
+                        cohort
+                            .holding
+                            .range(..target)
+                            .map(|(&v, &count)| (v, count)),
+                    );
+                    for &(v, count) in &sources {
                         let movers = binomial(&mut self.rng, count, p_refresh);
                         if movers == 0 {
                             continue;

@@ -647,6 +647,11 @@ impl DistSession {
         &self.placement
     }
 
+    /// The live cache tier, as of the end of the last processed hour.
+    pub fn tier(&self) -> &CacheTier {
+        &self.tier
+    }
+
     /// Closes the session: drains the cache tier past the horizon (late
     /// fetches still count toward cache coverage) and folds everything
     /// into the end-to-end report.

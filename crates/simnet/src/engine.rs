@@ -3,7 +3,9 @@
 //! A [`Simulation`] owns a set of nodes (protocol state machines), their
 //! link pipes, and a single time-ordered event heap. Execution is strictly
 //! deterministic: ties in event time are broken by insertion sequence, and
-//! all randomness flows from the seeded RNG in [`SimConfig`].
+//! all randomness flows from the seeded RNG in [`SimConfig`]. The heap
+//! holds only `(time, sequence, slot)` keys; each pending event's payload
+//! waits in a slab slot that is reused once the event is dispatched.
 
 use crate::link::{Pipe, PipeAction, Transfer};
 use crate::message::{NodeId, Payload};
@@ -99,26 +101,24 @@ enum EventKind<M> {
     },
 }
 
-struct Event<M> {
+/// A heap entry: the event's dispatch key and the slab slot holding its
+/// payload. Sifts move these 24 bytes, never the payload.
+#[derive(PartialEq, Eq)]
+struct Key {
     at: SimTime,
     seq: u64,
-    kind: EventKind<M>,
+    slot: u32,
 }
 
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<M> Ord for Event<M> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap and we want the earliest event.
+        // Reversed: BinaryHeap is a max-heap and we want the earliest
+        // event. `seq` is unique, so `slot` never decides.
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
@@ -127,7 +127,11 @@ impl<M> Ord for Event<M> {
 pub struct EngineCore<M> {
     now: SimTime,
     seq: u64,
-    heap: BinaryHeap<Event<M>>,
+    heap: BinaryHeap<Key>,
+    /// Pending events' payloads, indexed by [`Key::slot`]; `free` lists
+    /// the empty slots.
+    slab: Vec<Option<EventKind<M>>>,
+    free: Vec<u32>,
     uplinks: Vec<Pipe<M>>,
     downlinks: Vec<Pipe<M>>,
     latency: LatencyMatrix,
@@ -145,7 +149,17 @@ impl<M: Payload> EngineCore<M> {
     fn push(&mut self, at: SimTime, kind: EventKind<M>) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Event { at, seq, kind });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(kind);
+                slot
+            }
+            None => {
+                self.slab.push(Some(kind));
+                u32::try_from(self.slab.len() - 1).expect("pending events fit a u32 slot")
+            }
+        };
+        self.heap.push(Key { at, seq, slot });
     }
 
     fn apply_uplink_action(&mut self, node: NodeId, action: PipeAction) {
@@ -316,6 +330,8 @@ impl<N: Node> Simulation<N> {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             uplinks: (0..n).map(|_| Pipe::new(config.default_up_bps)).collect(),
             downlinks: (0..n).map(|_| Pipe::new(config.default_down_bps)).collect(),
             latency,
@@ -423,11 +439,15 @@ impl<N: Node> Simulation<N> {
             if head.at > deadline {
                 break;
             }
-            let event = self.core.heap.pop().expect("peeked event");
-            debug_assert!(event.at >= self.core.now, "time went backwards");
-            self.core.now = event.at;
+            let key = self.core.heap.pop().expect("peeked event");
+            debug_assert!(key.at >= self.core.now, "time went backwards");
+            let kind = self.core.slab[key.slot as usize]
+                .take()
+                .expect("a pending event's slot holds its payload");
+            self.core.free.push(key.slot);
+            self.core.now = key.at;
             self.core.events_processed += 1;
-            self.dispatch(event.kind);
+            self.dispatch(kind);
         }
 
         RunStats {
@@ -445,7 +465,7 @@ impl<N: Node> Simulation<N> {
     fn dispatch(&mut self, kind: EventKind<N::Msg>) {
         match kind {
             EventKind::TimerFire { node, timer, tag } => {
-                if self.core.cancelled.remove(&timer) {
+                if !self.core.cancelled.is_empty() && self.core.cancelled.remove(&timer) {
                     self.core.metrics.record_expired();
                     return;
                 }
@@ -564,6 +584,11 @@ impl<N: Node> Simulation<N> {
     /// All nodes.
     pub fn nodes(&self) -> &[N] {
         &self.nodes
+    }
+
+    /// Events processed so far, over every run.
+    pub fn events_processed(&self) -> u64 {
+        self.core.events_processed
     }
 
     /// Traffic statistics.
@@ -948,6 +973,100 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Context<'_, SizedPayload>, _timer: TimerId, tag: u64) {
             self.fired.push((ctx.now(), tag));
         }
+    }
+
+    /// Node 0 pushes timers and self-sends at a few colliding instants
+    /// from every handler, tagging each push with its push index, and
+    /// records `(at, tag)` at each push and each dispatch. Its remote
+    /// sends to node 1 add the engine's own link events to the heap, so
+    /// events are freed and pushed in interleaved order.
+    struct Churner {
+        pushes: Vec<(SimTime, u64)>,
+        dispatched: Vec<(SimTime, u64)>,
+        budget: u64,
+        lcg: u64,
+    }
+
+    impl Churner {
+        fn spawn(&mut self, ctx: &mut Context<'_, SizedPayload>) {
+            for _ in 0..3 {
+                if self.budget == 0 {
+                    return;
+                }
+                self.budget -= 1;
+                self.lcg = self
+                    .lcg
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let tag = self.pushes.len() as u64;
+                match (self.lcg >> 33) % 4 {
+                    0 => {
+                        self.pushes.push((ctx.now(), tag));
+                        ctx.send(ctx.id(), SizedPayload { tag, size: 10 });
+                    }
+                    choice => {
+                        let delay = SimDuration::from_millis(choice - 1);
+                        self.pushes.push((ctx.now() + delay, tag));
+                        ctx.set_timer(delay, tag);
+                    }
+                }
+                if self.lcg >> 62 == 0 {
+                    ctx.send(NodeId(1), SizedPayload { tag, size: 100 });
+                }
+            }
+        }
+    }
+
+    impl Node for Churner {
+        type Msg = SizedPayload;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, SizedPayload>) {
+            if ctx.id().index() == 0 {
+                self.spawn(ctx);
+            }
+        }
+
+        fn on_message(
+            &mut self,
+            ctx: &mut Context<'_, SizedPayload>,
+            from: NodeId,
+            msg: SizedPayload,
+        ) {
+            if from == ctx.id() {
+                self.dispatched.push((ctx.now(), msg.tag));
+                self.spawn(ctx);
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_, SizedPayload>, _timer: TimerId, tag: u64) {
+            self.dispatched.push((ctx.now(), tag));
+            self.spawn(ctx);
+        }
+    }
+
+    #[test]
+    fn dispatch_order_is_time_then_push_order_under_event_reuse() {
+        let churner = |budget| Churner {
+            pushes: Vec::new(),
+            dispatched: Vec::new(),
+            budget,
+            lcg: 42,
+        };
+        let topo = LatencyMatrix::uniform(2, SimDuration::from_micros(500));
+        let mut sim = Simulation::new(topo, vec![churner(2_000), churner(0)], config_1mbps());
+        let stats = sim.run();
+        let node = sim.node(NodeId(0));
+        assert_eq!(node.pushes.len(), 2_000);
+        let mut expected = node.pushes.clone();
+        expected.sort();
+        assert_eq!(node.dispatched, expected);
+        let collisions = expected.windows(2).filter(|w| w[0].0 == w[1].0).count();
+        assert!(collisions > 1_000, "pushes collide: {collisions}");
+        assert!(stats.events > 2_000, "link events interleave");
+        assert!(
+            std::mem::size_of::<Key>() <= 24,
+            "a heap entry carries no payload"
+        );
     }
 
     #[test]

@@ -37,7 +37,10 @@ pub struct KindMetrics {
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
     per_node: Vec<NodeMetrics>,
-    by_kind: BTreeMap<&'static str, KindMetrics>,
+    /// One row per message kind, in first-seen order: a protocol has a
+    /// handful of kinds, so a scan that compares pointers first beats a
+    /// string-keyed map on every message.
+    by_kind: Vec<(&'static str, KindMetrics)>,
     expired_events: u64,
 }
 
@@ -45,16 +48,34 @@ impl Metrics {
     pub(crate) fn new(n: usize) -> Self {
         Metrics {
             per_node: vec![NodeMetrics::default(); n],
-            by_kind: BTreeMap::new(),
+            by_kind: Vec::new(),
             expired_events: 0,
         }
+    }
+
+    /// The row of `kind`, added on first sight. Equal names behind
+    /// distinct pointers share one row.
+    fn kind_mut(&mut self, kind: &'static str) -> &mut KindMetrics {
+        let index = match self
+            .by_kind
+            .iter()
+            .position(|(name, _)| std::ptr::eq(*name, kind))
+            .or_else(|| self.by_kind.iter().position(|(name, _)| *name == kind))
+        {
+            Some(index) => index,
+            None => {
+                self.by_kind.push((kind, KindMetrics::default()));
+                self.by_kind.len() - 1
+            }
+        };
+        &mut self.by_kind[index].1
     }
 
     pub(crate) fn record_tx(&mut self, node: NodeId, kind: &'static str, bytes: u64) {
         let m = &mut self.per_node[node.index()];
         m.tx_bytes += bytes;
         m.tx_msgs += 1;
-        let k = self.by_kind.entry(kind).or_default();
+        let k = self.kind_mut(kind);
         k.bytes += bytes;
         k.count += 1;
     }
@@ -63,7 +84,7 @@ impl Metrics {
         let m = &mut self.per_node[node.index()];
         m.rx_bytes += bytes;
         m.rx_msgs += 1;
-        let k = self.by_kind.entry(kind).or_default();
+        let k = self.kind_mut(kind);
         k.rx_bytes += bytes;
         k.rx_count += 1;
     }
@@ -78,8 +99,16 @@ impl Metrics {
     }
 
     /// Counters per message kind (tx and rx sides), ordered by kind name.
-    pub fn by_kind(&self) -> &BTreeMap<&'static str, KindMetrics> {
-        &self.by_kind
+    pub fn by_kind(&self) -> BTreeMap<&'static str, KindMetrics> {
+        self.by_kind.iter().copied().collect()
+    }
+
+    /// Counters for one message kind; all zero if none was sent.
+    pub fn kind(&self, name: &str) -> KindMetrics {
+        self.by_kind
+            .iter()
+            .find(|(kind, _)| *kind == name)
+            .map_or_else(KindMetrics::default, |&(_, counters)| counters)
     }
 
     /// Events that arrived dead: link-completion events invalidated by a
@@ -124,6 +153,43 @@ mod tests {
         assert_eq!(m.by_kind()["SIG"].rx_count, 0);
         assert_eq!(m.total_tx_bytes(), 160);
         assert_eq!(m.total_tx_msgs(), 3);
+    }
+
+    #[test]
+    fn per_kind_rows_merge_equal_names_and_read_in_name_order() {
+        let leaked: &'static str = Box::leak(String::from("VOTE").into_boxed_str());
+        assert!(!std::ptr::eq(leaked, "VOTE"), "two pointers, one name");
+        let mut m = Metrics::new(3);
+        m.record_tx(NodeId(2), "SIG", 10);
+        m.record_tx(NodeId(0), leaked, 100);
+        m.record_tx(NodeId(1), "VOTE", 50);
+        m.record_rx(NodeId(1), "VOTE", 100);
+        m.record_rx(NodeId(2), leaked, 50);
+        m.record_tx(NodeId(0), "ACK", 1);
+
+        let rows = m.by_kind();
+        let names: Vec<&str> = rows.keys().copied().collect();
+        assert_eq!(names, ["ACK", "SIG", "VOTE"], "name order, not first-seen");
+        let vote = KindMetrics {
+            bytes: 150,
+            count: 2,
+            rx_bytes: 150,
+            rx_count: 2,
+        };
+        assert_eq!(rows["VOTE"], vote, "equal names share one row");
+        for (name, counters) in &rows {
+            assert_eq!(m.kind(name), *counters);
+        }
+        assert_eq!(m.kind("VOTE"), m.kind(leaked));
+        assert_eq!(m.kind("NONE"), KindMetrics::default());
+        assert_eq!(
+            rows.values().map(|k| k.bytes).sum::<u64>(),
+            m.total_tx_bytes()
+        );
+        assert_eq!(
+            rows.values().map(|k| k.count).sum::<u64>(),
+            m.total_tx_msgs()
+        );
     }
 
     #[test]
