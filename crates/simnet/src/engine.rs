@@ -1,21 +1,23 @@
 //! The discrete-event simulation engine.
 //!
 //! A [`Simulation`] owns a set of nodes (protocol state machines), their
-//! link pipes, and a single time-ordered event heap. Execution is strictly
-//! deterministic: ties in event time are broken by insertion sequence, and
-//! all randomness flows from the seeded RNG in [`SimConfig`]. The heap
-//! holds only `(time, sequence, slot)` keys; each pending event's payload
-//! waits in a slab slot that is reused once the event is dispatched.
+//! link pipes, and one queue of pending events. Execution is strictly
+//! deterministic: events run in time order, ties broken by insertion
+//! sequence, and all randomness flows from the seeded RNG in
+//! [`SimConfig`]. Since simulated time never goes backwards, the queue is
+//! a monotone radix queue of `(time, slot)` entries that keeps the events
+//! of one instant in insertion order; each pending event's payload waits
+//! in a slab slot that is reused once the event is dispatched.
 
 use crate::link::{Pipe, PipeAction, Transfer};
 use crate::message::{NodeId, Payload};
 use crate::metrics::Metrics;
+use crate::queue::{Entry, RadixQueue};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::LatencyMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::HashSet;
 
 /// Identifies a pending timer so it can be cancelled.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -101,34 +103,14 @@ enum EventKind<M> {
     },
 }
 
-/// A heap entry: the event's dispatch key and the slab slot holding its
-/// payload. Sifts move these 24 bytes, never the payload.
-#[derive(PartialEq, Eq)]
-struct Key {
-    at: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap and we want the earliest
-        // event. `seq` is unique, so `slot` never decides.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
 /// Engine internals shared with nodes through [`Context`].
 pub struct EngineCore<M> {
+    /// The time of the event being (or last) dispatched.
     now: SimTime,
-    seq: u64,
-    heap: BinaryHeap<Key>,
-    /// Pending events' payloads, indexed by [`Key::slot`]; `free` lists
+    /// Pending events' `(time, slot)` entries, popped in time order and,
+    /// within one time, in insertion order.
+    queue: RadixQueue,
+    /// Pending events' payloads, indexed by an entry's slot; `free` lists
     /// the empty slots.
     slab: Vec<Option<EventKind<M>>>,
     free: Vec<u32>,
@@ -146,9 +128,10 @@ pub struct EngineCore<M> {
 }
 
 impl<M: Payload> EngineCore<M> {
+    /// Queues an event at `at`, which must not precede `now`: every
+    /// schedule, timer and send comes through here.
     fn push(&mut self, at: SimTime, kind: EventKind<M>) {
-        let seq = self.seq;
-        self.seq += 1;
+        debug_assert!(at >= self.now, "event scheduled in the past");
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = Some(kind);
@@ -159,7 +142,7 @@ impl<M: Payload> EngineCore<M> {
                 u32::try_from(self.slab.len() - 1).expect("pending events fit a u32 slot")
             }
         };
-        self.heap.push(Key { at, seq, slot });
+        self.queue.push(Entry { at, slot });
     }
 
     fn apply_uplink_action(&mut self, node: NodeId, action: PipeAction) {
@@ -273,7 +256,8 @@ impl<'a, M: Payload> Context<'a, M> {
 /// Summary of a simulation run.
 #[derive(Clone, Copy, Debug)]
 pub struct RunStats {
-    /// Number of events processed.
+    /// Events processed since the simulation was built, over every run
+    /// (as [`Simulation::events_processed`]), not only this call's.
     pub events: u64,
     /// Simulated time when the run stopped.
     pub end_time: SimTime,
@@ -328,8 +312,7 @@ impl<N: Node> Simulation<N> {
         let n = nodes.len();
         let core = EngineCore {
             now: SimTime::ZERO,
-            seq: 0,
-            heap: BinaryHeap::new(),
+            queue: RadixQueue::new(),
             slab: Vec::new(),
             free: Vec::new(),
             uplinks: (0..n).map(|_| Pipe::new(config.default_up_bps)).collect(),
@@ -355,6 +338,8 @@ impl<N: Node> Simulation<N> {
     ///
     /// `None` leaves that direction unchanged. This is the attack injection
     /// point: a DDoS window is two scheduled changes (down then back up).
+    /// `at` must not precede the current simulated time (checked in debug
+    /// builds).
     pub fn schedule_bandwidth_change(
         &mut self,
         at: SimTime,
@@ -380,9 +365,8 @@ impl<N: Node> Simulation<N> {
     /// session) learns about new work between [`Simulation::run_until`]
     /// calls and needs to wake the affected nodes at the right simulated
     /// moment without rebuilding the engine. `at` must not precede the
-    /// current simulated time.
+    /// current simulated time (checked in debug builds).
     pub fn schedule_timer(&mut self, at: SimTime, node: NodeId, tag: u64) -> TimerId {
-        debug_assert!(at >= self.core.now, "timer scheduled in the past");
         let timer = TimerId(self.core.timer_seq);
         self.core.timer_seq += 1;
         self.core
@@ -399,7 +383,8 @@ impl<N: Node> Simulation<N> {
     /// keeps only `rate − load` for simulated messages. It composes with
     /// [`Simulation::schedule_bandwidth_change`], so a DDoS window and
     /// fleet load stack on the same link. `None` leaves that direction
-    /// unchanged.
+    /// unchanged. `at` must not precede the current simulated time
+    /// (checked in debug builds).
     pub fn schedule_background_load(
         &mut self,
         at: SimTime,
@@ -433,19 +418,14 @@ impl<N: Node> Simulation<N> {
         }
 
         while !self.core.stopped {
-            let Some(head) = self.core.heap.peek() else {
+            let Some(entry) = self.core.queue.pop(deadline) else {
                 break;
             };
-            if head.at > deadline {
-                break;
-            }
-            let key = self.core.heap.pop().expect("peeked event");
-            debug_assert!(key.at >= self.core.now, "time went backwards");
-            let kind = self.core.slab[key.slot as usize]
+            let kind = self.core.slab[entry.slot as usize]
                 .take()
                 .expect("a pending event's slot holds its payload");
-            self.core.free.push(key.slot);
-            self.core.now = key.at;
+            self.core.free.push(entry.slot);
+            self.core.now = entry.at;
             self.core.events_processed += 1;
             self.dispatch(kind);
         }
@@ -935,6 +915,21 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "event scheduled in the past")]
+    fn a_past_dated_bandwidth_change_panics_where_it_is_scheduled() {
+        let topo = LatencyMatrix::uniform(1, SimDuration::ZERO);
+        let node = TimerNode {
+            fired: vec![],
+            cancel_second: false,
+        };
+        let mut sim = Simulation::new(topo, vec![node], SimConfig::default());
+        sim.run_until(SimTime::from_secs(2));
+        assert_eq!(sim.now(), SimTime::from_secs(2));
+        sim.schedule_bandwidth_change(SimTime::from_secs(1), NodeId(0), Some(1e6), None);
+    }
+
+    #[test]
     fn run_until_respects_deadline() {
         let topo = LatencyMatrix::uniform(2, SimDuration::from_secs(5));
         let nodes = vec![
@@ -975,21 +970,26 @@ mod tests {
         }
     }
 
-    /// Node 0 pushes timers and self-sends at a few colliding instants
-    /// from every handler, tagging each push with its push index, and
-    /// records `(at, tag)` at each push and each dispatch. Its remote
-    /// sends to node 1 add the engine's own link events to the heap, so
-    /// events are freed and pushed in interleaved order.
+    /// Node 0 pushes `start_pushes` self-sends and timers (each `delays`
+    /// entry, in µs) at start and `fanout` more from every handler,
+    /// tagging each push with its push index, and records `(at, tag)` at
+    /// each push and each dispatch. Its remote sends to node 1 add the
+    /// engine's own link events to the queue, so events are freed and
+    /// pushed in interleaved order.
+    #[derive(Clone)]
     struct Churner {
         pushes: Vec<(SimTime, u64)>,
         dispatched: Vec<(SimTime, u64)>,
+        delays: &'static [u64],
+        start_pushes: usize,
+        fanout: usize,
         budget: u64,
         lcg: u64,
     }
 
     impl Churner {
-        fn spawn(&mut self, ctx: &mut Context<'_, SizedPayload>) {
-            for _ in 0..3 {
+        fn spawn(&mut self, ctx: &mut Context<'_, SizedPayload>, pushes: usize) {
+            for _ in 0..pushes {
                 if self.budget == 0 {
                     return;
                 }
@@ -999,13 +999,13 @@ mod tests {
                     .wrapping_mul(6_364_136_223_846_793_005)
                     .wrapping_add(1_442_695_040_888_963_407);
                 let tag = self.pushes.len() as u64;
-                match (self.lcg >> 33) % 4 {
+                match (self.lcg >> 33) % (self.delays.len() as u64 + 1) {
                     0 => {
                         self.pushes.push((ctx.now(), tag));
                         ctx.send(ctx.id(), SizedPayload { tag, size: 10 });
                     }
                     choice => {
-                        let delay = SimDuration::from_millis(choice - 1);
+                        let delay = SimDuration::from_micros(self.delays[choice as usize - 1]);
                         self.pushes.push((ctx.now() + delay, tag));
                         ctx.set_timer(delay, tag);
                     }
@@ -1022,7 +1022,7 @@ mod tests {
 
         fn on_start(&mut self, ctx: &mut Context<'_, SizedPayload>) {
             if ctx.id().index() == 0 {
-                self.spawn(ctx);
+                self.spawn(ctx, self.start_pushes);
             }
         }
 
@@ -1034,38 +1034,110 @@ mod tests {
         ) {
             if from == ctx.id() {
                 self.dispatched.push((ctx.now(), msg.tag));
-                self.spawn(ctx);
+                self.spawn(ctx, self.fanout);
             }
         }
 
         fn on_timer(&mut self, ctx: &mut Context<'_, SizedPayload>, _timer: TimerId, tag: u64) {
             self.dispatched.push((ctx.now(), tag));
-            self.spawn(ctx);
+            self.spawn(ctx, self.fanout);
         }
+    }
+
+    /// Runs a two-node churner whose node 0 makes 2 000 pushes as
+    /// `churner` sets them up, then returns node 0, the final stats and
+    /// the number of `run_until` slices. Unless `sliced`, one `run` does it
+    /// all. Sliced, the run starts at a deadline of zero and each later
+    /// deadline falls on a pending push's time, one µs before one, or
+    /// between pushes, before a last `run` drains the queue.
+    fn run_churner(churner: Churner, sliced: bool) -> (Churner, RunStats, u64) {
+        let idle = Churner {
+            budget: 0,
+            ..churner.clone()
+        };
+        let topo = LatencyMatrix::uniform(2, SimDuration::from_micros(500));
+        let mut sim = Simulation::new(topo, vec![churner, idle], config_1mbps());
+        let mut slices = 0u64;
+        let mut deadline = Some(SimTime::ZERO).filter(|_| sliced);
+        while let Some(until) = deadline {
+            let stats = sim.run_until(until);
+            slices += 1;
+            assert!(stats.end_time <= until);
+            // The deadline is inclusive: every push due by it has run,
+            // and none after it.
+            let node = sim.node(NodeId(0));
+            let mut pending: Vec<SimTime> = node
+                .pushes
+                .iter()
+                .map(|&(at, _)| at)
+                .filter(|&at| at > until)
+                .collect();
+            pending.sort();
+            assert_eq!(
+                node.dispatched.len() + pending.len(),
+                node.pushes.len(),
+                "slice {slices} ends at {until:?}"
+            );
+            deadline = (!pending.is_empty()).then(|| {
+                let at = pending[(slices as usize % 4).min(pending.len() - 1)];
+                match slices % 3 {
+                    0 => at,
+                    1 => SimTime::from_micros(at.as_micros() - 1),
+                    _ => at + SimDuration::from_micros(slices % 5 * 100),
+                }
+            });
+        }
+        let stats = sim.run();
+        let node = sim.nodes.into_iter().next().expect("node 0");
+        (node, stats, slices)
     }
 
     #[test]
     fn dispatch_order_is_time_then_push_order_under_event_reuse() {
-        let churner = |budget| Churner {
+        let churner = |delays, start_pushes, fanout| Churner {
             pushes: Vec::new(),
             dispatched: Vec::new(),
-            budget,
+            delays,
+            start_pushes,
+            fanout,
+            budget: 2_000,
             lcg: 42,
         };
-        let topo = LatencyMatrix::uniform(2, SimDuration::from_micros(500));
-        let mut sim = Simulation::new(topo, vec![churner(2_000), churner(0)], config_1mbps());
-        let stats = sim.run();
-        let node = sim.node(NodeId(0));
-        assert_eq!(node.pushes.len(), 2_000);
-        let mut expected = node.pushes.clone();
-        expected.sort();
-        assert_eq!(node.dispatched, expected);
-        let collisions = expected.windows(2).filter(|w| w[0].0 == w[1].0).count();
-        assert!(collisions > 1_000, "pushes collide: {collisions}");
-        assert!(stats.events > 2_000, "link events interleave");
+        let inputs = [
+            // Millisecond delays in one run: the pushes pile up on a few
+            // instants.
+            (churner(&[0, 1_000, 2_000], 3, 3), false, 1_000),
+            // Delays from 1 µs to past two hours, 40 chains of one push
+            // per dispatch, in slices.
+            (
+                churner(
+                    &[0, 1, 3, 700, 65_536, 2_500_000, 900_000_000, 7_200_000_001],
+                    40,
+                    1,
+                ),
+                true,
+                300,
+            ),
+        ];
+        for (churner, sliced, min_collisions) in inputs {
+            let delays = churner.delays;
+            let (node, stats, slices) = run_churner(churner, sliced);
+            assert_eq!(node.pushes.len(), 2_000);
+            let mut expected = node.pushes.clone();
+            expected.sort();
+            assert_eq!(node.dispatched, expected, "delays {delays:?}");
+            let collisions = expected.windows(2).filter(|w| w[0].0 == w[1].0).count();
+            assert!(collisions > min_collisions, "pushes collide: {collisions}");
+            assert!(stats.events > 2_000, "link events interleave");
+            if sliced {
+                let span = expected.last().expect("pushes").0.as_micros();
+                assert!(span > 7_200_000_000, "events span hours: {span} µs");
+                assert!(slices > 100, "the run is cut into slices: {slices}");
+            }
+        }
         assert!(
-            std::mem::size_of::<Key>() <= 24,
-            "a heap entry carries no payload"
+            std::mem::size_of::<Entry>() <= 16,
+            "a queue entry carries no payload"
         );
     }
 

@@ -58,6 +58,7 @@ pub mod geo;
 pub mod link;
 pub mod message;
 pub mod metrics;
+mod queue;
 pub mod relay_population;
 pub mod time;
 pub mod topology;
