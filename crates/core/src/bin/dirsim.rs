@@ -1,45 +1,17 @@
 //! `dirsim` — command-line front end for the directory-protocol simulator.
 //!
-//! ```text
-//! dirsim run       [--protocol current|synchronous|icps] [--relays N]
-//!                  [--bandwidth MBPS] [--seed N] [--real-docs]
-//! dirsim attack    [--protocol ...] [--targets K] [--duration SECS]
-//!                  [--flood MBPS] [--relays N] [--seed N]
-//! dirsim sweep     [--protocol ...] [--relays N] [--seed N]
-//! dirsim clients   [--clients N] [--hours H | --days N] [--caches K] [--relays N]
-//!                  [--seed N] [--feedback] [--churn C|weekly] [--real-docs]
-//!                  [--attribution] [--json]
-//! dirsim attribute [--clients N] [--hours H] [--caches K] [--relays N]
-//!                  [--seed N] [--feedback] [--json]
-//! dirsim adversary [--budget USD] [--hours H] [--beam K] [--clients N]
-//!                  [--caches K] [--relays N] [--seed N] [--defender H] [--json]
-//! dirsim frontier  [--defense-budget-grid USD,..] [--attack-budget USD]
-//!                  [--target FRAC] [--hours H] [--beam K] [--clients N]
-//!                  [--caches K] [--relays N] [--seed N] [--attribution] [--json]
-//! dirsim placement [--clients N] [--hours H] [--caches K] [--relays N]
-//!                  [--seed N] [--greedy N] [--brownout REGION] [--json]
-//! dirsim cost      [--targets K] [--flood MBPS] [--minutes M]
-//! dirsim monitor   [--relays N] [--seed N]
-//! dirsim fig       <name> [--step N] [--hours H]
-//! ```
-//!
-//! Every subcommand accepts `--json` (machine-readable output on
-//! stdout) and the global telemetry flags: `--trace FILE` writes the
-//! structured event trace as JSONL (each line carrying the event's span
-//! id and causal parent), `--trace-chrome FILE` writes the same records
-//! as Chrome trace-event JSON (load in `chrome://tracing` or Perfetto —
-//! causal chains render as flow arrows), `--metrics FILE` writes the
-//! subcommand's metrics tree as JSON, `--profile` prints a per-phase
-//! wall-clock profile to stderr at exit. Telemetry is observational —
-//! enabling any of it leaves the simulation output bit-identical.
-//!
-//! Every subcommand also accepts `--threads N` (pins the sweep worker
-//! count; all cores by default) and `--help`/`-h`.
-//! Unknown flags and malformed values are rejected with an error and
-//! the subcommand's usage — never silently defaulted. When stdout
-//! closes early (`dirsim … | head`) the process ends quietly.
+//! `dirsim --help` lists the subcommands and the flags all of them take:
+//! `--threads N` (the sweep worker count) and the telemetry exports
+//! `--trace`, `--trace-chrome`, `--metrics` and `--profile`, which are
+//! observational (enabling any of them leaves the output bit-identical).
+//! `dirsim <subcommand> --help` lists a subcommand's own flags with their
+//! bounds. Both are rendered from the one flag table in this file, which
+//! also checks every value before a subcommand runs: unknown flags and
+//! malformed or out-of-range values exit 2 with an error and the usage,
+//! never silently defaulted or clamped. Every subcommand except `fig`
+//! accepts `--json`. When stdout closes early (`dirsim … | head`) the
+//! process ends quietly.
 
-use partialtor::adversary::{AttackPlan, AttackWindow, Target};
 use partialtor::calibration::{ATTACK_FLOOD_MBPS, N_AUTHORITIES};
 use partialtor::experiments::{
     ablations, adversary, attribute, availability, clients, cost, diff_savings, fig10_latency,
@@ -49,11 +21,10 @@ use partialtor::experiments::{
 use partialtor::json::Json;
 use partialtor::monitor;
 use partialtor::protocols::ProtocolKind;
-use partialtor::runner::{run, set_sweep_threads, sweep, RunReport, Scenario, SweepJob};
+use partialtor::runner::{set_sweep_threads, sweep, RunReport, Scenario, SweepJob};
 use partialtor::trace_export::{chrome_trace, trace_line};
 use partialtor_obs::trace::DEFAULT_TRACE_CAPACITY;
 use partialtor_obs::{profile_report, set_profiling, Tracer};
-use partialtor_simnet::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Writes to stdout. When the reader has gone away (`dirsim … | head`)
@@ -80,54 +51,127 @@ macro_rules! outln {
     ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
 }
 
+/// What a flag's value may be. [`parse_args`] checks every value
+/// against its flag's kind before any handler runs, and `--help` prints
+/// the bounds from here.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// No value: the flag is present or absent.
+    Bool,
+    /// An integer in `min..=max`.
+    U64 { min: u64, max: u64 },
+    /// A finite number in `[min, max]`; with `list`, a comma-separated
+    /// list of them.
+    F64 { min: f64, max: f64, list: bool },
+    /// One of these words.
+    Enum(&'static [&'static str]),
+    /// Free text: a file path, or a value its handler parses (`--churn`).
+    Text,
+}
+
+/// One checked flag value.
+enum Value {
+    Present,
+    U64(u64),
+    F64(Vec<f64>),
+    Text(String),
+}
+
+impl Kind {
+    /// The bounds `--help` prints, if the kind has any.
+    fn bounds(self) -> Option<String> {
+        match self {
+            Kind::Bool | Kind::Text => None,
+            Kind::U64 { min, max: u64::MAX } => Some(format!("[≥ {min}]")),
+            Kind::U64 { min, max } => Some(format!("[{min}, {max}]")),
+            Kind::F64 { min, max, .. } => Some(format!("[{min}, {max}]")),
+            Kind::Enum(words) => Some(format!("[{}]", words.join(" | "))),
+        }
+    }
+
+    /// Checks one raw value of flag `name` against this kind.
+    fn parse(self, name: &str, raw: &str) -> Result<Value, String> {
+        let bounds = self.bounds().unwrap_or_default();
+        match self {
+            Kind::Bool => Ok(Value::Present),
+            Kind::U64 { min, max } => match raw.parse() {
+                Ok(value) if (min..=max).contains(&value) => Ok(Value::U64(value)),
+                _ => Err(format!(
+                    "{name} expects an integer in {bounds}, got {raw:?}"
+                )),
+            },
+            // The closed range holds no NaN or infinity: nothing
+            // downstream meets a non-finite quantity.
+            Kind::F64 { min, max, list } => raw
+                .split(',')
+                .map(|part| part.trim().parse().ok().filter(|v| (min..=max).contains(v)))
+                .collect::<Option<Vec<f64>>>()
+                .filter(|values| list || values.len() == 1)
+                .map(Value::F64)
+                .ok_or_else(|| {
+                    let numbers = if list { "numbers" } else { "a number" };
+                    format!("{name} expects {numbers} in {bounds}, got {raw:?}")
+                }),
+            Kind::Enum(words) if words.contains(&raw) => Ok(Value::Text(raw.to_string())),
+            Kind::Enum(_) => Err(format!("{name} expects one of {bounds}, got {raw:?}")),
+            Kind::Text => Ok(Value::Text(raw.to_string())),
+        }
+    }
+}
+
 /// One flag a subcommand accepts.
 struct FlagSpec {
     /// Flag name, including the leading dashes.
     name: &'static str,
-    /// Metavariable shown in usage; `None` marks a boolean flag.
-    metavar: Option<&'static str>,
+    /// Metavariable shown in usage ("" for a boolean flag).
+    metavar: &'static str,
+    kind: Kind,
     /// One-line description for `--help`.
     help: &'static str,
 }
 
-const fn value_flag(name: &'static str, metavar: &'static str, help: &'static str) -> FlagSpec {
+/// A `'static` string: every name, metavariable and help text.
+type Str = &'static str;
+
+const fn flag(name: Str, metavar: Str, kind: Kind, help: Str) -> FlagSpec {
     FlagSpec {
         name,
-        metavar: Some(metavar),
+        metavar,
+        kind,
         help,
     }
 }
 
-const fn bool_flag(name: &'static str, help: &'static str) -> FlagSpec {
-    FlagSpec {
-        name,
-        metavar: None,
-        help,
-    }
+const fn int_flag(name: Str, metavar: Str, min: u64, max: u64, help: Str) -> FlagSpec {
+    flag(name, metavar, Kind::U64 { min, max }, help)
+}
+
+const fn num_flag(name: Str, metavar: Str, min: f64, max: f64, help: Str) -> FlagSpec {
+    let list = false;
+    flag(name, metavar, Kind::F64 { min, max, list }, help)
+}
+
+const fn nums_flag(name: Str, metavar: Str, min: f64, max: f64, help: Str) -> FlagSpec {
+    let list = true;
+    flag(name, metavar, Kind::F64 { min, max, list }, help)
+}
+
+const fn text_flag(name: Str, metavar: Str, help: Str) -> FlagSpec {
+    flag(name, metavar, Kind::Text, help)
+}
+
+const fn bool_flag(name: Str, help: Str) -> FlagSpec {
+    flag(name, "", Kind::Bool, help)
 }
 
 /// Flags every subcommand accepts.
+#[rustfmt::skip]
 const GLOBAL_FLAGS: &[FlagSpec] = &[
-    value_flag(
-        "--threads",
-        "N",
-        "sweep worker count (default: all cores; 1 = serial)",
-    ),
-    value_flag(
-        "--trace",
-        "FILE",
-        "write the structured event trace (JSONL, with span/cause ids)",
-    ),
-    value_flag(
-        "--trace-chrome",
-        "FILE",
-        "write the trace as Chrome trace-event JSON (chrome://tracing, Perfetto)",
-    ),
-    value_flag("--metrics", "FILE", "write the subcommand's metrics (JSON)"),
-    bool_flag(
-        "--profile",
-        "print a per-phase wall-clock profile to stderr",
-    ),
+    int_flag("--threads", "N", 1, u64::MAX, "sweep worker count (default: all cores; 1 = serial)"),
+    text_flag("--trace", "FILE", "write the structured event trace (JSONL, with span/cause ids)"),
+    text_flag("--trace-chrome", "FILE", "write the trace as Chrome trace-event JSON (Perfetto)"),
+    text_flag("--metrics", "FILE", "write the subcommand's metrics (JSON)"),
+    bool_flag("--profile", "print a per-phase wall-clock profile to stderr"),
 ];
 
 /// Spec name of a subcommand's one positional argument (`dirsim fig
@@ -142,10 +186,31 @@ const MAX_RELAYS: u64 = 1_000_000;
 /// below where the fleet's client and byte sums wrap.
 const MAX_CLIENTS: u64 = 1_000_000_000;
 
-/// Parsed arguments of one subcommand: flag name → raw value ("" for
-/// boolean flags).
+/// Largest `--hours`: one leap year, twelve times the month the paper
+/// prices. Experiments plan every hour's attack windows and protocol
+/// runs up front, and 2⁶⁴ − 1 hours aborted out of memory.
+const MAX_HOURS: u64 = 366 * 24;
+
+/// Largest `--caches`: the cache tier's topology is a dense matrix of
+/// (caches + 9)² latencies. 10 000 caches run a one-hour, 10 000-client
+/// `clients` session in seconds; 100 000 would ask for 80 GB.
+const MAX_CACHES: u64 = 10_000;
+
+/// Largest link or flood rate, Mbit/s: a terabit per second, four
+/// thousand times the §4.3 flood and the 250 Mbit/s authority link.
+const MAX_MBPS: f64 = 1e6;
+
+/// Smallest `--bandwidth`, Mbit/s: 1 kbit/s, five hundred times below
+/// the slowest link the paper measures (0.5 Mbit/s).
+const MIN_MBPS: f64 = 1e-3;
+
+/// Largest budget, $/month: seven orders of magnitude above the paper's
+/// $53.28, so every price still prints as a plain number.
+const MAX_USD_MONTH: f64 = 1e9;
+
+/// Parsed arguments of one subcommand: flag name → checked value.
 struct Args {
-    values: BTreeMap<&'static str, String>,
+    values: BTreeMap<&'static str, Value>,
 }
 
 fn usage_for(sub: &'static str, about: &str, spec: &[FlagSpec]) -> String {
@@ -154,21 +219,32 @@ fn usage_for(sub: &'static str, about: &str, spec: &[FlagSpec]) -> String {
     } else {
         ""
     };
-    let mut out = format!("usage: dirsim {sub}{positional} [options]\n  {about}\n  options:\n");
-    for flag in spec.iter().chain(GLOBAL_FLAGS) {
-        let left = match flag.metavar {
-            Some(metavar) => format!("{} {}", flag.name, metavar),
-            None => flag.name.to_string(),
-        };
-        out.push_str(&format!("    {left:<18} {}\n", flag.help));
+    let flags = flag_help(spec.iter().chain(GLOBAL_FLAGS));
+    format!("usage: dirsim {sub}{positional} [options]\n  {about}\n  options:\n{flags}")
+}
+
+/// One `--help` line per flag, with the bounds its kind declares, then
+/// the line of `--help` itself.
+fn flag_help<'a>(flags: impl Iterator<Item = &'a FlagSpec>) -> String {
+    let mut out = String::new();
+    for flag in flags {
+        let left = format!("{} {}", flag.name, flag.metavar);
+        let bounds = flag
+            .kind
+            .bounds()
+            .map_or(String::new(), |b| format!(" {b}"));
+        out.push_str(&format!(
+            "    {:<18} {}{bounds}\n",
+            left.trim_end(),
+            flag.help
+        ));
     }
-    out.push_str("    -h, --help         show this help");
-    out
+    out + "    -h, --help         show this help"
 }
 
 /// Strictly parses `raw` against `spec`: every token must be a known
-/// flag (with its value, if it takes one). `-h`/`--help` prints the
-/// usage and exits.
+/// flag, with a value of the flag's kind if it takes one. `-h`/`--help`
+/// prints the usage and exits.
 fn parse_args(
     sub: &'static str,
     about: &str,
@@ -190,15 +266,15 @@ fn parse_args(
         else {
             return Err(format!("unknown argument {token:?}"));
         };
-        let value = match flag.metavar {
-            None if flag.name == POSITIONAL => token.clone(),
-            None => String::new(),
-            Some(metavar) => match tokens.next() {
-                Some(v) if !v.starts_with("--") => v.clone(),
-                _ => return Err(format!("{} expects a value <{metavar}>", flag.name)),
+        let raw_value = match flag.kind {
+            Kind::Bool => "",
+            _ if flag.name == POSITIONAL => token,
+            _ => match tokens.next() {
+                Some(v) if !v.starts_with("--") => v,
+                _ => return Err(format!("{} expects a value <{}>", flag.name, flag.metavar)),
             },
         };
-        values.insert(flag.name, value);
+        values.insert(flag.name, flag.kind.parse(flag.name, raw_value)?);
     }
     Ok(Args { values })
 }
@@ -208,81 +284,36 @@ impl Args {
         self.values.contains_key(name)
     }
 
-    fn u64(&self, name: &str, default: u64) -> Result<u64, String> {
+    /// An integer flag's value, or `default` when it is absent.
+    fn u64(&self, name: &str, default: u64) -> u64 {
         match self.values.get(name) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("{name} expects an integer, got {raw:?}")),
+            None => default,
+            Some(Value::U64(value)) => *value,
+            Some(_) => unreachable!("{name} is not an integer flag"),
         }
     }
 
-    /// A count that must be at least one (a step, a beam width).
-    fn positive(&self, name: &str, default: u64) -> Result<u64, String> {
-        match self.u64(name, default)? {
-            0 => Err(format!("{name} must be positive")),
-            value => Ok(value),
+    /// A number list flag's values.
+    fn f64s(&self, name: &str) -> Option<&[f64]> {
+        match self.values.get(name) {
+            None => None,
+            Some(Value::F64(values)) => Some(values),
+            Some(_) => unreachable!("{name} is not a number flag"),
         }
     }
 
-    /// A count that must not exceed `max`.
-    fn at_most(&self, name: &str, default: u64, max: u64) -> Result<u64, String> {
-        match self.u64(name, default)? {
-            value if value > max => Err(format!("{name} must be at most {max}")),
-            value => Ok(value),
+    /// A number flag's value, or `default` when it is absent.
+    fn f64(&self, name: &str, default: f64) -> f64 {
+        self.f64s(name).map_or(default, |values| values[0])
+    }
+
+    /// A word or text flag's value.
+    fn text(&self, name: &str) -> Option<&str> {
+        match self.values.get(name) {
+            None => None,
+            Some(Value::Text(value)) => Some(value),
+            Some(_) => unreachable!("{name} is not a text flag"),
         }
-    }
-
-    /// `--targets`: authorities a campaign floods, at most the
-    /// [`N_AUTHORITIES`] that exist.
-    fn targets(&self) -> Result<usize, String> {
-        Ok(self.at_most("--targets", 5, N_AUTHORITIES as u64)? as usize)
-    }
-
-    /// `--relays`: the relay population, at most [`MAX_RELAYS`].
-    fn relays(&self, default: u64) -> Result<u64, String> {
-        self.at_most("--relays", default, MAX_RELAYS)
-    }
-
-    /// `--clients`: the client fleet size, at most [`MAX_CLIENTS`].
-    fn clients(&self, default: u64) -> Result<u64, String> {
-        self.at_most("--clients", default, MAX_CLIENTS)
-    }
-
-    /// A rate, duration, budget or fraction ([`parse_f64`]).
-    fn f64(&self, name: &str, default: f64) -> Result<f64, String> {
-        self.values
-            .get(name)
-            .map_or(Ok(default), |raw| parse_f64(name, raw))
-    }
-
-    fn protocol(&self) -> Result<ProtocolKind, String> {
-        match self.values.get("--protocol").map(String::as_str) {
-            None | Some("icps") | Some("ours") => Ok(ProtocolKind::Icps),
-            Some("current") => Ok(ProtocolKind::Current),
-            Some("synchronous") | Some("sync") => Ok(ProtocolKind::Synchronous),
-            Some(other) => Err(format!(
-                "--protocol expects current|synchronous|icps, got {other:?}"
-            )),
-        }
-    }
-
-    fn apply_threads(&self) -> Result<(), String> {
-        if self.present("--threads") {
-            set_sweep_threads(Some(self.positive("--threads", 1)? as usize));
-        }
-        Ok(())
-    }
-}
-
-/// Parses one value of flag `name`: finite and non-negative, as every
-/// quantity the flags carry is, so nothing downstream meets a NaN.
-fn parse_f64(name: &str, raw: &str) -> Result<f64, String> {
-    match raw.trim().parse::<f64>() {
-        Ok(value) if value.is_finite() && value >= 0.0 => Ok(value),
-        _ => Err(format!(
-            "{name} expects a finite, non-negative number, got {raw:?}"
-        )),
     }
 }
 
@@ -299,9 +330,7 @@ impl Telemetry {
     /// Builds the context from the parsed flags: a live tracer when
     /// `--trace` names a file, profiling on when `--profile` is set.
     fn from_args(args: &Args) -> Telemetry {
-        if args.present("--profile") {
-            set_profiling(true);
-        }
+        set_profiling(args.present("--profile"));
         Telemetry {
             tracer: if args.present("--trace") || args.present("--trace-chrome") {
                 Tracer::enabled(DEFAULT_TRACE_CAPACITY)
@@ -322,20 +351,19 @@ impl Telemetry {
                 eprintln!("dirsim: trace ring dropped {dropped} oldest events");
             }
             let records = self.tracer.drain_records();
-            if let Some(path) = args.values.get("--trace") {
-                let mut out = String::new();
-                for record in &records {
-                    out.push_str(&trace_line(record).render());
-                    out.push('\n');
-                }
+            if let Some(path) = args.text("--trace") {
+                let out: String = records
+                    .iter()
+                    .map(|r| trace_line(r).render() + "\n")
+                    .collect();
                 std::fs::write(path, out).map_err(|e| format!("writing trace {path:?}: {e}"))?;
             }
-            if let Some(path) = args.values.get("--trace-chrome") {
+            if let Some(path) = args.text("--trace-chrome") {
                 std::fs::write(path, format!("{}\n", chrome_trace(&records).render()))
                     .map_err(|e| format!("writing chrome trace {path:?}: {e}"))?;
             }
         }
-        if let Some(path) = args.values.get("--metrics") {
+        if let Some(path) = args.text("--metrics") {
             std::fs::write(path, format!("{}\n", self.metrics.render()))
                 .map_err(|e| format!("writing metrics {path:?}: {e}"))?;
         }
@@ -349,8 +377,8 @@ impl Telemetry {
     }
 }
 
-/// One protocol run as JSON (`dirsim run --json`, and the `report` node
-/// of `dirsim attack --json`).
+/// One protocol run as JSON (the `report` node of a `dirsim run --json`
+/// row).
 fn run_report_json(report: &RunReport) -> Json {
     Json::obj([
         ("protocol", Json::str(report.protocol.to_string())),
@@ -384,15 +412,23 @@ fn run_report_json(report: &RunReport) -> Json {
                     ("success", Json::from(authority.success)),
                     (
                         "digest",
-                        match authority.digest {
-                            Some(digest) => Json::str(digest.short_hex(8)),
-                            None => Json::Null,
-                        },
+                        authority
+                            .digest
+                            .map_or(Json::Null, |d| Json::str(d.short_hex(8))),
                     ),
                 ])
             })),
         ),
     ])
+}
+
+/// Prints `json` under `--json`, else the text report.
+fn print(args: &Args, json: &Json, text: impl FnOnce() -> String) {
+    if args.present("--json") {
+        outln!("{}", json.render());
+    } else {
+        out!("{}", text());
+    }
 }
 
 /// Health alerts as JSON rows (severity, stable kind, rendered message).
@@ -406,297 +442,204 @@ fn alerts_json(alerts: &[monitor::HealthAlert]) -> Json {
     }))
 }
 
-const PROTOCOL_FLAG: FlagSpec = value_flag("--protocol", "P", "current | synchronous | icps");
-const RELAYS_FLAG: FlagSpec = value_flag("--relays", "N", "relay population size");
-const SEED_FLAG: FlagSpec = value_flag("--seed", "N", "simulation seed");
+const RELAYS_FLAG: FlagSpec = int_flag("--relays", "N", 0, MAX_RELAYS, "relay population size");
+const SEED_FLAG: FlagSpec = int_flag("--seed", "N", 0, u64::MAX, "simulation seed");
 const JSON_FLAG: FlagSpec = bool_flag("--json", "emit machine-readable JSON instead of tables");
+const FLOOD_FLAG: FlagSpec = num_flag(
+    "--flood",
+    "MBPS",
+    0.0,
+    MAX_MBPS,
+    "flood rate per victim (default 240, the §4.3 rate)",
+);
+const FEEDBACK_FLAG: FlagSpec = bool_flag(
+    "--feedback",
+    "close the fetch-feedback loop (hour h's client load hits hour h+1's links)",
+);
+const ATTRIBUTION_FLAG: FlagSpec = bool_flag(
+    "--attribution",
+    "decompose downtime into additive blame causes (observational)",
+);
+const REAL_DOCS_FLAG: FlagSpec = bool_flag(
+    "--real-docs",
+    "build real tordoc documents (small --relays only)",
+);
 
-fn base_scenario(args: &Args) -> Result<Scenario, String> {
-    let bandwidth_mbps = args.f64("--bandwidth", 250.0)?;
-    if bandwidth_mbps == 0.0 {
-        return Err("--bandwidth expects a positive rate, got 0".into());
-    }
-    Ok(Scenario {
-        seed: args.u64("--seed", 1)?,
-        relays: args.relays(8_000)?,
-        bandwidth_bps: bandwidth_mbps * 1e6,
-        real_docs: args.present("--real-docs"),
-        ..Scenario::default()
-    })
+/// `--targets`: authorities a campaign floods, at most the
+/// [`N_AUTHORITIES`] that exist.
+const fn targets_flag(help: Str) -> FlagSpec {
+    int_flag("--targets", "K", 0, N_AUTHORITIES as u64, help)
 }
 
-fn print_report(report: &RunReport) {
-    outln!("protocol      : {}", report.protocol);
-    outln!("success       : {}", report.success);
-    match report.network_time_secs {
-        Some(t) => outln!("latency       : {t:.2} s"),
-        None => outln!("latency       : (failed)"),
-    }
+const fn clients_flag(help: Str) -> FlagSpec {
+    int_flag("--clients", "N", 1, MAX_CLIENTS, help)
+}
+
+const fn hours_flag(help: Str) -> FlagSpec {
+    int_flag("--hours", "H", 0, MAX_HOURS, help)
+}
+
+const fn caches_flag(help: Str) -> FlagSpec {
+    int_flag("--caches", "K", 0, MAX_CACHES, help)
+}
+
+const fn beam_flag(help: Str) -> FlagSpec {
+    int_flag("--beam", "K", 1, u64::MAX, help)
+}
+
+/// One run's text block: its report, the price of its windows and its
+/// health alerts.
+fn render_run(report: &RunReport, cost: f64, alerts: &[monitor::HealthAlert]) -> String {
+    let mut out = format!("protocol      : {}\n", report.protocol);
+    out += &format!("success       : {}\n", report.success);
+    out += &match report.network_time_secs {
+        Some(t) => format!("latency       : {t:.2} s\n"),
+        None => "latency       : (failed)\n".into(),
+    };
     if let (Some(first), Some(last)) = (report.first_valid_secs, report.last_valid_secs) {
-        outln!("valid between : {first:.2} s and {last:.2} s");
+        out += &format!("valid between : {first:.2} s and {last:.2} s\n");
     }
-    outln!(
-        "traffic       : {} messages, {:.2} MB",
-        report.total_tx_msgs,
-        report.total_tx_bytes as f64 / 1e6
+    let megabytes = report.total_tx_bytes as f64 / 1e6;
+    out += &format!(
+        "traffic       : {} messages, {megabytes:.2} MB\n",
+        report.total_tx_msgs
     );
-    outln!("per authority :");
+    out += "per authority :\n";
     for authority in &report.authorities {
-        outln!(
-            "  auth{} success={} digest={}",
-            authority.index,
-            authority.success,
-            authority
-                .digest
-                .map(|d| d.short_hex(8))
-                .unwrap_or_else(|| "-".into())
-        );
+        let digest = authority.digest.map_or("-".into(), |d| d.short_hex(8));
+        let (index, success) = (authority.index, authority.success);
+        out += &format!("  auth{index} success={success} digest={digest}\n");
     }
-}
-
-const RUN_SPEC: &[FlagSpec] = &[
-    PROTOCOL_FLAG,
-    RELAYS_FLAG,
-    value_flag("--bandwidth", "MBPS", "authority link rate, Mbit/s"),
-    SEED_FLAG,
-    bool_flag("--real-docs", "generate real tordoc votes (small N only)"),
-    JSON_FLAG,
-];
-
-fn cmd_run(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
-    let report = run(args.protocol()?, &base_scenario(args)?);
-    telemetry.metrics = run_report_json(&report);
-    if args.present("--json") {
-        outln!("{}", telemetry.metrics.render());
-    } else {
-        print_report(&report);
-    }
-    Ok(())
-}
-
-const ATTACK_SPEC: &[FlagSpec] = &[
-    PROTOCOL_FLAG,
-    RELAYS_FLAG,
-    value_flag("--bandwidth", "MBPS", "authority link rate, Mbit/s"),
-    SEED_FLAG,
-    bool_flag("--real-docs", "generate real tordoc votes (small N only)"),
-    value_flag("--targets", "K", "authorities flooded (default 5)"),
-    value_flag("--duration", "SECS", "attack window length (default 300)"),
-    value_flag(
-        "--flood",
-        "MBPS",
-        "flood rate per victim (default 240, the §4.3 rate)",
-    ),
-    JSON_FLAG,
-];
-
-fn cmd_attack(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
-    let mut scenario = base_scenario(args)?;
-    let targets = args.targets()?;
-    let duration_secs = args.u64("--duration", 300)?;
-    if duration_secs > 3_600 {
-        return Err("--duration must be at most 3600 (one run per hour)".into());
-    }
-    let duration = SimDuration::from_secs(duration_secs);
-    let flood_mbps = args.f64("--flood", ATTACK_FLOOD_MBPS)?;
-    scenario.attack = AttackPlan::new(
-        (0..targets)
-            .map(|i| AttackWindow::new(Target::Authority(i), SimTime::ZERO, duration, flood_mbps))
-            .collect(),
-    );
-    let cost = scenario.attack.cost();
-    let report = run(args.protocol()?, &scenario);
-    let alerts = monitor::analyze(&report);
-    telemetry.metrics = Json::obj([
-        ("report", run_report_json(&report)),
-        ("attack_cost_usd", Json::from(cost)),
-        ("alerts", alerts_json(&alerts)),
-    ]);
-    if args.present("--json") {
-        outln!("{}", telemetry.metrics.render());
-        return Ok(());
-    }
-    print_report(&report);
-    outln!("attack cost   : ${cost:.4} for this window set");
-    outln!("\nmonitor alerts:");
+    out += &format!("attack cost   : ${cost:.4} for this window set\n\nmonitor alerts:\n");
     if alerts.is_empty() {
-        outln!("  (none)");
+        out += "  (none)\n";
     }
     for alert in alerts {
-        outln!("  {alert}");
+        out += &format!("  {alert}\n");
     }
-    Ok(())
+    out
 }
 
-const SWEEP_SPEC: &[FlagSpec] = &[PROTOCOL_FLAG, RELAYS_FLAG, SEED_FLAG, JSON_FLAG];
+#[rustfmt::skip]
+const RUN_SPEC: &[FlagSpec] = &[
+    flag("--protocol", "P", Kind::Enum(&["current", "synchronous", "icps", "all"]),
+        "protocol to run, or all three (default icps)"),
+    RELAYS_FLAG,
+    nums_flag("--bandwidth", "MBPS,..", MIN_MBPS, MAX_MBPS,
+        "authority link rates in Mbit/s, one run each (default 250)"),
+    SEED_FLAG,
+    REAL_DOCS_FLAG,
+    targets_flag("authorities flooded from t = 0 (default 0)"),
+    int_flag("--duration", "SECS", 0, 3_600,
+        "attack window length, within one hourly run (default 300)"),
+    FLOOD_FLAG,
+    JSON_FLAG,
+];
 
-fn cmd_sweep(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
-    let protocol = args.protocol()?;
-    let base = base_scenario(args)?;
-    let bandwidths = [250.0, 50.0, 20.0, 10.0, 5.0, 1.0, 0.5];
-    // The whole bandwidth sweep is one parallel batch.
-    let jobs: Vec<SweepJob> = bandwidths
-        .iter()
-        .map(|&mbps| {
-            SweepJob::new(
-                protocol,
-                Scenario {
-                    bandwidth_bps: mbps * 1e6,
-                    ..base.clone()
-                },
-            )
+/// Runs every protocol × bandwidth job as one parallel batch, and prints
+/// each job's report, the price of its windows and its health alerts
+/// (with `--json`, one row per job).
+fn cmd_run(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
+    let defaults = Scenario::default();
+    let targets = args.u64("--targets", 0) as usize;
+    let minutes = args.u64("--duration", 300) as f64 / 60.0;
+    let scenario = &Scenario {
+        seed: args.u64("--seed", defaults.seed),
+        relays: args.u64("--relays", defaults.relays),
+        real_docs: args.present("--real-docs"),
+        attack: cost::hourly_plan(targets, args.f64("--flood", ATTACK_FLOOD_MBPS), minutes),
+        ..defaults
+    };
+    let protocols = match args.text("--protocol") {
+        Some("all") => ProtocolKind::ALL.to_vec(),
+        Some("current") => vec![ProtocolKind::Current],
+        Some("synchronous") => vec![ProtocolKind::Synchronous],
+        _ => vec![ProtocolKind::Icps],
+    };
+    let bandwidths_bps = args
+        .f64s("--bandwidth")
+        .map_or(vec![scenario.bandwidth_bps], |mbps| {
+            mbps.iter().map(|m| m * 1e6).collect()
+        });
+    let jobs: Vec<SweepJob> = protocols
+        .into_iter()
+        .flat_map(|protocol| {
+            bandwidths_bps.iter().map(move |&bandwidth_bps| {
+                SweepJob::new(
+                    protocol,
+                    Scenario {
+                        bandwidth_bps,
+                        ..scenario.clone()
+                    },
+                )
+            })
         })
         .collect();
-    let reports = sweep(&jobs);
-    telemetry.metrics = Json::obj([
-        ("protocol", Json::str(protocol.to_string())),
-        (
-            "rows",
-            Json::arr(bandwidths.iter().zip(&reports).map(|(&mbps, report)| {
-                Json::obj([
-                    ("bandwidth_mbps", Json::from(mbps)),
-                    ("success", Json::from(report.success)),
-                    (
-                        "latency_secs",
-                        Json::from(report.success.then_some(report.network_time_secs).flatten()),
-                    ),
-                ])
-            })),
-        ),
-    ]);
-    if args.present("--json") {
-        outln!("{}", telemetry.metrics.render());
-        return Ok(());
+    let cost = scenario.attack.cost();
+    let mut rows = Vec::with_capacity(jobs.len());
+    for report in sweep(&jobs) {
+        let alerts = monitor::analyze(&report);
+        let row = Json::obj([
+            ("report", run_report_json(&report)),
+            ("attack_cost_usd", Json::from(cost)),
+            ("alerts", alerts_json(&alerts)),
+        ]);
+        print(args, &row, || render_run(&report, cost, &alerts));
+        rows.push(row);
     }
-    outln!("{:>10} {:>12}", "Mbit/s", "latency (s)");
-    for (mbps, report) in bandwidths.into_iter().zip(reports) {
-        let cell = report
-            .success
-            .then_some(report.network_time_secs)
-            .flatten()
-            .map(|t| format!("{t:.1}"))
-            .unwrap_or_else(|| "FAIL".into());
-        outln!("{mbps:>10} {cell:>12}");
-    }
+    telemetry.metrics = Json::Arr(rows);
     Ok(())
 }
 
+#[rustfmt::skip]
 const COST_SPEC: &[FlagSpec] = &[
-    value_flag("--targets", "K", "authorities flooded (default 5)"),
-    value_flag("--flood", "MBPS", "flood rate per victim (default 240)"),
-    value_flag("--minutes", "M", "minutes per hourly run (default 5)"),
+    targets_flag("authorities flooded (default 5)"),
+    FLOOD_FLAG,
+    num_flag("--minutes", "M", 0.0, 60.0, "minutes per hourly run (default 5)"),
     JSON_FLAG,
 ];
 
 fn cmd_cost(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
-    let targets = args.targets()?;
-    let flood_mbps = args.f64("--flood", ATTACK_FLOOD_MBPS)?;
-    let minutes = args.f64("--minutes", 5.0)?;
-    if minutes > 60.0 {
-        return Err("--minutes must be at most 60 (one run per hour)".into());
-    }
+    let targets = args.u64("--targets", 5) as usize;
+    let flood_mbps = args.f64("--flood", ATTACK_FLOOD_MBPS);
+    let minutes = args.f64("--minutes", 5.0);
     let plan = cost::hourly_plan(targets, flood_mbps, minutes);
+    let (per_run, per_month) = (plan.cost(), plan.cost_per_month());
     telemetry.metrics = Json::obj([
         ("targets", Json::from(targets)),
         ("flood_mbps", Json::from(flood_mbps)),
         ("minutes_per_run", Json::from(minutes)),
-        ("cost_per_run_usd", Json::from(plan.cost())),
-        ("cost_per_month_usd", Json::from(plan.cost_per_month())),
+        ("cost_per_run_usd", Json::from(per_run)),
+        ("cost_per_month_usd", Json::from(per_month)),
     ]);
-    if args.present("--json") {
-        outln!("{}", telemetry.metrics.render());
-        return Ok(());
-    }
-    outln!("cost per breached run : ${:.4}", plan.cost());
-    outln!("cost per month        : ${:.2}", plan.cost_per_month());
+    print(args, &telemetry.metrics, || {
+        format!("cost per breached run : ${per_run:.4}\ncost per month        : ${per_month:.2}\n")
+    });
     Ok(())
 }
 
-const MONITOR_SPEC: &[FlagSpec] = &[RELAYS_FLAG, SEED_FLAG, JSON_FLAG];
-
-fn cmd_monitor(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
-    let scenario = base_scenario(args)?;
-    let protocols = ProtocolKind::ALL;
-    let jobs: Vec<SweepJob> = protocols
-        .iter()
-        .map(|&protocol| SweepJob::new(protocol, scenario.clone()))
-        .collect();
-    let rows: Vec<(ProtocolKind, RunReport, Vec<monitor::HealthAlert>)> = protocols
-        .into_iter()
-        .zip(sweep(&jobs))
-        .map(|(protocol, report)| {
-            let alerts = monitor::analyze(&report);
-            (protocol, report, alerts)
-        })
-        .collect();
-    telemetry.metrics = Json::obj([(
-        "protocols",
-        Json::arr(rows.iter().map(|(protocol, report, alerts)| {
-            Json::obj([
-                ("protocol", Json::str(protocol.to_string())),
-                ("success", Json::from(report.success)),
-                ("alerts", alerts_json(alerts)),
-            ])
-        })),
-    )]);
-    if args.present("--json") {
-        outln!("{}", telemetry.metrics.render());
-        return Ok(());
-    }
-    for (protocol, report, alerts) in rows {
-        outln!(
-            "{:<12} success={} alerts={}",
-            protocol.to_string(),
-            report.success,
-            alerts.len()
-        );
-        for alert in alerts {
-            outln!("  {alert}");
-        }
-    }
-    Ok(())
-}
-
+#[rustfmt::skip]
 const CLIENTS_SPEC: &[FlagSpec] = &[
-    value_flag("--clients", "N", "client fleet size (default 3000000)"),
-    value_flag("--hours", "H", "attacked hours simulated (default 24)"),
-    value_flag(
-        "--days",
-        "N",
-        "attacked days simulated (sets --hours to 24 N)",
-    ),
-    value_flag("--caches", "K", "directory caches (default 200)"),
+    clients_flag("client fleet size (default 3000000)"),
+    hours_flag("attacked hours simulated (default 24)"),
+    int_flag("--days", "N", 0, MAX_HOURS / 24, "attacked days simulated (sets --hours to 24 N)"),
+    caches_flag("directory caches (default 200)"),
     RELAYS_FLAG,
     SEED_FLAG,
-    bool_flag(
-        "--feedback",
-        "close the fetch-feedback loop (hour h's client load hits hour h+1's links)",
-    ),
-    value_flag(
-        "--churn",
-        "C",
-        "hourly relay churn: a rate (default 0.02) or 'weekly' (Fig. 6 series)",
-    ),
-    bool_flag(
-        "--real-docs",
-        "measure document sizes from real tordoc consensuses (small --relays only)",
-    ),
-    value_flag(
-        "--fetch-mix",
-        "FILE",
-        "export the Current protocol's per-hour fetch mixes for dirload replay",
-    ),
-    bool_flag(
-        "--attribution",
-        "decompose each hour's downtime into additive blame causes (observational)",
-    ),
+    FEEDBACK_FLAG,
+    text_flag("--churn", "C",
+        "hourly relay churn: a rate in [0, 1] (default 0.02) or 'weekly' (Fig. 6)"),
+    REAL_DOCS_FLAG,
+    text_flag("--fetch-mix", "FILE",
+        "export the Current protocol's per-hour fetch mixes for dirload"),
+    ATTRIBUTION_FLAG,
     JSON_FLAG,
 ];
 
 /// Parses `--churn`: a bare rate, or `weekly` for the Fig. 6 schedule.
 fn churn_schedule(args: &Args) -> Result<partialtor_dirdist::ChurnSchedule, String> {
     use partialtor_dirdist::ChurnSchedule;
-    match args.values.get("--churn").map(String::as_str) {
+    match args.text("--churn") {
         None => Ok(ChurnSchedule::default()),
         Some("weekly") => Ok(ChurnSchedule::weekly()),
         Some(raw) => match raw.parse::<f64>() {
@@ -709,16 +652,15 @@ fn churn_schedule(args: &Args) -> Result<partialtor_dirdist::ChurnSchedule, Stri
 }
 
 fn cmd_clients(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
-    let hours = match args.u64("--days", 0)? {
-        0 => args.u64("--hours", 24)?,
-        days => {
-            if args.present("--hours") {
-                return Err("--days and --hours are mutually exclusive".into());
-            }
-            days.checked_mul(24).ok_or("--days is too large")?
+    let defaults = clients::ClientsParams::default();
+    let hours = match args.u64("--days", 0) {
+        0 => args.u64("--hours", defaults.hours),
+        _ if args.present("--hours") => {
+            return Err("--days and --hours are mutually exclusive".into())
         }
+        days => days * 24,
     };
-    let relays = args.relays(8_000)?;
+    let relays = args.u64("--relays", defaults.relays);
     if args.present("--real-docs") && relays > clients::REAL_DOCS_MAX_RELAYS {
         return Err(format!(
             "--real-docs builds real documents; use --relays {} or fewer",
@@ -727,10 +669,10 @@ fn cmd_clients(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
     }
     let params = clients::ClientsParams {
         hours,
-        clients: args.clients(3_000_000)?,
-        caches: args.u64("--caches", 200)? as usize,
+        clients: args.u64("--clients", defaults.clients),
+        caches: args.u64("--caches", defaults.caches as u64) as usize,
         relays,
-        seed: args.u64("--seed", 1)?,
+        seed: args.u64("--seed", defaults.seed),
         feedback: args.present("--feedback"),
         churn: churn_schedule(args)?,
         real_docs: args.present("--real-docs"),
@@ -738,234 +680,169 @@ fn cmd_clients(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
     };
     let results = clients::run_experiment_traced(&params, &telemetry.tracer);
     telemetry.metrics = clients::metrics_json(&results);
-    if let Some(path) = args.values.get("--fetch-mix") {
+    if let Some(path) = args.text("--fetch-mix") {
         std::fs::write(path, clients::fetch_mix_export(&results))
             .map_err(|e| format!("--fetch-mix: write {path}: {e}"))?;
         eprintln!("fetch mixes written to {path}");
     }
-    if args.present("--json") {
-        outln!("{}", clients::to_json(&results).render());
-    } else {
-        out!("{}", clients::render(&results));
-    }
+    print(args, &clients::to_json(&results), || {
+        clients::render(&results)
+    });
     Ok(())
 }
 
+#[rustfmt::skip]
 const ATTRIBUTE_SPEC: &[FlagSpec] = &[
-    value_flag("--clients", "N", "client fleet size (default 3000000)"),
-    value_flag("--hours", "H", "attacked hours simulated (default 24)"),
-    value_flag("--caches", "K", "directory caches (default 200)"),
+    clients_flag("client fleet size (default 3000000)"),
+    hours_flag("attacked hours simulated (default 24)"),
+    caches_flag("directory caches (default 200)"),
     RELAYS_FLAG,
     SEED_FLAG,
-    bool_flag(
-        "--feedback",
-        "close the fetch-feedback loop (hour h's client load hits hour h+1's links)",
-    ),
+    FEEDBACK_FLAG,
     JSON_FLAG,
 ];
 
 fn cmd_attribute(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
     let defaults = attribute::AttributeParams::default();
     let params = attribute::AttributeParams {
-        hours: args.u64("--hours", defaults.hours)?,
-        clients: args.clients(defaults.clients)?,
-        caches: args.u64("--caches", defaults.caches as u64)? as usize,
-        relays: args.relays(defaults.relays)?,
-        seed: args.u64("--seed", defaults.seed)?,
+        hours: args.u64("--hours", defaults.hours),
+        clients: args.u64("--clients", defaults.clients),
+        caches: args.u64("--caches", defaults.caches as u64) as usize,
+        relays: args.u64("--relays", defaults.relays),
+        seed: args.u64("--seed", defaults.seed),
         feedback: args.present("--feedback"),
     };
     let result = attribute::run_experiment_traced(&params, &telemetry.tracer);
     telemetry.metrics = attribute::to_json(&result);
-    if args.present("--json") {
-        outln!("{}", telemetry.metrics.render());
-    } else {
-        out!("{}", attribute::render(&result));
-    }
+    print(args, &telemetry.metrics, || attribute::render(&result));
     Ok(())
 }
 
+#[rustfmt::skip]
 const ADVERSARY_SPEC: &[FlagSpec] = &[
-    value_flag("--budget", "USD", "attack budget, $/month (default 55)"),
-    value_flag("--hours", "H", "scored horizon, hours (default 24)"),
-    value_flag("--beam", "K", "beam width (default 4)"),
-    value_flag("--clients", "N", "scoring fleet size (default 200000)"),
-    value_flag("--caches", "K", "directory caches (default 50)"),
+    num_flag("--budget", "USD", 0.0, MAX_USD_MONTH, "attack budget, $/month (default 55)"),
+    hours_flag("scored horizon, hours (default 24)"),
+    beam_flag("beam width (default 4)"),
+    clients_flag("scoring fleet size (default 200000)"),
+    caches_flag("directory caches (default 50)"),
     RELAYS_FLAG,
     SEED_FLAG,
-    value_flag(
-        "--defender",
-        "H",
-        "blocklist victims flooded H consecutive hours (0 = no defender)",
-    ),
+    int_flag("--defender", "H", 0, MAX_HOURS,
+        "blocklist victims flooded H consecutive hours (0 = none)"),
     JSON_FLAG,
 ];
 
 fn cmd_adversary(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
     let defaults = adversary::AdversaryParams::default();
     let params = adversary::AdversaryParams {
-        budget_usd_month: args.f64("--budget", defaults.budget_usd_month)?,
-        hours: args.u64("--hours", defaults.hours)?,
-        beam: args.positive("--beam", defaults.beam as u64)? as usize,
-        clients: args.clients(defaults.clients)?,
-        caches: args.u64("--caches", defaults.caches as u64)? as usize,
-        relays: args.relays(defaults.relays)?,
-        seed: args.u64("--seed", defaults.seed)?,
-        defender_trigger_hours: match args.u64("--defender", 0)? {
+        budget_usd_month: args.f64("--budget", defaults.budget_usd_month),
+        hours: args.u64("--hours", defaults.hours),
+        beam: args.u64("--beam", defaults.beam as u64) as usize,
+        clients: args.u64("--clients", defaults.clients),
+        caches: args.u64("--caches", defaults.caches as u64) as usize,
+        relays: args.u64("--relays", defaults.relays),
+        seed: args.u64("--seed", defaults.seed),
+        defender_trigger_hours: match args.u64("--defender", 0) {
             0 => None,
             trigger => Some(trigger),
         },
     };
     let result = adversary::run_experiment_traced(&params, &telemetry.tracer);
     telemetry.metrics = adversary::to_json(&result);
-    if args.present("--json") {
-        outln!("{}", telemetry.metrics.render());
-    } else {
-        out!("{}", adversary::render(&result));
-    }
+    print(args, &telemetry.metrics, || adversary::render(&result));
     Ok(())
 }
 
+#[rustfmt::skip]
 const FRONTIER_SPEC: &[FlagSpec] = &[
-    value_flag(
-        "--defense-budget-grid",
-        "USD,..",
-        "defense budgets to sweep, $/month (default 0,15,30,60,120)",
-    ),
-    value_flag(
-        "--attack-budget",
-        "USD",
-        "attacker budget, $/month (default 120)",
-    ),
-    value_flag(
-        "--target",
-        "FRAC",
-        "client-weighted downtime that counts as denial (default 0.8)",
-    ),
-    value_flag("--hours", "H", "scored horizon, hours (default 24)"),
-    value_flag("--beam", "K", "beam width, both sides (default 2)"),
-    value_flag("--clients", "N", "scoring fleet size (default 200000)"),
-    value_flag("--caches", "K", "directory caches (default 50)"),
+    nums_flag("--defense-budget-grid", "USD,..", 0.0, MAX_USD_MONTH,
+        "defense budgets, $/month (default 0,15,30,60,120)"),
+    num_flag("--attack-budget", "USD", 0.0, MAX_USD_MONTH,
+        "attacker budget, $/month (default 120)"),
+    num_flag("--target", "FRAC", 0.0, 1.0,
+        "client-weighted downtime that counts as denial (default 0.8)"),
+    hours_flag("scored horizon, hours (default 24)"),
+    beam_flag("beam width, both sides (default 2)"),
+    clients_flag("scoring fleet size (default 200000)"),
+    caches_flag("directory caches (default 50)"),
     RELAYS_FLAG,
     SEED_FLAG,
-    bool_flag(
-        "--attribution",
-        "decompose each row's downtime into additive blame causes (observational)",
-    ),
+    ATTRIBUTION_FLAG,
     JSON_FLAG,
 ];
 
 fn cmd_frontier(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
     let defaults = frontier::FrontierParams::default();
-    let defense_budgets = match args.values.get("--defense-budget-grid") {
-        None => defaults.defense_budgets.clone(),
-        Some(raw) => raw
-            .split(',')
-            .map(|usd| parse_f64("--defense-budget-grid", usd))
-            .collect::<Result<Vec<f64>, String>>()?,
-    };
-    let target_downtime = args.f64("--target", defaults.target_downtime)?;
-    if !(0.0..=1.0).contains(&target_downtime) {
-        return Err(format!(
-            "--target expects a fraction in [0, 1], got {target_downtime}"
-        ));
-    }
     let params = frontier::FrontierParams {
-        defense_budgets,
-        attack_budget_usd_month: args.f64("--attack-budget", defaults.attack_budget_usd_month)?,
-        target_downtime,
-        hours: args.u64("--hours", defaults.hours)?,
-        beam: args.positive("--beam", defaults.beam as u64)? as usize,
-        clients: args.clients(defaults.clients)?,
-        caches: args.u64("--caches", defaults.caches as u64)? as usize,
-        relays: args.relays(defaults.relays)?,
-        seed: args.u64("--seed", defaults.seed)?,
+        defense_budgets: args
+            .f64s("--defense-budget-grid")
+            .map_or(defaults.defense_budgets.clone(), <[f64]>::to_vec),
+        attack_budget_usd_month: args.f64("--attack-budget", defaults.attack_budget_usd_month),
+        target_downtime: args.f64("--target", defaults.target_downtime),
+        hours: args.u64("--hours", defaults.hours),
+        beam: args.u64("--beam", defaults.beam as u64) as usize,
+        clients: args.u64("--clients", defaults.clients),
+        caches: args.u64("--caches", defaults.caches as u64) as usize,
+        relays: args.u64("--relays", defaults.relays),
+        seed: args.u64("--seed", defaults.seed),
         attribution: args.present("--attribution"),
     };
     let result = frontier::run_experiment_traced(&params, &telemetry.tracer);
     telemetry.metrics = frontier::to_json(&result);
-    if args.present("--json") {
-        outln!("{}", telemetry.metrics.render());
-    } else {
-        out!("{}", frontier::render(&result));
-    }
+    print(args, &telemetry.metrics, || frontier::render(&result));
     Ok(())
 }
 
+#[rustfmt::skip]
 const PLACEMENT_SPEC: &[FlagSpec] = &[
-    value_flag("--clients", "N", "client fleet size (default 200000)"),
-    value_flag("--hours", "H", "attacked hours simulated (default 24)"),
-    value_flag(
-        "--caches",
-        "K",
-        "directory caches per strategy (default 40)",
-    ),
+    clients_flag("client fleet size (default 200000)"),
+    hours_flag("attacked hours simulated (default 24)"),
+    caches_flag("directory caches per strategy (default 40)"),
     RELAYS_FLAG,
     SEED_FLAG,
-    value_flag(
-        "--greedy",
-        "N",
-        "caches the greedy search places (default = --caches; 0 = skip)",
-    ),
-    value_flag(
-        "--brownout",
-        "REGION",
-        "brown out one region's caches instead of flooding the authorities \
-         (us-east | us-west | europe | apac)",
-    ),
+    int_flag("--greedy", "N", 0, MAX_CACHES,
+        "caches the greedy search places (default = --caches; 0 = skip)"),
+    flag("--brownout", "REGION", Kind::Enum(&["us-east", "us-west", "europe", "apac"]),
+        "brown out one region's caches instead of flooding the authorities"),
     JSON_FLAG,
 ];
 
 fn cmd_placement(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
     let defaults = placement::PlacementParams::default();
-    let caches = args.u64("--caches", defaults.caches as u64)? as usize;
+    let caches = args.u64("--caches", defaults.caches as u64);
     let params = placement::PlacementParams {
-        hours: args.u64("--hours", defaults.hours)?,
-        clients: args.clients(defaults.clients)?,
-        caches,
-        relays: args.relays(defaults.relays)?,
-        seed: args.u64("--seed", defaults.seed)?,
-        greedy: args.u64("--greedy", caches as u64)? as usize,
-        brownout: match args.values.get("--brownout") {
-            None => None,
-            Some(raw) => Some(partialtor_simnet::Region::from_label(raw).ok_or_else(|| {
-                format!("--brownout expects us-east|us-west|europe|apac, got {raw:?}")
-            })?),
-        },
+        hours: args.u64("--hours", defaults.hours),
+        clients: args.u64("--clients", defaults.clients),
+        caches: caches as usize,
+        relays: args.u64("--relays", defaults.relays),
+        seed: args.u64("--seed", defaults.seed),
+        greedy: args.u64("--greedy", caches) as usize,
+        brownout: args.text("--brownout").map(|label| {
+            partialtor_simnet::Region::from_label(label)
+                .expect("--brownout's words are region labels")
+        }),
     };
     let result = placement::run_experiment(&params);
     telemetry.metrics = placement::to_json(&result);
-    if args.present("--json") {
-        outln!("{}", telemetry.metrics.render());
-    } else {
-        out!("{}", placement::render(&result));
-    }
+    print(args, &telemetry.metrics, || placement::render(&result));
     Ok(())
 }
 
 /// The seed shared by the reported figure/table runs.
 const REPORT_SEED: u64 = 42;
 
+#[rustfmt::skip]
 const FIG_SPEC: &[FlagSpec] = &[
-    bool_flag(
-        POSITIONAL,
-        "fig1 | fig6 | fig7 | fig10 | fig11 | table1 | table2 | cost | ablations | \
-         availability | diff-savings",
-    ),
-    value_flag(
-        "--step",
-        "N",
-        "relay-count step of the fig10 / fig11 sweeps (default 1000, the paper's)",
-    ),
-    value_flag(
-        "--hours",
-        "H",
-        "attacked hours of the availability timeline (default 6)",
-    ),
+    flag(POSITIONAL, "", Kind::Enum(&["fig1", "fig6", "fig7", "fig10", "fig11", "table1", "table2",
+        "cost", "ablations", "availability", "diff-savings"]), "the figure or table to regenerate"),
+    int_flag("--step", "N", 1, u64::MAX,
+        "relay-count step of the fig10 / fig11 sweeps (default 1000)"),
+    hours_flag("attacked hours of the availability timeline (default 6)"),
 ];
 
 /// Regenerates one figure or table of the paper as text.
 fn cmd_fig(args: &Args, _telemetry: &mut Telemetry) -> Result<(), String> {
-    let name = args.values.get(POSITIONAL).map_or("", String::as_str);
+    let name = args.text(POSITIONAL).unwrap_or_default();
     for (flag, users) in [
         ("--step", &["fig10", "fig11"][..]),
         ("--hours", &["availability"][..]),
@@ -974,7 +851,7 @@ fn cmd_fig(args: &Args, _telemetry: &mut Telemetry) -> Result<(), String> {
             return Err(format!("{flag} applies only to {}", users.join(", ")));
         }
     }
-    let step = args.positive("--step", 1_000)?;
+    let step = args.u64("--step", 1_000);
     let seed = REPORT_SEED;
     let text = match name {
         "fig1" => fig1_attack_log::render(&fig1_attack_log::run_experiment(seed)),
@@ -995,12 +872,10 @@ fn cmd_fig(args: &Args, _telemetry: &mut Telemetry) -> Result<(), String> {
             ablations::render_fetch(&ablations::fetch_policy_comparison(seed))
         }
         "availability" => {
-            let hours = args.u64("--hours", 6)?;
-            availability::render(&availability::run_experiment(hours, seed))
+            availability::render(&availability::run_experiment(args.u64("--hours", 6), seed))
         }
         "diff-savings" => diff_savings::render(&diff_savings::run_experiment(seed)),
-        "" => return Err("expects the figure or table to regenerate".into()),
-        other => return Err(format!("unknown figure {other:?}")),
+        _ => return Err("expects the figure or table to regenerate".into()),
     };
     out!("{text}");
     Ok(())
@@ -1014,81 +889,27 @@ fn usage() -> String {
     for (name, about, ..) in SUBCOMMANDS {
         out.push_str(&format!("  {name:<9} {about}\n"));
     }
-    out.push_str(
-        "run `dirsim <subcommand> --help` for the subcommand's options;
-every subcommand also accepts --threads N (1 = serial sweeps),
---trace FILE (JSONL event trace with span/cause ids),
---trace-chrome FILE (Chrome trace-event JSON for chrome://tracing),
---metrics FILE (metrics JSON)
-and --profile (per-phase wall-clock profile on stderr)",
-    );
-    out
+    out.push_str("run `dirsim <subcommand> --help` for a subcommand's options; all accept:\n");
+    out + &flag_help(GLOBAL_FLAGS.iter())
 }
 
 /// Subcommand table: name, one-line description, flag spec, handler.
 type Handler = fn(&Args, &mut Telemetry) -> Result<(), String>;
+#[rustfmt::skip]
 const SUBCOMMANDS: &[(&str, &str, &[FlagSpec], Handler)] = &[
-    ("run", "one protocol run", RUN_SPEC, cmd_run),
-    (
-        "attack",
-        "one run under a bandwidth-DDoS window set",
-        ATTACK_SPEC,
-        cmd_attack,
-    ),
-    (
-        "sweep",
-        "latency across a bandwidth grid",
-        SWEEP_SPEC,
-        cmd_sweep,
-    ),
-    (
-        "clients",
-        "client-visible availability through the distribution layer",
-        CLIENTS_SPEC,
-        cmd_clients,
-    ),
-    (
-        "attribute",
-        "exact blame decomposition of the five-of-nine downtime",
-        ATTRIBUTE_SPEC,
-        cmd_attribute,
-    ),
-    (
-        "adversary",
-        "budget-constrained strategy search over authorities + caches",
-        ADVERSARY_SPEC,
-        cmd_adversary,
-    ),
-    (
-        "frontier",
-        "attacker-defender co-evolution: the cost-of-denial frontier",
-        FRONTIER_SPEC,
-        cmd_frontier,
-    ),
-    (
-        "placement",
-        "geographic cache-placement sweep + greedy placement search",
-        PLACEMENT_SPEC,
-        cmd_placement,
-    ),
-    (
-        "cost",
-        "the §4.3 DDoS-for-hire price arithmetic",
-        COST_SPEC,
-        cmd_cost,
-    ),
-    (
-        "monitor",
-        "run all three protocols through the bandwidth monitor",
-        MONITOR_SPEC,
-        cmd_monitor,
-    ),
-    (
-        "fig",
-        "regenerate one figure or table of the paper (seed 42)",
-        FIG_SPEC,
-        cmd_fig,
-    ),
+    ("run", "protocol runs, each under an optional flood, with health alerts", RUN_SPEC, cmd_run),
+    ("clients", "client-visible availability through the distribution layer",
+        CLIENTS_SPEC, cmd_clients),
+    ("attribute", "exact blame decomposition of the five-of-nine downtime",
+        ATTRIBUTE_SPEC, cmd_attribute),
+    ("adversary", "budget-constrained strategy search over authorities + caches",
+        ADVERSARY_SPEC, cmd_adversary),
+    ("frontier", "attacker-defender co-evolution: the cost-of-denial frontier",
+        FRONTIER_SPEC, cmd_frontier),
+    ("placement", "geographic cache-placement sweep + greedy placement search",
+        PLACEMENT_SPEC, cmd_placement),
+    ("cost", "the §4.3 DDoS-for-hire price arithmetic", COST_SPEC, cmd_cost),
+    ("fig", "regenerate one figure or table of the paper (seed 42)", FIG_SPEC, cmd_fig),
 ];
 
 fn main() {
@@ -1107,16 +928,83 @@ fn main() {
         eprintln!("unknown subcommand {first:?}\n{}", usage());
         std::process::exit(2);
     };
-    let outcome = parse_args(sub, about, spec, &raw[1..])
-        .and_then(|args| args.apply_threads().map(|()| args))
-        .and_then(|args| {
-            let mut telemetry = Telemetry::from_args(&args);
-            handler(&args, &mut telemetry)?;
-            telemetry.finish(&args)
-        });
+    let outcome = parse_args(sub, about, spec, &raw[1..]).and_then(|args| {
+        set_sweep_threads(
+            args.present("--threads")
+                .then(|| args.u64("--threads", 1) as usize),
+        );
+        let mut telemetry = Telemetry::from_args(&args);
+        handler(&args, &mut telemetry)?;
+        telemetry.finish(&args)
+    });
     if let Err(error) = outcome {
         eprintln!("dirsim {sub}: {error}");
         eprintln!("{}", usage_for(sub, about, spec));
         std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Values a numeric flag of `kind` must reject: just past each bound,
+    /// the spellings no bound admits (NaN, infinity, a negative, 2⁶⁴),
+    /// and 2⁶⁴ − 1 wherever it is past the maximum.
+    fn out_of_bounds(kind: Kind) -> Vec<String> {
+        let mut values: Vec<String> = ["nan", "inf", "-1", "18446744073709551616"]
+            .map(String::from)
+            .to_vec();
+        match kind {
+            Kind::U64 { min, max } => {
+                values.extend(max.checked_add(1).map(|v| v.to_string()));
+                values.extend(min.checked_sub(1).map(|v| v.to_string()));
+                values.extend((max < u64::MAX).then(|| u64::MAX.to_string()));
+            }
+            Kind::F64 { min, max, .. } => {
+                values.push(u64::MAX.to_string());
+                values.push((max + 1.0).to_string());
+                values.push((min - 1.0).to_string());
+                if min > 0.0 {
+                    values.push("0".into());
+                }
+            }
+            Kind::Bool | Kind::Enum(_) | Kind::Text => return Vec::new(),
+        }
+        values
+    }
+
+    /// The bounds themselves, which every numeric flag must accept.
+    fn in_bounds(kind: Kind) -> Vec<String> {
+        match kind {
+            Kind::U64 { min, max } => vec![min.to_string(), max.to_string()],
+            Kind::F64 { min, max, .. } => vec![min.to_string(), max.to_string()],
+            Kind::Bool | Kind::Enum(_) | Kind::Text => Vec::new(),
+        }
+    }
+
+    #[test]
+    fn every_bounded_flag_rejects_values_past_its_bounds() {
+        for &(sub, about, spec, _) in SUBCOMMANDS {
+            for flag in spec.iter().chain(GLOBAL_FLAGS) {
+                let parse = |value: &String| {
+                    parse_args(sub, about, spec, &[flag.name.to_string(), value.clone()])
+                };
+                for value in out_of_bounds(flag.kind) {
+                    assert!(
+                        parse(&value).is_err(),
+                        "dirsim {sub} {} {value} was accepted",
+                        flag.name
+                    );
+                }
+                for value in in_bounds(flag.kind) {
+                    assert!(
+                        parse(&value).is_ok(),
+                        "dirsim {sub} {} {value} was rejected",
+                        flag.name
+                    );
+                }
+            }
+        }
     }
 }

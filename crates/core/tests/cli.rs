@@ -12,7 +12,7 @@ fn dirsim() -> Command {
 
 #[test]
 fn bad_budgets_targets_and_typos_exit_2_without_panicking() {
-    let cases: [&[&str]; 32] = [
+    let cases: [&[&str]; 41] = [
         &["adversary", "--budget", "-1"],
         &["adversary", "--budget", "nan"],
         &["frontier", "--defense-budget-grid", "nan"],
@@ -30,12 +30,12 @@ fn bad_budgets_targets_and_typos_exit_2_without_panicking() {
         &["run", "--bandwidth", "nan"],
         &["run", "--bandwidth", "0"],
         &["run", "--bandwidth", "-5"],
-        &["attack", "--flood", "nan"],
-        &["attack", "--flood", "-1"],
-        // `attack` prices its windows by `cost`'s rules: these used to
+        &["run", "--flood", "nan"],
+        &["run", "--flood", "-1"],
+        // A flood prices its windows by `cost`'s rules: these used to
         // flood nine authorities, and wrap the window to a cent.
-        &["attack", "--targets", "10"],
-        &["attack", "--duration", "3601"],
+        &["run", "--targets", "10"],
+        &["run", "--duration", "3601"],
         // `24 * days` used to wrap to an 8-hour run.
         &["clients", "--days", "768614336404564651"],
         // Both searches used to report beam 0 and search beam 1.
@@ -47,6 +47,29 @@ fn bad_budgets_targets_and_typos_exit_2_without_panicking() {
         &["clients", "--relays", "18446744073709551615"],
         &["clients", "--clients", "1000000001"],
         &["adversary", "--clients", "18446744073709551615"],
+        // A fleet of no clients used to be reported 100 % stale.
+        &["clients", "--clients", "0"],
+        // Horizons that used to abort out of memory, and cache tiers
+        // that used to panic on capacity overflow or abort allocating
+        // an 80 GB latency matrix.
+        &["clients", "--hours", "18446744073709551615"],
+        &["attribute", "--hours", "18446744073709551615"],
+        &["frontier", "--hours", "18446744073709551615"],
+        &["placement", "--hours", "18446744073709551615"],
+        &["fig", "availability", "--hours", "18446744073709551615"],
+        &["clients", "--caches", "18446744073709551615"],
+        &["adversary", "--caches", "18446744073709551615"],
+        &[
+            "clients",
+            "--caches",
+            "100000",
+            "--hours",
+            "1",
+            "--clients",
+            "10000",
+            "--relays",
+            "200",
+        ],
         // Zero sweep workers used to run serially, as one does.
         &["run", "--threads", "0"],
         // The figure binaries' lenient parser used to turn this typo
@@ -66,6 +89,53 @@ fn bad_budgets_targets_and_typos_exit_2_without_panicking() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(stderr.contains("usage: dirsim"), "{args:?}: {stderr}");
         assert!(output.stdout.is_empty(), "{args:?} printed a report");
+    }
+}
+
+/// Runs `dirsim run` with `args`, which must succeed, and returns its
+/// stdout.
+fn run_stdout(args: &[&str]) -> String {
+    let output = dirsim()
+        .arg("run")
+        .args(args)
+        .output()
+        .expect("dirsim runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "run {args:?}: {stderr}");
+    String::from_utf8(output.stdout).expect("UTF-8 output")
+}
+
+#[test]
+fn a_batch_prints_exactly_what_its_single_runs_print() {
+    let batch = ["--relays", "300", "--targets", "5", "--duration", "60"];
+    let protocols = ["current", "synchronous", "icps"];
+    let bandwidths = ["250", "0.5"];
+    for json in [&[][..], &["--json"][..]] {
+        let all = [
+            &batch[..],
+            &["--protocol", "all", "--bandwidth", "250,0.5"],
+            json,
+        ]
+        .concat();
+        let mut singles = String::new();
+        for protocol in protocols {
+            for bandwidth in bandwidths {
+                let one = [
+                    &batch[..],
+                    &["--protocol", protocol, "--bandwidth", bandwidth],
+                    json,
+                ];
+                singles += &run_stdout(&one.concat());
+            }
+        }
+        let printed = run_stdout(&all);
+        assert_eq!(printed, singles, "--json: {}", !json.is_empty());
+        let blocks = if json.is_empty() {
+            printed.matches("protocol      : ").count()
+        } else {
+            printed.lines().count()
+        };
+        assert_eq!(blocks, protocols.len() * bandwidths.len());
     }
 }
 
