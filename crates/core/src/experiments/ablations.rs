@@ -22,14 +22,13 @@ use crate::calibration;
 use crate::protocols::{FetchPolicy, IcpsAuthority, IcpsByzantineMode, ProtocolKind};
 use crate::runner::{par_map, run_with, sweep, Scenario, SweepJob};
 use partialtor_simnet::prelude::*;
-use serde::Serialize;
 
 // ---------------------------------------------------------------------
 // 1. Timeout scaling.
 // ---------------------------------------------------------------------
 
 /// One timeout-scaling measurement.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct TimeoutRow {
     /// Lock-step round length Δ, seconds.
     pub round_secs: u64,
@@ -108,7 +107,7 @@ pub fn render_timeout(rows: &[TimeoutRow]) -> String {
 // ---------------------------------------------------------------------
 
 /// One pulsed-attack measurement.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct PulseRow {
     /// Seconds of flood per cycle.
     pub on_secs: u64,
@@ -209,7 +208,7 @@ pub fn render_pulse(rows: &[PulseRow]) -> String {
 // ---------------------------------------------------------------------
 
 /// One fetch-policy measurement.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct FetchRow {
     /// Policy label.
     pub policy: String,

@@ -101,8 +101,9 @@ const FLOOD_STEP_MBPS: u64 = 60;
 /// One point of the symmetric campaign space the beam explores: the
 /// first `authorities` authorities and first `caches` caches attacked
 /// identically every hour. The derived `Ord` (field declaration order)
-/// is the last tie-break of both rank functions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// is the last tie-break of both rank functions, and the order of its
+/// keys in a [`PlanScore`]'s JSON.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub(crate) struct CampaignShape {
     /// Authorities flooded at `flood_mbps` from each run start.
     pub(crate) authorities: usize,
@@ -275,6 +276,7 @@ pub struct PlanScore {
     pub label: String,
     /// The searched shape: victim counts, window lengths, flood rate and
     /// rotation.
+    #[serde(flatten)]
     pub(crate) shape: CampaignShape,
     /// Windows in the full-horizon plan.
     pub windows: usize,
@@ -619,46 +621,9 @@ pub fn run_experiment_traced(params: &AdversaryParams, tracer: &Tracer) -> Adver
     }
 }
 
-/// Serializes one scored campaign for `dirsim adversary --json`.
-fn score_json(score: &PlanScore) -> crate::json::Json {
-    use crate::json::Json;
-    let shape = &score.shape;
-    Json::obj([
-        ("label", Json::str(score.label.clone())),
-        ("authorities", Json::from(shape.authorities)),
-        ("caches", Json::from(shape.caches)),
-        ("auth_window_secs", Json::from(shape.auth_window_secs)),
-        ("flood_mbps", Json::from(shape.flood_mbps)),
-        ("cache_window_secs", Json::from(shape.cache_window_secs)),
-        ("rotate", Json::from(shape.rotate)),
-        ("windows", Json::from(score.windows)),
-        ("cost_usd_month", Json::from(score.cost_usd_month)),
-        ("produced_hours", Json::from(score.produced_hours)),
-        (
-            "client_weighted_downtime",
-            Json::from(score.client_weighted_downtime),
-        ),
-    ])
-}
-
 /// Serializes the search result for `dirsim adversary --json`.
 pub fn to_json(result: &AdversaryResult) -> crate::json::Json {
-    use crate::json::Json;
-    Json::obj([
-        ("budget_usd_month", Json::from(result.budget_usd_month)),
-        ("hours", Json::from(result.hours)),
-        ("beam", Json::from(result.beam)),
-        (
-            "defender_trigger_hours",
-            Json::from(result.defender_trigger_hours),
-        ),
-        ("best", score_json(&result.best)),
-        ("baseline", score_json(&result.baseline)),
-        (
-            "evaluated",
-            Json::arr(result.evaluated.iter().map(score_json)),
-        ),
-    ])
+    crate::json::ToJson::to_json(result)
 }
 
 /// Renders the search result.

@@ -18,7 +18,6 @@ use crate::calibration::N_AUTHORITIES;
 use crate::protocols::ProtocolKind;
 use partialtor_dirdist::{AttributionRollup, DistConfig, DistReport, DocModel};
 use partialtor_obs::Tracer;
-use serde::Serialize;
 
 /// Experiment parameters (the `dirsim attribute` surface).
 #[derive(Clone, Debug)]
@@ -51,7 +50,7 @@ impl Default for AttributeParams {
 }
 
 /// The attributed outcome of the five-of-nine campaign.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct AttributeResult {
     /// Protocol label (always the current protocol — the one the flood
     /// breaks).
@@ -115,7 +114,7 @@ pub fn rollup(result: &AttributeResult) -> &AttributionRollup {
 
 /// Serializes the attributed run for `dirsim attribute --json`.
 pub fn to_json(result: &AttributeResult) -> crate::json::Json {
-    use crate::json::Json;
+    use crate::json::{Json, ToJson};
     Json::obj([
         ("protocol", Json::str(result.protocol.clone())),
         ("produced_hours", Json::from(result.produced_hours)),
@@ -123,10 +122,7 @@ pub fn to_json(result: &AttributeResult) -> crate::json::Json {
             "client_weighted_downtime",
             Json::from(result.dist.fleet.client_weighted_downtime),
         ),
-        (
-            "attribution",
-            super::attribution_rollup_json(rollup(result)),
-        ),
+        ("attribution", rollup(result).to_json()),
         (
             "hours",
             Json::arr(result.dist.hours.iter().map(|hour| {
@@ -138,9 +134,7 @@ pub fn to_json(result: &AttributeResult) -> crate::json::Json {
                     ("hour".to_string(), Json::from(hour.hour)),
                     ("downtime".to_string(), Json::from(hour.fleet.dead_fraction)),
                 ];
-                if let Json::Obj(rest) = super::cause_parts_json(&attribution.parts) {
-                    pairs.extend(rest);
-                }
+                pairs.extend(attribution.parts.to_json().into_fields());
                 Json::Obj(pairs)
             })),
         ),

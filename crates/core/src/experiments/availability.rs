@@ -14,7 +14,6 @@ use crate::protocols::ProtocolKind;
 use crate::runner::sweep;
 use partialtor_dirdist::{DistConfig, DocModel};
 use partialtor_obs::Tracer;
-use serde::Serialize;
 
 /// Reference fleet used to weight downtime by clients rather than by
 /// the binary "does any valid document exist" check.
@@ -24,7 +23,7 @@ const REFERENCE_FLEET_CLIENTS: u64 = 1_000_000;
 const REFERENCE_FLEET_CACHES: usize = 50;
 
 /// One hourly run in the timeline.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct HourRow {
     /// Hour index (run starts at `hour * 3600` s).
     pub hour: u64,
@@ -44,7 +43,7 @@ pub struct HourRow {
 }
 
 /// The availability timeline of one protocol under sustained attack.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct AvailabilityResult {
     /// Protocol label.
     pub protocol: String,

@@ -93,7 +93,8 @@ pub struct ClientsResult {
     /// The distribution-layer report (cache tier + fleet).
     pub dist: DistReport,
     /// Per-hour realized fetch mixes — the `--fetch-mix FILE` export a
-    /// `dirload` replay consumes.
+    /// `dirload` replay consumes (not part of the JSON report).
+    #[serde(skip)]
     pub fetch_mixes: Vec<FetchMix>,
 }
 
@@ -232,14 +233,7 @@ pub fn fetch_mix_export(results: &[ClientsResult]) -> String {
 
 /// Serializes the per-protocol results for `dirsim clients --json`.
 pub fn to_json(results: &[ClientsResult]) -> crate::json::Json {
-    use crate::json::Json;
-    Json::arr(results.iter().map(|result| {
-        Json::obj([
-            ("protocol", Json::str(result.protocol.clone())),
-            ("produced_hours", Json::from(result.produced_hours)),
-            ("dist", super::dist_report_json(&result.dist)),
-        ])
-    }))
+    crate::json::ToJson::to_json(results)
 }
 
 /// Serializes the per-protocol telemetry slices for `dirsim clients
@@ -257,10 +251,7 @@ pub fn metrics_json(results: &[ClientsResult]) -> crate::json::Json {
                     Json::from(result.produced_hours),
                 ),
             ];
-            match super::dist_metrics_json(&result.dist) {
-                Json::Obj(rest) => pairs.extend(rest),
-                other => pairs.push(("metrics".to_string(), other)),
-            }
+            pairs.extend(super::dist_metrics_json(&result.dist).into_fields());
             Json::Obj(pairs)
         })),
     )])

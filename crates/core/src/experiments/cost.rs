@@ -8,10 +8,9 @@
 use crate::adversary::{AttackPlan, AttackWindow, Target};
 use crate::calibration::ATTACK_FLOOD_MBPS;
 use partialtor_simnet::{SimDuration, SimTime};
-use serde::Serialize;
 
 /// One cost-model row.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct CostRow {
     /// Scenario description.
     pub scenario: String,
@@ -26,7 +25,7 @@ pub struct CostRow {
 }
 
 /// The cost table.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct CostResult {
     /// Rows, headline first.
     pub rows: Vec<CostRow>,

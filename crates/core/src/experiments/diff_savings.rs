@@ -8,10 +8,9 @@
 
 use crate::runner::par_map;
 use partialtor_tordoc::prelude::*;
-use serde::Serialize;
 
 /// One churn-rate measurement.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct DiffRow {
     /// Fraction of relays replaced per hour.
     pub churn: f64,

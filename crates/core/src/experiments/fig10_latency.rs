@@ -9,13 +9,12 @@
 
 use crate::protocols::ProtocolKind;
 use crate::runner::{run, sweep, Scenario, SweepJob};
-use serde::Serialize;
 
 /// The protocols and bandwidths of the figure.
 pub const BANDWIDTHS_MBPS: [f64; 5] = [50.0, 20.0, 10.0, 1.0, 0.5];
 
 /// One measurement.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig10Row {
     /// Link bandwidth, Mbit/s.
     pub bandwidth_mbps: f64,
@@ -28,7 +27,7 @@ pub struct Fig10Row {
 }
 
 /// The sweep result.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig10Result {
     /// All measurements.
     pub rows: Vec<Fig10Row>,

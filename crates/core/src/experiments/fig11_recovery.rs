@@ -10,10 +10,9 @@ use crate::calibration::{FALLBACK_RETRY_SECS, LOCKSTEP_ROUNDS, ROUND_SECS};
 use crate::protocols::ProtocolKind;
 use crate::runner::{run, sweep, RunReport, Scenario, SweepJob};
 use partialtor_simnet::{SimDuration, SimTime};
-use serde::Serialize;
 
 /// One sweep point.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig11Row {
     /// Relay count.
     pub relays: u64,
@@ -22,7 +21,7 @@ pub struct Fig11Row {
 }
 
 /// The sweep result.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig11Result {
     /// One row per relay count.
     pub rows: Vec<Fig11Row>,

@@ -2,10 +2,9 @@
 //! mean 7141.79.
 
 use partialtor_simnet::{RelayPopulation, PAPER_MEAN_RELAYS};
-use serde::Serialize;
 
 /// One rendered sample.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig6Row {
     /// Sample label (`YYYY-MM-wN`).
     pub label: String,
@@ -14,7 +13,7 @@ pub struct Fig6Row {
 }
 
 /// The full series plus its mean.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig6Result {
     /// Weekly samples.
     pub rows: Vec<Fig6Row>,

@@ -10,10 +10,9 @@
 use crate::calibration::ATTACK_RESIDUAL_BPS;
 use crate::protocols::ProtocolKind;
 use crate::runner::{run, sweep, Scenario, SweepJob};
-use serde::Serialize;
 
 /// One sweep point.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig7Row {
     /// Relay-population size.
     pub relays: u64,
@@ -22,7 +21,7 @@ pub struct Fig7Row {
 }
 
 /// The sweep result.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig7Result {
     /// One row per relay count.
     pub rows: Vec<Fig7Row>,

@@ -453,45 +453,7 @@ pub fn render(result: &FrontierResult) -> String {
 
 /// Serializes the frontier for `dirsim frontier --json`.
 pub fn to_json(result: &FrontierResult) -> crate::json::Json {
-    use crate::json::Json;
-    Json::obj([
-        (
-            "attack_budget_usd_month",
-            Json::from(result.attack_budget_usd_month),
-        ),
-        ("target_downtime", Json::from(result.target_downtime)),
-        ("hours", Json::from(result.hours)),
-        ("beam", Json::from(result.beam)),
-        (
-            "rows",
-            Json::arr(result.rows.iter().map(|row| {
-                Json::obj([
-                    (
-                        "defense_budget_usd_month",
-                        Json::from(row.defense_budget_usd_month),
-                    ),
-                    ("defense_label", Json::str(row.defense_label.clone())),
-                    (
-                        "defense_cost_usd_month",
-                        Json::from(row.defense_cost_usd_month),
-                    ),
-                    (
-                        "attacker_cost_usd_month",
-                        Json::from(row.attacker_cost_usd_month),
-                    ),
-                    ("attack_label", Json::str(row.attack_label.clone())),
-                    ("attack_downtime", Json::from(row.attack_downtime)),
-                    (
-                        "attribution",
-                        match &row.attribution {
-                            None => Json::Null,
-                            Some(rollup) => super::attribution_rollup_json(rollup),
-                        },
-                    ),
-                ])
-            })),
-        ),
-    ])
+    crate::json::ToJson::to_json(result)
 }
 
 #[cfg(test)]

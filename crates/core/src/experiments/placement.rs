@@ -23,7 +23,7 @@ use crate::protocols::ProtocolKind;
 use crate::runner::sweep;
 use partialtor_dirdist::{
     client_weighted_latency_ms, CachePlacement, ClientRegions, DistConfig, DocModel, LinkWindow,
-    TierNode,
+    RegionCacheCount, TierNode,
 };
 use partialtor_obs::Tracer;
 use partialtor_simnet::geo::{Region, REGIONS};
@@ -70,8 +70,8 @@ impl Default for PlacementParams {
 pub struct StrategyScore {
     /// Strategy label.
     pub label: String,
-    /// Caches per region, `(region label, count)`.
-    pub cache_counts: Vec<(String, usize)>,
+    /// Caches per region.
+    pub cache_counts: Vec<RegionCacheCount>,
     /// Expected one-way fetch latency of a random client, ms — the
     /// ranking metric.
     pub client_weighted_latency_ms: f64,
@@ -79,9 +79,22 @@ pub struct StrategyScore {
     pub client_weighted_downtime: f64,
     /// Mean stale-client fraction over the horizon.
     pub mean_stale_fraction: f64,
-    /// Per-cohort outcomes: `(region, weight, fetch latency ms,
-    /// downtime)`.
-    pub regions: Vec<(String, f64, f64, f64)>,
+    /// Per-cohort outcomes.
+    pub regions: Vec<CohortScore>,
+}
+
+/// One regional cohort's outcome under a strategy.
+#[derive(Clone, Debug, Serialize)]
+pub struct CohortScore {
+    /// Cohort region label.
+    pub region: String,
+    /// Population fraction of the cohort.
+    pub weight: f64,
+    /// Mean one-way fetch latency against the cohort's serving caches,
+    /// ms.
+    pub fetch_latency_ms: f64,
+    /// The cohort's client-weighted downtime over the horizon.
+    pub client_weighted_downtime: f64,
 }
 
 /// One step of the greedy placement search.
@@ -237,12 +250,6 @@ fn score(
     };
     StrategyScore {
         label: label.unwrap_or_else(|| placement.label()),
-        cache_counts: report
-            .placement
-            .cache_counts
-            .iter()
-            .map(|count| (count.region.clone(), count.caches))
-            .collect(),
         client_weighted_latency_ms: report.placement.client_weighted_latency_ms,
         client_weighted_downtime: report.fleet.client_weighted_downtime,
         mean_stale_fraction: report.fleet.mean_stale_fraction,
@@ -250,15 +257,14 @@ fn score(
             .placement
             .cohorts
             .iter()
-            .map(|cohort| {
-                (
-                    cohort.region.clone(),
-                    cohort.weight,
-                    cohort.fetch_latency_ms,
-                    downtime_of(&cohort.region),
-                )
+            .map(|cohort| CohortScore {
+                region: cohort.region.clone(),
+                weight: cohort.weight,
+                fetch_latency_ms: cohort.fetch_latency_ms,
+                client_weighted_downtime: downtime_of(&cohort.region),
             })
             .collect(),
+        cache_counts: report.placement.cache_counts,
     }
 }
 
@@ -325,91 +331,15 @@ pub fn run_experiment(params: &PlacementParams) -> PlacementResult {
     }
 }
 
-/// Serializes one strategy for `dirsim placement --json`.
-fn score_json(score: &StrategyScore) -> crate::json::Json {
-    use crate::json::Json;
-    Json::obj([
-        ("label", Json::str(score.label.clone())),
-        (
-            "cache_counts",
-            Json::arr(score.cache_counts.iter().map(|(region, caches)| {
-                Json::obj([
-                    ("region", Json::str(region.clone())),
-                    ("caches", Json::from(*caches)),
-                ])
-            })),
-        ),
-        (
-            "client_weighted_latency_ms",
-            Json::from(score.client_weighted_latency_ms),
-        ),
-        (
-            "client_weighted_downtime",
-            Json::from(score.client_weighted_downtime),
-        ),
-        ("mean_stale_fraction", Json::from(score.mean_stale_fraction)),
-        (
-            "regions",
-            Json::arr(
-                score
-                    .regions
-                    .iter()
-                    .map(|(region, weight, latency_ms, downtime)| {
-                        Json::obj([
-                            ("region", Json::str(region.clone())),
-                            ("weight", Json::from(*weight)),
-                            ("fetch_latency_ms", Json::from(*latency_ms)),
-                            ("client_weighted_downtime", Json::from(*downtime)),
-                        ])
-                    }),
-            ),
-        ),
-    ])
-}
-
 /// Serializes the sweep for `dirsim placement --json`.
 pub fn to_json(result: &PlacementResult) -> crate::json::Json {
-    use crate::json::Json;
-    Json::obj([
-        ("hours", Json::from(result.hours)),
-        ("clients", Json::from(result.clients)),
-        ("caches", Json::from(result.caches)),
-        (
-            "brownout",
-            match &result.brownout {
-                None => Json::Null,
-                Some(region) => Json::str(region.clone()),
-            },
-        ),
-        (
-            "strategies",
-            Json::arr(result.strategies.iter().map(score_json)),
-        ),
-        (
-            "greedy",
-            match &result.greedy {
-                None => Json::Null,
-                Some(greedy) => Json::obj([
-                    (
-                        "steps",
-                        Json::arr(greedy.steps.iter().map(|step| {
-                            Json::obj([
-                                ("region", Json::str(step.region.clone())),
-                                ("latency_ms", Json::from(step.latency_ms)),
-                            ])
-                        })),
-                    ),
-                    ("score", score_json(&greedy.score)),
-                ]),
-            },
-        ),
-    ])
+    crate::json::ToJson::to_json(result)
 }
 
-fn counts_cell(counts: &[(String, usize)]) -> String {
+fn counts_cell(counts: &[RegionCacheCount]) -> String {
     counts
         .iter()
-        .map(|(region, caches)| format!("{region}:{caches}"))
+        .map(|count| format!("{}:{}", count.region, count.caches))
         .collect::<Vec<_>>()
         .join(" ")
 }
@@ -551,7 +481,7 @@ mod tests {
         // The greedy row reports exactly the tier its steps placed
         // (8 caches here), not the sweep's 16-cache tier cycling it.
         let greedy = result.greedy.as_ref().expect("greedy ran");
-        let placed: usize = greedy.score.cache_counts.iter().map(|(_, c)| c).sum();
+        let placed: usize = greedy.score.cache_counts.iter().map(|c| c.caches).sum();
         assert_eq!(placed, 8);
         // Deterministic end to end.
         let again = run_experiment(&small_params());
@@ -603,15 +533,15 @@ mod tests {
         let europe = client_weighted
             .regions
             .iter()
-            .find(|(region, ..)| region == "europe")
+            .find(|cohort| cohort.region == "europe")
             .expect("cohort exists");
         let us_east = client_weighted
             .regions
             .iter()
-            .find(|(region, ..)| region == "us-east")
+            .find(|cohort| cohort.region == "us-east")
             .expect("cohort exists");
         assert!(
-            europe.3 > us_east.3 + 0.1,
+            europe.client_weighted_downtime > us_east.client_weighted_downtime + 0.1,
             "browned-out Europe must lose more client-time: {:?} vs {:?}",
             europe,
             us_east

@@ -11,10 +11,9 @@ use crate::protocols::ProtocolKind;
 #[cfg(test)]
 use crate::runner::run;
 use crate::runner::{sweep, Scenario, SweepJob};
-use serde::Serialize;
 
 /// One measured cell.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Table1Cell {
     /// Protocol label.
     pub protocol: String,
@@ -27,7 +26,7 @@ pub struct Table1Cell {
 }
 
 /// The measured table plus fitted exponents.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Table1Result {
     /// Raw measurements.
     pub cells: Vec<Table1Cell>,

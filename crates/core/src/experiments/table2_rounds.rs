@@ -8,10 +8,9 @@
 
 use crate::protocols::ProtocolKind;
 use crate::runner::{run, Scenario};
-use serde::Serialize;
 
 /// The table plus the measured agreement behaviour.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Table2Result {
     /// (sub-protocol, rounds) rows as the paper states them.
     pub rows: Vec<(String, String)>,

@@ -21,23 +21,6 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-const CLIENTS: &[&str] = &[
-    "clients",
-    "--hours",
-    "2",
-    "--clients",
-    "20000",
-    "--caches",
-    "10",
-    "--relays",
-    "500",
-    "--feedback",
-    "--churn",
-    "weekly",
-    "--attribution",
-    "--json",
-];
-
 fn golden(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -67,8 +50,7 @@ fn assert_golden(name: &str, actual: &str) {
 
 #[test]
 fn json_outputs_match_their_goldens() {
-    let cases: [(&str, &[&str]); 7] = [
-        ("clients.json", CLIENTS),
+    let cases: [(&str, &[&str]); 6] = [
         (
             "attribute.json",
             &[
@@ -157,14 +139,31 @@ fn json_outputs_match_their_goldens() {
     }
 }
 
+/// `clients` prints the same `--json` with `--metrics FILE` as without.
 #[test]
-fn clients_metrics_file_matches_its_golden() {
+fn clients_json_and_metrics_file_match_their_goldens() {
     let dir = std::env::temp_dir().join(format!("dirsim-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("metrics.json");
-    let mut args = CLIENTS.to_vec();
-    args.extend(["--metrics", path.to_str().expect("UTF-8 temp path")]);
-    assert_golden("clients.json", &stdout(&args));
+    let clients = [
+        "clients",
+        "--hours",
+        "2",
+        "--clients",
+        "20000",
+        "--caches",
+        "10",
+        "--relays",
+        "500",
+        "--feedback",
+        "--churn",
+        "weekly",
+        "--attribution",
+        "--json",
+        "--metrics",
+        path.to_str().expect("UTF-8 temp path"),
+    ];
+    assert_golden("clients.json", &stdout(&clients));
     let metrics = std::fs::read_to_string(&path).expect("--metrics writes its file");
     std::fs::remove_dir_all(&dir).expect("temp dir removed");
     assert_golden("clients_metrics.json", &metrics);

@@ -1,6 +1,7 @@
 //! Drives the built `dircached` and `dirload` binaries: a bad seconds
 //! or rate flag ends with an error, the usage and exit status 2 — never
-//! a panic, and never a daemon that serves forever.
+//! a panic, and never a daemon that serves forever. A mix file that does
+//! not parse ends with exit status 1.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -71,4 +72,28 @@ fn dircached_rejects_bad_seconds() {
     for args in cases {
         assert_usage_error(env!("CARGO_BIN_EXE_dircached"), "dircached", args);
     }
+}
+
+#[test]
+fn dirload_rejects_a_mix_whose_totals_overflow() {
+    // 2⁶⁴ − 1 bootstraps plus one probe: the fetch total leaves u64 (a
+    // debug build used to panic picking the busiest hour).
+    let path = std::env::temp_dir().join(format!("dirload-overflow-{}.mix", std::process::id()));
+    std::fs::write(
+        &path,
+        "fetchmix v1 hour=1\n\
+         bootstrap version=1 count=18446744073709551615 consensus=1 descriptors=0\n\
+         probes count=1\n\
+         end\n",
+    )
+    .expect("write mix");
+    let mix = path.to_str().expect("UTF-8 temp path");
+    let (code, stderr) = run(
+        env!("CARGO_BIN_EXE_dirload"),
+        &["--addr", "127.0.0.1:9", "--mix", mix],
+    );
+    std::fs::remove_file(&path).expect("remove mix");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("fetchmix"), "{stderr}");
 }

@@ -64,6 +64,7 @@
 use crate::docmodel::DocTable;
 use crate::fleet::FleetSim;
 use crate::timeline::{newest_live_cached, Publication};
+use partialtor_obs::json::{Json, ToJson};
 use serde::Serialize;
 
 /// Caches are assumed to fetch a published version within this many
@@ -79,7 +80,7 @@ const RECONCILE_STEPS: usize = 128;
 /// Additive blame shares of one downtime total. Every field is
 /// non-negative and the seven sum bit-exactly — in declaration order,
 /// left to right — to the total they decompose.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CauseParts {
     /// Flooded authority links delayed or prevented cache fetches.
     pub authority_flooded: f64,
@@ -133,11 +134,27 @@ impl CauseParts {
     }
 }
 
+/// The seven parts in canonical order plus the dominant cause's name.
+/// The parts sum bit-exactly to the downtime they decompose, so the JSON
+/// is re-checkable by any consumer.
+impl ToJson for CauseParts {
+    fn to_json(&self) -> Json {
+        let mut pairs: Vec<(String, Json)> = self
+            .named()
+            .iter()
+            .map(|(name, value)| (name.to_string(), Json::from(*value)))
+            .collect();
+        pairs.push(("dominant".to_string(), Json::str(self.dominant().0)));
+        Json::Obj(pairs)
+    }
+}
+
 /// One stepped hour's blame decomposition: `parts.sum() == downtime`
 /// bit-exactly, where `downtime` is the hour's `dead_fraction`.
 #[derive(Clone, Copy, Debug, Serialize)]
 pub struct HourAttribution {
-    /// The hour index.
+    /// The hour index (the JSON carries it on the enclosing hour).
+    #[serde(skip)]
     pub hour: u64,
     /// The decomposed total — the hour's client-weighted dead fraction.
     pub downtime: f64,

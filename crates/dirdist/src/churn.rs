@@ -12,7 +12,6 @@
 //!   sizes breathe with the series over week-long runs.
 
 use partialtor_simnet::RelayPopulation;
-use serde::Serialize;
 
 /// Hours per week (the Fig. 6 series is weekly).
 const HOURS_PER_WEEK: u64 = 168;
@@ -23,7 +22,7 @@ pub const BASE_CHURN_PER_HOUR: f64 = 0.02;
 
 /// Decides what fraction of the relay set churns in each simulated
 /// hour.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub enum ChurnSchedule {
     /// The same fraction every hour.
     Constant(f64),

@@ -26,7 +26,6 @@
 use partialtor_obs::span;
 use partialtor_tordoc::serve::{DiffStore, Served};
 use partialtor_tordoc::Consensus;
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Fixed overhead of a consensus document (header, known-flags,
@@ -57,7 +56,7 @@ pub const fn descriptors_size_bytes(relays: u64) -> u64 {
 }
 
 /// The document classes the distribution layer serves.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DocClass {
     /// The hourly network consensus (full document or proposal-140 diff).
     Consensus,

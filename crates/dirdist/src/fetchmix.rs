@@ -20,11 +20,10 @@
 use crate::docmodel::{DocClass, DocTable};
 use crate::fleet::{FleetHourRow, FAILED_PROBE_BYTES, REQUEST_BYTES};
 use crate::timeline::Publication;
-use serde::Serialize;
 
 /// Successful bootstraps onto one version, with the full-document costs
 /// each was served.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BootstrapClass {
     /// Version the clients landed on.
     pub version: usize,
@@ -38,7 +37,7 @@ pub struct BootstrapClass {
 
 /// Refreshes that moved clients from one base version to a target, with
 /// the incremental costs each was served.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RefreshClass {
     /// Base version the clients held.
     pub from_version: usize,
@@ -60,7 +59,7 @@ pub struct RefreshClass {
 
 /// One hour's realized fetch mix: everything a load generator needs to
 /// replay the hour's client traffic against a real serving daemon.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FetchMix {
     /// The hour this mix realizes.
     pub hour: u64,
@@ -228,7 +227,9 @@ impl FetchMix {
     }
 
     /// Parses one or more concatenated [`FetchMix::encode`] blocks.
-    /// Rejects malformed lines with a description rather than panicking.
+    /// Rejects malformed lines with a description rather than panicking,
+    /// and rejects a block whose counts or byte totals overflow `u64`,
+    /// so every accessor is total on a parsed mix.
     pub fn parse_all(text: &str) -> Result<Vec<FetchMix>, String> {
         let mut mixes = Vec::new();
         let mut current: Option<FetchMix> = None;
@@ -294,7 +295,11 @@ impl FetchMix {
                     mix.failed_probes = num("count")?;
                 }
                 "end" => {
-                    mixes.push(current.take().ok_or_else(|| fail("`end` without block"))?);
+                    let mix = current.take().ok_or_else(|| fail("`end` without block"))?;
+                    if !mix.totals_fit() {
+                        return Err(fail("block's counts or byte totals overflow u64"));
+                    }
+                    mixes.push(mix);
                 }
                 _ => return Err(fail("unknown record")),
             }
@@ -303,6 +308,39 @@ impl FetchMix {
             return Err("fetchmix: unterminated block (missing `end`)".into());
         }
         Ok(mixes)
+    }
+
+    /// Whether every sum and product the accessors take fits in `u64`:
+    /// the fetch total, the payload bytes (whose partial sums are the
+    /// consensus and descriptor totals) and the request bytes, which
+    /// also bound `dirload`'s per-class sampling weights.
+    fn totals_fit(&self) -> bool {
+        fn sum(terms: impl IntoIterator<Item = Option<u64>>) -> Option<u64> {
+            terms
+                .into_iter()
+                .try_fold(0u64, |acc, term| acc.checked_add(term?))
+        }
+        let rows = self
+            .bootstraps
+            .iter()
+            .map(|b| (b.count, b.consensus_bytes, b.descriptor_bytes))
+            .chain(
+                self.refreshes
+                    .iter()
+                    .map(|r| (r.count, r.consensus_bytes, r.descriptor_bytes)),
+            );
+        let fits = || {
+            let served = sum(rows.clone().map(|(count, ..)| Some(count)))?;
+            sum([Some(served), Some(self.failed_probes)])?;
+            sum(rows.clone().flat_map(|(count, consensus, descriptors)| {
+                [count.checked_mul(consensus), count.checked_mul(descriptors)]
+            }))?;
+            sum([
+                served.checked_mul(REQUEST_BYTES),
+                self.failed_probes.checked_mul(FAILED_PROBE_BYTES),
+            ])
+        };
+        fits().is_some()
     }
 
     /// The busiest mix in a sequence (most total fetches) — the hour a
@@ -410,5 +448,21 @@ mod tests {
             assert!(FetchMix::parse_all(bad).is_err(), "must reject: {bad:?}");
         }
         assert_eq!(FetchMix::parse_all("\n\n").unwrap(), Vec::new());
+    }
+
+    /// A count whose fetch total or byte product leaves `u64` is
+    /// rejected at parse time (it used to panic in `busiest` in a debug
+    /// build and wrap in a release build).
+    #[test]
+    fn parse_rejects_overflowing_totals() {
+        let max = u64::MAX;
+        for bad in [
+            format!("fetchmix v1 hour=1\nbootstrap version=1 count={max} consensus=1 descriptors=0\nprobes count=1\nend\n"),
+            format!("fetchmix v1 hour=1\nbootstrap version=1 count=2 consensus={max} descriptors=0\nprobes count=0\nend\n"),
+            format!("fetchmix v1 hour=1\nrefresh from=0 to=1 age=1 count=3 consensus=1 diff=1 descriptors=0\nprobes count={max}\nend\n"),
+        ] {
+            let error = FetchMix::parse_all(&bad).expect_err("overflow must be rejected");
+            assert!(error.contains("overflow"), "{error}");
+        }
     }
 }

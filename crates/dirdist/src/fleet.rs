@@ -91,7 +91,7 @@ impl FleetConfig {
 
 /// One region cohort's slice of an hour — the integer fields sum
 /// exactly to the owning [`FleetHourRow`]'s aggregates.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct RegionHourSlice {
     /// Region label (`worldwide` for the unplaced cohort).
     pub region: String,
@@ -121,7 +121,7 @@ pub struct RegionHourSlice {
 /// consensus `from_version` to `to_version` (and were served the
 /// corresponding consensus response plus churned descriptors). The
 /// exact diff-base mix a serving-path replay needs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FetchTransition {
     /// Consensus version the clients held before the fetch.
     pub from_version: usize,
@@ -132,7 +132,7 @@ pub struct FetchTransition {
 }
 
 /// Successful bootstraps onto one consensus version this hour.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VersionCount {
     /// Version the bootstrapping clients landed on.
     pub version: usize,
@@ -172,12 +172,15 @@ pub struct FleetHourRow {
     /// Exact realized refresh flows, sorted by (from, to); counts sum
     /// to `refresh_fetches`. Passive accounting — recording it draws no
     /// randomness.
+    #[serde(skip)]
     pub refresh_transitions: Vec<FetchTransition>,
     /// Exact successful-bootstrap counts per target version, sorted;
     /// counts sum to `bootstrap_successes`.
+    #[serde(skip)]
     pub bootstrap_targets: Vec<VersionCount>,
     /// Per-region slices (one per cohort; integer fields sum to the
     /// aggregates above).
+    #[serde(skip)]
     pub regions: Vec<RegionHourSlice>,
 }
 

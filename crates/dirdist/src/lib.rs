@@ -189,9 +189,19 @@ impl DistConfig {
 }
 
 /// End-to-end result: what the authorities served, what the caches held,
-/// and what the clients saw.
+/// and what the clients saw. Its JSON keys are its fields, in this order.
 #[derive(Clone, Debug, Serialize)]
 pub struct DistReport {
+    /// Per-hour reports, hour 0 first (fleet rows, fetch-latency
+    /// percentiles, tier traffic signatures, background loads).
+    pub hours: Vec<HourReport>,
+    /// Session-wide telemetry rollup (always collected; CLI flags only
+    /// control whether it is exported).
+    pub telemetry: TelemetrySummary,
+    /// Whole-run downtime blame rollup; `Some` only when
+    /// [`DistConfig::attribution`] was on. Its parts sum bit-exactly to
+    /// `fleet.client_weighted_downtime`.
+    pub attribution: Option<AttributionRollup>,
     /// Cache-tier outcome (authority-side egress, per-version
     /// availability).
     pub cache: CacheTierReport,
@@ -203,16 +213,6 @@ pub struct DistReport {
     pub placement: PlacementSummary,
     /// Feedback-loop summary (background loads the session applied).
     pub feedback: FeedbackSummary,
-    /// Per-hour reports, hour 0 first (fleet rows, fetch-latency
-    /// percentiles, tier traffic signatures, background loads).
-    pub hours: Vec<HourReport>,
-    /// Session-wide telemetry rollup (always collected; CLI flags only
-    /// control whether it is exported).
-    pub telemetry: TelemetrySummary,
-    /// Whole-run downtime blame rollup; `Some` only when
-    /// [`DistConfig::attribution`] was on. Its parts sum bit-exactly to
-    /// `fleet.client_weighted_downtime`.
-    pub attribution: Option<AttributionRollup>,
 }
 
 #[cfg(test)]

@@ -167,7 +167,9 @@ pub struct HourReport {
     /// Newest version the cache tier held (at quorum) by the end of the
     /// hour.
     pub newest_cached_version: Option<usize>,
-    /// The fleet's hour row (client-visible outcomes and egress).
+    /// The fleet's hour row (client-visible outcomes and egress; the
+    /// JSON leaves it to the report's `fleet.rows`).
+    #[serde(skip)]
     pub fleet: FleetHourRow,
     /// Background load on each authority uplink during this hour,
     /// bits/s (legacy direct fetchers plus, with feedback on, the
@@ -245,11 +247,11 @@ pub struct RegionCacheCount {
 pub struct PlacementSummary {
     /// Placement strategy label.
     pub strategy: String,
-    /// Caches per region under the placement.
-    pub cache_counts: Vec<RegionCacheCount>,
     /// The headline metric: expected one-way fetch latency of a random
     /// client, over cohorts weighted by population share, ms.
     pub client_weighted_latency_ms: f64,
+    /// Caches per region under the placement.
+    pub cache_counts: Vec<RegionCacheCount>,
     /// Per-cohort serving sets and latencies.
     pub cohorts: Vec<CohortPlacement>,
 }

@@ -12,10 +12,8 @@
 //! [`cachesim::run`](crate::cachesim::run) and
 //! [`fleet::run`](crate::fleet::run).
 
-use serde::Serialize;
-
 /// One successfully produced consensus.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Publication {
     /// Index in the produced sequence — the version number the cache
     /// tier and fleets use to talk about documents.
@@ -70,7 +68,7 @@ impl Publication {
 }
 
 /// A day (or any horizon) of hourly consensus outcomes.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ConsensusTimeline {
     /// Number of hourly runs after the baseline (hours `1..=hours`).
     pub hours: u64,

@@ -1,14 +1,15 @@
 //! A minimal JSON value tree and writer — the only one outside
 //! `benchmark/`.
 //!
-//! The workspace builds without network access, so the `serde` in the
-//! dependency tree is a no-op shim — deriving `Serialize` documents
-//! intent but cannot emit bytes. Everything that writes JSON (the
-//! `--json` / `--metrics` / `--trace` outputs of `dirsim`, the daemon's
-//! `/metrics`, `dirload --metrics`) builds a [`Json`] tree and
-//! [`Json::render`] writes spec-compliant JSON (escaped strings, `null`
-//! for non-finite numbers). It lives in this bottom crate so every
-//! layer can reach it; `partialtor::json` re-exports it.
+//! Everything that writes JSON (the `--json` / `--metrics` / `--trace`
+//! outputs of `dirsim`, the daemon's `/metrics`, `dirload --metrics`)
+//! builds a [`Json`] tree and [`Json::render`] writes spec-compliant JSON
+//! (escaped strings, `null` for non-finite numbers). A report struct
+//! gets its tree from [`ToJson`], which the workspace's vendored
+//! `#[derive(Serialize)]` implements: keys are the field names in
+//! declaration order, and `#[serde(skip)]` / `#[serde(flatten)]` keep
+//! serde's meaning. It lives in this bottom crate so every layer can
+//! reach it; `partialtor::json` re-exports it.
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -41,6 +42,20 @@ impl Json {
     /// A string value.
     pub fn str(value: impl Into<String>) -> Json {
         Json::Str(value.into())
+    }
+
+    /// The pairs of an object: what a `#[serde(flatten)]` field adds to
+    /// its parent's.
+    ///
+    /// # Panics
+    ///
+    /// When the value is not an object (serde rejects a flattened
+    /// non-map the same way, when it serializes).
+    pub fn into_fields(self) -> Vec<(String, Json)> {
+        match self {
+            Json::Obj(pairs) => pairs,
+            other => panic!("only an object can be flattened, not {other:?}"),
+        }
     }
 
     /// Renders the tree as compact JSON.
@@ -115,6 +130,62 @@ impl From<bool> for Json {
 impl<T: Into<Json>> From<Option<T>> for Json {
     fn from(value: Option<T>) -> Self {
         value.map_or(Json::Null, Into::into)
+    }
+}
+
+/// A value that writes itself as a [`Json`] tree. `#[derive(Serialize)]`
+/// implements it for report structs; numbers and booleans go through
+/// the `From` conversions above.
+pub trait ToJson {
+    /// This value as a JSON tree.
+    fn to_json(&self) -> Json;
+}
+
+macro_rules! to_json_via_from {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn to_json(&self) -> Json {
+                Json::from(*self)
+            }
+        }
+    )*};
+}
+
+to_json_via_from!(f64, u64, usize, bool);
+
+impl ToJson for str {
+    fn to_json(&self) -> Json {
+        Json::str(self)
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> Json {
+        Json::str(self.as_str())
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn to_json(&self) -> Json {
+        (**self).to_json()
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, ToJson::to_json)
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn to_json(&self) -> Json {
+        Json::arr(self.iter().map(ToJson::to_json))
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Json {
+        self.as_slice().to_json()
     }
 }
 

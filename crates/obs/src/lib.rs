@@ -24,8 +24,10 @@
 //!   own cost, so (unlike traces and metrics) its output is real time
 //!   and not deterministic; it never feeds back into reports.
 //!
-//! Beside them, [`json`] is the workspace's one JSON value + writer:
-//! it sits in this bottom crate so every exporter above can build on it.
+//! Beside them, [`json`] is the workspace's one JSON value + writer,
+//! and [`ToJson`] is what the vendored `#[derive(Serialize)]` implements
+//! for a report struct: it sits in this bottom crate so every exporter
+//! above can build on it.
 //!
 //! Everything here is **observational**: emitting a trace event or
 //! bumping a counter draws no randomness and schedules no events, so
@@ -37,7 +39,7 @@ pub mod profile;
 pub mod span;
 pub mod trace;
 
-pub use json::Json;
+pub use json::{Json, ToJson};
 pub use metrics::{Histogram, MetricsSnapshot, Registry, HIST_BUCKETS};
 pub use profile::{profile_report, profiling_enabled, reset_profiler, set_profiling, span, Span};
 pub use span::{SpanId, TraceRecord};

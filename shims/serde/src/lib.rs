@@ -1,25 +1,12 @@
 //! Vendored stand-in for `serde`.
 //!
 //! The workspace builds without network access, so the real serde cannot
-//! be fetched. The experiment drivers only use `#[derive(Serialize)]` as
-//! a structural marker (rows are rendered through hand-written `render`
-//! functions, never serialized generically), so the shim provides:
-//!
-//! * a [`Serialize`] marker trait blanket-implemented for every type, and
-//! * no-op `Serialize`/`Deserialize` derives re-exported from
-//!   `serde_derive`.
-//!
-//! Swapping in the real serde later is a one-line change in the root
-//! `[workspace.dependencies]` table.
+//! be fetched. What the workspace needs of it is `#[derive(Serialize)]`
+//! on its report structs, and the shim's derive makes that real: it
+//! writes the struct as a JSON object through
+//! `partialtor_obs::json::ToJson` (keys are the field names in
+//! declaration order). `#[serde(skip)]` and `#[serde(flatten)]` keep
+//! serde's meaning; see `serde_derive` for what else the derive
+//! rejects.
 
-/// Marker trait standing in for `serde::Serialize`.
-pub trait Serialize {}
-
-impl<T: ?Sized> Serialize for T {}
-
-/// Marker trait standing in for `serde::Deserialize`.
-pub trait Deserialize {}
-
-impl<T: ?Sized> Deserialize for T {}
-
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
