@@ -3,7 +3,12 @@
 //! uniform [`RunReport`].
 //!
 //! Every experiment in [`crate::experiments`] is a loop over scenarios fed
-//! through [`run`].
+//! through [`run`], or a batch of them fed through [`sweep`]. A run's
+//! committee — its authorities' keys and the [`Committee`] that remembers
+//! which signatures have passed — is derived from the scenario's
+//! `(seed, n)` alone: [`run`] and [`run_with`] derive one per run, and a
+//! [`sweep`] derives one per unit of work, the jobs of one `(seed, n)`
+//! group that one worker runs in job order.
 
 use crate::adversary::AttackPlan;
 use crate::calibration;
@@ -14,7 +19,7 @@ use crate::protocols::{
 use partialtor_crypto::Committee;
 use partialtor_simnet::prelude::*;
 use partialtor_tordoc::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// One experiment configuration.
 #[derive(Clone, Debug)]
@@ -80,13 +85,13 @@ impl Scenario {
         calibration::effective_bandwidth(raw_bps, self.relays)
     }
 
-    fn documents(&self) -> Vec<DirDocument> {
+    /// The votes of `committee`, this scenario's `(seed, n)` authorities.
+    fn documents(&self, committee: &AuthoritySet) -> Vec<DirDocument> {
         if self.real_docs {
             let population = generate_population(&PopulationConfig {
                 seed: self.seed,
                 count: self.relays as usize,
             });
-            let committee = AuthoritySet::with_size(self.seed, self.n);
             committee
                 .iter()
                 .map(|auth| {
@@ -228,30 +233,65 @@ fn finish_report<N: Node>(
     }
 }
 
+/// The committee a run derives from its scenario's `(seed, n)`: the
+/// authorities (names and signing keys) and one [`Committee`] over their
+/// public keys. Every run handed the same `Keys` shares its verified set.
+struct Keys {
+    authorities: AuthoritySet,
+    committee: Committee,
+}
+
+impl Keys {
+    fn derive(scenario: &Scenario) -> Self {
+        let authorities = AuthoritySet::with_size(scenario.seed, scenario.n);
+        let committee = authorities.verifying_keys().into();
+        Keys {
+            authorities,
+            committee,
+        }
+    }
+}
+
 /// Runs one scenario under the chosen protocol.
 pub fn run(protocol: ProtocolKind, scenario: &Scenario) -> RunReport {
     let _span = partialtor_obs::span("runner.run");
+    run_keyed(protocol, scenario, &Keys::derive(scenario))
+}
+
+fn run_keyed(protocol: ProtocolKind, scenario: &Scenario, keys: &Keys) -> RunReport {
     match protocol {
-        ProtocolKind::Current => run_with::<CurrentAuthority>(scenario, |_| Default::default()),
-        ProtocolKind::Synchronous => run_with::<SyncAuthority>(scenario, |_| Default::default()),
-        ProtocolKind::Icps => run_with::<IcpsAuthority>(scenario, |_| Default::default()),
+        ProtocolKind::Current => run_in::<CurrentAuthority>(scenario, keys, |_| Default::default()),
+        ProtocolKind::Synchronous => {
+            run_in::<SyncAuthority>(scenario, keys, |_| Default::default())
+        }
+        ProtocolKind::Icps => run_in::<IcpsAuthority>(scenario, keys, |_| Default::default()),
     }
 }
 
 /// Runs one scenario with an `A` in every seat, seat `i` behaving as
 /// `mode(i)`.
 ///
-/// The run's nodes share one [`Committee`], so each signature is verified
-/// once per run. Lock-step protocols run one minute past their fourth
-/// round; ICPS, which has no rounds, gets four hours (the paper's
-/// 0.5 Mbit/s runs take about fifteen minutes).
+/// The run derives its own committee, and its nodes share one
+/// [`Committee`], so each signature is verified once per run. Lock-step
+/// protocols run one minute past their fourth round; ICPS, which has no
+/// rounds, gets four hours (the paper's 0.5 Mbit/s runs take about
+/// fifteen minutes).
 pub fn run_with<A: Authority>(scenario: &Scenario, mode: impl Fn(usize) -> A::Mode) -> RunReport {
-    let set = AuthoritySet::with_size(scenario.seed, scenario.n);
-    let keys: Committee = set.verifying_keys().into();
+    run_in::<A>(scenario, &Keys::derive(scenario), mode)
+}
+
+/// The one run path: [`run_with`] on keys derived for `scenario`'s
+/// `(seed, n)`, by this run or by an earlier run of its sweep unit.
+fn run_in<A: Authority>(
+    scenario: &Scenario,
+    keys: &Keys,
+    mode: impl Fn(usize) -> A::Mode,
+) -> RunReport {
     let round = SimDuration::from_secs(scenario.round_secs);
-    let nodes: Vec<A> = set
+    let nodes: Vec<A> = keys
+        .authorities
         .iter()
-        .zip(scenario.documents())
+        .zip(scenario.documents(&keys.authorities))
         .enumerate()
         .map(|(i, (authority, doc))| {
             let seat = Seat {
@@ -261,7 +301,7 @@ pub fn run_with<A: Authority>(scenario: &Scenario, mode: impl Fn(usize) -> A::Mo
                 round,
                 doc,
                 signing: authority.signing_key.clone(),
-                keys: keys.clone(),
+                keys: keys.committee.clone(),
             };
             A::new(seat, mode(i))
         })
@@ -324,12 +364,21 @@ fn auto_worker_count(jobs: usize) -> usize {
 /// Runs a batch of scenarios, fanning them out across all cores.
 ///
 /// Every simulation is a pure function of its `(protocol, scenario)`
-/// pair, so parallel execution is behaviourally identical to a serial
-/// loop over [`run`]: same seeds produce byte-identical [`RunReport`]s,
-/// and `reports[i]` always corresponds to `jobs[i]`.
+/// pair, so the batch's reports are byte-identical to a serial loop over
+/// [`run`], and `reports[i]` always corresponds to `jobs[i]`.
 ///
-/// Worker count defaults to the available cores (capped at the batch
-/// size) and can be pinned with [`set_sweep_threads`].
+/// The jobs of one `(seed, n)` share one derived committee: its keys are
+/// derived once, and a signature verified in one run is answered from
+/// the shared set in the next. That changes no report — a verdict is a
+/// function of the verified bytes alone, failures are never stored, and
+/// verification costs no simulated time. A unit of work is such a group,
+/// or a contiguous chunk of it when the batch has fewer groups than
+/// workers; each runs on one worker in job order, so the work counters
+/// of a batch are exact for a given `(jobs, threads)`.
+///
+/// Worker count defaults to the available cores, capped at the number
+/// of units rather than jobs, and can be pinned with
+/// [`set_sweep_threads`].
 pub fn sweep(jobs: &[SweepJob]) -> Vec<RunReport> {
     sweep_threads(jobs, auto_worker_count(jobs.len()))
 }
@@ -338,7 +387,72 @@ pub fn sweep(jobs: &[SweepJob]) -> Vec<RunReport> {
 /// Exposed so determinism tests can compare serial and parallel sweeps
 /// without touching process-global state.
 pub fn sweep_threads(jobs: &[SweepJob], threads: usize) -> Vec<RunReport> {
-    par_map_threads(jobs, threads, |job| run(job.protocol, &job.scenario))
+    let units = plan_units(jobs, threads.max(1));
+    let reports = par_map_threads(&units, threads, |unit| run_unit(jobs, unit));
+    // The units partition the job indices: sorting puts every report
+    // back in its job's slot.
+    let mut slots: Vec<(usize, RunReport)> = units
+        .iter()
+        .zip(reports)
+        .flat_map(|(unit, reports)| unit.iter().copied().zip(reports))
+        .collect();
+    slots.sort_unstable_by_key(|&(index, _)| index);
+    slots.into_iter().map(|(_, report)| report).collect()
+}
+
+/// Runs the jobs at `unit`'s indices in order, on one committee derived
+/// by the first of them (inside its `runner.run` span).
+fn run_unit(jobs: &[SweepJob], unit: &[usize]) -> Vec<RunReport> {
+    let mut keys: Option<Keys> = None;
+    unit.iter()
+        .map(|&index| {
+            let SweepJob { protocol, scenario } = &jobs[index];
+            let _span = partialtor_obs::span("runner.run");
+            let keys = keys.get_or_insert_with(|| Keys::derive(scenario));
+            run_keyed(*protocol, scenario, keys)
+        })
+        .collect()
+}
+
+/// Splits a sweep batch into units of work, each a list of job indices
+/// in ascending order that share one `(seed, n)`.
+///
+/// Every group of jobs with the same `(seed, n)` is one unit, in order of
+/// first appearance. When there are fewer groups than `workers`, groups
+/// are cut into contiguous chunks of near-equal size — one more chunk at
+/// a time for the group whose chunks are largest — until there are
+/// `workers` units or every unit is a single job, so no batch loses
+/// parallelism to the grouping.
+fn plan_units(jobs: &[SweepJob], workers: usize) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut group_of: HashMap<(u64, usize), usize> = HashMap::new();
+    for (index, job) in jobs.iter().enumerate() {
+        let key = (job.scenario.seed, job.scenario.n);
+        let group = *group_of.entry(key).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[group].push(index);
+    }
+    let mut chunks = vec![1; groups.len()];
+    for _ in groups.len()..workers {
+        let widest = (0..groups.len())
+            .filter(|&g| chunks[g] < groups[g].len())
+            .max_by_key(|&g| (groups[g].len().div_ceil(chunks[g]), std::cmp::Reverse(g)));
+        match widest {
+            Some(g) => chunks[g] += 1,
+            None => break,
+        }
+    }
+    groups
+        .iter()
+        .zip(chunks)
+        .flat_map(|(group, count)| {
+            (0..count).map(move |k| {
+                group[k * group.len() / count..(k + 1) * group.len() / count].to_vec()
+            })
+        })
+        .collect()
 }
 
 /// Order-preserving parallel map over `items` using all available cores.
@@ -405,7 +519,10 @@ mod tests {
     use crate::adversary::AttackPlan;
 
     /// A mixed batch covering all three protocols, several seeds and
-    /// relay counts, and one attacked scenario.
+    /// relay counts, and attacked scenarios. Seed 7 recurs across
+    /// protocols, relay counts, calm and attacked runs, and a four-seat
+    /// committee beside nine seats, so the batch has shared committees to
+    /// get wrong.
     fn mixed_jobs() -> Vec<SweepJob> {
         let mut jobs = Vec::new();
         for (i, protocol) in ProtocolKind::ALL.into_iter().cycle().take(9).enumerate() {
@@ -414,6 +531,21 @@ mod tests {
                 Scenario {
                     seed: 11 + i as u64,
                     relays: 500 + 250 * i as u64,
+                    ..Scenario::default()
+                },
+            ));
+            let attack = if i % 2 == 0 {
+                AttackPlan::empty()
+            } else {
+                AttackPlan::five_of_nine()
+            };
+            jobs.push(SweepJob::new(
+                protocol,
+                Scenario {
+                    seed: 7,
+                    n: if i % 3 == 2 { 4 } else { 9 },
+                    relays: 1_000 + 500 * (i as u64 / 3),
+                    attack,
                     ..Scenario::default()
                 },
             ));
@@ -445,23 +577,89 @@ mod tests {
         }
     }
 
+    /// Every slot holds its own job's report, byte for byte what a lone
+    /// `run` of that job gives.
     #[test]
     fn sweep_preserves_input_order() {
         let jobs = mixed_jobs();
         let reports = sweep(&jobs);
         assert_eq!(reports.len(), jobs.len());
-        for (job, report) in jobs.iter().zip(&reports) {
-            assert_eq!(report.protocol, job.protocol);
-            assert_eq!(report.authorities.len(), job.scenario.n);
+        for (index, (job, report)) in jobs.iter().zip(&reports).enumerate() {
+            let alone = run(job.protocol, &job.scenario);
+            assert_eq!(report, &alone, "job {index}");
+            assert_eq!(format!("{report:?}"), format!("{alone:?}"), "job {index}");
         }
-        // Spot-check one slot against its job's individual run; full
-        // serial-vs-parallel equality is covered by
-        // `sweep_parallel_matches_serial_byte_for_byte`.
-        let probe = jobs.len() / 2;
-        assert_eq!(
-            reports[probe],
-            run(jobs[probe].protocol, &jobs[probe].scenario)
-        );
+    }
+
+    /// Every index once, each unit ascending and of one `(seed, n)`.
+    fn assert_partition(jobs: &[SweepJob], units: &[Vec<usize>]) {
+        let mut seen: Vec<usize> = units.concat();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..jobs.len()).collect::<Vec<_>>());
+        for unit in units {
+            assert!(!unit.is_empty());
+            assert!(
+                unit.windows(2).all(|w| w[0] < w[1]),
+                "{unit:?} out of order"
+            );
+            let key = |&i: &usize| (jobs[i].scenario.seed, jobs[i].scenario.n);
+            assert!(unit.iter().all(|i| key(i) == key(&unit[0])), "{unit:?}");
+        }
+    }
+
+    fn calm_job(seed: u64, relays: u64) -> SweepJob {
+        SweepJob::new(
+            ProtocolKind::Current,
+            Scenario {
+                seed,
+                relays,
+                ..Scenario::default()
+            },
+        )
+    }
+
+    #[test]
+    fn the_unit_plan_partitions_the_batch() {
+        let jobs = mixed_jobs();
+        for workers in [1, 2, 3, 8, 64] {
+            let units = plan_units(&jobs, workers);
+            assert_partition(&jobs, &units);
+            // Eleven distinct seeds plus seed 7's `n = 4` group.
+            assert_eq!(units.len(), 12.max(workers.min(jobs.len())), "{workers}");
+        }
+        assert!(plan_units(&[], 4).is_empty());
+    }
+
+    #[test]
+    fn a_one_seed_batch_is_cut_into_a_unit_per_worker() {
+        let jobs: Vec<SweepJob> = (0..40).map(|i| calm_job(5, 500 + i)).collect();
+        assert_eq!(plan_units(&jobs, 1), [(0..40).collect::<Vec<_>>()]);
+        for workers in [2, 8] {
+            let units = plan_units(&jobs, workers);
+            assert_partition(&jobs, &units);
+            assert!(units.len() >= workers, "{workers} workers: {units:?}");
+            // Contiguous chunks of near-equal size.
+            assert_eq!(units.concat(), (0..40).collect::<Vec<_>>());
+            let sizes: Vec<usize> = units.iter().map(Vec::len).collect();
+            assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
+        }
+    }
+
+    #[test]
+    fn a_batch_of_many_seeds_keeps_its_groups_whole() {
+        // Interleaved like the frontier's hourly jobs: seed varies fastest.
+        let jobs: Vec<SweepJob> = (0..8)
+            .flat_map(|k| (0..24).map(move |seed| calm_job(seed, 1_000 + k)))
+            .collect();
+        for workers in [1, 2, 8] {
+            let units = plan_units(&jobs, workers);
+            assert_partition(&jobs, &units);
+            assert_eq!(units.len(), 24);
+            for (seed, unit) in units.iter().enumerate() {
+                let group: Vec<usize> = (0..8).map(|k| 24 * k + seed).collect();
+                assert_eq!(unit, &group);
+            }
+        }
     }
 
     /// SHA-256 of each whole report, for the three protocols on four

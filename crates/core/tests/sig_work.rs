@@ -11,9 +11,13 @@
 //! * **kernel passes** (`kernel_verifies`) — how often the RFC 8032 check
 //!   actually ran. The nodes of a run share one `Committee`, which runs it
 //!   once per distinct (key, message, signature) triple and answers the
-//!   repeats from its verified set. A pass is what costs the time; the
-//!   number moves only when a change adds or removes a *repeat* — shares
-//!   more or less between the nodes of a run — or a check.
+//!   repeats from its verified set. Under `runner::run` that set belongs
+//!   to the run; under `runner::sweep` it belongs to the seed group — the
+//!   batch's jobs with one `(seed, n)` that one worker runs in order — so
+//!   a later run of the group answers what an earlier one verified. A
+//!   pass is what costs the time; the number moves only when a change
+//!   adds or removes a *repeat* — shares more or less between the nodes
+//!   of a run or the runs of a group — or a check.
 //!
 //! Signs are not shared or cached by anything. A faster kernel moves none
 //! of the three.
@@ -22,7 +26,7 @@
 
 use partialtor::adversary::AttackPlan;
 use partialtor::protocols::ProtocolKind;
-use partialtor::runner::{self, RunReport, Scenario};
+use partialtor::runner::{self, RunReport, Scenario, SweepJob};
 use partialtor_crypto::ed25519::work;
 
 /// Runs one scenario and returns (requests, kernel passes, signs, report).
@@ -82,9 +86,10 @@ fn a_failed_current_run_verifies_nothing() {
 
 /// The counters are per thread and only grow: work on another thread is
 /// invisible here, which is what makes the differences above exact under
-/// a parallel `sweep` and under the test harness's own threads. The
-/// verified set belongs to the run, not the thread: a second run on one
-/// thread starts from nothing.
+/// a parallel `sweep` and under the test harness's own threads. Under
+/// `runner::run` the verified set belongs to the run, not the thread: a
+/// second run on one thread starts from nothing. (Under `sweep` it
+/// belongs to the seed group; see the next test.)
 #[test]
 fn counters_are_per_thread() {
     let before = work();
@@ -99,4 +104,38 @@ fn counters_are_per_thread() {
     .join()
     .expect("worker thread");
     assert_eq!(work(), before);
+}
+
+/// (requests, kernel passes, signs) of one serial sweep of `seeds`, a
+/// calm Current job each.
+fn swept(seeds: &[u64]) -> (u64, u64, u64) {
+    let jobs: Vec<SweepJob> = seeds
+        .iter()
+        .map(|&seed| {
+            let scenario = Scenario {
+                seed,
+                ..Scenario::default()
+            };
+            SweepJob::new(ProtocolKind::Current, scenario)
+        })
+        .collect();
+    let before = work();
+    let reports = runner::sweep_threads(&jobs, 1);
+    let after = work();
+    assert!(reports.iter().all(|report| report.success));
+    (
+        after.verifies - before.verifies,
+        after.kernel_verifies - before.kernel_verifies,
+        after.signs - before.signs,
+    )
+}
+
+/// Two identical jobs in one sweep are one seed group: the second run
+/// asks all 72 of its questions again and the group's verified set
+/// answers every one. Two seeds are two groups, two committees, two
+/// sets. Signs are never shared.
+#[test]
+fn a_sweep_shares_the_verified_set_within_a_seed_group() {
+    assert_eq!(swept(&[1, 1]), (144, 9, 18));
+    assert_eq!(swept(&[1, 2]), (144, 18, 18));
 }

@@ -1,4 +1,4 @@
-//! The public keys of one simulated run, with the signatures already
+//! The public keys of a simulated committee, with the signatures already
 //! verified under them.
 //!
 //! The nodes of a simulated run re-check each other's work: an
@@ -36,12 +36,15 @@ struct Checked {
 /// passed. A failure is never stored, so a bad signature costs the full
 /// check every time it is shown and can never be answered from memory.
 ///
-/// A clone shares the set with its original: build one committee per
-/// simulated run and hand every node a clone, and a signature is checked
-/// once per run rather than once per node and message. The set is freed
-/// with the last clone. `Committee::from(keys)`, or collecting an
-/// iterator of keys, starts a set of its own. Sharing is by `Rc`, so a
-/// committee stays on the thread that built it.
+/// A clone shares the set with its original: build one committee and
+/// hand every node of a simulated run a clone, and a signature is checked
+/// once rather than once per node and message. Runs on the same keys may
+/// share one committee too — a sweep builds one per group of runs with
+/// the same seed and committee size — and then a signature is checked
+/// once per group. The set is freed with the last clone.
+/// `Committee::from(keys)`, or collecting an iterator of keys, starts a
+/// set of its own. Sharing is by `Rc`, so a committee stays on the thread
+/// that built it.
 #[derive(Clone, Debug)]
 pub struct Committee {
     keys: Rc<[VerifyingKey]>,
