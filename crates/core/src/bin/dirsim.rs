@@ -5,8 +5,9 @@
 //! `--trace`, `--trace-chrome`, `--metrics` and `--profile`, which are
 //! observational (enabling any of them leaves the output bit-identical).
 //! `dirsim <subcommand> --help` lists a subcommand's own flags with their
-//! bounds. Both are rendered from the one flag table in this file, which
-//! also checks every value before a subcommand runs: unknown flags and
+//! bounds. Both are rendered from the flag table in this file (a
+//! [`partialtor_obs::cli`] table, as `dircached`'s and `dirload`'s are),
+//! which also checks every value before a subcommand runs: unknown flags and
 //! malformed or out-of-range values exit 2 with an error and the usage,
 //! never silently defaulted or clamped. Every subcommand except `fig`
 //! accepts `--json`. When stdout closes early (`dirsim … | head`) the
@@ -23,9 +24,12 @@ use partialtor::monitor;
 use partialtor::protocols::ProtocolKind;
 use partialtor::runner::{set_sweep_threads, sweep, RunReport, Scenario, SweepJob};
 use partialtor::trace_export::{chrome_trace, trace_line};
+use partialtor_obs::cli::{
+    bool_flag, flag, flag_help, int_flag, num_flag, nums_flag, text_flag, Args, Command, FlagSpec,
+    Kind, POSITIONAL,
+};
 use partialtor_obs::trace::DEFAULT_TRACE_CAPACITY;
 use partialtor_obs::{profile_report, set_profiling, Tracer};
-use std::collections::BTreeMap;
 
 /// Writes to stdout. When the reader has gone away (`dirsim … | head`)
 /// the process ends quietly, where `print!` would panic.
@@ -51,119 +55,6 @@ macro_rules! outln {
     ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
 }
 
-/// What a flag's value may be. [`parse_args`] checks every value
-/// against its flag's kind before any handler runs, and `--help` prints
-/// the bounds from here.
-#[derive(Clone, Copy)]
-enum Kind {
-    /// No value: the flag is present or absent.
-    Bool,
-    /// An integer in `min..=max`.
-    U64 { min: u64, max: u64 },
-    /// A finite number in `[min, max]`; with `list`, a comma-separated
-    /// list of them.
-    F64 { min: f64, max: f64, list: bool },
-    /// One of these words.
-    Enum(&'static [&'static str]),
-    /// Free text: a file path, or a value its handler parses (`--churn`).
-    Text,
-}
-
-/// One checked flag value.
-enum Value {
-    Present,
-    U64(u64),
-    F64(Vec<f64>),
-    Text(String),
-}
-
-impl Kind {
-    /// The bounds `--help` prints, if the kind has any.
-    fn bounds(self) -> Option<String> {
-        match self {
-            Kind::Bool | Kind::Text => None,
-            Kind::U64 { min, max: u64::MAX } => Some(format!("[≥ {min}]")),
-            Kind::U64 { min, max } => Some(format!("[{min}, {max}]")),
-            Kind::F64 { min, max, .. } => Some(format!("[{min}, {max}]")),
-            Kind::Enum(words) => Some(format!("[{}]", words.join(" | "))),
-        }
-    }
-
-    /// Checks one raw value of flag `name` against this kind.
-    fn parse(self, name: &str, raw: &str) -> Result<Value, String> {
-        let bounds = self.bounds().unwrap_or_default();
-        match self {
-            Kind::Bool => Ok(Value::Present),
-            Kind::U64 { min, max } => match raw.parse() {
-                Ok(value) if (min..=max).contains(&value) => Ok(Value::U64(value)),
-                _ => Err(format!(
-                    "{name} expects an integer in {bounds}, got {raw:?}"
-                )),
-            },
-            // The closed range holds no NaN or infinity: nothing
-            // downstream meets a non-finite quantity.
-            Kind::F64 { min, max, list } => raw
-                .split(',')
-                .map(|part| part.trim().parse().ok().filter(|v| (min..=max).contains(v)))
-                .collect::<Option<Vec<f64>>>()
-                .filter(|values| list || values.len() == 1)
-                .map(Value::F64)
-                .ok_or_else(|| {
-                    let numbers = if list { "numbers" } else { "a number" };
-                    format!("{name} expects {numbers} in {bounds}, got {raw:?}")
-                }),
-            Kind::Enum(words) if words.contains(&raw) => Ok(Value::Text(raw.to_string())),
-            Kind::Enum(_) => Err(format!("{name} expects one of {bounds}, got {raw:?}")),
-            Kind::Text => Ok(Value::Text(raw.to_string())),
-        }
-    }
-}
-
-/// One flag a subcommand accepts.
-struct FlagSpec {
-    /// Flag name, including the leading dashes.
-    name: &'static str,
-    /// Metavariable shown in usage ("" for a boolean flag).
-    metavar: &'static str,
-    kind: Kind,
-    /// One-line description for `--help`.
-    help: &'static str,
-}
-
-/// A `'static` string: every name, metavariable and help text.
-type Str = &'static str;
-
-const fn flag(name: Str, metavar: Str, kind: Kind, help: Str) -> FlagSpec {
-    FlagSpec {
-        name,
-        metavar,
-        kind,
-        help,
-    }
-}
-
-const fn int_flag(name: Str, metavar: Str, min: u64, max: u64, help: Str) -> FlagSpec {
-    flag(name, metavar, Kind::U64 { min, max }, help)
-}
-
-const fn num_flag(name: Str, metavar: Str, min: f64, max: f64, help: Str) -> FlagSpec {
-    let list = false;
-    flag(name, metavar, Kind::F64 { min, max, list }, help)
-}
-
-const fn nums_flag(name: Str, metavar: Str, min: f64, max: f64, help: Str) -> FlagSpec {
-    let list = true;
-    flag(name, metavar, Kind::F64 { min, max, list }, help)
-}
-
-const fn text_flag(name: Str, metavar: Str, help: Str) -> FlagSpec {
-    flag(name, metavar, Kind::Text, help)
-}
-
-const fn bool_flag(name: Str, help: Str) -> FlagSpec {
-    flag(name, "", Kind::Bool, help)
-}
-
 /// Flags every subcommand accepts.
 #[rustfmt::skip]
 const GLOBAL_FLAGS: &[FlagSpec] = &[
@@ -173,10 +64,6 @@ const GLOBAL_FLAGS: &[FlagSpec] = &[
     text_flag("--metrics", "FILE", "write the subcommand's metrics (JSON)"),
     bool_flag("--profile", "print a per-phase wall-clock profile to stderr"),
 ];
-
-/// Spec name of a subcommand's one positional argument (`dirsim fig
-/// <name>`); the token itself is stored as its value.
-const POSITIONAL: &str = "<name>";
 
 /// Largest `--relays`: a hundred times the paper's 10 000-relay sweep,
 /// and far below where the document-size arithmetic wraps.
@@ -207,115 +94,6 @@ const MIN_MBPS: f64 = 1e-3;
 /// Largest budget, $/month: seven orders of magnitude above the paper's
 /// $53.28, so every price still prints as a plain number.
 const MAX_USD_MONTH: f64 = 1e9;
-
-/// Parsed arguments of one subcommand: flag name → checked value.
-struct Args {
-    values: BTreeMap<&'static str, Value>,
-}
-
-fn usage_for(sub: &'static str, about: &str, spec: &[FlagSpec]) -> String {
-    let positional = if spec.iter().any(|f| f.name == POSITIONAL) {
-        " <name>"
-    } else {
-        ""
-    };
-    let flags = flag_help(spec.iter().chain(GLOBAL_FLAGS));
-    format!("usage: dirsim {sub}{positional} [options]\n  {about}\n  options:\n{flags}")
-}
-
-/// One `--help` line per flag, with the bounds its kind declares, then
-/// the line of `--help` itself.
-fn flag_help<'a>(flags: impl Iterator<Item = &'a FlagSpec>) -> String {
-    let mut out = String::new();
-    for flag in flags {
-        let left = format!("{} {}", flag.name, flag.metavar);
-        let bounds = flag
-            .kind
-            .bounds()
-            .map_or(String::new(), |b| format!(" {b}"));
-        out.push_str(&format!(
-            "    {:<18} {}{bounds}\n",
-            left.trim_end(),
-            flag.help
-        ));
-    }
-    out + "    -h, --help         show this help"
-}
-
-/// Strictly parses `raw` against `spec`: every token must be a known
-/// flag, with a value of the flag's kind if it takes one. `-h`/`--help`
-/// prints the usage and exits.
-fn parse_args(
-    sub: &'static str,
-    about: &str,
-    spec: &'static [FlagSpec],
-    raw: &[String],
-) -> Result<Args, String> {
-    let mut values = BTreeMap::new();
-    let mut tokens = raw.iter();
-    while let Some(token) = tokens.next() {
-        if token == "-h" || token == "--help" {
-            outln!("{}", usage_for(sub, about, spec));
-            std::process::exit(0);
-        }
-        let positional = !token.starts_with('-') && !values.contains_key(POSITIONAL);
-        let Some(flag) = spec
-            .iter()
-            .chain(GLOBAL_FLAGS)
-            .find(|f| f.name == token.as_str() || (positional && f.name == POSITIONAL))
-        else {
-            return Err(format!("unknown argument {token:?}"));
-        };
-        let raw_value = match flag.kind {
-            Kind::Bool => "",
-            _ if flag.name == POSITIONAL => token,
-            _ => match tokens.next() {
-                Some(v) if !v.starts_with("--") => v,
-                _ => return Err(format!("{} expects a value <{}>", flag.name, flag.metavar)),
-            },
-        };
-        values.insert(flag.name, flag.kind.parse(flag.name, raw_value)?);
-    }
-    Ok(Args { values })
-}
-
-impl Args {
-    fn present(&self, name: &str) -> bool {
-        self.values.contains_key(name)
-    }
-
-    /// An integer flag's value, or `default` when it is absent.
-    fn u64(&self, name: &str, default: u64) -> u64 {
-        match self.values.get(name) {
-            None => default,
-            Some(Value::U64(value)) => *value,
-            Some(_) => unreachable!("{name} is not an integer flag"),
-        }
-    }
-
-    /// A number list flag's values.
-    fn f64s(&self, name: &str) -> Option<&[f64]> {
-        match self.values.get(name) {
-            None => None,
-            Some(Value::F64(values)) => Some(values),
-            Some(_) => unreachable!("{name} is not a number flag"),
-        }
-    }
-
-    /// A number flag's value, or `default` when it is absent.
-    fn f64(&self, name: &str, default: f64) -> f64 {
-        self.f64s(name).map_or(default, |values| values[0])
-    }
-
-    /// A word or text flag's value.
-    fn text(&self, name: &str) -> Option<&str> {
-        match self.values.get(name) {
-            None => None,
-            Some(Value::Text(value)) => Some(value),
-            Some(_) => unreachable!("{name} is not a text flag"),
-        }
-    }
-}
 
 /// Telemetry context of one invocation: the tracer handed to
 /// session-backed handlers, and the metrics tree every handler
@@ -467,23 +245,23 @@ const REAL_DOCS_FLAG: FlagSpec = bool_flag(
 
 /// `--targets`: authorities a campaign floods, at most the
 /// [`N_AUTHORITIES`] that exist.
-const fn targets_flag(help: Str) -> FlagSpec {
+const fn targets_flag(help: &'static str) -> FlagSpec {
     int_flag("--targets", "K", 0, N_AUTHORITIES as u64, help)
 }
 
-const fn clients_flag(help: Str) -> FlagSpec {
+const fn clients_flag(help: &'static str) -> FlagSpec {
     int_flag("--clients", "N", 1, MAX_CLIENTS, help)
 }
 
-const fn hours_flag(help: Str) -> FlagSpec {
+const fn hours_flag(help: &'static str) -> FlagSpec {
     int_flag("--hours", "H", 0, MAX_HOURS, help)
 }
 
-const fn caches_flag(help: Str) -> FlagSpec {
+const fn caches_flag(help: &'static str) -> FlagSpec {
     int_flag("--caches", "K", 0, MAX_CACHES, help)
 }
 
-const fn beam_flag(help: Str) -> FlagSpec {
+const fn beam_flag(help: &'static str) -> FlagSpec {
     int_flag("--beam", "K", 1, u64::MAX, help)
 }
 
@@ -843,14 +621,8 @@ const FIG_SPEC: &[FlagSpec] = &[
 /// Regenerates one figure or table of the paper as text.
 fn cmd_fig(args: &Args, _telemetry: &mut Telemetry) -> Result<(), String> {
     let name = args.text(POSITIONAL).unwrap_or_default();
-    for (flag, users) in [
-        ("--step", &["fig10", "fig11"][..]),
-        ("--hours", &["availability"][..]),
-    ] {
-        if args.present(flag) && !users.contains(&name) {
-            return Err(format!("{flag} applies only to {}", users.join(", ")));
-        }
-    }
+    args.applies_only_to("--step", &["fig10", "fig11"])?;
+    args.applies_only_to("--hours", &["availability"])?;
     let step = args.u64("--step", 1_000);
     let seed = REPORT_SEED;
     let text = match name {
@@ -928,19 +700,20 @@ fn main() {
         eprintln!("unknown subcommand {first:?}\n{}", usage());
         std::process::exit(2);
     };
-    let outcome = parse_args(sub, about, spec, &raw[1..]).and_then(|args| {
-        set_sweep_threads(
-            args.present("--threads")
-                .then(|| args.u64("--threads", 1) as usize),
-        );
-        let mut telemetry = Telemetry::from_args(&args);
-        handler(&args, &mut telemetry)?;
-        telemetry.finish(&args)
-    });
+    let command = Command {
+        name: &format!("dirsim {sub}"),
+        about,
+        tables: &[spec, GLOBAL_FLAGS],
+    };
+    let args = command.parse_or_exit(&raw[1..]);
+    set_sweep_threads(
+        args.present("--threads")
+            .then(|| args.u64("--threads", 1) as usize),
+    );
+    let mut telemetry = Telemetry::from_args(&args);
+    let outcome = handler(&args, &mut telemetry).and_then(|()| telemetry.finish(&args));
     if let Err(error) = outcome {
-        eprintln!("dirsim {sub}: {error}");
-        eprintln!("{}", usage_for(sub, about, spec));
-        std::process::exit(2);
+        command.fail(&error);
     }
 }
 
@@ -948,63 +721,17 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// Values a numeric flag of `kind` must reject: just past each bound,
-    /// the spellings no bound admits (NaN, infinity, a negative, 2⁶⁴),
-    /// and 2⁶⁴ − 1 wherever it is past the maximum.
-    fn out_of_bounds(kind: Kind) -> Vec<String> {
-        let mut values: Vec<String> = ["nan", "inf", "-1", "18446744073709551616"]
-            .map(String::from)
-            .to_vec();
-        match kind {
-            Kind::U64 { min, max } => {
-                values.extend(max.checked_add(1).map(|v| v.to_string()));
-                values.extend(min.checked_sub(1).map(|v| v.to_string()));
-                values.extend((max < u64::MAX).then(|| u64::MAX.to_string()));
-            }
-            Kind::F64 { min, max, .. } => {
-                values.push(u64::MAX.to_string());
-                values.push((max + 1.0).to_string());
-                values.push((min - 1.0).to_string());
-                if min > 0.0 {
-                    values.push("0".into());
-                }
-            }
-            Kind::Bool | Kind::Enum(_) | Kind::Text => return Vec::new(),
-        }
-        values
-    }
-
-    /// The bounds themselves, which every numeric flag must accept.
-    fn in_bounds(kind: Kind) -> Vec<String> {
-        match kind {
-            Kind::U64 { min, max } => vec![min.to_string(), max.to_string()],
-            Kind::F64 { min, max, .. } => vec![min.to_string(), max.to_string()],
-            Kind::Bool | Kind::Enum(_) | Kind::Text => Vec::new(),
-        }
-    }
-
     #[test]
     fn every_bounded_flag_rejects_values_past_its_bounds() {
         for &(sub, about, spec, _) in SUBCOMMANDS {
-            for flag in spec.iter().chain(GLOBAL_FLAGS) {
-                let parse = |value: &String| {
-                    parse_args(sub, about, spec, &[flag.name.to_string(), value.clone()])
-                };
-                for value in out_of_bounds(flag.kind) {
-                    assert!(
-                        parse(&value).is_err(),
-                        "dirsim {sub} {} {value} was accepted",
-                        flag.name
-                    );
-                }
-                for value in in_bounds(flag.kind) {
-                    assert!(
-                        parse(&value).is_ok(),
-                        "dirsim {sub} {} {value} was rejected",
-                        flag.name
-                    );
-                }
-            }
+            let name = &format!("dirsim {sub}");
+            let tables = &[spec, GLOBAL_FLAGS];
+            let command = Command {
+                name,
+                about,
+                tables,
+            };
+            assert_eq!(command.misjudged_values(), Vec::<String>::new());
         }
     }
 }

@@ -230,7 +230,7 @@ impl Node for CurrentAuthority {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, CurrentMsg>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_, CurrentMsg>, tag: u64) {
         match tag {
             TAG_FETCH_VOTES => {
                 let missing = self.missing_votes();

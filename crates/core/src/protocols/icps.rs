@@ -762,7 +762,7 @@ impl Node for IcpsAuthority {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, IcpsMsg>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_, IcpsMsg>, tag: u64) {
         if self.byzantine == IcpsByzantineMode::Silent {
             return;
         }

@@ -280,7 +280,7 @@ impl Node for SyncAuthority {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, SyncMsg>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_, SyncMsg>, tag: u64) {
         match tag {
             TAG_VOTE => {
                 let pack = Pack {

@@ -372,9 +372,9 @@ impl Node for Seat {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, IcpsMsg>, timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_, IcpsMsg>, tag: u64) {
         match self {
-            Seat::Authority(authority) => authority.on_timer(ctx, timer, tag),
+            Seat::Authority(authority) => authority.on_timer(ctx, tag),
             Seat::Forger(proposal) => {
                 if let Some(proposal) = proposal.take() {
                     ctx.broadcast(IcpsMsg::Proposal(proposal));

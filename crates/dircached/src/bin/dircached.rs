@@ -7,128 +7,80 @@
 //! document churn. Prints `dircached listening on <addr>` once bound —
 //! CI captures the ephemeral port from that line.
 
-use partialtor_dircached::cli::{parse, parse_secs};
 use partialtor_dircached::{consensus_series, Daemon, DaemonConfig, DocSetConfig, ServingStore};
+use partialtor_obs::cli::{int_flag, secs_flag, text_flag, Args, Command, FlagSpec, MAX_THREADS};
 use std::sync::Arc;
 use std::time::Duration;
 
-const USAGE: &str = "\
-usage: dircached [options]
+/// Most relays per document: ten times the paper's 10 000-relay sweep.
+const MAX_RELAYS: u64 = 100_000;
 
-Serve a deterministic consensus series over TCP.
+/// Most documents: a week of hours (2⁶⁴ − 1 overflowed the population).
+const MAX_HISTORY: u64 = 7 * 24;
 
-options:
-  --addr HOST:PORT     bind address (default 127.0.0.1:0 = ephemeral)
-  --relays N           relays per document (default 500)
-  --history N          documents in the series (default 4)
-  --churn N            relays churned per hour (default 10)
-  --retain N           diff bases retained (default 3)
-  --seed N             population seed (default 7)
-  --workers N          worker threads, 0 = per core (default 0)
-  --max-pending N      accept queue depth before shedding 503s (default 64)
-  --publish-every SECS publish the next document every SECS while serving
-                       (default 0 = publish the whole series up front)
-  --serve-secs SECS    exit after SECS; 0 = serve forever (default 0)
-  --help               this text
-";
+/// Deepest accept queue: sixteen times Linux's default listen backlog.
+const MAX_PENDING: u64 = 65_536;
 
-struct Args {
-    addr: String,
-    relays: usize,
-    history: usize,
-    churn: usize,
-    retain: usize,
-    seed: u64,
-    workers: usize,
-    max_pending: usize,
-    publish_every: Duration,
-    serve_secs: Duration,
-}
+#[rustfmt::skip]
+const FLAGS: &[FlagSpec] = &[
+    text_flag("--addr", "HOST:PORT", "bind address (default 127.0.0.1:0 = ephemeral)"),
+    int_flag("--relays", "N", 0, MAX_RELAYS, "relays per document (default 500)"),
+    int_flag("--history", "N", 1, MAX_HISTORY, "documents in the series (default 4)"),
+    int_flag("--churn", "N", 0, MAX_RELAYS, "relays churned per hour (default 10)"),
+    int_flag("--retain", "N", 0, MAX_HISTORY, "diff bases retained (default 3)"),
+    int_flag("--seed", "N", 0, u64::MAX, "population seed (default 7)"),
+    int_flag("--workers", "N", 0, MAX_THREADS, "worker threads, 0 = per core (default 0)"),
+    int_flag("--max-pending", "N", 1, MAX_PENDING,
+        "accept queue depth before shedding 503s (default 64)"),
+    secs_flag("--publish-every", 0.0,
+        "publish the next document every SECS (default 0 = all up front)"),
+    secs_flag("--serve-secs", 0.0, "exit after SECS; 0 = serve forever (default 0)"),
+];
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        addr: "127.0.0.1:0".to_string(),
-        relays: 500,
-        history: 4,
-        churn: 10,
-        retain: 3,
-        seed: 7,
-        workers: 0,
-        max_pending: 64,
-        publish_every: Duration::ZERO,
-        serve_secs: Duration::ZERO,
-    };
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        if flag == "--help" {
-            print!("{USAGE}");
-            std::process::exit(0);
-        }
-        let mut value = |flag: &str| argv.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--addr" => args.addr = value("--addr")?,
-            "--relays" => args.relays = parse(&value("--relays")?, "--relays")?,
-            "--history" => args.history = parse(&value("--history")?, "--history")?,
-            "--churn" => args.churn = parse(&value("--churn")?, "--churn")?,
-            "--retain" => args.retain = parse(&value("--retain")?, "--retain")?,
-            "--seed" => args.seed = parse(&value("--seed")?, "--seed")?,
-            "--workers" => args.workers = parse(&value("--workers")?, "--workers")?,
-            "--max-pending" => args.max_pending = parse(&value("--max-pending")?, "--max-pending")?,
-            "--publish-every" => {
-                args.publish_every = parse_secs(&value("--publish-every")?, "--publish-every")?
-            }
-            "--serve-secs" => {
-                args.serve_secs = parse_secs(&value("--serve-secs")?, "--serve-secs")?
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if args.history == 0 {
-        return Err("--history must be at least 1".to_string());
-    }
-    Ok(args)
-}
+const COMMAND: Command = Command {
+    name: "dircached",
+    about: "serve a deterministic consensus series over TCP",
+    tables: &[FLAGS],
+};
 
 fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(error) => {
-            eprintln!("dircached: {error}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args: Args = COMMAND.parse_or_exit(&raw);
+    let publish_every = args.secs("--publish-every", Duration::ZERO);
+    let serve_secs = args.secs("--serve-secs", Duration::ZERO);
 
+    let series = DocSetConfig::default();
     let docs = consensus_series(&DocSetConfig {
-        seed: args.seed,
-        relays: args.relays,
-        history: args.history,
-        churn_per_hour: args.churn,
+        seed: args.u64("--seed", series.seed),
+        relays: args.u64("--relays", series.relays as u64) as usize,
+        history: args.u64("--history", series.history as u64) as usize,
+        churn_per_hour: args.u64("--churn", series.churn_per_hour as u64) as usize,
     });
-    let store = Arc::new(ServingStore::new(args.retain));
+    let store = Arc::new(ServingStore::new(args.u64("--retain", 3) as usize));
 
     // Publish everything up front, or hold documents back for the
     // incremental-publish loop below.
-    let up_front = if !args.publish_every.is_zero() {
-        1
-    } else {
+    let up_front = if publish_every.is_zero() {
         docs.len()
+    } else {
+        1
     };
     for doc in &docs[..up_front] {
         store.publish(doc.clone());
     }
 
-    let daemon = match Daemon::start(
-        DaemonConfig {
-            addr: args.addr.clone(),
-            workers: args.workers,
-            max_pending: args.max_pending,
-            ..DaemonConfig::default()
-        },
-        store.clone(),
-    ) {
+    let defaults = DaemonConfig::default();
+    let config = DaemonConfig {
+        addr: args.text("--addr").unwrap_or(&defaults.addr).to_string(),
+        workers: args.u64("--workers", defaults.workers as u64) as usize,
+        max_pending: args.u64("--max-pending", defaults.max_pending as u64) as usize,
+        ..defaults
+    };
+    let addr = config.addr.clone();
+    let daemon = match Daemon::start(config, store.clone()) {
         Ok(daemon) => daemon,
         Err(error) => {
-            eprintln!("dircached: bind {}: {error}", args.addr);
+            eprintln!("dircached: bind {addr}: {error}");
             std::process::exit(1);
         }
     };
@@ -137,25 +89,26 @@ fn main() {
     let _ = std::io::stdout().flush();
 
     let started = std::time::Instant::now();
-    let mut published = up_front;
-    loop {
-        let step = if !args.publish_every.is_zero() && published < docs.len() {
-            args.publish_every
-        } else if !args.serve_secs.is_zero() {
-            Duration::from_millis(250)
-        } else {
-            // Nothing left to publish and no deadline: park forever.
-            std::thread::park();
-            continue;
-        };
-        std::thread::sleep(step);
-        if !args.publish_every.is_zero() && published < docs.len() {
-            store.publish(docs[published].clone());
-            published += 1;
-        }
-        if !args.serve_secs.is_zero() && started.elapsed() >= args.serve_secs {
-            break;
+    for doc in &docs[up_front..] {
+        std::thread::sleep(publish_every);
+        store.publish(doc.clone());
+        if !serve_secs.is_zero() && started.elapsed() >= serve_secs {
+            return;
         }
     }
-    drop(daemon);
+    if serve_secs.is_zero() {
+        // Nothing left to publish and no deadline: serve forever.
+        loop {
+            std::thread::park();
+        }
+    }
+    std::thread::sleep(serve_secs.saturating_sub(started.elapsed()));
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn every_bounded_flag_rejects_values_past_its_bounds() {
+        assert_eq!(super::COMMAND.misjudged_values(), Vec::<String>::new());
+    }
 }

@@ -10,112 +10,84 @@
 //! per-cache service budget the simulation assumes. `--metrics FILE`
 //! writes the report as JSON for machines (CI) to parse.
 
-use partialtor_dircached::cli::{parse, parse_secs};
 use partialtor_dircached::loadgen;
 use partialtor_dircached::{budget_check, synthesize_mix, LoadConfig, LoadReport, LATENCY_METRIC};
 use partialtor_dirdist::FetchMix;
+use partialtor_obs::cli::{
+    bool_flag, flag, int_flag, num_flag, secs_flag, text_flag, Args, Command, FlagSpec, Kind,
+    MAX_THREADS,
+};
 use partialtor_obs::{Histogram, Registry};
 use partialtor_simnet::geo::Region;
 
-const USAGE: &str = "\
-usage: dirload --addr HOST:PORT [options]
+/// Shortest timeout: 1 ms, as a zero timeout makes every connect fail.
+const MIN_TIMEOUT_SECS: f64 = 1e-3;
 
-Replay a distribution-session fetch mix against a dircached daemon.
+/// Slowest rate, requests/s: positive, as a zero rate sends nothing.
+const MIN_RATE: f64 = 1e-3;
 
-options:
-  --addr HOST:PORT   daemon address (required)
-  --duration SECS    how long to replay (default 2)
-  --rate N           open-loop request rate per second (default 200)
-  --connections N    concurrent client workers (default 4)
-  --timeout SECS     per-request timeout (default 5)
-  --mix FILE         fetchmix export to replay (default: synthesized)
-  --hour N           pick this hour from the mix file (default: busiest)
-  --geo              pay geo-model midpoint latency per request
-  --cache-region R   cache region for --geo (default europe)
-  --seed N           sampler seed (default 7)
-  --budget-check     print measured vs assumed per-cache service budget
-  --metrics FILE     write the report as JSON to FILE
-  --json             print the JSON report to stdout instead of the table
-  --help             this text
-";
+/// Fastest rate, requests/s: `rate × duration` requests stay a u64.
+const MAX_RATE: f64 = 1e7;
 
-struct Args {
-    load: LoadConfig,
-    mix_file: Option<String>,
-    hour: Option<u64>,
-    budget: bool,
-    metrics: Option<String>,
-    json: bool,
+#[rustfmt::skip]
+const FLAGS: &[FlagSpec] = &[
+    text_flag("--addr", "HOST:PORT", "daemon address (required)"),
+    secs_flag("--duration", 0.0, "how long to replay (default 2)"),
+    num_flag("--rate", "N", MIN_RATE, MAX_RATE, "open-loop request rate per second (default 200)"),
+    int_flag("--connections", "N", 1, MAX_THREADS, "concurrent client workers (default 4)"),
+    secs_flag("--timeout", MIN_TIMEOUT_SECS, "per-request timeout (default 5)"),
+    text_flag("--mix", "FILE", "fetchmix export to replay (default: synthesized)"),
+    int_flag("--hour", "N", 0, u64::MAX, "pick this hour from the --mix file (default: busiest)"),
+    bool_flag("--geo", "pay geo-model midpoint latency per request"),
+    flag("--cache-region", "R", Kind::Enum(&["us-east", "us-west", "europe", "apac"]),
+        "cache region for --geo (default europe)"),
+    int_flag("--seed", "N", 0, u64::MAX, "sampler seed (default 7)"),
+    bool_flag("--budget-check", "print measured vs assumed per-cache service budget"),
+    text_flag("--metrics", "FILE", "write the report as JSON to FILE"),
+    bool_flag("--json", "print the JSON report to stdout instead of the table"),
+];
+
+const COMMAND: Command = Command {
+    name: "dirload",
+    about: "replay a distribution-session fetch mix against a dircached daemon",
+    tables: &[FLAGS],
+};
+
+/// The run's parameters, with the checks that span flags.
+fn load_config(args: &Args) -> Result<LoadConfig, String> {
+    let addr = args.text("--addr").ok_or("--addr is required")?;
+    args.applies_only_to("--hour", &["--mix"])?;
+    let defaults = LoadConfig::default();
+    let region = args
+        .text("--cache-region")
+        .map(|label| Region::from_label(label).expect("--cache-region's words are region labels"));
+    Ok(LoadConfig {
+        addr: addr.to_string(),
+        duration: args.secs("--duration", defaults.duration),
+        rate: args.f64("--rate", defaults.rate),
+        connections: args.u64("--connections", defaults.connections as u64) as usize,
+        timeout: args.secs("--timeout", defaults.timeout),
+        seed: args.u64("--seed", defaults.seed),
+        geo: args.present("--geo"),
+        cache_region: region.unwrap_or(defaults.cache_region),
+    })
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        load: LoadConfig::default(),
-        mix_file: None,
-        hour: None,
-        budget: false,
-        metrics: None,
-        json: false,
-    };
-    let mut saw_addr = false;
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        if flag == "--help" {
-            print!("{USAGE}");
-            std::process::exit(0);
-        }
-        let mut value = |flag: &str| argv.next().ok_or_else(|| format!("{flag} needs a value"));
-        match flag.as_str() {
-            "--addr" => {
-                args.load.addr = value("--addr")?;
-                saw_addr = true;
-            }
-            "--duration" => args.load.duration = parse_secs(&value("--duration")?, "--duration")?,
-            "--rate" => args.load.rate = parse(&value("--rate")?, "--rate")?,
-            "--connections" => {
-                args.load.connections = parse(&value("--connections")?, "--connections")?
-            }
-            "--timeout" => args.load.timeout = parse_secs(&value("--timeout")?, "--timeout")?,
-            "--mix" => args.mix_file = Some(value("--mix")?),
-            "--hour" => args.hour = Some(parse(&value("--hour")?, "--hour")?),
-            "--geo" => args.load.geo = true,
-            "--cache-region" => {
-                let label = value("--cache-region")?;
-                args.load.cache_region = Region::from_label(&label)
-                    .ok_or_else(|| format!("--cache-region: unknown region {label:?}"))?;
-            }
-            "--seed" => args.load.seed = parse(&value("--seed")?, "--seed")?,
-            "--budget-check" => args.budget = true,
-            "--metrics" => args.metrics = Some(value("--metrics")?),
-            "--json" => args.json = true,
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if !saw_addr {
-        return Err("--addr is required".to_string());
-    }
-    if !(args.load.rate > 0.0 && args.load.rate.is_finite()) {
-        return Err("--rate must be a positive number".to_string());
-    }
-    Ok(args)
-}
-
-fn load_mix(args: &Args) -> Result<FetchMix, String> {
-    let Some(path) = &args.mix_file else {
-        return Ok(synthesize_mix(args.load.seed));
+fn load_mix(args: &Args, seed: u64) -> Result<FetchMix, String> {
+    let Some(path) = args.text("--mix") else {
+        return Ok(synthesize_mix(seed));
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let mixes = FetchMix::parse_all(&text)?;
-    match args.hour {
-        Some(hour) => mixes
-            .iter()
-            .find(|m| m.hour == hour)
-            .cloned()
-            .ok_or_else(|| format!("{path}: no mix for hour {hour}")),
-        None => FetchMix::busiest(&mixes)
-            .cloned()
-            .ok_or_else(|| format!("{path}: no mixes in file")),
-    }
+    let hour = args.present("--hour").then(|| args.u64("--hour", 0));
+    let mix = match hour {
+        Some(hour) => mixes.iter().find(|m| m.hour == hour),
+        None => FetchMix::busiest(&mixes),
+    };
+    mix.cloned().ok_or_else(|| match hour {
+        Some(hour) => format!("{path}: no mix for hour {hour}"),
+        None => format!("{path}: no mixes in file"),
+    })
 }
 
 fn render_table(
@@ -163,43 +135,44 @@ fn render_table(
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(error) => {
-            eprintln!("dirload: {error}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    let mix = match load_mix(&args) {
-        Ok(mix) => mix,
-        Err(error) => {
-            eprintln!("dirload: {error}");
-            std::process::exit(1);
-        }
-    };
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = COMMAND.parse_or_exit(&raw);
+    let load = load_config(&args).unwrap_or_else(|error| COMMAND.fail(&error));
+    if let Err(error) = run(&args, &load) {
+        eprintln!("dirload: {error}");
+        std::process::exit(1);
+    }
+}
+
+/// Replays the mix, then prints the report (and writes it to
+/// `--metrics`).
+fn run(args: &Args, load: &LoadConfig) -> Result<(), String> {
+    let mix = load_mix(args, load.seed)?;
     // The run publishes into a shared obs registry; the table reads the
     // latency percentiles back out of it, so the numbers printed are the
     // registry's merged histogram, not a private side copy.
     let registry = Registry::new();
-    let report = match loadgen::run_with_registry(&args.load, &mix, &registry) {
-        Ok(report) => report,
-        Err(error) => {
-            eprintln!("dirload: {error}");
-            std::process::exit(1);
-        }
-    };
+    let report = loadgen::run_with_registry(load, &mix, &registry)?;
     let latency = registry.histogram(LATENCY_METRIC);
-    let budget = args.budget.then(|| budget_check(&report));
+    let budget = args
+        .present("--budget-check")
+        .then(|| budget_check(&report));
     let json = report.to_json(budget.as_ref());
-    if let Some(path) = &args.metrics {
-        if let Err(error) = std::fs::write(path, &json) {
-            eprintln!("dirload: write {path}: {error}");
-            std::process::exit(1);
-        }
+    if let Some(path) = args.text("--metrics") {
+        std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
     }
-    if args.json {
+    if args.present("--json") {
         println!("{json}");
     } else {
         render_table(&report, &latency, budget.as_ref());
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn every_bounded_flag_rejects_values_past_its_bounds() {
+        assert_eq!(super::COMMAND.misjudged_values(), Vec::<String>::new());
     }
 }

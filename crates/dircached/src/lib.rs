@@ -25,7 +25,6 @@
 //! second, scaled to an hour, against the simulated per-cache budget —
 //! the ratio the ROADMAP's serving-path item asked for.
 
-pub mod cli;
 pub mod daemon;
 pub mod docs;
 pub mod loadgen;

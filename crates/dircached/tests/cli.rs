@@ -75,6 +75,33 @@ fn dircached_rejects_bad_seconds() {
 }
 
 #[test]
+fn dircached_rejects_series_sizes_that_used_to_panic() {
+    // Each panicked before binding: the first two on the population
+    // slice (`relays + history × churn` wrapped), the third on its
+    // capacity.
+    let cases: [&[&str]; 3] = [
+        &["--relays", "18446744073709551615"],
+        &["--churn", "18446744073709551615", "--history", "2"],
+        &["--history", "18446744073709551615"],
+    ];
+    for args in cases {
+        let args = [args, &["--serve-secs", "1"]].concat();
+        assert_usage_error(env!("CARGO_BIN_EXE_dircached"), "dircached", &args);
+    }
+}
+
+#[test]
+fn dirload_rejects_a_zero_timeout_a_runaway_rate_and_an_hour_without_a_mix() {
+    // Each used to get as far as connecting (exit 1); `--hour` without
+    // `--mix` was silently ignored.
+    let cases: [&[&str]; 3] = [&["--timeout", "0"], &["--rate", "1e300"], &["--hour", "5"]];
+    for args in cases {
+        let args = [&["--addr", "127.0.0.1:9"], args].concat();
+        assert_usage_error(env!("CARGO_BIN_EXE_dirload"), "dirload", &args);
+    }
+}
+
+#[test]
 fn dirload_rejects_a_mix_whose_totals_overflow() {
     // 2⁶⁴ − 1 bootstraps plus one probe: the fetch total leaves u64 (a
     // debug build used to panic picking the busiest hour).

@@ -332,7 +332,7 @@ impl Node for DistNode {
         // known at construction time.
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, DirMsg>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_, DirMsg>, tag: u64) {
         let version = (tag / 2) as usize;
         match self {
             DistNode::Authority(auth) => {
@@ -486,8 +486,8 @@ pub struct TierHourTraffic {
     pub dir_full_responses: u64,
     /// `DIR_304` responses enqueued.
     pub dir_not_modified: u64,
-    /// Engine bookkeeping events that arrived dead (stale link
-    /// completions after rate changes, cancelled timers).
+    /// Engine bookkeeping events that arrived dead: stale link
+    /// completions after rate changes.
     pub expired_events: u64,
 }
 

@@ -27,12 +27,15 @@
 //! Beside them, [`json`] is the workspace's one JSON value + writer,
 //! and [`ToJson`] is what the vendored `#[derive(Serialize)]` implements
 //! for a report struct: it sits in this bottom crate so every exporter
-//! above can build on it.
+//! above can build on it. [`cli`] is the one typed flag table that
+//! `dirsim`, `dircached` and `dirload` declare their flags in and parse
+//! through, for the same reason.
 //!
 //! Everything here is **observational**: emitting a trace event or
 //! bumping a counter draws no randomness and schedules no events, so
 //! enabling telemetry leaves simulation output bit-identical.
 
+pub mod cli;
 pub mod json;
 pub mod metrics;
 pub mod profile;

@@ -17,11 +17,6 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::LatencyMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
-
-/// Identifies a pending timer so it can be cancelled.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct TimerId(u64);
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
@@ -66,13 +61,12 @@ pub trait Node {
     fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: NodeId, msg: Self::Msg);
 
     /// Called when a timer set by this node fires.
-    fn on_timer(&mut self, _ctx: &mut Context<'_, Self::Msg>, _timer: TimerId, _tag: u64) {}
+    fn on_timer(&mut self, _ctx: &mut Context<'_, Self::Msg>, _tag: u64) {}
 }
 
 enum EventKind<M> {
     TimerFire {
         node: NodeId,
-        timer: TimerId,
         tag: u64,
     },
     UplinkComplete {
@@ -121,8 +115,6 @@ pub struct EngineCore<M> {
     wire_overhead: u64,
     latency_jitter: f64,
     stopped: bool,
-    timer_seq: u64,
-    cancelled: HashSet<TimerId>,
     rng: StdRng,
     events_processed: u64,
 }
@@ -227,19 +219,10 @@ impl<'a, M: Payload> Context<'a, M> {
     }
 
     /// Arms a timer that fires after `delay`, carrying `tag`.
-    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
-        let timer = TimerId(self.core.timer_seq);
-        self.core.timer_seq += 1;
+    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) {
         let node = self.node;
         let at = self.core.now + delay;
-        self.core
-            .push(at, EventKind::TimerFire { node, timer, tag });
-        timer
-    }
-
-    /// Cancels a pending timer. Cancelling an already-fired timer is a no-op.
-    pub fn cancel_timer(&mut self, timer: TimerId) {
-        self.core.cancelled.insert(timer);
+        self.core.push(at, EventKind::TimerFire { node, tag });
     }
 
     /// Requests that the simulation stop after the current event.
@@ -322,8 +305,6 @@ impl<N: Node> Simulation<N> {
             wire_overhead: config.wire_overhead_bytes,
             latency_jitter: config.latency_jitter.clamp(0.0, 0.99),
             stopped: false,
-            timer_seq: 0,
-            cancelled: HashSet::new(),
             rng: StdRng::seed_from_u64(config.seed),
             events_processed: 0,
         };
@@ -366,12 +347,8 @@ impl<N: Node> Simulation<N> {
     /// calls and needs to wake the affected nodes at the right simulated
     /// moment without rebuilding the engine. `at` must not precede the
     /// current simulated time (checked in debug builds).
-    pub fn schedule_timer(&mut self, at: SimTime, node: NodeId, tag: u64) -> TimerId {
-        let timer = TimerId(self.core.timer_seq);
-        self.core.timer_seq += 1;
-        self.core
-            .push(at, EventKind::TimerFire { node, timer, tag });
-        timer
+    pub fn schedule_timer(&mut self, at: SimTime, node: NodeId, tag: u64) {
+        self.core.push(at, EventKind::TimerFire { node, tag });
     }
 
     /// Schedules a change of a node's aggregate background load (bits/s)
@@ -444,17 +421,13 @@ impl<N: Node> Simulation<N> {
 
     fn dispatch(&mut self, kind: EventKind<N::Msg>) {
         match kind {
-            EventKind::TimerFire { node, timer, tag } => {
-                if !self.core.cancelled.is_empty() && self.core.cancelled.remove(&timer) {
-                    self.core.metrics.record_expired();
-                    return;
-                }
+            EventKind::TimerFire { node, tag } => {
                 let mut ctx = Context {
                     core: &mut self.core,
                     node,
                     n: self.nodes.len(),
                 };
-                self.nodes[node.index()].on_timer(&mut ctx, timer, tag);
+                self.nodes[node.index()].on_timer(&mut ctx, tag);
             }
             EventKind::UplinkComplete { node, generation } => {
                 let now = self.core.now;
@@ -873,9 +846,9 @@ mod tests {
     }
 
     #[test]
-    fn rate_changes_and_cancelled_timers_count_as_expired_events() {
+    fn rate_changes_count_as_expired_events() {
         // A mid-transfer rate change invalidates the scheduled uplink
-        // completion (one expired event); a cancelled timer adds another.
+        // completion: one expired event.
         let topo = LatencyMatrix::uniform(2, SimDuration::from_millis(100));
         let nodes = vec![
             Recorder::new(vec![(
@@ -896,22 +869,6 @@ mod tests {
             1,
             "the pre-change uplink completion expired"
         );
-
-        let topo = LatencyMatrix::uniform(1, SimDuration::ZERO);
-        let mut sim = Simulation::new(
-            topo,
-            vec![TimerNode {
-                fired: vec![],
-                cancel_second: true,
-            }],
-            SimConfig::default(),
-        );
-        sim.run();
-        assert_eq!(
-            sim.metrics().expired_events(),
-            1,
-            "the cancelled timer fire expired"
-        );
     }
 
     #[test]
@@ -919,10 +876,7 @@ mod tests {
     #[should_panic(expected = "event scheduled in the past")]
     fn a_past_dated_bandwidth_change_panics_where_it_is_scheduled() {
         let topo = LatencyMatrix::uniform(1, SimDuration::ZERO);
-        let node = TimerNode {
-            fired: vec![],
-            cancel_second: false,
-        };
+        let node = TimerNode { fired: vec![] };
         let mut sim = Simulation::new(topo, vec![node], SimConfig::default());
         sim.run_until(SimTime::from_secs(2));
         assert_eq!(sim.now(), SimTime::from_secs(2));
@@ -948,24 +902,20 @@ mod tests {
     /// Node that exercises timers.
     struct TimerNode {
         fired: Vec<(SimTime, u64)>,
-        cancel_second: bool,
     }
 
     impl Node for TimerNode {
         type Msg = SizedPayload;
 
         fn on_start(&mut self, ctx: &mut Context<'_, SizedPayload>) {
-            ctx.set_timer(SimDuration::from_secs(1), 1);
-            let t2 = ctx.set_timer(SimDuration::from_secs(2), 2);
             ctx.set_timer(SimDuration::from_secs(3), 3);
-            if self.cancel_second {
-                ctx.cancel_timer(t2);
-            }
+            ctx.set_timer(SimDuration::from_secs(1), 1);
+            ctx.set_timer(SimDuration::from_secs(2), 2);
         }
 
         fn on_message(&mut self, _: &mut Context<'_, SizedPayload>, _: NodeId, _: SizedPayload) {}
 
-        fn on_timer(&mut self, ctx: &mut Context<'_, SizedPayload>, _timer: TimerId, tag: u64) {
+        fn on_timer(&mut self, ctx: &mut Context<'_, SizedPayload>, tag: u64) {
             self.fired.push((ctx.now(), tag));
         }
     }
@@ -1038,7 +988,7 @@ mod tests {
             }
         }
 
-        fn on_timer(&mut self, ctx: &mut Context<'_, SizedPayload>, _timer: TimerId, tag: u64) {
+        fn on_timer(&mut self, ctx: &mut Context<'_, SizedPayload>, tag: u64) {
             self.dispatched.push((ctx.now(), tag));
             self.spawn(ctx, self.fanout);
         }
@@ -1142,21 +1092,13 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_in_order_and_cancel() {
+    fn timers_fire_in_order() {
         let topo = LatencyMatrix::uniform(1, SimDuration::ZERO);
-        let mut sim = Simulation::new(
-            topo,
-            vec![TimerNode {
-                fired: vec![],
-                cancel_second: true,
-            }],
-            SimConfig::default(),
-        );
+        let node = TimerNode { fired: vec![] };
+        let mut sim = Simulation::new(topo, vec![node], SimConfig::default());
         sim.run();
         let fired = &sim.node(NodeId(0)).fired;
-        assert_eq!(
-            fired,
-            &vec![(SimTime::from_secs(1), 1), (SimTime::from_secs(3), 3),]
-        );
+        let at = |secs| (SimTime::from_secs(secs), secs);
+        assert_eq!(fired, &vec![at(1), at(2), at(3)]);
     }
 }

@@ -63,7 +63,7 @@ pub mod relay_population;
 pub mod time;
 pub mod topology;
 
-pub use engine::{Context, Node, RunStats, SimConfig, Simulation, TimerId};
+pub use engine::{Context, Node, RunStats, SimConfig, Simulation};
 pub use geo::{Region, AUTHORITY_NAMES, AUTHORITY_REGIONS, CLIENT_WEIGHTS, REGIONS};
 pub use message::{NodeId, Payload, SizedPayload};
 pub use metrics::{KindMetrics, Metrics, NodeMetrics};
@@ -78,7 +78,7 @@ pub const fn mbps(m: f64) -> f64 {
 
 /// One-stop imports for implementing and running simulations.
 pub mod prelude {
-    pub use crate::engine::{Context, Node, RunStats, SimConfig, Simulation, TimerId};
+    pub use crate::engine::{Context, Node, RunStats, SimConfig, Simulation};
     pub use crate::geo::{self, Region, AUTHORITY_REGIONS, CLIENT_WEIGHTS, REGIONS};
     pub use crate::message::{NodeId, Payload, SizedPayload};
     pub use crate::time::{SimDuration, SimTime};

@@ -112,8 +112,7 @@ impl Metrics {
     }
 
     /// Events that arrived dead: link-completion events invalidated by a
-    /// rate change (the pipe's generation moved on) plus cancelled timer
-    /// fires. The fluid-flow model never loses messages — transfers stall
+    /// rate change (the pipe's generation moved on). The fluid-flow model never loses messages — transfers stall
     /// instead — so this counts the engine's discarded bookkeeping
     /// events, a cheap proxy for how much churn rate changes cause.
     pub fn expired_events(&self) -> u64 {
