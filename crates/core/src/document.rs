@@ -91,13 +91,6 @@ pub fn consensus_digest(votes: &BTreeMap<u8, DirDocument>) -> Digest32 {
     hasher.finalize()
 }
 
-/// Estimated size of the consensus document derived from a vote set:
-/// roughly one vote's size (the consensus lists each relay once, without
-/// per-vote metadata).
-pub fn consensus_size(votes: &BTreeMap<u8, DirDocument>) -> u64 {
-    votes.values().map(|d| d.size).max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -870,6 +870,27 @@ mod tests {
         assert!(throttled.client_weighted_downtime < 1e-9);
     }
 
+    /// One price path: the search's five-of-nine baseline (here at
+    /// `dirsim adversary --hours 1 --beam 1 --clients 10000 --caches 5
+    /// --budget 54`) costs what `dirsim cost` prints at its defaults, bit
+    /// for bit.
+    #[test]
+    fn the_baseline_costs_what_cost_prints() {
+        let result = run_experiment(&AdversaryParams {
+            budget_usd_month: 54.0,
+            hours: 1,
+            beam: 1,
+            clients: 10_000,
+            caches: 5,
+            ..AdversaryParams::default()
+        });
+        let cost = crate::experiments::cost::hourly_plan(5, ATTACK_FLOOD_MBPS, 5.0);
+        assert_eq!(
+            result.baseline.cost_usd_month.to_bits(),
+            cost.cost_per_month().to_bits()
+        );
+    }
+
     /// The satellite pin: with the flood rate searchable, the $55
     /// optimum is unchanged — the paper's 240 Mbit/s five-of-nine flood
     /// at $53.28/month. Cheaper rates fall below the queue-collapse

@@ -219,7 +219,8 @@ mod tests {
     /// The acceptance story at experiment level: the five-of-nine flood
     /// kills the current protocol's clients *because the quorum is
     /// lost* — the ladder blames QuorumLost, and every decomposition in
-    /// the report is exact.
+    /// the report is exact. These are `dirsim attribute --hours 4
+    /// --clients 50000 --caches 20 --relays 2000 --seed 9`'s parameters.
     #[test]
     fn five_of_nine_blame_is_quorum_lost_and_exact() {
         let result = run_experiment(&small_params());
@@ -228,6 +229,10 @@ mod tests {
         assert_eq!(roll.parts.dominant().0, "quorum_lost");
         assert_eq!(
             roll.parts.sum().to_bits(),
+            roll.client_weighted_downtime.to_bits()
+        );
+        assert_eq!(
+            roll.client_weighted_downtime.to_bits(),
             result.dist.fleet.client_weighted_downtime.to_bits()
         );
         for hour in &result.dist.hours {

@@ -347,7 +347,7 @@ pub fn render(results: &[ClientsResult]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use partialtor_dirdist::{DistSession, HourInput};
+    use partialtor_dirdist::{DistSession, HourInput, LatencySummary};
 
     fn small_params() -> ClientsParams {
         ClientsParams {
@@ -447,6 +447,54 @@ mod tests {
             assert!((1..=params.hours).contains(hour));
             assert_eq!(*severity, "critical");
             assert_eq!(kind, "consensus_failure");
+        }
+    }
+
+    /// `dirsim clients --hours 2 --clients 20000 --caches 10 --relays 500
+    /// --feedback --metrics FILE`: each hour carries its latency and
+    /// traffic, and each whole-run count agrees with the hours it is made
+    /// of — alerts sum exactly, and the hourly requests and latency
+    /// observations never exceed the run's (the drain after the last
+    /// hour adds to the run only).
+    #[test]
+    fn metrics_rollups_agree_with_their_hours() {
+        use crate::json::ToJson;
+        let params = ClientsParams {
+            hours: 2,
+            clients: 20_000,
+            caches: 10,
+            relays: 500,
+            feedback: true,
+            ..ClientsParams::default()
+        };
+        let results = run_experiment_traced(&params, &Tracer::enabled(1 << 16));
+        // `--metrics` writes each protocol's `hours` through this encoder.
+        let keys: Vec<String> = results[0].dist.hours[1]
+            .to_json()
+            .into_fields()
+            .into_iter()
+            .map(|(key, _)| key)
+            .collect();
+        assert!(keys.iter().any(|key| key == "fetch_latency"), "{keys:?}");
+        assert!(keys.iter().any(|key| key == "tier_traffic"), "{keys:?}");
+
+        for result in &results {
+            let (telemetry, hours) = (&result.dist.telemetry, &result.dist.hours);
+            let count = |latency: &Option<LatencySummary>| latency.as_ref().map_or(0, |l| l.count);
+            assert_eq!(
+                telemetry.alerts,
+                hours.iter().map(|h| h.alerts).sum::<u64>(),
+                "{}",
+                result.protocol
+            );
+            let requests: u64 = hours.iter().map(|h| h.tier_traffic.dir_requests).sum();
+            assert!(requests <= telemetry.fetch_attempts, "{}", result.protocol);
+            let latency: u64 = hours.iter().map(|h| count(&h.fetch_latency)).sum();
+            assert!(
+                latency <= count(&telemetry.fetch_latency),
+                "{}",
+                result.protocol
+            );
         }
     }
 

@@ -641,6 +641,41 @@ mod tests {
         );
     }
 
+    /// `dirsim frontier --defense-budget-grid 0,60 --attack-budget 55
+    /// --hours 24 --beam 1 --clients 8000 --caches 6 --relays 2000
+    /// --attribution`: undefended denial costs the paper's $53.28, the
+    /// $60 row is the one the detector lever wins and prices denial out,
+    /// and each row's blame sums bit-exactly to its downtime.
+    #[test]
+    fn the_small_grid_rows_are_pinned() {
+        let result = run_experiment(&FrontierParams {
+            clients: 8_000,
+            attribution: true,
+            ..small_params(vec![0.0, 60.0])
+        });
+        let rows = &result.rows;
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].defense_budget_usd_month, 0.0);
+        let cost = rows[0].attacker_cost_usd_month.expect("undefended denial");
+        assert!((cost - 53.28).abs() < 0.05, "{cost}");
+        assert_eq!(rows[1].attacker_cost_usd_month, None);
+        assert_eq!(rows[1].defense_label, "detector@2h");
+        assert_eq!(rows[1].attack_downtime.to_bits(), 0.008f64.to_bits());
+        for row in rows {
+            let blame = row.attribution.as_ref().expect("attribution on");
+            assert_eq!(
+                blame.parts.sum().to_bits(),
+                blame.client_weighted_downtime.to_bits()
+            );
+            assert_eq!(
+                blame.client_weighted_downtime.to_bits(),
+                row.attack_downtime.to_bits()
+            );
+        }
+        let blame = rows[0].attribution.as_ref().expect("attribution on");
+        assert_eq!(blame.parts.dominant().0, "quorum_lost");
+    }
+
     /// `--attribution` explains each row's downtime exactly: the parts
     /// sum bit-exactly to the downtime column, the undefended row blames
     /// the lost quorum, and turning the flag on changes nothing else

@@ -22,6 +22,7 @@
 
 use crate::json::Json;
 use partialtor_obs::{TraceRecord, TraceValue};
+use std::collections::HashMap;
 
 /// Event families, one Chrome-trace track (`tid`) each, in display
 /// order. Unknown kinds (there are none today) fall to track 0.
@@ -81,8 +82,8 @@ fn timestamp_us(record: &TraceRecord) -> f64 {
 /// One trace record as a flat JSON object:
 /// `{"event": <kind>, ..fields, "span": id, "cause": id|null}`.
 ///
-/// The `event` key always comes first (the telemetry CI smoke asserts
-/// its presence per line); `span`/`cause` come last so existing JSONL
+/// The `event` key always comes first (the `dirsim` trace tests check
+/// each line starts with it); `span`/`cause` come last so existing JSONL
 /// consumers keyed on the event fields are undisturbed.
 pub fn trace_line(record: &TraceRecord) -> Json {
     let mut pairs = vec![("event".to_string(), Json::str(record.event.kind()))];
@@ -119,12 +120,12 @@ pub fn chrome_trace(records: &[TraceRecord]) -> Json {
             ("args", Json::obj([("name", Json::str(kind))])),
         ]));
     }
-    // Where each surviving span landed, for flow arrows to start from.
-    let placed: Vec<(u64, f64, u64)> = records
+    // Where each surviving span landed, for flow arrows to start from
+    // (a tracer numbers its spans once each).
+    let placed: HashMap<u64, (f64, u64)> = records
         .iter()
-        .map(|r| (r.id.0, timestamp_us(r), lane(r.event.kind())))
+        .map(|r| (r.id.0, (timestamp_us(r), lane(r.event.kind()))))
         .collect();
-    let find = |id: u64| placed.iter().find(|(span, _, _)| *span == id);
     for record in records {
         let ts = timestamp_us(record);
         let tid = lane(record.event.kind());
@@ -144,7 +145,7 @@ pub fn chrome_trace(records: &[TraceRecord]) -> Json {
         ]));
         let Some(cause) = record.cause else { continue };
         // The cause may have been dropped from the ring; no arrow then.
-        let Some(&(_, cause_ts, cause_tid)) = find(cause.0) else {
+        let Some(&(cause_ts, cause_tid)) = placed.get(&cause.0) else {
             continue;
         };
         events.push(Json::obj([

@@ -188,3 +188,135 @@ fn a_reader_that_closes_the_pipe_after_one_line_sees_no_panic() {
     assert!(output.status.success(), "{:?}: {stderr}", output.status);
     assert!(stderr.is_empty(), "{stderr}");
 }
+
+#[test]
+fn small_runs_exit_0_and_print_the_quoted_figures() {
+    // The two rows README quotes for the reactive defender, the §4.3
+    // price per run and per month, the availability figure's verdicts
+    // (Current dies at 3 h, ICPS stays up) and Fig. 1's failure line.
+    let cases: [(&str, &[&str]); 22] = [
+        ("run --relays 500 --seed 1", &[]),
+        ("run --relays 500 --targets 5 --duration 60 --flood 240", &[]),
+        ("run --relays 200 --protocol current --bandwidth 250,50,20,10,5,1,0.5", &[]),
+        ("run --relays 200 --protocol current --bandwidth 250,50,20,10,5,1,0.5 --json", &[]),
+        ("run --relays 500 --protocol all", &[]),
+        ("run --relays 300 --json", &[]),
+        ("run --relays 300 --targets 5 --duration 60 --json", &[]),
+        ("clients --hours 2 --clients 20000 --caches 10 --relays 500 --feedback --churn weekly", &[]),
+        ("clients --hours 1 --clients 10000 --caches 8 --relays 120 --real-docs --json", &[]),
+        ("clients --hours 2 --clients 20000 --caches 10 --relays 500 --attribution", &[]),
+        ("attribute --hours 2 --clients 20000 --caches 10 --relays 500", &[]),
+        ("adversary --hours 1 --beam 1 --clients 10000 --caches 5 --budget 54 --defender 6 --json", &[]),
+        ("adversary --hours 1 --beam 1 --clients 10000 --caches 5 --budget 54 --json", &[]),
+        ("adversary --defender 6 --hours 8", &["66.7%", "46.5%"]),
+        ("placement --hours 2 --clients 20000 --caches 16 --relays 500 --greedy 8", &[]),
+        (
+            "placement --hours 2 --clients 20000 --caches 12 --relays 500 --greedy 0 --brownout europe --json",
+            &[],
+        ),
+        ("cost --targets 5 --flood 240 --minutes 5", &["$0.0740", "$53.28"]),
+        ("fig table2", &[]),
+        (
+            "fig cost",
+            &["\npaper headline (5 × 240 Mbit/s, 5 min hourly)          5        240      0.074        53.28\n"],
+        ),
+        ("fig fig11 --step 4000", &[]),
+        (
+            "fig availability --hours 3",
+            &[
+                "network down from t = 10800 s (3.0 h) onwards",
+                "network stayed up for the whole period",
+                "client-weighted downtime: 25.0% of client-time lost",
+            ],
+        ),
+        ("fig fig1", &["4 of 5", "Asking every other authority for a copy"]),
+    ];
+    for (command, quoted) in cases {
+        let output = dirsim()
+            .args(command.split_whitespace())
+            .output()
+            .expect("dirsim runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(output.status.success(), "{command}: {stderr}");
+        let stdout = String::from_utf8(output.stdout).expect("UTF-8 output");
+        for figure in quoted {
+            assert!(
+                stdout.contains(figure),
+                "{command} lacks {figure:?}:\n{stdout}"
+            );
+        }
+    }
+}
+
+/// `--profile` prints its phase table to stderr only: with it and the
+/// three export files on, stdout is the bare command's byte for byte,
+/// the trace is one `event` object per line, the Chrome document holds
+/// events and `--metrics` writes the experiment's metrics tree.
+#[test]
+fn profile_goes_to_stderr_and_exports_leave_stdout_byte_identical() {
+    use partialtor::experiments::clients::{metrics_json, run_experiment, ClientsParams};
+
+    let clients = "clients --hours 2 --clients 20000 --caches 10 --relays 500 --feedback";
+    let bare = dirsim()
+        .args(clients.split_whitespace())
+        .output()
+        .expect("dirsim runs");
+    assert!(bare.status.success() && bare.stderr.is_empty());
+
+    let dir = std::env::temp_dir().join(format!("dirsim-cli-profile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (trace, chrome, metrics) = (
+        dir.join("trace.jsonl"),
+        dir.join("chrome.json"),
+        dir.join("metrics.json"),
+    );
+    let telemetry = dirsim()
+        .args(clients.split_whitespace())
+        .arg("--trace")
+        .arg(&trace)
+        .arg("--trace-chrome")
+        .arg(&chrome)
+        .arg("--metrics")
+        .arg(&metrics)
+        .arg("--profile")
+        .output()
+        .expect("dirsim runs");
+    let read = |p: &std::path::Path| std::fs::read_to_string(p).expect("export written");
+    let (trace, chrome, metrics) = (read(&trace), read(&chrome), read(&metrics));
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
+
+    let stderr = String::from_utf8(telemetry.stderr).expect("UTF-8 stderr");
+    assert!(telemetry.status.success(), "{stderr}");
+    assert!(telemetry.stdout == bare.stdout, "telemetry changed stdout");
+    let mut table = stderr.lines();
+    assert_eq!(
+        table
+            .next()
+            .map(|header| header.split_whitespace().collect::<Vec<_>>()),
+        Some(vec!["phase", "calls", "total", "(s)"]),
+        "{stderr}"
+    );
+    // Two protocols × two attacked hours.
+    assert!(
+        table.any(|row| row.split_whitespace().take(2).eq(["runner.run", "4"])),
+        "{stderr}"
+    );
+
+    assert!(
+        !trace.is_empty() && trace.lines().all(|line| line.starts_with(r#"{"event":""#)),
+        "{trace}"
+    );
+    assert!(chrome.starts_with(r#"{"traceEvents":[{"#), "{chrome}");
+    let params = ClientsParams {
+        hours: 2,
+        clients: 20_000,
+        caches: 10,
+        relays: 500,
+        feedback: true,
+        ..ClientsParams::default()
+    };
+    assert_eq!(
+        metrics,
+        format!("{}\n", metrics_json(&run_experiment(&params)).render())
+    );
+}

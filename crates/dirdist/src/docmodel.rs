@@ -183,19 +183,11 @@ impl DocModel {
             } => consensus_diffs.get(&(from, to)).copied(),
         }
     }
-
-    /// Descriptor bytes a holder of `from`'s descriptor set must fetch
-    /// to cover `to`'s relay list, given the churned fraction between
-    /// them. Descriptors are fetched per relay, so there is no diff
-    /// window: an arbitrarily old base still only refetches the churned
-    /// share (capped at the full set).
-    pub fn descriptors_delta_bytes(&self, to: usize, churned: f64) -> u64 {
-        descriptors_delta_for(self.relays_at(to), churned).min(self.descriptors_full_bytes(to))
-    }
 }
 
-/// Descriptor bytes for the churned share of a `relays`-relay set — the
-/// one pricing rule both [`DocModel`] and [`DocTable`] use.
+/// Descriptor bytes for the churned share of a `relays`-relay set.
+/// Descriptors are fetched per relay, so there is no diff window: an
+/// arbitrarily old base still only refetches the churned share.
 fn descriptors_delta_for(relays: u64, churned: f64) -> u64 {
     (relays as f64 * churned.clamp(0.0, 1.0)).round() as u64 * MICRODESC_PER_RELAY_BYTES
 }
