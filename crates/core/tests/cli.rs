@@ -194,33 +194,54 @@ fn small_runs_exit_0_and_print_the_quoted_figures() {
     // The two rows README quotes for the reactive defender, the §4.3
     // price per run and per month, the availability figure's verdicts
     // (Current dies at 3 h, ICPS stays up) and Fig. 1's failure line.
-    let cases: [(&str, &[&str]); 22] = [
-        ("run --relays 500 --seed 1", &[]),
-        ("run --relays 500 --targets 5 --duration 60 --flood 240", &[]),
-        ("run --relays 200 --protocol current --bandwidth 250,50,20,10,5,1,0.5", &[]),
-        ("run --relays 200 --protocol current --bandwidth 250,50,20,10,5,1,0.5 --json", &[]),
-        ("run --relays 500 --protocol all", &[]),
-        ("run --relays 300 --json", &[]),
-        ("run --relays 300 --targets 5 --duration 60 --json", &[]),
-        ("clients --hours 2 --clients 20000 --caches 10 --relays 500 --feedback --churn weekly", &[]),
-        ("clients --hours 1 --clients 10000 --caches 8 --relays 120 --real-docs --json", &[]),
-        ("clients --hours 2 --clients 20000 --caches 10 --relays 500 --attribution", &[]),
-        ("attribute --hours 2 --clients 20000 --caches 10 --relays 500", &[]),
-        ("adversary --hours 1 --beam 1 --clients 10000 --caches 5 --budget 54 --defender 6 --json", &[]),
-        ("adversary --hours 1 --beam 1 --clients 10000 --caches 5 --budget 54 --json", &[]),
-        ("adversary --defender 6 --hours 8", &["66.7%", "46.5%"]),
-        ("placement --hours 2 --clients 20000 --caches 16 --relays 500 --greedy 8", &[]),
+    // The commands of the sustained-attack pipeline also print exactly
+    // their text golden under `tests/golden/` (`golden.rs` lists the
+    // command that rewrites each file).
+    let cases: [(&str, &[&str], Option<&str>); 22] = [
+        ("run --relays 500 --seed 1", &[], None),
+        ("run --relays 500 --targets 5 --duration 60 --flood 240", &[], None),
+        ("run --relays 200 --protocol current --bandwidth 250,50,20,10,5,1,0.5", &[], None),
+        ("run --relays 200 --protocol current --bandwidth 250,50,20,10,5,1,0.5 --json", &[], None),
+        ("run --relays 500 --protocol all", &[], None),
+        ("run --relays 300 --json", &[], None),
+        ("run --relays 300 --targets 5 --duration 60 --json", &[], None),
+        (
+            "clients --hours 2 --clients 20000 --caches 10 --relays 500 --feedback --churn weekly",
+            &[],
+            Some("clients_feedback.txt"),
+        ),
+        ("clients --hours 1 --clients 10000 --caches 8 --relays 120 --real-docs --json", &[], None),
+        (
+            "clients --hours 2 --clients 20000 --caches 10 --relays 500 --attribution",
+            &[],
+            Some("clients_attribution.txt"),
+        ),
+        (
+            "attribute --hours 2 --clients 20000 --caches 10 --relays 500",
+            &[],
+            Some("attribute.txt"),
+        ),
+        ("adversary --hours 1 --beam 1 --clients 10000 --caches 5 --budget 54 --defender 6 --json", &[], None),
+        ("adversary --hours 1 --beam 1 --clients 10000 --caches 5 --budget 54 --json", &[], None),
+        ("adversary --defender 6 --hours 8", &["66.7%", "46.5%"], Some("adversary.txt")),
+        (
+            "placement --hours 2 --clients 20000 --caches 16 --relays 500 --greedy 8",
+            &[],
+            Some("placement.txt"),
+        ),
         (
             "placement --hours 2 --clients 20000 --caches 12 --relays 500 --greedy 0 --brownout europe --json",
             &[],
+            None,
         ),
-        ("cost --targets 5 --flood 240 --minutes 5", &["$0.0740", "$53.28"]),
-        ("fig table2", &[]),
+        ("cost --targets 5 --flood 240 --minutes 5", &["$0.0740", "$53.28"], None),
+        ("fig table2", &[], None),
         (
             "fig cost",
             &["\npaper headline (5 × 240 Mbit/s, 5 min hourly)          5        240      0.074        53.28\n"],
+            None,
         ),
-        ("fig fig11 --step 4000", &[]),
+        ("fig fig11 --step 4000", &[], None),
         (
             "fig availability --hours 3",
             &[
@@ -228,10 +249,11 @@ fn small_runs_exit_0_and_print_the_quoted_figures() {
                 "network stayed up for the whole period",
                 "client-weighted downtime: 25.0% of client-time lost",
             ],
+            Some("availability.txt"),
         ),
-        ("fig fig1", &["4 of 5", "Asking every other authority for a copy"]),
+        ("fig fig1", &["4 of 5", "Asking every other authority for a copy"], None),
     ];
-    for (command, quoted) in cases {
+    for (command, quoted, golden) in cases {
         let output = dirsim()
             .args(command.split_whitespace())
             .output()
@@ -243,6 +265,17 @@ fn small_runs_exit_0_and_print_the_quoted_figures() {
             assert!(
                 stdout.contains(figure),
                 "{command} lacks {figure:?}:\n{stdout}"
+            );
+        }
+        if let Some(name) = golden {
+            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("tests/golden")
+                .join(name);
+            let want = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert!(
+                stdout == want,
+                "{command} differs from {name}; golden.rs lists the command that rewrites it"
             );
         }
     }

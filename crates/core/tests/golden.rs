@@ -20,6 +20,20 @@
 //! dirsim cost --json > crates/core/tests/golden/cost.json
 //! ```
 //!
+//! The `*.txt` files are the text stdout of the sustained-attack
+//! pipeline's commands, which `cli.rs`
+//! `small_runs_exit_0_and_print_the_quoted_figures` already runs and
+//! byte-compares with them:
+//!
+//! ```text
+//! dirsim clients --hours 2 --clients 20000 --caches 10 --relays 500 --feedback --churn weekly > crates/core/tests/golden/clients_feedback.txt
+//! dirsim clients --hours 2 --clients 20000 --caches 10 --relays 500 --attribution > crates/core/tests/golden/clients_attribution.txt
+//! dirsim attribute --hours 2 --clients 20000 --caches 10 --relays 500 > crates/core/tests/golden/attribute.txt
+//! dirsim placement --hours 2 --clients 20000 --caches 16 --relays 500 --greedy 8 > crates/core/tests/golden/placement.txt
+//! dirsim adversary --defender 6 --hours 8 > crates/core/tests/golden/adversary.txt
+//! dirsim fig availability --hours 3 > crates/core/tests/golden/availability.txt
+//! ```
+//!
 //! The trace tests also check what each trace must say on the fresh
 //! text, so a rewritten golden cannot carry a wrong trace in with it.
 
