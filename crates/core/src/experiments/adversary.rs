@@ -31,12 +31,13 @@
 //! [`frontier`](super::frontier) experiment runs the same functions
 //! once per playbook defense.
 
+use super::sustained;
 use crate::adversary::{AttackPlan, AttackWindow, Target};
 use crate::calibration::{ATTACK_FLOOD_MBPS, CACHE_FLOOD_MBPS, N_AUTHORITIES};
 use crate::defense::DefensePlan;
 use crate::protocols::ProtocolKind;
 use crate::runner::{par_map, sweep, SweepJob};
-use partialtor_dirdist::{AttributionRollup, DistConfig, DocModel};
+use partialtor_dirdist::{AttributionRollup, DistConfig, DocModel, HourInput};
 use partialtor_obs::{span, Tracer};
 use partialtor_simnet::{SimDuration, SimTime};
 use serde::Serialize;
@@ -314,9 +315,10 @@ pub struct AdversaryResult {
 /// fields, verbatim (flood as raw bits so the key stays `Ord`/`Eq`).
 type SliceKey = Vec<(Target, u64, u64, u64)>;
 
-/// Memoized per-hour protocol outcomes: one entry per distinct
-/// `(seed, run-local authority window set)`.
-pub(crate) type OutcomeMemo = BTreeMap<(u64, SliceKey), Option<f64>>;
+/// Memoized per-hour protocol runs, as the sustained pipeline's
+/// hand-off: one entry per distinct `(seed, run-local authority window
+/// set)`.
+pub(crate) type OutcomeMemo = BTreeMap<(u64, SliceKey), HourInput>;
 
 fn slice_key(slice: &AttackPlan) -> SliceKey {
     slice
@@ -430,7 +432,7 @@ impl SearchEnv {
                     .effective_attack(&shape.plan(self.hours), &Tracer::disabled());
                 let keys = (1..=self.hours)
                     .map(|hour| {
-                        let scenario = super::sustained::hourly_scenario(
+                        let scenario = sustained::hourly_scenario(
                             &plan,
                             hour,
                             self.lowered.seed,
@@ -447,8 +449,12 @@ impl SearchEnv {
                 Candidate { shape, plan, keys }
             })
             .collect();
-        let outcomes = super::sustained::hourly_outcomes(&sweep(&jobs));
-        memo.extend(job_keys.into_iter().zip(outcomes));
+        let reports = sweep(&jobs);
+        memo.extend(
+            job_keys
+                .into_iter()
+                .zip(reports.iter().map(sustained::hour_input)),
+        );
         candidates
     }
 
@@ -462,19 +468,16 @@ impl SearchEnv {
         candidate: &Candidate,
         memo: &OutcomeMemo,
     ) -> (PlanScore, Option<AttributionRollup>) {
-        let outcomes: Vec<Option<f64>> = candidate
-            .keys
-            .iter()
-            .map(|key| *memo.get(key).expect("memo filled for every scored shape"))
-            .collect();
+        let inputs: Vec<HourInput> = candidate.keys.iter().map(|key| memo[key].clone()).collect();
         let config = DistConfig {
             link_windows: candidate.plan.dist_windows(),
             ..self.lowered.clone()
         };
-        let dist = super::sustained::replay(
+        let produced_hours = sustained::produced_hours(&inputs);
+        let dist = sustained::replay(
             &config,
             DocModel::synthetic(config.relays),
-            outcomes.iter().copied().map(Into::into),
+            inputs,
             &Tracer::disabled(),
         )
         .into_report();
@@ -484,7 +487,7 @@ impl SearchEnv {
             shape,
             windows: candidate.plan.windows().len(),
             cost_usd_month: shape.cost_usd_month(),
-            produced_hours: outcomes.iter().flatten().count() as u64,
+            produced_hours,
             client_weighted_downtime: dist.fleet.client_weighted_downtime,
         };
         (score, dist.attribution)

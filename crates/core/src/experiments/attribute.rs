@@ -13,8 +13,8 @@
 //! the downtime they decompose, so the table is an accounting identity,
 //! not a heuristic.
 
+use super::sustained;
 use crate::adversary::AttackPlan;
-use crate::calibration::N_AUTHORITIES;
 use crate::protocols::ProtocolKind;
 use partialtor_dirdist::{AttributionRollup, DistConfig, DistReport, DocModel};
 use partialtor_obs::Tracer;
@@ -71,34 +71,35 @@ pub fn run_experiment(params: &AttributeParams) -> AttributeResult {
 /// [`run_experiment`] with a structured trace sink (the `dirsim
 /// attribute --trace` surface).
 pub fn run_experiment_traced(params: &AttributeParams, tracer: &Tracer) -> AttributeResult {
-    let protocol = ProtocolKind::Current;
     let plan = AttackPlan::five_of_nine().sustained_hourly(params.hours);
-    let jobs =
-        super::sustained::hourly_jobs(protocol, &plan, params.hours, params.seed, params.relays);
-    let reports = crate::runner::sweep(&jobs);
-    let hourly = super::sustained::hourly_outcomes(&reports);
+    let [arm] = sustained::run(
+        [ProtocolKind::Current],
+        &plan,
+        params.hours,
+        params.seed,
+        params.relays,
+    );
     let config = DistConfig {
         seed: params.seed,
         clients: params.clients,
         relays: params.relays,
-        n_authorities: N_AUTHORITIES,
         n_caches: params.caches,
         feedback: params.feedback,
         link_windows: plan.dist_windows(),
         attribution: true,
         ..DistConfig::default()
     };
-    // Outcomes only: the attributed replay carries no monitor alerts.
-    let dist = super::sustained::replay(
+    let produced_hours = sustained::produced_hours(&arm.inputs);
+    let dist = sustained::replay(
         &config,
         DocModel::synthetic(params.relays),
-        hourly.iter().copied().map(Into::into),
+        arm.inputs,
         tracer,
     )
     .into_report();
     AttributeResult {
-        protocol: protocol.to_string(),
-        produced_hours: hourly.iter().flatten().count() as u64,
+        protocol: arm.protocol.to_string(),
+        produced_hours,
         dist,
     }
 }
@@ -270,6 +271,60 @@ mod tests {
         // bit-exact identity after a round trip.
         let rendered = json.render();
         assert!(rendered.contains("\"dominant\":\"quorum_lost\""));
+    }
+
+    /// The attributed replay carries the health monitor's alerts like
+    /// every other experiment on the sustained pipeline: one
+    /// `consensus_failure` per failed hour, and the same ones `clients`
+    /// traces on the same parameters (whose ICPS arm raises none).
+    #[test]
+    fn failed_hours_raise_the_alerts_clients_raises() {
+        use crate::experiments::clients::{self, ClientsParams};
+        use partialtor_obs::TraceEvent;
+        fn alerts(tracer: &Tracer) -> Vec<(u64, String)> {
+            tracer
+                .drain()
+                .into_iter()
+                .filter_map(|event| match event {
+                    TraceEvent::HealthAlert { hour, kind, .. } => Some((hour, kind)),
+                    _ => None,
+                })
+                .collect()
+        }
+        let params = AttributeParams {
+            hours: 2,
+            clients: 20_000,
+            caches: 10,
+            ..small_params()
+        };
+        let tracer = Tracer::enabled(1 << 16);
+        let result = run_experiment_traced(&params, &tracer);
+        let attributed = alerts(&tracer);
+        let failed: Vec<(u64, String)> = result.dist.hours[1..]
+            .iter()
+            .filter(|hour| hour.published_version.is_none())
+            .map(|hour| (hour.hour, "consensus_failure".to_string()))
+            .collect();
+        assert_eq!(
+            failed.len() as u64,
+            params.hours,
+            "every attacked run fails"
+        );
+        assert_eq!(attributed, failed);
+
+        let tracer = Tracer::enabled(1 << 16);
+        clients::run_experiment_traced(
+            &ClientsParams {
+                hours: params.hours,
+                clients: params.clients,
+                caches: params.caches,
+                relays: params.relays,
+                seed: params.seed,
+                ..ClientsParams::default()
+            },
+            &tracer,
+        );
+        assert_eq!(alerts(&tracer), attributed);
     }
 
     #[test]

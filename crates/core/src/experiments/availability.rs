@@ -8,10 +8,10 @@
 //! protocol regenerates a document a few seconds after every attack
 //! window, so the network never goes down.
 
+use super::sustained;
 use crate::adversary::AttackPlan;
 use crate::calibration::CONSENSUS_VALID_SECS;
 use crate::protocols::ProtocolKind;
-use crate::runner::sweep;
 use partialtor_dirdist::{DistConfig, DocModel};
 use partialtor_obs::Tracer;
 
@@ -59,21 +59,34 @@ pub struct AvailabilityResult {
 /// Simulates `hours` hourly runs with a five-minute attack window at the
 /// start of each, and tracks document validity.
 pub fn timeline(protocol: ProtocolKind, hours: u64, seed: u64) -> AvailabilityResult {
-    // Each hourly run is an independent simulation, so the whole day
-    // sweeps in parallel; only the validity bookkeeping below is
-    // sequential.
     let plan = AttackPlan::five_of_nine().sustained_hourly(hours);
-    let jobs = super::sustained::hourly_jobs(protocol, &plan, hours, seed, 8_000);
-    let reports = sweep(&jobs);
-    let hourly_outcomes = super::sustained::hourly_outcomes(&reports);
+    let [arm] = sustained::run([protocol], &plan, hours, seed, 8_000);
+
+    // Client weighting: replay the same timeline through the
+    // distribution layer with a reference fleet — cache fetches see the
+    // same hourly attack windows the protocol runs did — and read each
+    // hour's staleness off its fleet row.
+    let config = DistConfig {
+        seed,
+        clients: REFERENCE_FLEET_CLIENTS,
+        n_caches: REFERENCE_FLEET_CACHES,
+        link_windows: plan.dist_windows(),
+        ..DistConfig::default()
+    };
+    let dist = sustained::replay(
+        &config,
+        DocModel::synthetic(config.relays),
+        arm.inputs,
+        &Tracer::disabled(),
+    )
+    .into_report();
 
     // The last pre-attack consensus was generated at t = 0 (the attack
     // begins with the run of hour 1).
     let mut last_valid_consensus_at: i64 = 0;
     let mut rows = Vec::new();
     let mut death_at_secs = None;
-
-    for (hour, report) in (1..=hours).zip(reports) {
+    for ((hour, report), fleet_row) in (1..=hours).zip(&arm.reports).zip(&dist.fleet.rows[1..]) {
         let produced = report.success;
         let valid_at_offset_secs = report.last_valid_secs;
         if produced {
@@ -92,34 +105,9 @@ pub fn timeline(protocol: ProtocolKind, hours: u64, seed: u64) -> AvailabilityRe
             produced,
             valid_at_offset_secs,
             network_alive,
-            dead_client_fraction: 0.0,
-            stale_client_fraction: 0.0,
+            dead_client_fraction: fleet_row.dead_fraction,
+            stale_client_fraction: fleet_row.stale_fraction,
         });
-    }
-
-    // Client weighting: replay the same timeline through the
-    // distribution layer with a reference fleet — cache fetches see the
-    // same hourly attack windows the protocol runs did — then fold its
-    // per-hour staleness back into the rows.
-    let config = DistConfig {
-        seed,
-        clients: REFERENCE_FLEET_CLIENTS,
-        n_caches: REFERENCE_FLEET_CACHES,
-        link_windows: plan.dist_windows(),
-        ..DistConfig::default()
-    };
-    let dist = super::sustained::replay(
-        &config,
-        DocModel::synthetic(config.relays),
-        hourly_outcomes.into_iter().map(Into::into),
-        &Tracer::disabled(),
-    )
-    .into_report();
-    for row in &mut rows {
-        if let Some(fleet_row) = dist.fleet.rows.iter().find(|r| r.hour == row.hour) {
-            row.dead_client_fraction = fleet_row.dead_fraction;
-            row.stale_client_fraction = fleet_row.stale_fraction;
-        }
     }
 
     AvailabilityResult {

@@ -24,10 +24,10 @@
 //!   proposal-140 numbers come from measured diffs (small populations
 //!   only).
 
+use super::sustained;
 use crate::adversary::AttackPlan;
 use crate::calibration::N_AUTHORITIES;
 use crate::protocols::ProtocolKind;
-use crate::runner::{sweep, SweepJob};
 use partialtor_dirdist::{
     ChurnSchedule, DistConfig, DistReport, DocModel, FetchMix, HourInput, RETAIN_HOURS,
 };
@@ -99,20 +99,20 @@ pub struct ClientsResult {
 }
 
 /// Builds one real consensus per published version — the baseline at
-/// hour 0, then every hour whose `hourly` outcome (hour 1 first) is
-/// `Some`: a relay-population window that slides with the cumulative
-/// churn of the schedule, voted on by a majority committee and
+/// hour 0, then every hour whose `hourly` input (hour 1 first) carries
+/// a publication: a relay-population window that slides with the
+/// cumulative churn of the schedule, voted on by a majority committee and
 /// aggregated — the same documents the `tordoc` protocol path produces,
 /// so every diff the caches serve is a genuine, verified
 /// `ConsensusDiff`.
-fn measured_model(params: &ClientsParams, hourly: &[Option<f64>]) -> DocModel {
+fn measured_model(params: &ClientsParams, hourly: &[HourInput]) -> DocModel {
     assert!(
         params.relays <= REAL_DOCS_MAX_RELAYS,
         "real-docs mode is for small populations (≤ {REAL_DOCS_MAX_RELAYS} relays)"
     );
     let relays = params.relays as usize;
     let published_hours: Vec<u64> = (0..=hourly.len())
-        .filter(|&hour| hour == 0 || hourly[hour - 1].is_some())
+        .filter(|&hour| hour == 0 || hourly[hour - 1].publication.is_some())
         .map(|hour| hour as u64)
         .collect();
     let max_hour = published_hours.last().copied().unwrap_or(0);
@@ -164,58 +164,43 @@ pub fn run_experiment(params: &ClientsParams) -> Vec<ClientsResult> {
 /// [`run_experiment`] with a structured trace sink (the `dirsim clients
 /// --trace` surface). Both protocols' sessions share the sink.
 pub fn run_experiment_traced(params: &ClientsParams, tracer: &Tracer) -> Vec<ClientsResult> {
-    let protocols = [ProtocolKind::Current, ProtocolKind::Icps];
     let plan = AttackPlan::five_of_nine().sustained_hourly(params.hours);
-    let jobs: Vec<SweepJob> = protocols
-        .iter()
-        .flat_map(|&protocol| {
-            super::sustained::hourly_jobs(protocol, &plan, params.hours, params.seed, params.relays)
-        })
-        .collect();
-    let reports = sweep(&jobs);
-
-    protocols
-        .iter()
-        .enumerate()
-        .map(|(index, &protocol)| {
-            let slice = &reports[index * params.hours as usize..][..params.hours as usize];
-            let hourly = super::sustained::hourly_outcomes(slice);
-            let config = DistConfig {
-                seed: params.seed,
-                clients: params.clients,
-                relays: params.relays,
-                n_authorities: N_AUTHORITIES,
-                n_caches: params.caches,
-                churn: params.churn.clone(),
-                feedback: params.feedback,
-                link_windows: plan.dist_windows(),
-                attribution: params.attribution,
-                ..DistConfig::default()
-            };
-            let model = if params.real_docs {
-                measured_model(params, &hourly)
-            } else {
-                DocModel::synthetic(params.relays)
-            };
-            let inputs = hourly
-                .iter()
-                .zip(slice)
-                .map(|(&publication, report)| HourInput {
-                    publication,
-                    alerts: super::sustained::alert_notes(report),
-                    ..HourInput::default()
-                });
-            let session = super::sustained::replay(&config, model, inputs, tracer);
-            let fetch_mixes = session.fetch_mixes();
-            let dist = session.into_report();
-            ClientsResult {
-                protocol: protocol.to_string(),
-                produced_hours: hourly.iter().flatten().count() as u64,
-                dist,
-                fetch_mixes,
-            }
-        })
-        .collect()
+    sustained::run(
+        [ProtocolKind::Current, ProtocolKind::Icps],
+        &plan,
+        params.hours,
+        params.seed,
+        params.relays,
+    )
+    .into_iter()
+    .map(|arm| {
+        let config = DistConfig {
+            seed: params.seed,
+            clients: params.clients,
+            relays: params.relays,
+            n_caches: params.caches,
+            churn: params.churn.clone(),
+            feedback: params.feedback,
+            link_windows: plan.dist_windows(),
+            attribution: params.attribution,
+            ..DistConfig::default()
+        };
+        let model = if params.real_docs {
+            measured_model(params, &arm.inputs)
+        } else {
+            DocModel::synthetic(params.relays)
+        };
+        let produced_hours = sustained::produced_hours(&arm.inputs);
+        let session = sustained::replay(&config, model, arm.inputs, tracer);
+        let fetch_mixes = session.fetch_mixes();
+        ClientsResult {
+            protocol: arm.protocol.to_string(),
+            produced_hours,
+            dist: session.into_report(),
+            fetch_mixes,
+        }
+    })
+    .collect()
 }
 
 /// Renders the Current protocol's per-hour fetch mixes in the

@@ -12,20 +12,27 @@ pub mod availability;
 pub mod clients;
 pub mod cost;
 
-/// Shared plumbing for the §2.1 sustained-attack experiments, called
-/// directly by `availability`, `clients`, `attribute`, `placement` and
-/// `adversary` (which `frontier` drives): one day-clock
-/// [`AttackPlan`](crate::adversary::AttackPlan) drives both the hourly
-/// protocol sweep jobs and the distribution layer's view of the same
-/// windows, and `replay` is the one path from hourly outcomes to a
-/// [`DistSession`](partialtor_dirdist::DistSession).
+/// The one §2.1 sustained-attack pipeline: `run` sweeps a day-clock
+/// `AttackPlan`'s hourly runs as one batch, `hour_input` is the one
+/// hand-off of a run to the distribution layer (the adversary search's
+/// memo holds it too), and `replay` opens every experiment's `DistSession`.
 pub(crate) mod sustained {
     use crate::adversary::AttackPlan;
     use crate::monitor;
     use crate::protocols::ProtocolKind;
-    use crate::runner::{RunReport, Scenario, SweepJob};
+    use crate::runner::{sweep, RunReport, Scenario, SweepJob};
     use partialtor_dirdist::{AlertNote, DistConfig, DistSession, DocModel, HourInput};
     use partialtor_obs::Tracer;
+
+    /// One protocol's hours of a sustained campaign, hour 1 first.
+    pub struct SustainedArm {
+        /// The protocol the runs used.
+        pub protocol: ProtocolKind,
+        /// Each hour's protocol run.
+        pub reports: Vec<RunReport>,
+        /// Each run's [`hour_input`] hand-off.
+        pub inputs: Vec<HourInput>,
+    }
 
     /// The scenario of hour `hour` under the day-clock `plan`: its
     /// authority windows for that hour, rebased to the run's own clock.
@@ -38,46 +45,60 @@ pub(crate) mod sustained {
         }
     }
 
-    /// One attacked run per hour (`1..=hours`) under the day-clock
-    /// `plan`.
-    pub fn hourly_jobs(
-        protocol: ProtocolKind,
+    /// Runs hours `1..=hours` of `plan` for each protocol as one sweep
+    /// batch, protocol-major (the order the batch's units of work and
+    /// shared committees are planned from), and hands each run off.
+    pub fn run<const N: usize>(
+        protocols: [ProtocolKind; N],
         plan: &AttackPlan,
         hours: u64,
         seed: u64,
         relays: u64,
-    ) -> Vec<SweepJob> {
-        (1..=hours)
-            .map(|hour| SweepJob::new(protocol, hourly_scenario(plan, hour, seed, relays)))
-            .collect()
+    ) -> [SustainedArm; N] {
+        let jobs: Vec<SweepJob> = protocols
+            .iter()
+            .flat_map(|&protocol| {
+                (1..=hours).map(move |hour| {
+                    SweepJob::new(protocol, hourly_scenario(plan, hour, seed, relays))
+                })
+            })
+            .collect();
+        let mut reports = sweep(&jobs).into_iter();
+        protocols.map(|protocol| {
+            let reports: Vec<RunReport> = reports.by_ref().take(hours as usize).collect();
+            let inputs = reports.iter().map(hour_input).collect();
+            SustainedArm {
+                protocol,
+                reports,
+                inputs,
+            }
+        })
     }
 
-    /// Per-hour completion offsets from the sweep's reports (`None` =
-    /// that hour's run produced no consensus).
-    pub fn hourly_outcomes(reports: &[RunReport]) -> Vec<Option<f64>> {
-        reports
-            .iter()
-            .map(|report| {
-                report
-                    .success
-                    .then(|| report.last_valid_secs.unwrap_or(0.0))
-            })
-            .collect()
+    /// The hand-off of one hour's run to the distribution layer: the
+    /// offset at which it produced a consensus (`None` = it produced
+    /// none), and the health monitor's verdicts on it as alert notes —
+    /// what the deployed monitor would page operators with while the
+    /// hour's fetch storm plays out.
+    pub fn hour_input(report: &RunReport) -> HourInput {
+        HourInput {
+            publication: report
+                .success
+                .then(|| report.last_valid_secs.unwrap_or(0.0)),
+            alerts: monitor::analyze(report)
+                .iter()
+                .map(|alert| AlertNote {
+                    severity: alert.severity(),
+                    kind: alert.kind().to_string(),
+                    message: alert.to_string(),
+                })
+                .collect(),
+        }
     }
 
-    /// The health monitor's verdicts on one hour's run, as
-    /// distribution-layer alert notes: what the deployed consensus-health
-    /// monitor would page operators with while the hour's fetch storm
-    /// plays out.
-    pub fn alert_notes(report: &RunReport) -> Vec<AlertNote> {
-        monitor::analyze(report)
-            .iter()
-            .map(|alert| AlertNote {
-                severity: alert.severity(),
-                kind: alert.kind().to_string(),
-                message: alert.to_string(),
-            })
-            .collect()
+    /// Hours whose run produced a consensus.
+    pub fn produced_hours(inputs: &[HourInput]) -> u64 {
+        inputs.iter().filter_map(|input| input.publication).count() as u64
     }
 
     /// Opens a [`DistSession`] on `config` and `model` and steps it

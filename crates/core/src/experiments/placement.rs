@@ -17,13 +17,12 @@
 //! placement that concentrates caches hands an adversary a
 //! region-sized single point of failure.
 
+use super::sustained;
 use crate::adversary::AttackPlan;
-use crate::calibration::N_AUTHORITIES;
 use crate::protocols::ProtocolKind;
-use crate::runner::sweep;
 use partialtor_dirdist::{
-    client_weighted_latency_ms, CachePlacement, ClientRegions, DistConfig, DocModel, LinkWindow,
-    RegionCacheCount, TierNode,
+    client_weighted_latency_ms, CachePlacement, ClientRegions, DistConfig, DocModel, HourInput,
+    LinkWindow, RegionCacheCount, TierNode,
 };
 use partialtor_obs::Tracer;
 use partialtor_simnet::geo::{Region, REGIONS};
@@ -200,7 +199,7 @@ pub fn greedy_layout(n: usize) -> (Vec<Region>, Vec<GreedyStep>) {
     (layout, steps)
 }
 
-/// Scores one placement against precomputed hourly protocol outcomes,
+/// Scores one placement against the hourly protocol runs' hand-offs,
 /// on a tier of `caches` caches (the sweep's strategies all use
 /// `params.caches`; the greedy layout is scored on exactly the tier it
 /// placed).
@@ -209,7 +208,7 @@ fn score(
     placement: CachePlacement,
     caches: usize,
     label: Option<String>,
-    outcomes: &[Option<f64>],
+    inputs: &[HourInput],
     plan: &AttackPlan,
 ) -> StrategyScore {
     let mut windows = plan.dist_windows();
@@ -225,17 +224,16 @@ fn score(
         seed: params.seed,
         clients: params.clients,
         relays: params.relays,
-        n_authorities: N_AUTHORITIES,
         n_caches: caches,
         link_windows: windows,
         placement: placement.clone(),
         client_regions: ClientRegions::TorMetrics,
         ..DistConfig::default()
     };
-    let report = super::sustained::replay(
+    let report = sustained::replay(
         &config,
         DocModel::synthetic(config.relays),
-        outcomes.iter().copied().map(Into::into),
+        inputs.iter().cloned(),
         &Tracer::disabled(),
     )
     .into_report();
@@ -279,18 +277,17 @@ pub fn run_experiment(params: &PlacementParams) -> PlacementResult {
     } else {
         AttackPlan::five_of_nine().sustained_hourly(params.hours)
     };
-    let jobs = super::sustained::hourly_jobs(
-        ProtocolKind::Current,
+    let [arm] = sustained::run(
+        [ProtocolKind::Current],
         &plan,
         params.hours,
         params.seed,
         params.relays,
     );
-    let outcomes = super::sustained::hourly_outcomes(&sweep(&jobs));
 
     let mut scored: Vec<StrategyScore> = strategies()
         .into_iter()
-        .map(|placement| score(params, placement, params.caches, None, &outcomes, &plan))
+        .map(|placement| score(params, placement, params.caches, None, &arm.inputs, &plan))
         .collect();
     scored.sort_by(|a, b| {
         a.client_weighted_latency_ms
@@ -315,7 +312,7 @@ pub fn run_experiment(params: &PlacementParams) -> PlacementResult {
             CachePlacement::Explicit(layout),
             n,
             Some(format!("greedy ({n} caches)")),
-            &outcomes,
+            &arm.inputs,
             &plan,
         );
         GreedySearch { steps, score }

@@ -562,18 +562,61 @@ mod tests {
         jobs
     }
 
+    /// Eight jobs of one `(seed, n)`: `plan_units` cuts their one group
+    /// into as many units as there are workers, so each worker count
+    /// runs this batch as a different set of units.
+    fn one_committee_jobs() -> Vec<SweepJob> {
+        ProtocolKind::ALL
+            .into_iter()
+            .cycle()
+            .take(8)
+            .enumerate()
+            .map(|(i, protocol)| {
+                let attack = if i % 2 == 0 {
+                    AttackPlan::empty()
+                } else {
+                    AttackPlan::five_of_nine()
+                };
+                SweepJob::new(
+                    protocol,
+                    Scenario {
+                        seed: 7,
+                        relays: 500 + 250 * i as u64,
+                        attack,
+                        ..Scenario::default()
+                    },
+                )
+            })
+            .collect()
+    }
+
+    /// The worker counts CI runs on (1, 2 and 4 cores) and 8 return the
+    /// serial reports, on the mixed batch and on one whose units differ
+    /// at every count.
     #[test]
     fn sweep_parallel_matches_serial_byte_for_byte() {
-        let jobs = mixed_jobs();
-        assert!(jobs.len() >= 8, "determinism check needs a real batch");
-        let serial = sweep_threads(&jobs, 1);
-        let parallel = sweep_threads(&jobs, 8);
-        assert_eq!(serial.len(), parallel.len());
-        for (index, (a, b)) in serial.iter().zip(&parallel).enumerate() {
-            assert_eq!(a, b, "job {index} diverged between serial and parallel");
-            // Belt and braces: the rendered reports must match byte for
-            // byte, catching any non-PartialEq drift in nested types.
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "job {index} debug repr");
+        let one_committee = one_committee_jobs();
+        for workers in [1, 2, 4, 8] {
+            assert_eq!(plan_units(&one_committee, workers).len(), workers);
+        }
+        for jobs in [mixed_jobs(), one_committee] {
+            assert!(jobs.len() >= 8, "determinism check needs a real batch");
+            let serial = sweep_threads(&jobs, 1);
+            for threads in [2, 4, 8] {
+                let parallel = sweep_threads(&jobs, threads);
+                assert_eq!(serial.len(), parallel.len());
+                for (index, (a, b)) in serial.iter().zip(&parallel).enumerate() {
+                    assert_eq!(a, b, "job {index} diverged at {threads} workers");
+                    // Belt and braces: the rendered reports must match
+                    // byte for byte, catching any non-PartialEq drift in
+                    // nested types.
+                    assert_eq!(
+                        format!("{a:?}"),
+                        format!("{b:?}"),
+                        "job {index} debug repr at {threads} workers"
+                    );
+                }
+            }
         }
     }
 

@@ -18,6 +18,7 @@
 //! dirsim placement --hours 2 --clients 20000 --caches 12 --relays 500 --greedy 4 --brownout europe --json > crates/core/tests/golden/placement.json
 //! dirsim run --relays 300 --protocol all --json > crates/core/tests/golden/run.json
 //! dirsim cost --json > crates/core/tests/golden/cost.json
+//! dirsim frontier --attribution --json > FRONTIER_attribution.json
 //! ```
 //!
 //! The `*.txt` files are the text stdout of the sustained-attack
@@ -252,6 +253,20 @@ fn frontier_json_and_trace_match_their_goldens() {
         );
         assert!(line.starts_with(&want), "{line}");
     }
+}
+
+/// The committed frontier table at the repository root is the whole
+/// attacker search at its defaults, held in place. The sweep's units of
+/// work depend on the worker count; `runner`'s
+/// `sweep_parallel_matches_serial_byte_for_byte` holds the reports
+/// equal at 1, 2, 4 and 8 workers, so this runs at the default count.
+#[test]
+fn frontier_attribution_matches_the_committed_table() {
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../FRONTIER_attribution.json");
+    assert!(
+        stdout(&["frontier", "--attribution", "--json"]) == read(&committed),
+        "dirsim frontier --attribution --json differs from FRONTIER_attribution.json"
+    );
 }
 
 /// `--trace-chrome` on a run small enough to read: each event family on

@@ -13,11 +13,12 @@
 //! report describes.
 //!
 //! The tier is a *stepped* co-simulation citizen: [`CacheTier`] keeps
-//! one `simnet` engine alive across hours, and the session driving it
-//! injects each hour's publication ([`CacheTier::publish`]), attack
-//! windows ([`CacheTier::apply_windows`]) and fetch-feedback background
-//! load ([`CacheTier::set_background_load`]) before advancing simulated
-//! time with [`CacheTier::run_to`]. The one-shot [`run`] wrapper
+//! one `simnet` engine alive across hours, applies its configured
+//! attack windows ([`CacheSimConfig::link_windows`]) when it is built,
+//! and the session driving it injects each hour's publication
+//! ([`CacheTier::publish`]) and fetch-feedback background load
+//! ([`CacheTier::set_background_load`]) before advancing simulated time
+//! with [`CacheTier::run_to`]. The one-shot [`run`] wrapper
 //! replays a whole timeline through the same machinery.
 //!
 //! Each fact is counted once: wire activity (every fetch attempt is one
@@ -718,7 +719,7 @@ impl CacheTier {
     /// links. A [`TierNode::Region`] window expands to every cache the
     /// placement put in that region. Windows may start in the simulated
     /// future; windows for nodes the tier does not have are ignored.
-    pub fn apply_windows(&mut self, windows: &[LinkWindow]) {
+    fn apply_windows(&mut self, windows: &[LinkWindow]) {
         for window in windows {
             let targets: Vec<(NodeId, f64)> = match window.node {
                 TierNode::Authority(i) if i < self.config.n_authorities => {

@@ -17,7 +17,8 @@
 //!    fleet ([`fleet`]) and a growing per-version size table
 //!    ([`DocTable`]) under one clock;
 //! 2. [`DistSession::step_hour`] — one hour of the §2.1 timeline:
-//!    publication in, [`HourReport`] out, and (with
+//!    the hour's publication and monitor alerts ([`HourInput`]) in,
+//!    [`HourReport`] out, and (with
 //!    [`DistConfig::feedback`] on) the fleet's realized egress charged
 //!    to the *next* hour's links — the fetch-storm feedback loop end to
 //!    end;
@@ -117,7 +118,9 @@ pub struct DistConfig {
     pub churn: ChurnSchedule,
     /// Capacity overrides on authority and cache links during the
     /// horizon — DDoS windows lowered from the typed adversary model
-    /// upstream (`partialtor::adversary::AttackPlan::dist_windows`).
+    /// upstream (`partialtor::adversary::AttackPlan::dist_windows`). The
+    /// session's only window path: the tier applies them when it is
+    /// built.
     pub link_windows: Vec<LinkWindow>,
     /// Closes the §2.1 fetch-feedback loop: each hour's realized fleet
     /// egress (bootstrap storms included) becomes the next hour's

@@ -8,8 +8,8 @@
 //! interleaving the two tiers per hour:
 //!
 //! 1. the driver calls [`DistSession::step_hour`] with that hour's
-//!    [`HourInput`] — whether the protocol produced a consensus, any
-//!    attack windows, and optionally an explicit churn rate;
+//!    [`HourInput`] — whether the protocol produced a consensus, and
+//!    the health monitor's alerts on that run;
 //! 2. the session's private `publish` stage grows its [`DocTable`]
 //!    (diff sizes driven by the churn accumulated between base and
 //!    target) and injects the publication into the live cache tier,
@@ -48,9 +48,9 @@ use serde::Serialize;
 /// distribution telemetry it explains.
 #[derive(Clone, Debug)]
 pub struct AlertNote {
-    /// Severity label (`warning`, `critical`, ...).
+    /// Severity label (`critical`, `warning` or `notice`).
     pub severity: &'static str,
-    /// Stable alert kind (e.g. `consensus_failure_streak`).
+    /// Stable alert kind (e.g. `consensus_failure`).
     pub kind: String,
     /// Human-readable description.
     pub message: String,
@@ -62,14 +62,6 @@ pub struct HourInput {
     /// Offset into the hour (seconds) at which this hour's protocol run
     /// produced a consensus, or `None` when the run failed.
     pub publication: Option<f64>,
-    /// Capacity-override windows to inject this step (absolute clock,
-    /// starting no earlier than this hour; windows already applied
-    /// through [`DistConfig::link_windows`](crate::DistConfig) must not
-    /// be repeated here).
-    pub link_windows: Vec<LinkWindow>,
-    /// Explicit churn fraction for this hour; `None` uses the session's
-    /// [`ChurnSchedule`](crate::ChurnSchedule).
-    pub churn: Option<f64>,
     /// Health alerts the driver's monitor raised for this hour.
     pub alerts: Vec<AlertNote>,
 }
@@ -323,9 +315,6 @@ pub struct DistSession {
     /// Cumulative tier traffic as of the end of the previous hour, for
     /// per-hour deltas.
     prev_traffic: TierHourTraffic,
-    /// Windows the tier has accepted, for the attribution ladder's
-    /// flooded-layer flags (tracked only with attribution on).
-    applied_windows: Vec<LinkWindow>,
 }
 
 impl DistSession {
@@ -407,11 +396,6 @@ impl DistSession {
             hour_reports: Vec::new(),
             tracer,
             prev_traffic: TierHourTraffic::default(),
-            applied_windows: if config.attribution {
-                config.link_windows.clone()
-            } else {
-                Vec::new()
-            },
         };
         let baseline_span = session.publish(0, 0.0);
         session.tier.run_to(3_600.0);
@@ -420,15 +404,12 @@ impl DistSession {
     }
 
     /// Steps one hour: accumulates its churn, traces its alerts,
-    /// applies its windows, publishes its consensus (if any), advances
+    /// publishes its consensus (if any), advances
     /// the cache tier to the hour's end and closes the hour — the same
     /// `publish` and `close_hour` stages that opened hour 0.
     pub fn step_hour(&mut self, input: HourInput) -> HourReport {
         let hour = self.hours();
-        let churn = input
-            .churn
-            .unwrap_or_else(|| self.config.churn.churn_at(hour));
-        self.cum_churn += churn.max(0.0);
+        self.cum_churn += self.config.churn.churn_at(hour).max(0.0);
 
         for alert in &input.alerts {
             self.tracer.emit(TraceEvent::HealthAlert {
@@ -438,12 +419,6 @@ impl DistSession {
                 message: alert.message.clone(),
             });
         }
-
-        if self.config.attribution {
-            self.applied_windows
-                .extend(input.link_windows.iter().copied());
-        }
-        self.tier.apply_windows(&input.link_windows);
 
         let published_version = input.publication.map(|_| self.publications.len());
         let publication_span = input
@@ -513,7 +488,7 @@ impl DistSession {
             .step_hour(hour, &self.publications, &self.table, &cached, budget);
         let attribution = fleet_before.map(|before| {
             let (authority_flooded, cache_flooded) =
-                window_flags(&self.applied_windows, hour, self.config.valid_secs);
+                window_flags(&self.config.link_windows, hour, self.config.valid_secs);
             attribution::attribute_hour(
                 &before,
                 row.dead_fraction,

@@ -140,7 +140,7 @@ pub enum TraceEvent {
     HealthAlert {
         /// Session hour the alert belongs to.
         hour: u64,
-        /// Alert severity (`"CRITICAL"`, `"WARNING"`, `"NOTICE"`).
+        /// Alert severity (`"critical"`, `"warning"`, `"notice"`).
         severity: &'static str,
         /// Alert kind (stable machine-readable name).
         kind: String,
