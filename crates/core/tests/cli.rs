@@ -196,7 +196,9 @@ fn small_runs_exit_0_and_print_the_quoted_figures() {
     // (Current dies at 3 h, ICPS stays up) and Fig. 1's failure line.
     // The commands of the sustained-attack pipeline also print exactly
     // their text golden under `tests/golden/` (`golden.rs` lists the
-    // command that rewrites each file).
+    // command that rewrites each file). The two attributed ones run at
+    // 2 000 relays, where the flood breaks Current in hours 3 and 4, so
+    // their goldens hold an outage and its `quorum_lost` blame.
     let cases: [(&str, &[&str], Option<&str>); 22] = [
         ("run --relays 500 --seed 1", &[], None),
         ("run --relays 500 --targets 5 --duration 60 --flood 240", &[], None),
@@ -212,13 +214,13 @@ fn small_runs_exit_0_and_print_the_quoted_figures() {
         ),
         ("clients --hours 1 --clients 10000 --caches 8 --relays 120 --real-docs --json", &[], None),
         (
-            "clients --hours 2 --clients 20000 --caches 10 --relays 500 --attribution",
-            &[],
+            "clients --hours 4 --clients 20000 --caches 10 --relays 2000 --attribution",
+            &["--- Current (0 of 4 hourly runs produced a consensus) ---"],
             Some("clients_attribution.txt"),
         ),
         (
-            "attribute --hours 2 --clients 20000 --caches 10 --relays 500",
-            &[],
+            "attribute --hours 4 --clients 20000 --caches 10 --relays 2000",
+            &["client-weighted downtime 40.00%, dominated by quorum_lost"],
             Some("attribute.txt"),
         ),
         ("adversary --hours 1 --beam 1 --clients 10000 --caches 5 --budget 54 --defender 6 --json", &[], None),

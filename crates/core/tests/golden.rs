@@ -28,8 +28,8 @@
 //!
 //! ```text
 //! dirsim clients --hours 2 --clients 20000 --caches 10 --relays 500 --feedback --churn weekly > crates/core/tests/golden/clients_feedback.txt
-//! dirsim clients --hours 2 --clients 20000 --caches 10 --relays 500 --attribution > crates/core/tests/golden/clients_attribution.txt
-//! dirsim attribute --hours 2 --clients 20000 --caches 10 --relays 500 > crates/core/tests/golden/attribute.txt
+//! dirsim clients --hours 4 --clients 20000 --caches 10 --relays 2000 --attribution > crates/core/tests/golden/clients_attribution.txt
+//! dirsim attribute --hours 4 --clients 20000 --caches 10 --relays 2000 > crates/core/tests/golden/attribute.txt
 //! dirsim placement --hours 2 --clients 20000 --caches 16 --relays 500 --greedy 8 > crates/core/tests/golden/placement.txt
 //! dirsim adversary --defender 6 --hours 8 > crates/core/tests/golden/adversary.txt
 //! dirsim fig availability --hours 3 > crates/core/tests/golden/availability.txt
