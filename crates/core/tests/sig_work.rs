@@ -1,8 +1,8 @@
 //! What one protocol run costs in signature work, counted exactly.
 //!
-//! `partialtor_crypto::ed25519::work()` reads three per-thread counters; a
+//! `partialtor_crypto::ed25519::work()` reads four per-thread counters; a
 //! `runner::run` executes on the calling thread, so the difference around
-//! it is the run's own work. Two of them describe verification:
+//! it is the run's own work. Three of them describe verification:
 //!
 //! * **requests** (`verifies`) — how often protocol code asked whether a
 //!   signature is valid: what the protocols *check*. These numbers were
@@ -18,9 +18,16 @@
 //!   pass is what costs the time; the number moves only when a change
 //!   adds or removes a *repeat* — shares more or less between the nodes
 //!   of a run or the runs of a group — or a check.
+//! * **key tables** (`key_tables`) — how often the committee built a comb
+//!   table for one of its keys: at a key's fourth pass in that committee,
+//!   so at most once per key. An ICPS run passes at least four times under
+//!   each of its nine keys and builds nine; a calm Current or Synchronous
+//!   run passes once under each and builds none. The number moves when
+//!   the committee's table rule does, or when a key's pass count crosses
+//!   three.
 //!
 //! Signs are not shared or cached by anything. A faster kernel moves none
-//! of the three.
+//! of the first three.
 //!
 //! Seed 1, 8 000 relays, nine authorities (`Scenario::default()`).
 
@@ -29,8 +36,9 @@ use partialtor::protocols::ProtocolKind;
 use partialtor::runner::{self, RunReport, Scenario, SweepJob};
 use partialtor_crypto::ed25519::work;
 
-/// Runs one scenario and returns (requests, kernel passes, signs, report).
-fn counted(protocol: ProtocolKind, attack: AttackPlan) -> (u64, u64, u64, RunReport) {
+/// Runs one scenario and returns (requests, kernel passes, signs, key
+/// tables, report).
+fn counted(protocol: ProtocolKind, attack: AttackPlan) -> (u64, u64, u64, u64, RunReport) {
     let scenario = Scenario {
         attack,
         ..Scenario::default()
@@ -42,46 +50,56 @@ fn counted(protocol: ProtocolKind, attack: AttackPlan) -> (u64, u64, u64, RunRep
         after.verifies - before.verifies,
         after.kernel_verifies - before.kernel_verifies,
         after.signs - before.signs,
+        after.key_tables - before.key_tables,
         report,
     )
 }
 
 #[test]
 fn icps_calm_run() {
-    let (requests, passes, signs, report) = counted(ProtocolKind::Icps, AttackPlan::empty());
+    let (requests, passes, signs, tables, report) =
+        counted(ProtocolKind::Icps, AttackPlan::empty());
     assert!(report.success);
     assert_eq!((requests, passes, signs), (2_457, 106, 119));
+    assert_eq!(tables, 9);
 }
 
 #[test]
 fn icps_five_of_nine_run() {
-    let (requests, passes, signs, report) = counted(ProtocolKind::Icps, AttackPlan::five_of_nine());
+    let (requests, passes, signs, tables, report) =
+        counted(ProtocolKind::Icps, AttackPlan::five_of_nine());
     assert!(report.success, "ICPS rides out the five-minute flood");
     assert_eq!((requests, passes, signs), (2_763, 115, 164));
+    assert_eq!(tables, 9);
 }
 
 #[test]
 fn current_calm_run() {
-    let (requests, passes, signs, report) = counted(ProtocolKind::Current, AttackPlan::empty());
+    let (requests, passes, signs, tables, report) =
+        counted(ProtocolKind::Current, AttackPlan::empty());
     assert!(report.success);
     assert_eq!((requests, passes, signs), (72, 9, 9));
+    assert_eq!(tables, 0);
 }
 
 #[test]
 fn synchronous_calm_run() {
-    let (requests, passes, signs, report) = counted(ProtocolKind::Synchronous, AttackPlan::empty());
+    let (requests, passes, signs, tables, report) =
+        counted(ProtocolKind::Synchronous, AttackPlan::empty());
     assert!(report.success);
     assert_eq!((requests, passes, signs), (136, 9, 9));
+    assert_eq!(tables, 0);
 }
 
 /// The headline attack: no authority assembles a vote majority, so none
 /// reaches the signature exchange — a failed Current run verifies nothing.
 #[test]
 fn a_failed_current_run_verifies_nothing() {
-    let (requests, passes, signs, report) =
+    let (requests, passes, signs, tables, report) =
         counted(ProtocolKind::Current, AttackPlan::five_of_nine());
     assert!(!report.success);
     assert_eq!((requests, passes, signs), (0, 0, 0));
+    assert_eq!(tables, 0);
 }
 
 /// The counters are per thread and only grow: work on another thread is
@@ -106,9 +124,9 @@ fn counters_are_per_thread() {
     assert_eq!(work(), before);
 }
 
-/// (requests, kernel passes, signs) of one serial sweep of `seeds`, a
-/// calm Current job each.
-fn swept(seeds: &[u64]) -> (u64, u64, u64) {
+/// (requests, kernel passes, signs, key tables) of one serial sweep of
+/// `seeds`, a calm `protocol` job each.
+fn swept(protocol: ProtocolKind, seeds: &[u64]) -> (u64, u64, u64, u64) {
     let jobs: Vec<SweepJob> = seeds
         .iter()
         .map(|&seed| {
@@ -116,7 +134,7 @@ fn swept(seeds: &[u64]) -> (u64, u64, u64) {
                 seed,
                 ..Scenario::default()
             };
-            SweepJob::new(ProtocolKind::Current, scenario)
+            SweepJob::new(protocol, scenario)
         })
         .collect();
     let before = work();
@@ -127,15 +145,18 @@ fn swept(seeds: &[u64]) -> (u64, u64, u64) {
         after.verifies - before.verifies,
         after.kernel_verifies - before.kernel_verifies,
         after.signs - before.signs,
+        after.key_tables - before.key_tables,
     )
 }
 
 /// Two identical jobs in one sweep are one seed group: the second run
 /// asks all 72 of its questions again and the group's verified set
 /// answers every one. Two seeds are two groups, two committees, two
-/// sets. Signs are never shared.
+/// sets. Signs are never shared. The key tables belong to the committee
+/// too: two identical ICPS runs build the nine tables once.
 #[test]
 fn a_sweep_shares_the_verified_set_within_a_seed_group() {
-    assert_eq!(swept(&[1, 1]), (144, 9, 18));
-    assert_eq!(swept(&[1, 2]), (144, 18, 18));
+    assert_eq!(swept(ProtocolKind::Current, &[1, 1]), (144, 9, 18, 0));
+    assert_eq!(swept(ProtocolKind::Current, &[1, 2]), (144, 18, 18, 0));
+    assert_eq!(swept(ProtocolKind::Icps, &[1, 1]), (4_914, 106, 238, 9));
 }

@@ -7,8 +7,10 @@
 //! `S` and `R`.
 //!
 //! [`VerifyingKey::verify`] is the pure primitive: every call runs the
-//! whole check. A [`Committee`] puts a set of already-verified triples in
-//! front of it for the nodes of one simulated run.
+//! whole check, with the Straus kernel. A [`Committee`] puts a set of
+//! already-verified signatures in front of the same check for the nodes of
+//! a simulated run, and from a key's fourth check on runs it against that
+//! key's own comb table ([`point::CombTable`]).
 //!
 //! Every [`SigningKey::sign`], every verification request and every run
 //! of the check is counted per thread; [`work`] reads the counters.
@@ -24,7 +26,7 @@ mod oracle;
 pub use committee::Committee;
 
 use crate::sha512;
-use point::EdwardsPoint;
+use point::{CombTable, EdwardsPoint};
 use scalar::Scalar;
 use std::cell::Cell;
 
@@ -32,6 +34,7 @@ thread_local! {
     static SIGNS: Cell<u64> = const { Cell::new(0) };
     static VERIFIES: Cell<u64> = const { Cell::new(0) };
     static KERNEL_VERIFIES: Cell<u64> = const { Cell::new(0) };
+    static KEY_TABLES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Signature operations the calling thread has started since it began.
@@ -43,9 +46,13 @@ pub struct Work {
     /// [`Committee::verify`] — whatever they returned.
     pub verifies: u64,
     /// Verifications that ran the check itself (one double-scalar pass,
-    /// unless `S` was refused first): every [`VerifyingKey::verify`], and
-    /// each [`Committee::verify`] that missed its set.
+    /// Straus or comb, unless `S` was refused first): every
+    /// [`VerifyingKey::verify`], and each [`Committee::verify`] that missed
+    /// its set.
     pub kernel_verifies: u64,
+    /// Comb tables a [`Committee`] built for one of its keys: at most one
+    /// per key and committee, at the key's fourth pass.
+    pub key_tables: u64,
 }
 
 /// The calling thread's signature-work counters. They only grow, so the
@@ -56,6 +63,7 @@ pub fn work() -> Work {
         signs: SIGNS.get(),
         verifies: VERIFIES.get(),
         kernel_verifies: KERNEL_VERIFIES.get(),
+        key_tables: KEY_TABLES.get(),
     }
 }
 
@@ -167,15 +175,18 @@ impl VerifyingKey {
     ///
     /// Implements the strict, cofactorless check (like Tor's ed25519 use):
     /// a non-canonical `S` (≥ l) is refused first; then
-    /// `R′ = [S]B − [k]A` is computed in one double-scalar pass,
-    /// re-encoded, and compared byte for byte with the signature's `R`.
+    /// `R′ = [S]B − [k]A` is computed in one interleaved double-scalar
+    /// (Straus) pass, re-encoded, and compared byte for byte with the
+    /// signature's `R`.
     /// `R` itself is never decompressed: an `R` that is off the curve,
     /// non-canonical or otherwise not the encoding of `R′` fails that
     /// comparison, because re-encoding only ever yields canonical bytes.
     /// The key was already decoded by whoever constructed it.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), SignatureError> {
         VERIFIES.set(VERIFIES.get() + 1);
-        self.verify_challenge(&self.challenge(message, signature), signature)
+        self.check(&self.challenge(message, signature), signature, |k, s| {
+            self.straus(k, s)
+        })
     }
 
     /// The challenge hash `SHA-512(R ‖ A ‖ M)`, before reduction mod l.
@@ -183,20 +194,33 @@ impl VerifyingKey {
         sha512::digest_parts(&[&signature.r, &self.compressed, message])
     }
 
+    /// `[k](−A) + [S]B` in one Straus pass: the kernel of lone checks.
+    fn straus(&self, k: &Scalar, s: &Scalar) -> EdwardsPoint {
+        EdwardsPoint::double_scalar_mul_basepoint(k, &self.point.neg(), s)
+    }
+
+    /// The table [`Committee`] checks this key against from its fourth
+    /// pass on; `mul_add_basepoint(k, S)` on it is `[k](−A) + [S]B`.
+    fn comb_table(&self) -> CombTable {
+        KEY_TABLES.set(KEY_TABLES.get() + 1);
+        CombTable::new(&self.point.neg())
+    }
+
     /// The check of [`VerifyingKey::verify`] with the message already
-    /// hashed into `challenge`.
-    fn verify_challenge(
+    /// hashed into `challenge`, and `R′ = [k](−A) + [S]B` computed by
+    /// `kernel` — called once, only if `S` is canonical.
+    fn check(
         &self,
         challenge: &[u8; 64],
         signature: &Signature,
+        kernel: impl FnOnce(&Scalar, &Scalar) -> EdwardsPoint,
     ) -> Result<(), SignatureError> {
         KERNEL_VERIFIES.set(KERNEL_VERIFIES.get() + 1);
         let s =
             Scalar::from_canonical_bytes(&signature.s).ok_or(SignatureError::NonCanonicalScalar)?;
         let k = Scalar::from_bytes_mod_order_wide(challenge);
 
-        let r_prime = EdwardsPoint::double_scalar_mul_basepoint(&k, &self.point.neg(), &s);
-        if r_prime.compress() == signature.r {
+        if kernel(&k, &s).compress() == signature.r {
             Ok(())
         } else {
             Err(SignatureError::BadSignature)

@@ -8,11 +8,14 @@
 
 use super::field::tests::{edge_elements, invert_generic, pow_p58_generic};
 use super::field::{FieldElement, P};
-use super::point::EdwardsPoint;
+use super::point::{CombTable, EdwardsPoint};
 use super::scalar::{Scalar, L};
 use super::{Signature, SignatureError, SigningKey, VerifyingKey};
 use crate::sha512;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
+use std::collections::BTreeMap;
 
 #[derive(Clone, Copy)]
 struct LadderPoint {
@@ -164,7 +167,8 @@ fn limbs_to_bytes(limbs: [u64; 4]) -> [u8; 32] {
 
 /// Scalars on the edges of the recodings: 0, 1, 2, l − 1, 2^252,
 /// 2^252 + 1, alternating bits, all ones below l, and the digits where
-/// the width-5, width-8 and radix-16 recodings start to carry.
+/// the width-5, width-8 and radix-16 recodings start to carry, and the
+/// scalar whose radix-16 digits are −8 everywhere below the top one.
 fn edge_scalars() -> Vec<Scalar> {
     const MAX: u64 = u64::MAX;
     const ALTERNATING: u64 = 0xaaaa_aaaa_aaaa_aaaa;
@@ -172,10 +176,12 @@ fn edge_scalars() -> Vec<Scalar> {
     let mut l_minus_1 = L;
     l_minus_1[0] -= 1;
     let repeated = |limb: u64| Scalar([limb, limb, limb, limb >> 4]);
+    const SEVENS: u64 = 0x7777_7777_7777_7777;
     let mut edges = vec![
         Scalar(l_minus_1),
         Scalar([0, 0, 0, 1 << 60]),
         Scalar([1, 0, 0, 1 << 60]),
+        Scalar([SEVENS + 1, SEVENS, SEVENS, SEVENS >> 4]),
     ];
     edges
         .extend([0, 1, 2, 7, 8, 15, 16, 17, 127, 128, 129, 255, 256].map(|n| Scalar([n, 0, 0, 0])));
@@ -218,6 +224,88 @@ fn scalar_muls_agree_with_the_ladder_on_edge_scalars() {
         // And with the edge as the base-point scalar of the double pass.
         assert_scalar_muls_agree(&m, k);
     }
+}
+
+#[test]
+fn one_edge_scalar_is_all_minus_eights() {
+    assert!(edge_scalars().iter().any(|k| {
+        let digits = k.to_radix_16();
+        digits[..63] == [-8; 63] && digits[63] == 1
+    }));
+}
+
+/// The comb against a fresh table of `point` gives the Straus pass's
+/// point for \[a\]P + \[b\]B.
+fn assert_comb_agrees(table: &CombTable, point: &EdwardsPoint, a: &Scalar, b: &Scalar) {
+    assert_eq!(
+        table.mul_add_basepoint(a, b),
+        EdwardsPoint::double_scalar_mul_basepoint(a, point, b),
+        "a {a:x?} b {b:x?}"
+    );
+}
+
+#[test]
+fn the_comb_equals_straus_on_edge_scalars() {
+    let m = Scalar::from_bytes_mod_order(&[0x5a; 32]);
+    let p = EdwardsPoint::basepoint_mul(&m);
+    // [m]B, the eight small-order points, and [m]B plus each of them.
+    let mut points = vec![p];
+    for encoding in small_order_encodings() {
+        let torsion = EdwardsPoint::decompress(&encoding).expect("small-order points decode");
+        points.extend([torsion, p.add(&torsion)]);
+    }
+    let edges = edge_scalars();
+    for point in &points {
+        let table = CombTable::new(point);
+        for k in &edges {
+            assert_comb_agrees(&table, point, k, &m);
+            assert_comb_agrees(&table, point, &m, k);
+            assert_comb_agrees(&table, point, k, k);
+        }
+    }
+}
+
+/// The triples the kernel was accepted on: the hostile table, and 128
+/// honest triples each with one to three bit flips, singly and
+/// together.
+pub(super) fn acceptance_set(rng: &mut StdRng) -> Vec<Triple> {
+    let mut triples = hostile_triples();
+    for _ in 0..128 {
+        let message: Vec<u8> = (0..rng.gen_range(0..96)).map(|_| rng.gen()).collect();
+        let flips: Vec<(usize, usize, u8)> = (0..rng.gen_range(1..4))
+            .map(|_| (rng.gen_range(0..4), rng.gen(), rng.gen_range(0..8)))
+            .collect();
+        triples.extend(mutated_triples(rng.gen(), &message, &flips));
+    }
+    triples
+}
+
+/// On every triple of the acceptance set whose key decodes and whose S is
+/// canonical, `R′ = [k](−A) + [S]B` is the same point by both kernels, so
+/// the re-encoding compared with R — and the verdict — is too.
+#[test]
+fn the_comb_equals_straus_on_the_acceptance_set() {
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(23);
+    let mut tables: BTreeMap<[u8; 32], (EdwardsPoint, CombTable)> = BTreeMap::new();
+    let mut compared = 0;
+    for (key, message, signature) in acceptance_set(&mut rng) {
+        let Some(point) = EdwardsPoint::decompress(&key) else {
+            continue;
+        };
+        let Some(s) = Scalar::from_canonical_bytes(signature[32..].try_into().unwrap()) else {
+            continue;
+        };
+        let challenge = sha512::digest_parts(&[&signature[..32], &key, &message]);
+        let k = Scalar::from_bytes_mod_order_wide(&challenge);
+        let (minus_a, table) = tables.entry(key).or_insert_with(|| {
+            let minus_a = point.neg();
+            (minus_a, CombTable::new(&minus_a))
+        });
+        assert_comb_agrees(table, minus_a, &k, &s);
+        compared += 1;
+    }
+    assert!(compared > 2_000 && tables.len() > 128, "not vacuous");
 }
 
 #[test]
@@ -451,6 +539,21 @@ proptest! {
         let k = Scalar::from_bytes_mod_order(&k);
         let m = Scalar::from_bytes_mod_order(&m);
         assert_scalar_muls_agree(&k, &m);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The comb equals the Straus pass for random keys — any encoding that
+    /// decodes, so most carry a small-order component; \[key mod l\]B for
+    /// the rest — and random full-width scalars.
+    #[test]
+    fn the_comb_equals_straus(key in any::<[u8; 32]>(), a in any::<[u8; 32]>(), b in any::<[u8; 32]>()) {
+        let point = EdwardsPoint::decompress(&key)
+            .unwrap_or_else(|| EdwardsPoint::basepoint_mul(&Scalar::from_bytes_mod_order(&key)));
+        let (a, b) = (Scalar::from_bytes_mod_order(&a), Scalar::from_bytes_mod_order(&b));
+        assert_comb_agrees(&CombTable::new(&point), &point, &a, &b);
     }
 }
 

@@ -9,13 +9,15 @@
 //! formula handles addition, doubling, the identity and the small-order
 //! points, so nothing branches on its operands.
 //!
-//! Scalar multiplication comes in the three shapes signatures need, each
+//! Scalar multiplication comes in the shapes signatures need, each
 //! implemented once and all variable-time (see the crate-level scope note):
 //! fixed-base [`EdwardsPoint::basepoint_mul`] over a radix-16 table,
 //! double-scalar [`EdwardsPoint::double_scalar_mul_basepoint`] in one
 //! interleaved width-5 / width-8 NAF pass, and variable-base
 //! [`EdwardsPoint::scalar_mul`], which is the double-scalar pass with a zero
-//! base-point scalar.
+//! base-point scalar. A point that is multiplied again and again — a
+//! committee key — can get a [`CombTable`] of its own, which turns the
+//! double-scalar product into a comb over two fixed-base tables.
 
 use super::field::FieldElement;
 use super::scalar::Scalar;
@@ -69,7 +71,7 @@ struct Cached {
 
 /// An affine point prepared as the second operand of an addition:
 /// (y + x, y − x, 2d·xy). One product cheaper to add than [`Cached`], one
-/// inversion dearer to build, so only the static tables use it.
+/// inversion dearer to build, so only tables use it.
 #[derive(Clone, Copy)]
 struct AffineCached {
     y_plus_x: FieldElement,
@@ -117,6 +119,114 @@ fn fill_with_multiples(table: &mut [AffineCached], first: &EdwardsPoint, step: &
             multiple = multiple.add_cached(&step, false).to_extended();
         }
         *entry = multiple.to_affine_cached();
+    }
+}
+
+/// `points` prepared as affine operands with one inversion for all of
+/// them (Montgomery's trick): invert the product of every Z, then peel
+/// each point's 1/Z off it, three products per point.
+fn batch_to_affine_cached(points: &[EdwardsPoint]) -> Vec<AffineCached> {
+    let mut products_before = Vec::with_capacity(points.len());
+    let mut product = FieldElement::ONE;
+    for point in points {
+        products_before.push(product);
+        product = product.mul(&point.z);
+    }
+    let mut inverse = product.invert();
+    let mut affine = vec![EdwardsPoint::identity().affine_cached(&FieldElement::ONE); points.len()];
+    for ((point, before), entry) in points.iter().zip(&products_before).zip(&mut affine).rev() {
+        // Here `inverse` is 1 / (Z₀ ⋯ Zᵢ), and `before` is Z₀ ⋯ Zᵢ₋₁.
+        *entry = point.affine_cached(&inverse.mul(before));
+        inverse = inverse.mul(&point.z);
+    }
+    affine
+}
+
+/// `acc` + e·Q for a signed radix-16 digit e, from a table `row` of the
+/// multiples (m + 1)·Q, m < 8.
+fn add_digit(acc: EdwardsPoint, row: &[AffineCached; 8], digit: i8) -> EdwardsPoint {
+    match digit {
+        0 => acc,
+        e => acc
+            .add_affine(&row[e.unsigned_abs() as usize - 1], e < 0)
+            .to_extended(),
+    }
+}
+
+/// Multiples of one point P for [`CombTable::mul_add_basepoint`]:
+/// `rows[r][m]` = (m + 1)·2^(16r)·P for r < 16 and m < 8, 128 affine
+/// entries (12 KiB) on the heap.
+///
+/// Building one takes 240 doublings, 112 additions and one inversion
+/// shared by every entry — about 1.4 passes of the Straus kernel
+/// ([`EdwardsPoint::double_scalar_mul_basepoint`]) — and each product
+/// after that costs 12 doublings and at most 128 additions, against that
+/// pass's ≈ 253 doublings and ≈ 70 additions: about half the time. So a
+/// table pays for itself only on a point multiplied three or more times
+/// after it is built.
+pub(crate) struct CombTable {
+    rows: Vec<[AffineCached; 8]>,
+}
+
+impl std::fmt::Debug for CombTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CombTable").finish_non_exhaustive()
+    }
+}
+
+impl CombTable {
+    /// The table of `point`.
+    pub(crate) fn new(point: &EdwardsPoint) -> Self {
+        let mut multiples = Vec::with_capacity(16 * 8);
+        let mut row_base = *point;
+        for r in 0..16 {
+            if r > 0 {
+                let mut doubled = double_xyz(&row_base.x, &row_base.y, &row_base.z);
+                for _ in 1..16 {
+                    doubled = doubled.double();
+                }
+                row_base = doubled.to_extended();
+            }
+            let step = row_base.to_cached();
+            let mut multiple = row_base;
+            multiples.push(multiple);
+            for _ in 1..8 {
+                multiple = multiple.add_cached(&step, false).to_extended();
+                multiples.push(multiple);
+            }
+        }
+        let rows = batch_to_affine_cached(&multiples)
+            .chunks_exact(8)
+            .map(|row| row.try_into().expect("rows of eight"))
+            .collect();
+        CombTable { rows }
+    }
+
+    /// \[a\]P + \[b\]B for the table's point P and the standard base point
+    /// B, as a comb: with the radix-16 digits of both scalars, digit
+    /// 4r + j of `a` selects from row r of this table and digit 4r + j of
+    /// `b` from row 2r of the static `radix_16` table (both rows hold
+    /// multiples of 2^(16r) times their point). Four passes, j = 3 down
+    /// to 0, each adding its 16 + 16 digits and separated by four
+    /// doublings — 12 doublings and at most 128 additions in all. The
+    /// result is the same group element as the Straus pass gives.
+    ///
+    /// Both scalars must be below 2^253, as every reduced scalar is. Not
+    /// constant time; see the crate-level scope note.
+    pub(crate) fn mul_add_basepoint(&self, a: &Scalar, b: &Scalar) -> EdwardsPoint {
+        let b_rows = &basepoint_tables().radix_16;
+        let (a_digits, b_digits) = (a.to_radix_16(), b.to_radix_16());
+        let mut acc = EdwardsPoint::identity();
+        for j in (0..4).rev() {
+            if j < 3 {
+                acc = acc.double().double().double().double();
+            }
+            for (r, row) in self.rows.iter().enumerate() {
+                acc = add_digit(acc, row, a_digits[4 * r + j]);
+                acc = add_digit(acc, &b_rows[2 * r], b_digits[4 * r + j]);
+            }
+        }
+        acc
     }
 }
 
@@ -226,9 +336,13 @@ impl EdwardsPoint {
     }
 
     fn to_affine_cached(self) -> AffineCached {
-        let z_inv = self.z.invert();
-        let x = self.x.mul(&z_inv);
-        let y = self.y.mul(&z_inv);
+        self.affine_cached(&self.z.invert())
+    }
+
+    /// The affine operand, given `z_inv` = 1/Z.
+    fn affine_cached(&self, z_inv: &FieldElement) -> AffineCached {
+        let x = self.x.mul(z_inv);
+        let y = self.y.mul(z_inv);
         AffineCached {
             y_plus_x: y.add(&x),
             y_minus_x: y.sub(&x),
@@ -346,17 +460,11 @@ impl EdwardsPoint {
     pub fn basepoint_mul(k: &Scalar) -> Self {
         let table = &basepoint_tables().radix_16;
         let digits = k.to_radix_16();
-        // A digit ±j at position i selects entry j − 1 of row i / 2.
-        let add_digit = |acc: EdwardsPoint, i: usize| match digits[i] {
-            0 => acc,
-            e => {
-                let entry = &table[i / 2][e.unsigned_abs() as usize - 1];
-                acc.add_affine(entry, e < 0).to_extended()
-            }
-        };
-        let odd_half = (1..64).step_by(2).fold(EdwardsPoint::identity(), add_digit);
+        // The digit at position i selects from row i / 2.
+        let add = |acc, i: usize| add_digit(acc, &table[i / 2], digits[i]);
+        let odd_half = (1..64).step_by(2).fold(EdwardsPoint::identity(), add);
         let times_16 = odd_half.double().double().double().double();
-        (0..64).step_by(2).fold(times_16, add_digit)
+        (0..64).step_by(2).fold(times_16, add)
     }
 
     /// Compresses to the 32-byte RFC 8032 wire format: the y-coordinate with
@@ -549,6 +657,27 @@ mod tests {
                 multiple = multiple.add(&row_base);
             }
             for _ in 0..8 {
+                row_base = row_base.double();
+            }
+        }
+    }
+
+    #[test]
+    fn a_comb_table_is_12_kib_and_holds_what_it_says() {
+        let p = EdwardsPoint::basepoint_mul(&Scalar::from_bytes_mod_order(&[0x5a; 32]));
+        let table = CombTable::new(&p);
+        assert_eq!(table.rows.len(), 16);
+        assert_eq!(std::mem::size_of_val(&table.rows[..]), 12 * 1024);
+        let id = EdwardsPoint::identity();
+        // rows[r][m] = (m + 1)·2^(16r)·P.
+        let mut row_base = p;
+        for row in &table.rows {
+            let mut multiple = row_base;
+            for entry in row {
+                assert_eq!(id.add_affine(entry, false).to_extended(), multiple);
+                multiple = multiple.add(&row_base);
+            }
+            for _ in 0..16 {
                 row_base = row_base.double();
             }
         }

@@ -20,20 +20,25 @@
 //! by every thread. Do not lift it into an adversarial production
 //! environment as-is.
 //!
-//! [`VerifyingKey::verify`] always runs the whole RFC 8032 check. A
-//! [`Committee`] — the keys of one simulated run plus the set of triples
-//! that have passed under them — is what the protocol nodes ask instead:
-//! nine simulated authorities in one process re-verify the same
-//! endorsements and certificates dozens of times, and the committee they
-//! share runs the check once per distinct triple. Its set is keyed by
-//! `(A, R, S, k)` with `k = SHA-512(R ‖ A ‖ M)` — exactly the inputs of the
-//! equation `[S]B = R + [k]A`, so answering from it assumes nothing the
-//! signature scheme does not (not even that SHA-512 is collision-free:
-//! two messages with one `k` *do* get one verdict). Only `Ok` is stored:
-//! a set entry is a proof that the kernel accepted those inputs, and a
-//! forged signature pays for the full check every time it is presented.
-//! The set belongs to the committee and is dropped with it; there is no
-//! process-wide or per-thread memo, and nothing to reset between runs.
+//! [`VerifyingKey::verify`] always runs the whole RFC 8032 check, with
+//! the interleaved (Straus) double-scalar pass. A [`Committee`] — the keys
+//! of one simulated run plus the set of requests that have passed under
+//! them — is what the protocol nodes ask instead: nine simulated
+//! authorities in one process re-verify the same endorsements and
+//! certificates dozens of times, and the committee they share runs the
+//! check once per distinct request. Its set is keyed by
+//! `(signer, R, S, M)`; within one committee the signer's index stands
+//! for its key `A`, so that is `(A, R, S, M)` — the inputs the verdict is
+//! a function of, and answering from it assumes nothing the signature
+//! scheme does not. A repeat is answered before SHA-512 runs. Only `Ok`
+//! is stored: a set entry is a proof that the kernel accepted those
+//! inputs, and a forged signature pays for the full check every time it
+//! is presented. From a key's fourth check on, the committee runs that
+//! check as a comb against a 12 KiB table of multiples of the key, built
+//! once and counted in `ed25519::Work::key_tables`; the comb computes the
+//! same point as the Straus pass, so the verdict is the same. The set and
+//! the tables belong to the committee and are dropped with it; there is
+//! no process-wide or per-thread memo, and nothing to reset between runs.
 //!
 //! # Examples
 //!
