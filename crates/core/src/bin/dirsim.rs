@@ -15,9 +15,9 @@
 
 use partialtor::calibration::{ATTACK_FLOOD_MBPS, N_AUTHORITIES};
 use partialtor::experiments::{
-    ablations, adversary, attribute, availability, clients, cost, diff_savings, fig10_latency,
-    fig11_recovery, fig1_attack_log, fig6_relays, fig7_bandwidth, frontier, placement,
-    table1_complexity, table2_rounds,
+    ablations, adversary, availability, clients, cost, diff_savings, fig10_latency, fig11_recovery,
+    fig1_attack_log, fig6_relays, fig7_bandwidth, frontier, placement, table1_complexity,
+    table2_rounds,
 };
 use partialtor::json::Json;
 use partialtor::monitor;
@@ -470,33 +470,6 @@ fn cmd_clients(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
 }
 
 #[rustfmt::skip]
-const ATTRIBUTE_SPEC: &[FlagSpec] = &[
-    clients_flag("client fleet size (default 3000000)"),
-    hours_flag("attacked hours simulated (default 24)"),
-    caches_flag("directory caches (default 200)"),
-    RELAYS_FLAG,
-    SEED_FLAG,
-    FEEDBACK_FLAG,
-    JSON_FLAG,
-];
-
-fn cmd_attribute(args: &Args, telemetry: &mut Telemetry) -> Result<(), String> {
-    let defaults = attribute::AttributeParams::default();
-    let params = attribute::AttributeParams {
-        hours: args.u64("--hours", defaults.hours),
-        clients: args.u64("--clients", defaults.clients),
-        caches: args.u64("--caches", defaults.caches as u64) as usize,
-        relays: args.u64("--relays", defaults.relays),
-        seed: args.u64("--seed", defaults.seed),
-        feedback: args.present("--feedback"),
-    };
-    let result = attribute::run_experiment_traced(&params, &telemetry.tracer);
-    telemetry.metrics = attribute::to_json(&result);
-    print(args, &telemetry.metrics, || attribute::render(&result));
-    Ok(())
-}
-
-#[rustfmt::skip]
 const ADVERSARY_SPEC: &[FlagSpec] = &[
     num_flag("--budget", "USD", 0.0, MAX_USD_MONTH, "attack budget, $/month (default 55)"),
     hours_flag("scored horizon, hours (default 24)"),
@@ -672,8 +645,6 @@ const SUBCOMMANDS: &[(&str, &str, &[FlagSpec], Handler)] = &[
     ("run", "protocol runs, each under an optional flood, with health alerts", RUN_SPEC, cmd_run),
     ("clients", "client-visible availability through the distribution layer",
         CLIENTS_SPEC, cmd_clients),
-    ("attribute", "exact blame decomposition of the five-of-nine downtime",
-        ATTRIBUTE_SPEC, cmd_attribute),
     ("adversary", "budget-constrained strategy search over authorities + caches",
         ADVERSARY_SPEC, cmd_adversary),
     ("frontier", "attacker-defender co-evolution: the cost-of-denial frontier",

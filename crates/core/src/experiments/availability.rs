@@ -56,16 +56,15 @@ pub struct AvailabilityResult {
     pub client_weighted_downtime: f64,
 }
 
-/// Simulates `hours` hourly runs with a five-minute attack window at the
-/// start of each, and tracks document validity.
-pub fn timeline(protocol: ProtocolKind, hours: u64, seed: u64) -> AvailabilityResult {
+/// Simulates `hours` hourly runs of the current and ICPS protocols — one
+/// sweep batch — with a five-minute attack window at the start of each,
+/// and tracks each protocol's document validity.
+pub fn run_experiment(hours: u64, seed: u64) -> Vec<AvailabilityResult> {
     let plan = AttackPlan::five_of_nine().sustained_hourly(hours);
-    let [arm] = sustained::run([protocol], &plan, hours, seed, 8_000);
-
-    // Client weighting: replay the same timeline through the
-    // distribution layer with a reference fleet — cache fetches see the
-    // same hourly attack windows the protocol runs did — and read each
-    // hour's staleness off its fleet row.
+    // Client weighting: replay each timeline through the distribution
+    // layer with a reference fleet — cache fetches see the same hourly
+    // attack windows the protocol runs did — and read each hour's
+    // staleness off its fleet row.
     let config = DistConfig {
         seed,
         clients: REFERENCE_FLEET_CLIENTS,
@@ -73,8 +72,22 @@ pub fn timeline(protocol: ProtocolKind, hours: u64, seed: u64) -> AvailabilityRe
         link_windows: plan.dist_windows(),
         ..DistConfig::default()
     };
+    sustained::run(
+        [ProtocolKind::Current, ProtocolKind::Icps],
+        &plan,
+        hours,
+        seed,
+        8_000,
+    )
+    .into_iter()
+    .map(|arm| timeline(arm, &config))
+    .collect()
+}
+
+/// One protocol's timeline from its arm of the sweep.
+fn timeline(arm: sustained::SustainedArm, config: &DistConfig) -> AvailabilityResult {
     let dist = sustained::replay(
-        &config,
+        config,
         DocModel::synthetic(config.relays),
         arm.inputs,
         &Tracer::disabled(),
@@ -86,7 +99,7 @@ pub fn timeline(protocol: ProtocolKind, hours: u64, seed: u64) -> AvailabilityRe
     let mut last_valid_consensus_at: i64 = 0;
     let mut rows = Vec::new();
     let mut death_at_secs = None;
-    for ((hour, report), fleet_row) in (1..=hours).zip(&arm.reports).zip(&dist.fleet.rows[1..]) {
+    for ((hour, report), fleet_row) in (1..).zip(&arm.reports).zip(&dist.fleet.rows[1..]) {
         let produced = report.success;
         let valid_at_offset_secs = report.last_valid_secs;
         if produced {
@@ -111,19 +124,11 @@ pub fn timeline(protocol: ProtocolKind, hours: u64, seed: u64) -> AvailabilityRe
     }
 
     AvailabilityResult {
-        protocol: protocol.to_string(),
+        protocol: arm.protocol.to_string(),
         rows,
         death_at_secs,
         client_weighted_downtime: dist.fleet.client_weighted_downtime,
     }
-}
-
-/// Runs the timeline for the current and ICPS protocols.
-pub fn run_experiment(hours: u64, seed: u64) -> Vec<AvailabilityResult> {
-    vec![
-        timeline(ProtocolKind::Current, hours, seed),
-        timeline(ProtocolKind::Icps, hours, seed),
-    ]
 }
 
 /// Renders the timelines.
@@ -171,7 +176,8 @@ mod tests {
 
     #[test]
     fn sustained_attack_kills_current_in_three_hours() {
-        let result = timeline(ProtocolKind::Current, 5, 31);
+        let result = &run_experiment(5, 31)[0];
+        assert_eq!(result.protocol, ProtocolKind::Current.to_string());
         assert!(result.rows.iter().all(|r| !r.produced), "every run fails");
         // Last valid document from t = 0 expires at t = 3 h.
         assert_eq!(result.death_at_secs, Some(CONSENSUS_VALID_SECS));
@@ -189,7 +195,8 @@ mod tests {
 
     #[test]
     fn icps_stays_up_indefinitely() {
-        let result = timeline(ProtocolKind::Icps, 5, 31);
+        let result = &run_experiment(5, 31)[1];
+        assert_eq!(result.protocol, ProtocolKind::Icps.to_string());
         assert!(result.rows.iter().all(|r| r.produced), "every run succeeds");
         assert!(result.rows.iter().all(|r| r.network_alive));
         assert_eq!(result.death_at_secs, None);

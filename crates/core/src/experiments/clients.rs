@@ -11,7 +11,7 @@
 //! current protocol's fleet dies three hours after the last valid
 //! consensus; the ICPS fleet barely notices.
 //!
-//! Three switches extend the basic day-long run:
+//! Four switches extend the basic day-long run:
 //!
 //! * **`feedback`** closes the §2.1 fetch-storm loop: each hour's
 //!   realized client egress (bootstrap retry storms included) becomes
@@ -22,14 +22,23 @@
 //! * **`real_docs`** replaces the synthetic size model with real
 //!   `tordoc` consensuses served through a verified `DiffStore`, so the
 //!   proposal-140 numbers come from measured diffs (small populations
-//!   only).
+//!   only);
+//! * **`attribution`** turns on the distribution layer's blame ladder
+//!   ([`DistConfig::attribution`]): each arm's report, and its text,
+//!   split every hour's downtime and the whole run's into causes —
+//!   flooded authority or cache links, a lost consensus quorum, a
+//!   detector veto, a saturated cache service budget, the recovery
+//!   storm, residual churn. The parts are additive and sum bit-exactly
+//!   to the downtime they split, so the table is an accounting identity,
+//!   not a heuristic.
 
 use super::sustained;
 use crate::adversary::AttackPlan;
 use crate::calibration::N_AUTHORITIES;
 use crate::protocols::ProtocolKind;
 use partialtor_dirdist::{
-    ChurnSchedule, DistConfig, DistReport, DocModel, FetchMix, HourInput, RETAIN_HOURS,
+    AttributionRollup, ChurnSchedule, DistConfig, DistReport, DocModel, FetchMix, HourInput,
+    RETAIN_HOURS,
 };
 use partialtor_obs::Tracer;
 use partialtor_tordoc::prelude::*;
@@ -242,7 +251,8 @@ pub fn metrics_json(results: &[ClientsResult]) -> crate::json::Json {
     )])
 }
 
-/// Renders the per-protocol hourly tables and the comparison summary.
+/// Renders the per-protocol hourly tables (each followed by its blame
+/// block when attribution is on) and the comparison summary.
 pub fn render(results: &[ClientsResult]) -> String {
     let mut out = String::new();
     out.push_str("=== Client-visible availability under sustained hourly DDoS ===\n");
@@ -314,6 +324,9 @@ pub fn render(results: &[ClientsResult]) -> String {
                 feedback.peak_cache_bg_bps / 1e6,
             ));
         }
+        if let Some(rollup) = &result.dist.attribution {
+            render_blame(&mut out, &result.dist, rollup);
+        }
     }
     if let [current, icps] = results {
         out.push_str(&format!(
@@ -327,6 +340,60 @@ pub fn render(results: &[ClientsResult]) -> String {
         ));
     }
     out
+}
+
+/// Appends one arm's downtime blame: the per-hour table, then the
+/// whole-run rollup.
+fn render_blame(out: &mut String, dist: &DistReport, rollup: &AttributionRollup) {
+    out.push_str(
+        "\ndowntime blame (parts are additive and sum bit-exactly to the downtime they split)\n",
+    );
+    out.push_str(&format!(
+        "{:>5} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}  {}\n",
+        "hour",
+        "downtime",
+        "auth",
+        "cache",
+        "quorum",
+        "veto",
+        "budget",
+        "storm",
+        "other",
+        "dominant"
+    ));
+    let pct = |v: f64| format!("{:.2}", 100.0 * v);
+    for hour in &dist.hours {
+        let p = &hour
+            .attribution
+            .as_ref()
+            .expect("attribution runs every hour")
+            .parts;
+        out.push_str(&format!(
+            "{:>5} {:>8}% {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}  {}\n",
+            hour.hour,
+            pct(hour.fleet.dead_fraction),
+            pct(p.authority_flooded),
+            pct(p.cache_flooded),
+            pct(p.quorum_lost),
+            pct(p.detector_veto),
+            pct(p.service_budget_saturated),
+            pct(p.recovery_storm),
+            pct(p.churn_other),
+            if hour.fleet.dead_fraction > 0.0 {
+                p.dominant().0
+            } else {
+                "-"
+            },
+        ));
+    }
+    out.push_str(&format!(
+        "\nwhole run: client-weighted downtime {:.2}%, dominated by {}\n",
+        100.0 * rollup.client_weighted_downtime,
+        rollup.parts.dominant().0,
+    ));
+    for (name, value) in rollup.parts.named() {
+        out.push_str(&format!("  {name:<26} {:>8}%\n", pct(value)));
+    }
 }
 
 #[cfg(test)]
@@ -382,6 +449,110 @@ mod tests {
         let text = render(&results);
         assert!(text.contains("Current") && text.contains("Ours"));
         assert!(text.contains("verdict"));
+    }
+
+    /// The acceptance story at experiment level: the five-of-nine flood
+    /// kills the current protocol's clients *because the quorum is
+    /// lost* — the ladder blames `quorum_lost` for hours 3 and 4 and
+    /// for 40 % of the run — and every decomposition in both arms'
+    /// reports is exact. These are `dirsim clients --hours 4 --clients
+    /// 50000 --caches 20 --relays 2000 --seed 9 --attribution`'s
+    /// parameters.
+    #[test]
+    fn five_of_nine_blame_is_quorum_lost_and_exact() {
+        let results = run_experiment(&ClientsParams {
+            hours: 4,
+            clients: 50_000,
+            caches: 20,
+            relays: 2_000,
+            seed: 9,
+            attribution: true,
+            ..ClientsParams::default()
+        });
+        let current = &results[0];
+        assert_eq!(current.produced_hours, 0, "every attacked run is breached");
+        let roll = current.dist.attribution.as_ref().expect("attribution on");
+        assert_eq!(roll.parts.dominant().0, "quorum_lost");
+        assert_eq!(roll.parts.quorum_lost.to_bits(), 0.4f64.to_bits());
+        for hour in &current.dist.hours {
+            let parts = &hour.attribution.as_ref().expect("attribution on").parts;
+            let quorum_lost = if hour.hour >= 3 { 1.0f64 } else { 0.0 };
+            for (name, value) in parts.named() {
+                let want = if name == "quorum_lost" {
+                    quorum_lost
+                } else {
+                    0.0
+                };
+                assert_eq!(
+                    value.to_bits(),
+                    want.to_bits(),
+                    "hour {}: {name}",
+                    hour.hour
+                );
+            }
+        }
+        for result in &results {
+            let roll = result.dist.attribution.as_ref().expect("attribution on");
+            assert_eq!(
+                roll.parts.sum().to_bits(),
+                roll.client_weighted_downtime.to_bits(),
+                "{}",
+                result.protocol
+            );
+            assert_eq!(
+                roll.client_weighted_downtime.to_bits(),
+                result.dist.fleet.client_weighted_downtime.to_bits(),
+                "{}",
+                result.protocol
+            );
+            for hour in &result.dist.hours {
+                let attribution = hour.attribution.as_ref().expect("attribution on");
+                assert_eq!(
+                    attribution.parts.sum().to_bits(),
+                    hour.fleet.dead_fraction.to_bits(),
+                    "{} hour {}",
+                    result.protocol,
+                    hour.hour
+                );
+            }
+        }
+        let json = to_json(&results).render();
+        assert!(json.contains("\"dominant\":\"quorum_lost\""));
+    }
+
+    /// `render` prints one blame block per arm iff attribution is on,
+    /// and the blame block is all that the switch adds to the text.
+    #[test]
+    fn render_prints_a_blame_block_iff_attribution_is_on() {
+        let params = ClientsParams {
+            hours: 2,
+            clients: 20_000,
+            caches: 10,
+            relays: 2_000,
+            seed: 9,
+            ..ClientsParams::default()
+        };
+        let plain = render(&run_experiment(&params));
+        let attributed = render(&run_experiment(&ClientsParams {
+            attribution: true,
+            ..params
+        }));
+        assert!(!plain.contains("downtime blame") && !plain.contains("whole run"));
+        assert_eq!(attributed.matches("\ndowntime blame (").count(), 2);
+        assert_eq!(attributed.matches("\nwhole run: ").count(), 2);
+        // Each block runs from the blank line before its heading to the
+        // rollup's last part, `churn_other`; cut out, the attributed
+        // text is the plain one.
+        let mut stripped = attributed.clone();
+        while let Some(start) = stripped.find("\ndowntime blame (") {
+            let last = start
+                + stripped[start..]
+                    .find("\n  churn_other")
+                    .expect("the rollup ends the block");
+            let end = last + 1 + stripped[last + 1..].find('\n').expect("line end");
+            stripped.replace_range(start..=end, "");
+        }
+        assert_eq!(stripped, plain);
     }
 
     /// Satellite: the health monitor's verdicts ride the telemetry

@@ -7,7 +7,6 @@
 
 pub mod ablations;
 pub mod adversary;
-pub mod attribute;
 pub mod availability;
 pub mod clients;
 pub mod cost;

@@ -12,7 +12,7 @@ fn dirsim() -> Command {
 
 #[test]
 fn bad_budgets_targets_and_typos_exit_2_without_panicking() {
-    let cases: [&[&str]; 41] = [
+    let cases: [&[&str]; 42] = [
         &["adversary", "--budget", "-1"],
         &["adversary", "--budget", "nan"],
         &["frontier", "--defense-budget-grid", "nan"],
@@ -53,7 +53,6 @@ fn bad_budgets_targets_and_typos_exit_2_without_panicking() {
         // that used to panic on capacity overflow or abort allocating
         // an 80 GB latency matrix.
         &["clients", "--hours", "18446744073709551615"],
-        &["attribute", "--hours", "18446744073709551615"],
         &["frontier", "--hours", "18446744073709551615"],
         &["placement", "--hours", "18446744073709551615"],
         &["fig", "availability", "--hours", "18446744073709551615"],
@@ -81,6 +80,10 @@ fn bad_budgets_targets_and_typos_exit_2_without_panicking() {
         &["fig", "fig11", "--step", "0"],
         &["fig", "fig99"],
         &["fig"],
+        // `clients --attribution` is the one blame report: the old
+        // `attribute` name must fail loudly, not run something else.
+        &["attribute"],
+        &["attribute", "--hours", "4"],
     ];
     for args in cases {
         let output = dirsim().args(args).output().expect("dirsim runs");
@@ -89,6 +92,9 @@ fn bad_budgets_targets_and_typos_exit_2_without_panicking() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(stderr.contains("usage: dirsim"), "{args:?}: {stderr}");
         assert!(output.stdout.is_empty(), "{args:?} printed a report");
+        if args[0] == "attribute" {
+            assert!(stderr.contains("unknown subcommand"), "{args:?}: {stderr}");
+        }
     }
 }
 
@@ -196,10 +202,10 @@ fn small_runs_exit_0_and_print_the_quoted_figures() {
     // (Current dies at 3 h, ICPS stays up) and Fig. 1's failure line.
     // The commands of the sustained-attack pipeline also print exactly
     // their text golden under `tests/golden/` (`golden.rs` lists the
-    // command that rewrites each file). The two attributed ones run at
+    // command that rewrites each file). The attributed one runs at
     // 2 000 relays, where the flood breaks Current in hours 3 and 4, so
-    // their goldens hold an outage and its `quorum_lost` blame.
-    let cases: [(&str, &[&str], Option<&str>); 22] = [
+    // its golden holds an outage and its `quorum_lost` blame.
+    let cases: [(&str, &[&str], Option<&str>); 21] = [
         ("run --relays 500 --seed 1", &[], None),
         ("run --relays 500 --targets 5 --duration 60 --flood 240", &[], None),
         ("run --relays 200 --protocol current --bandwidth 250,50,20,10,5,1,0.5", &[], None),
@@ -215,13 +221,8 @@ fn small_runs_exit_0_and_print_the_quoted_figures() {
         ("clients --hours 1 --clients 10000 --caches 8 --relays 120 --real-docs --json", &[], None),
         (
             "clients --hours 4 --clients 20000 --caches 10 --relays 2000 --attribution",
-            &["--- Current (0 of 4 hourly runs produced a consensus) ---"],
-            Some("clients_attribution.txt"),
-        ),
-        (
-            "attribute --hours 4 --clients 20000 --caches 10 --relays 2000",
             &["client-weighted downtime 40.00%, dominated by quorum_lost"],
-            Some("attribute.txt"),
+            Some("clients_attribution.txt"),
         ),
         ("adversary --hours 1 --beam 1 --clients 10000 --caches 5 --budget 54 --defender 6 --json", &[], None),
         ("adversary --hours 1 --beam 1 --clients 10000 --caches 5 --budget 54 --json", &[], None),

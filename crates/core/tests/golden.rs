@@ -12,7 +12,6 @@
 //! dirsim clients --hours 2 --clients 20000 --caches 10 --relays 500 --feedback --churn weekly --attribution --json > crates/core/tests/golden/clients.json
 //! dirsim clients --hours 2 --clients 20000 --caches 10 --relays 500 --feedback --churn weekly --attribution --json --metrics crates/core/tests/golden/clients_metrics.json > /dev/null
 //! dirsim clients --hours 1 --clients 1000 --caches 2 --relays 100 --trace-chrome crates/core/tests/golden/clients.chrome.json > /dev/null
-//! dirsim attribute --hours 4 --clients 50000 --caches 20 --relays 2000 --seed 9 --json > crates/core/tests/golden/attribute.json
 //! dirsim adversary --hours 8 --beam 1 --clients 10000 --caches 5 --budget 54 --defender 2 --json --trace crates/core/tests/golden/adversary.trace.jsonl > crates/core/tests/golden/adversary.json
 //! dirsim frontier --defense-budget-grid 0,60 --attack-budget 55 --hours 24 --beam 1 --clients 8000 --caches 6 --relays 2000 --attribution --json --trace crates/core/tests/golden/frontier.trace.jsonl > crates/core/tests/golden/frontier.json
 //! dirsim placement --hours 2 --clients 20000 --caches 12 --relays 500 --greedy 4 --brownout europe --json > crates/core/tests/golden/placement.json
@@ -29,7 +28,6 @@
 //! ```text
 //! dirsim clients --hours 2 --clients 20000 --caches 10 --relays 500 --feedback --churn weekly > crates/core/tests/golden/clients_feedback.txt
 //! dirsim clients --hours 4 --clients 20000 --caches 10 --relays 2000 --attribution > crates/core/tests/golden/clients_attribution.txt
-//! dirsim attribute --hours 4 --clients 20000 --caches 10 --relays 2000 > crates/core/tests/golden/attribute.txt
 //! dirsim placement --hours 2 --clients 20000 --caches 16 --relays 500 --greedy 8 > crates/core/tests/golden/placement.txt
 //! dirsim adversary --defender 6 --hours 8 > crates/core/tests/golden/adversary.txt
 //! dirsim fig availability --hours 3 > crates/core/tests/golden/availability.txt
@@ -86,24 +84,7 @@ fn arg(path: &Path) -> &str {
 
 #[test]
 fn json_outputs_match_their_goldens() {
-    let cases: [(&str, &[&str]); 4] = [
-        (
-            "attribute.json",
-            &[
-                "attribute",
-                "--hours",
-                "4",
-                "--clients",
-                "50000",
-                "--caches",
-                "20",
-                "--relays",
-                "2000",
-                "--seed",
-                "9",
-                "--json",
-            ],
-        ),
+    let cases: [(&str, &[&str]); 3] = [
         (
             "placement.json",
             &[

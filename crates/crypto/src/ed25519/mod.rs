@@ -10,7 +10,7 @@
 //! whole check, with the Straus kernel. A [`Committee`] puts a set of
 //! already-verified signatures in front of the same check for the nodes of
 //! a simulated run, and from a key's fourth check on runs it against that
-//! key's own comb table ([`point::CombTable`]).
+//! key's own comb table (`point::CombTable`).
 //!
 //! Every [`SigningKey::sign`], every verification request and every run
 //! of the check is counted per thread; [`work`] reads the counters.

@@ -16,7 +16,7 @@
 //! interleaved width-5 / width-8 NAF pass, and variable-base
 //! [`EdwardsPoint::scalar_mul`], which is the double-scalar pass with a zero
 //! base-point scalar. A point that is multiplied again and again — a
-//! committee key — can get a [`CombTable`] of its own, which turns the
+//! committee key — can get a `CombTable` of its own, which turns the
 //! double-scalar product into a comb over two fixed-base tables.
 
 use super::field::FieldElement;
