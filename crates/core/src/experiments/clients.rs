@@ -451,75 +451,6 @@ mod tests {
         assert!(text.contains("verdict"));
     }
 
-    /// The acceptance story at experiment level: the five-of-nine flood
-    /// kills the current protocol's clients *because the quorum is
-    /// lost* — the ladder blames `quorum_lost` for hours 3 and 4 and
-    /// for 40 % of the run — and every decomposition in both arms'
-    /// reports is exact. These are `dirsim clients --hours 4 --clients
-    /// 50000 --caches 20 --relays 2000 --seed 9 --attribution`'s
-    /// parameters.
-    #[test]
-    fn five_of_nine_blame_is_quorum_lost_and_exact() {
-        let results = run_experiment(&ClientsParams {
-            hours: 4,
-            clients: 50_000,
-            caches: 20,
-            relays: 2_000,
-            seed: 9,
-            attribution: true,
-            ..ClientsParams::default()
-        });
-        let current = &results[0];
-        assert_eq!(current.produced_hours, 0, "every attacked run is breached");
-        let roll = current.dist.attribution.as_ref().expect("attribution on");
-        assert_eq!(roll.parts.dominant().0, "quorum_lost");
-        assert_eq!(roll.parts.quorum_lost.to_bits(), 0.4f64.to_bits());
-        for hour in &current.dist.hours {
-            let parts = &hour.attribution.as_ref().expect("attribution on").parts;
-            let quorum_lost = if hour.hour >= 3 { 1.0f64 } else { 0.0 };
-            for (name, value) in parts.named() {
-                let want = if name == "quorum_lost" {
-                    quorum_lost
-                } else {
-                    0.0
-                };
-                assert_eq!(
-                    value.to_bits(),
-                    want.to_bits(),
-                    "hour {}: {name}",
-                    hour.hour
-                );
-            }
-        }
-        for result in &results {
-            let roll = result.dist.attribution.as_ref().expect("attribution on");
-            assert_eq!(
-                roll.parts.sum().to_bits(),
-                roll.client_weighted_downtime.to_bits(),
-                "{}",
-                result.protocol
-            );
-            assert_eq!(
-                roll.client_weighted_downtime.to_bits(),
-                result.dist.fleet.client_weighted_downtime.to_bits(),
-                "{}",
-                result.protocol
-            );
-            for hour in &result.dist.hours {
-                let attribution = hour.attribution.as_ref().expect("attribution on");
-                assert_eq!(
-                    attribution.parts.sum().to_bits(),
-                    hour.fleet.dead_fraction.to_bits(),
-                    "{} hour {}",
-                    result.protocol,
-                    hour.hour
-                );
-            }
-        }
-        let json = to_json(&results).render();
-        assert!(json.contains("\"dominant\":\"quorum_lost\""));
-    }
-
     /// `render` prints one blame block per arm iff attribution is on,
     /// and the blame block is all that the switch adds to the text.
     #[test]

@@ -139,3 +139,10 @@ pub mod frontier;
 pub mod placement;
 pub mod table1_complexity;
 pub mod table2_rounds;
+
+// The downtime blame that `dirsim clients --attribution` reports, checked
+// under the name of the `attribute` subcommand that once printed it alone.
+#[cfg(test)]
+mod attribute {
+    mod tests;
+}
